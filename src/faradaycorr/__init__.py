@@ -11,11 +11,13 @@ from .correlations import (  # noqa: F401
     CorrelationQuery,
     apply_branch,
     correlation,
+    correlation_grid,
     heisenberg_coupling,
     liouville_correlation,
 )
 from .quantum_core import (  # noqa: F401
     DensityMatrix,
+    SpectralData,
     TargetModel,
     hermitian_expm,
     kron,
@@ -58,6 +60,8 @@ from .weak_measurement import (  # noqa: F401
     ProtocolSpec,
     ShotSpec,
     gk_exact_unitary,
+    gk_exact_unitary_grid,
     gk_leading,
+    gk_leading_grid,
     measurement_superoperator,
 )

@@ -24,7 +24,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .correlations import correlation
+from .correlations import correlation_grid
 from .config import (
     build_field,
     build_model,
@@ -38,7 +38,14 @@ from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .sensor_optics import FockTruncation
 from .snr import snr_material
 from .trajectory_mc import TrajectoryConfig, empirical_snr, run_sequences
-from .weak_measurement import ProtocolWarning, gk_exact_unitary, gk_leading
+from .weak_measurement import (
+    ProtocolWarning,
+    gk_exact_unitary,
+    gk_exact_unitary_grid,
+    gk_leading,
+    gk_leading_grid,
+    prediction_factor,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,18 +141,22 @@ def cmd_exact(raw: dict) -> tuple[list[str], list[dict]]:
         warnings.simplefilter("always", ProtocolWarning)
         protocols = build_protocols(raw["protocol"])
     proto_warning = "; ".join(sorted({str(w.message) for w in caught}))
-    for proto in protocols:
-        leading = gk_leading(model, proto)
-        exact = gk_exact_unitary(model, proto, tr, engine=engine) if include_exact else None
-        query = proto.query()
+    # build_protocols varies only the last shot's time, so every column is
+    # one grid evaluation: the first K-1 shots are applied once per chain.
+    queries = [proto.query() for proto in protocols]
+    corr = correlation_grid(model, queries)
+    leading = gk_leading_grid(model, protocols)
+    exact = gk_exact_unitary_grid(model, protocols, tr, engine=engine) if include_exact else None
+    factor = prediction_factor(protocols[0])
+    for i, (proto, query) in enumerate(zip(protocols, queries)):
         row = _protocol_row_base(proto)
         row.update(
             {
                 "sign_type": query.label(),
-                "correlation_C[(rad/s)^K]": correlation(model, query),
-                "gk_leading[counts^K]": leading.value,
-                "gk_predicted_from_C[counts^K]": leading.predicted_from_C,
-                "gk_exact_unitary[counts^K]": None if exact is None else exact.value,
+                "correlation_C[(rad/s)^K]": float(corr[i]),
+                "gk_leading[counts^K]": float(leading[i]),
+                "gk_predicted_from_C[counts^K]": factor * float(corr[i]),
+                "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
                 "warning": proto_warning,
             }
         )
@@ -158,17 +169,16 @@ def cmd_simulate(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
     mode = mc.get("mode", "kraus_quantum")
     seed = int(raw["seed"])
     rows = []
+    # one model for every protocol, so its spectral data is computed once
+    tgt = build_model(raw["model"]) if mode == "kraus_quantum" else build_field(mc["field"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProtocolWarning)
         for proto in build_protocols(raw["protocol"]):
             if mode == "kraus_quantum":
-                model = build_model(raw["model"])
-                leading = gk_leading(model, proto)
-                exact = gk_exact_unitary(model, proto)
-                tgt = model
+                leading = gk_leading(tgt, proto)
+                exact = gk_exact_unitary(tgt, proto)
             else:
                 leading = exact = None
-                tgt = build_field(mc["field"])
             cfg = TrajectoryConfig(
                 sequences=int(mc["sequences"]),
                 seed=seed,

@@ -10,6 +10,14 @@ the commutator divided by i, and the k-th operator is the coupling taken in
 the interaction picture at time t_k. If the last sign is "-" the value is
 identically zero (trace of a commutator).
 
+Chains are evaluated in the eigenbasis of H, from the spectral data the
+target model computes once (``TargetModel.spectral``): there B(t) is B with
+element (i, j) multiplied by exp(i (E_i - E_j) t), so a shot costs one
+elementwise phase multiply and no exponential or eigendecomposition. A
+closing "+" branch leaves Tr[B(t_K) rho'], so ``correlation_grid`` builds the
+state rho' after the first K-1 branches once and evaluates a whole grid of
+final times t_K at O(d^2) each; ``correlation`` is that grid with one point.
+
 ``liouville_correlation`` is an independent cross-implementation that builds
 each superoperator as a dense d^2 x d^2 matrix acting on the column-major
 vectorization of rho.
@@ -17,13 +25,14 @@ vectorization of rho.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalGuardError
-from .quantum_core import Array, as_operator, hermitian_expm, identity, TargetModel
+from .quantum_core import Array, as_operator, identity, TargetModel
 from .tolerances import TOL
 
 
@@ -71,27 +80,64 @@ def apply_branch(b: Array, sign: BranchSign, rho: Array) -> Array:
 
 
 def heisenberg_coupling(model: TargetModel, t: float) -> Array:
-    """Interaction-picture coupling B(t) = exp(+iHt) B exp(-iHt)."""
-    u = hermitian_expm(model.hamiltonian, t)  # exp(-iHt)
-    return u.conj().T @ model.coupling @ u
+    """Interaction-picture coupling B(t) = exp(+iHt) B exp(-iHt).
+
+    Read from the model's spectral data: B(t) in the H eigenbasis is B with
+    element (i, j) multiplied by exp(i (E_i - E_j) t), rotated back to the
+    model's basis. No exponential or eigendecomposition is computed per call.
+    """
+    spec = model.spectral
+    return spec.to_model_basis(spec.coupling_at(t))
 
 
-def _real_trace(value: complex) -> float:
-    if abs(value.imag) > TOL.trace_imag:
+def real_trace(values, scale: float, what: str) -> Array:
+    """Real parts of traces that are real in exact arithmetic.
+
+    The imaginary roundoff residue is checked against ``TOL.trace_imag`` times
+    ``scale``, the a-priori size of the traces: for a K-shot chain the product
+    of the per-shot operator norms, ||B||^K for C. A residue above that, or a
+    NaN, raises ``NumericalGuardError``.
+    """
+    values = np.asarray(values)
+    residue = float(np.max(np.abs(values.imag), initial=0.0))
+    if not residue <= TOL.trace_imag * scale:
         raise NumericalGuardError(
-            f"correlation trace has imaginary residue {value.imag:.3e} above tolerance"
+            f"{what} has imaginary residue {residue:.3e}, above "
+            f"{TOL.trace_imag:.0e} of its a-priori size {scale:.3e}"
         )
-    return float(value.real)
+    return values.real
+
+
+def final_time_grid(queries: Sequence[CorrelationQuery]) -> Array:
+    """Final times of queries that differ only in the time of their last shot."""
+    if not queries:
+        raise ValueError("need at least one query")
+    head = queries[0]
+    for q in queries[1:]:
+        if q.signs != head.signs or q.times[:-1] != head.times[:-1]:
+            raise ValueError("queries must differ only in the time of their last shot")
+    return np.array([q.times[-1] for q in queries])
+
+
+def correlation_grid(model: TargetModel, queries: Sequence[CorrelationQuery]) -> Array:
+    """C for queries sharing every shot but the last one's time (see
+    ``final_time_grid``): the first K-1 branches are applied once, then each
+    final time costs one O(d^2) trace."""
+    finals = final_time_grid(queries)
+    head = queries[0]
+    if head.signs[-1] is BranchSign.MINUS:
+        return np.zeros(len(finals))
+    spec = model.spectral
+    rho = spec.initial_state
+    for t, sign in zip(head.times[:-1], head.signs[:-1]):
+        rho = apply_branch(spec.coupling_at(t), sign, rho)
+    traces = spec.final_traces(spec.coupling, rho, finals)
+    return real_trace(traces, spec.coupling_norm**head.order, "correlation trace")
 
 
 def correlation(model: TargetModel, q: CorrelationQuery) -> float:
-    """Evaluate C^{eta_K...eta_1} by direct superoperator application."""
-    if q.signs[-1] is BranchSign.MINUS:
-        return 0.0
-    rho = model.initial_state.matrix
-    for t, sign in zip(q.times, q.signs):
-        rho = apply_branch(heisenberg_coupling(model, t), sign, rho)
-    return _real_trace(np.trace(rho))
+    """Evaluate C^{eta_K...eta_1}: ``correlation_grid`` with one final time."""
+    return float(correlation_grid(model, [q])[0])
 
 
 def vectorize(rho: Array) -> Array:
@@ -122,8 +168,9 @@ def liouville_correlation(model: TargetModel, q: CorrelationQuery) -> float:
     """Cross-implementation of ``correlation`` in Liouville space."""
     if q.signs[-1] is BranchSign.MINUS:
         return 0.0
-    d = model.dim
-    v = vectorize(model.initial_state.matrix)
+    spec = model.spectral
+    v = vectorize(spec.initial_state)
     for t, sign in zip(q.times, q.signs):
-        v = branch_superoperator(heisenberg_coupling(model, t), sign) @ v
-    return _real_trace(np.trace(unvectorize(v, d)))
+        v = branch_superoperator(spec.coupling_at(t), sign) @ v
+    trace = np.trace(unvectorize(v, model.dim))
+    return float(real_trace(trace, spec.coupling_norm**q.order, "Liouville correlation trace"))

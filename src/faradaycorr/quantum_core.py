@@ -11,6 +11,7 @@ All functions are pure; returned arrays are fresh and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,3 +167,76 @@ class TargetModel:
     @property
     def dim(self) -> int:
         return self.initial_state.dim
+
+    @cached_property
+    def spectral(self) -> "SpectralData":
+        """Eigendata of H and B, computed on first use and kept with the model."""
+        return SpectralData.of(self)
+
+
+@dataclass(frozen=True)
+class SpectralData:
+    """A target model in the eigenbasis of its Hamiltonian.
+
+    With H = V diag(E) V†, the interaction-picture coupling in that basis is
+    B(t)_ij = B_ij exp(i (E_i - E_j) t). It is unitarily similar to B, so its
+    eigenvalues are those of B and its eigenvectors are diag(exp(iEt)) V_B,
+    where B = V_B diag(w_B) V_B† in the H eigenbasis. One eigendecomposition
+    of H and one of B therefore serve every shot time.
+    """
+
+    energies: Array          # E, eigenvalues of H (ascending)
+    basis: Array             # V, columns are the eigenvectors of H
+    coupling: Array          # B in the H eigenbasis
+    initial_state: Array     # rho0 in the H eigenbasis
+    coupling_eigvals: Array  # w_B, eigenvalues of B (ascending)
+    coupling_eigvecs: Array  # V_B, eigenvectors of B in the H eigenbasis
+    coupling_norm: float     # spectral norm of B, max |w_B|
+
+    @classmethod
+    def of(cls, model: TargetModel) -> "SpectralData":
+        energies, basis = np.linalg.eigh(model.hamiltonian)
+        coupling = basis.conj().T @ model.coupling @ basis
+        coupling = (coupling + coupling.conj().T) / 2
+        w_b, v_b = np.linalg.eigh(coupling)
+        rho = basis.conj().T @ model.initial_state.matrix @ basis
+        for a in (energies, basis, coupling, rho, w_b, v_b):
+            a.setflags(write=False)  # shared by every caller of the model
+        return cls(
+            energies=energies,
+            basis=basis,
+            coupling=coupling,
+            initial_state=rho,
+            coupling_eigvals=w_b,
+            coupling_eigvecs=v_b,
+            coupling_norm=float(np.max(np.abs(w_b), initial=0.0)),
+        )
+
+    def phases(self, t: float) -> Array:
+        """diag(exp(iEt)), the H-eigenbasis form of exp(+iHt)."""
+        return np.exp(1j * self.energies * t)
+
+    def coupling_at(self, t: float) -> Array:
+        """B(t) in the H eigenbasis: one elementwise phase multiply."""
+        p = self.phases(t)
+        return p[:, None] * self.coupling * p.conj()[None, :]
+
+    def coupling_eigvecs_at(self, t: float) -> Array:
+        """Eigenvectors of B(t) in the model's basis, ordered as ``coupling_eigvals``."""
+        return self.basis @ (self.phases(t)[:, None] * self.coupling_eigvecs)
+
+    def to_model_basis(self, x: Array) -> Array:
+        return self.basis @ x @ self.basis.conj().T
+
+    def to_eigenbasis(self, x: Array) -> Array:
+        return self.basis.conj().T @ x @ self.basis
+
+    def final_traces(self, x: Array, rho: Array, times) -> Array:
+        """Tr[X(t) rho] for each t, with X(t) = exp(iHt) X exp(-iHt).
+
+        ``x`` and ``rho`` are in the H eigenbasis. Each time costs O(d^2) and
+        no d x d matrix is formed per time.
+        """
+        weights = x * rho.T
+        p = np.exp(1j * np.outer(np.asarray(times, dtype=float), self.energies))
+        return np.sum((p @ weights) * p.conj(), axis=1)

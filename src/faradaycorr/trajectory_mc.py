@@ -3,7 +3,8 @@
 Two modes:
 
 * ``kraus_quantum``: exact quantum trajectories. Per shot, the coupling
-  B(t_j) is diagonalized; conditioned on an eigenvalue b the detectors see
+  B(t_j) is taken in its eigenbasis (from the model's spectral data, so no
+  shot diagonalizes anything); conditioned on an eigenvalue b the detectors see
   independent Poisson counts with means given by the interferometer
   amplitudes, and the post-measurement state is updated with the full Kraus
   element (which is diagonal in the B(t_j) eigenbasis and keeps the
@@ -28,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from .correlations import heisenberg_coupling
 from .errors import NonHermitianError
 from .quantum_core import Array, DensityMatrix, TargetModel, require_hermitian
 from .sensor_optics import MeasurementBasis, SensorConfig, plane_rotation_angle
@@ -131,16 +131,29 @@ def _log_poisson(n: np.ndarray, mean: float) -> np.ndarray:
     return n * math.log(mean) - mean - np.vectorize(math.lgamma)(n + 1)
 
 
-def _power_factors(beta_scaled: Array, counts: Array) -> Array:
-    """beta^n factors (n, branches) with 0^0 = 1 handling."""
-    counts = np.asarray(counts, dtype=float)
-    nz = np.abs(beta_scaled) > 0
-    logb = np.zeros(beta_scaled.shape, dtype=complex)
-    logb[nz] = np.log(beta_scaled[nz])
-    out = np.exp(counts[:, None] * logb[None, :])
-    for j in np.nonzero(~nz)[0]:
-        out[:, j] = (counts == 0).astype(complex)
-    return out
+def _count_log_modulus(beta: Array, counts: Array) -> Array:
+    """n log|beta| per (count, branch), with 0^0 = 1 and 0^n = 0 (-inf) for n > 0."""
+    counts = np.asarray(counts, dtype=float)[:, None]
+    modulus = np.abs(beta)[None, :]
+    zero = modulus == 0
+    out = counts * np.log(np.where(zero, 1.0, modulus))
+    return np.where(zero & (counts > 0), -np.inf, out)
+
+
+def _kraus_amplitudes(beta_c: Array, beta_d: Array, n_c: Array, n_d: Array) -> Array:
+    """Kraus amplitudes beta_c^n_c beta_d^n_d per (outcome, branch), each row
+    scaled by a branch-independent factor so that its largest modulus is 1.
+
+    The product is formed in log space: with n ~ alpha^2/2 counts the plain
+    powers underflow for alpha above about 33.
+    """
+    n_c = np.asarray(n_c, dtype=float)
+    n_d = np.asarray(n_d, dtype=float)
+    log_mod = _count_log_modulus(beta_c, n_c) + _count_log_modulus(beta_d, n_d)
+    phase = n_c[:, None] * np.angle(beta_c)[None, :] + n_d[:, None] * np.angle(beta_d)[None, :]
+    top = np.max(log_mod, axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
+    return np.exp(log_mod - top + 1j * phase)
 
 
 class KrausOutcomeSampler:
@@ -153,7 +166,6 @@ class KrausOutcomeSampler:
         w, v = np.linalg.eigh(b)
         self.eigvals = cluster_eigenvalues(w)
         self.eigvecs = v
-        self.alpha = cfg.alpha
         self.rho_eig = v.conj().T @ rho.matrix @ v
         self.branch_probs = np.clip(np.real(np.diag(self.rho_eig)), 0.0, None)
         self.branch_probs = self.branch_probs / self.branch_probs.sum()
@@ -187,9 +199,7 @@ class KrausOutcomeSampler:
 
     def _amplitude_factors(self, n_c: int, n_d: int) -> Array:
         """Kraus amplitudes per branch, up to a branch-independent factor."""
-        gc = _power_factors(self.beta_c / self.alpha, np.array([n_c]))[0]
-        gd = _power_factors(self.beta_d / self.alpha, np.array([n_d]))[0]
-        return gc * gd
+        return _kraus_amplitudes(self.beta_c, self.beta_d, [n_c], [n_d])[0]
 
     def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
         """Normalized post-measurement state K rho K† / P."""
@@ -213,23 +223,25 @@ def kraus_outcome_distribution(
 
 
 def _quantum_shot_tables(model: TargetModel, proto: ProtocolSpec):
-    """Per-shot eigendata and detector statistics, shared by all sequences."""
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
+    """Per-shot eigendata and detector statistics, shared by all sequences.
+
+    Every B(t_j) has the eigenvalues of B, so the detector statistics depend
+    on the shot's basis only; the eigenvectors come from the spectral data.
+    """
+    spec = model.spectral
+    theta = plane_rotation_angle(cluster_eigenvalues(spec.coupling_eigvals), proto.sensor.tau)
     tables = []
     for shot in proto.shots:
-        b_t = heisenberg_coupling(model, shot.time)
-        w, v = np.linalg.eigh(b_t)
-        b_cl = cluster_eigenvalues(w)
-        theta = plane_rotation_angle(b_cl, tau)
-        bc, bd, mc, md = _detector_means(alpha, theta, shot.basis.phase)
+        v = spec.coupling_eigvecs_at(shot.time)
+        bc, bd, mc, md = _detector_means(proto.sensor.alpha, theta, shot.basis.phase)
         tables.append(
             dict(
                 v=v,
                 vh=v.conj().T,
                 means_c=mc,
                 means_d=md,
-                bc_scaled=bc / alpha,
-                bd_scaled=bd / alpha,
+                beta_c=bc,
+                beta_d=bd,
                 scale=shot.basis.record_scale,
             )
         )
@@ -256,7 +268,7 @@ def _run_quantum_chunk(n: int, rng: np.random.Generator, rho0: Array, tables) ->
         s_half += half.sum()
         s_half2 += (half * half).sum()
         count += n
-        g = _power_factors(tb["bc_scaled"], n_c) * _power_factors(tb["bd_scaled"], n_d)
+        g = _kraus_amplitudes(tb["beta_c"], tb["beta_d"], n_c, n_d)
         rp = rp * (g[:, :, None] * g.conj()[:, None, :])
         norm = np.real(np.einsum("nii->n", rp))
         rp = rp / norm[:, None, None]

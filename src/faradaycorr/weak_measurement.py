@@ -18,18 +18,36 @@ target state. Two evaluation paths are provided:
   elements in closed form (exact, no truncation); ``engine="fock"``
   re-derives them numerically on a truncated two-mode Fock space as an
   independent cross-check.
+
+The eigendata of every B(t_j) comes from the model's spectral data
+(``TargetModel.spectral``), and the record matrix depends only on the pulse,
+the eigenvalues of B and the basis, so it is built once per basis. Protocols
+that differ only in the time of their last shot (a ``final_time_grid``) are
+evaluated together by the ``*_grid`` functions: the state after the first
+K-1 shots is built once and each final time costs one O(d^2) trace. The
+single-protocol functions are those grids with one point.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .correlations import CorrelationQuery, apply_branch, correlation, heisenberg_coupling
-from .errors import NumericalGuardError, ResourceGuardError
+from .correlations import (
+    BranchSign,
+    CorrelationQuery,
+    apply_branch,
+    correlation,
+    final_time_grid,
+    heisenberg_coupling,
+    real_trace,
+)
+from .errors import ResourceGuardError
 from .quantum_core import Array, TargetModel
 from .sensor_optics import (
     FockTruncation,
@@ -40,7 +58,6 @@ from .sensor_optics import (
     coherent_state,
     stokes_operators,
 )
-from .tolerances import TOL
 
 MEMORY_GUARD_BYTES = 2 * 1024**3
 
@@ -100,9 +117,14 @@ class GkResult:
     predicted_from_C: float
 
 
+def _leading_coefficient(sensor: SensorConfig) -> float:
+    """tau alpha^2 / 2, the linear response of every shot's record to tau*b."""
+    return 0.5 * sensor.tau * sensor.alpha**2
+
+
 def measurement_superoperator(model: TargetModel, shot: ShotSpec, sensor: SensorConfig):
     """Leading-order map rho -> (tau alpha^2 / 2) * branch(B(t_j)) rho."""
-    coeff = 0.5 * sensor.tau * sensor.alpha**2
+    coeff = _leading_coefficient(sensor)
     b_t = heisenberg_coupling(model, shot.time)
     sign = shot.basis.eta
 
@@ -112,24 +134,49 @@ def measurement_superoperator(model: TargetModel, shot: ShotSpec, sensor: Sensor
     return apply
 
 
-def _real_trace(value: complex, what: str) -> float:
-    if abs(value.imag) > TOL.trace_imag:
-        raise NumericalGuardError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def prediction_factor(proto: ProtocolSpec) -> float:
+    """2^-K tau^K alpha^2K: the leading-order count correlation per unit C."""
+    k = proto.order
+    return 2.0**-k * proto.sensor.tau**k * proto.sensor.alpha ** (2 * k)
 
 
 def _predicted_from_c(model: TargetModel, proto: ProtocolSpec) -> float:
-    k = proto.order
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
-    return 2.0**-k * tau**k * alpha ** (2 * k) * correlation(model, proto.query())
+    return prediction_factor(proto) * correlation(model, proto.query())
+
+
+def _shared_grid(protos: Sequence[ProtocolSpec]) -> tuple[ProtocolSpec, Array]:
+    """First protocol and final times of protocols that share one sensor and
+    differ only in the time of their last shot."""
+    finals = final_time_grid([p.query() for p in protos])
+    head = protos[0]
+    if any(p.sensor != head.sensor for p in protos):
+        raise ValueError("protocols on one grid must share their sensor configuration")
+    return head, finals
+
+
+def gk_leading_grid(model: TargetModel, protos: Sequence[ProtocolSpec]) -> Array:
+    """Leading-order count correlations over a final-time grid.
+
+    The measurement maps of the first K-1 shots are composed once. The last
+    map's trace is (tau alpha^2 / 2) Tr[B(t_K) rho'] for an S2 readout and
+    zero for S3 (trace of a commutator), one O(d^2) trace per final time.
+    """
+    head, finals = _shared_grid(protos)
+    if head.shots[-1].basis.eta is BranchSign.MINUS:
+        return np.zeros(len(finals))
+    rho = model.initial_state.matrix
+    for shot in head.shots[:-1]:
+        rho = measurement_superoperator(model, shot, head.sensor)(rho)
+    spec = model.spectral
+    coeff = _leading_coefficient(head.sensor)
+    traces = coeff * spec.final_traces(spec.coupling, spec.to_eigenbasis(rho), finals)
+    scale = (coeff * spec.coupling_norm) ** head.order
+    return real_trace(traces, scale, "leading-order count correlation")
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     """Compose the leading-order measurement maps in shot order and trace."""
-    rho = model.initial_state.matrix
-    for shot in proto.shots:
-        rho = measurement_superoperator(model, shot, proto.sensor)(rho)
-    value = _real_trace(np.trace(rho), "leading-order count correlation")
+    value = float(gk_leading_grid(model, [proto])[0])
     return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
 
 
@@ -179,6 +226,56 @@ def _fock_record_matrix(
     return m
 
 
+def gk_exact_unitary_grid(
+    model: TargetModel,
+    protos: Sequence[ProtocolSpec],
+    tr: FockTruncation | None = None,
+    *,
+    engine: str = "coherent",
+    time_convention: str = "start",
+) -> Array:
+    """All-orders count correlations over a final-time grid.
+
+    The first K-1 shots are applied once. For the last shot only the
+    diagonal of its record matrix m reaches the trace, so it acts as the
+    observable X = V_B diag(m_ii) V_B† and each final time costs one O(d^2)
+    trace Tr[X(t_K) rho']. See ``gk_exact_unitary`` for the options.
+    """
+    if engine not in ("coherent", "fock"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if time_convention not in ("start", "midpoint"):
+        raise ValueError(f"unknown time convention {time_convention!r}")
+    head, finals = _shared_grid(protos)
+    alpha, tau = head.sensor.alpha, head.sensor.tau
+    if engine == "fock":
+        if tr is None:
+            tr = FockTruncation.for_alpha(alpha)
+        joint_bytes = (tr.fock_dim * model.dim) ** 2 * 16
+        if joint_bytes > MEMORY_GUARD_BYTES:
+            raise ResourceGuardError(
+                f"joint space would need ~{joint_bytes / 1024**3:.1f} GiB (> 2 GiB guard)"
+            )
+    spec = model.spectral
+    w, v_b = spec.coupling_eigvals, spec.coupling_eigvecs
+    records = {}
+    for shot in head.shots:
+        if shot.basis not in records:
+            if engine == "coherent":
+                records[shot.basis] = _coherent_record_matrix(alpha, tau, w, shot.basis)
+            else:
+                records[shot.basis] = _fock_record_matrix(alpha, tau, w, shot.basis, tr)
+    shift = 0.5 * tau if time_convention == "midpoint" else 0.0
+    rho = model.initial_state.matrix
+    for shot in head.shots[:-1]:
+        v = spec.coupling_eigvecs_at(shot.time + shift)
+        rho_eig = v.conj().T @ rho @ v
+        rho = v @ (records[shot.basis] * rho_eig) @ v.conj().T
+    x = (v_b * np.diag(records[head.shots[-1].basis])) @ v_b.conj().T
+    traces = spec.final_traces(x, spec.to_eigenbasis(rho), finals + shift)
+    scale = math.prod(float(np.max(np.abs(records[s.basis]))) for s in head.shots)
+    return real_trace(traces, scale, "exact count correlation")
+
+
 def gk_exact_unitary(
     model: TargetModel,
     proto: ProtocolSpec,
@@ -193,29 +290,7 @@ def gk_exact_unitary(
     new pulse). ``time_convention`` chooses where B is frozen during a pulse:
     at the shot's nominal start time (default) or at its midpoint.
     """
-    if engine not in ("coherent", "fock"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if time_convention not in ("start", "midpoint"):
-        raise ValueError(f"unknown time convention {time_convention!r}")
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
-    if engine == "fock":
-        if tr is None:
-            tr = FockTruncation.for_alpha(alpha)
-        joint_bytes = (tr.fock_dim * model.dim) ** 2 * 16
-        if joint_bytes > MEMORY_GUARD_BYTES:
-            raise ResourceGuardError(
-                f"joint space would need ~{joint_bytes / 1024**3:.1f} GiB (> 2 GiB guard)"
-            )
-    rho = model.initial_state.matrix
-    for shot in proto.shots:
-        t_eval = shot.time + (0.5 * tau if time_convention == "midpoint" else 0.0)
-        b_t = heisenberg_coupling(model, t_eval)
-        w, v = np.linalg.eigh(b_t)
-        rho_eig = v.conj().T @ rho @ v
-        if engine == "coherent":
-            m = _coherent_record_matrix(alpha, tau, w, shot.basis)
-        else:
-            m = _fock_record_matrix(alpha, tau, w, shot.basis, tr)
-        rho = v @ (m * rho_eig) @ v.conj().T
-    value = _real_trace(np.trace(rho), "exact count correlation")
-    return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
+    values = gk_exact_unitary_grid(model, [proto], tr, engine=engine, time_convention=time_convention)
+    return GkResult(
+        value=float(values[0]), order=proto.order, predicted_from_C=_predicted_from_c(model, proto)
+    )

@@ -13,9 +13,11 @@ from faradaycorr.correlations import (
     correlation,
     heisenberg_coupling,
     liouville_correlation,
+    real_trace,
     unvectorize,
     vectorize,
 )
+from faradaycorr.errors import NumericalGuardError
 from faradaycorr.quantum_core import TargetModel, identity, pure_state, thermal_state
 
 from conftest import SX, SY, SZ, UP, precession_model, random_hermitian, random_model
@@ -173,6 +175,18 @@ class TestCorrelation:
             a = correlation(model, CorrelationQuery((0.0, dt), (PLUS, PLUS)))
             b = correlation(model, CorrelationQuery((0.5, 0.5 + dt), (PLUS, PLUS)))
             assert a == pytest.approx(b, abs=1e-12)
+
+
+class TestRealTraceGuard:
+    def test_residue_is_relative_to_the_bound(self):
+        assert real_trace(3.2e6 + 1.5e-8j, 4.0e13, "C") == 3.2e6
+        assert list(real_trace(np.array([1.0, 2.0 + 1e-12j]), 1.0, "C")) == [1.0, 2.0]
+        with pytest.raises(NumericalGuardError):
+            real_trace(3.2e6 + 1e4j, 4.0e13, "C")
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(NumericalGuardError):
+            real_trace(complex(np.nan, np.nan), 1.0, "C")
 
 
 class TestLiouvilleCrossCheck:

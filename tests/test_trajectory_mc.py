@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,19 @@ class TestQuantumSequences:
         a = run_sequences(TrajectoryConfig(workers=1, **base))
         b = run_sequences(TrajectoryConfig(workers=4, **base))
         assert a == b
+
+    def test_large_alpha_amplitudes_do_not_underflow(self):
+        # at alpha = 45 a shot records ~1000 photons per detector; the Kraus
+        # amplitudes beta^n underflow unless formed in log space
+        model = precession_model()
+        p = proto([(0.0, S3), (1.0, S2)], alpha=45.0, tau=0.02)
+        cfg = TrajectoryConfig(sequences=1024, seed=1, mode="kraus_quantum", proto=p, model=model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = run_sequences(cfg)
+        exact = gk_exact_unitary(model, p).value
+        assert math.isfinite(est.mean)
+        assert abs(est.mean - exact) <= 5 * est.std_error
 
     def test_single_sequence(self):
         model = precession_model()

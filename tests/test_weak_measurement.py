@@ -4,9 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr.correlations import BranchSign
+from faradaycorr.correlations import BranchSign, apply_branch
 from faradaycorr.errors import ResourceGuardError
-from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state
+from faradaycorr.quantum_core import (
+    DensityMatrix,
+    TargetModel,
+    hermitian_expm,
+    pure_state,
+    spin_operators,
+    thermal_state,
+)
 from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
@@ -96,6 +103,22 @@ class TestLeadingOrder:
             p = proto(list(zip(times, bases)), alpha=1.7, tau=0.03)
             res = gk_leading(model, p)
             assert res.value == pytest.approx(res.predicted_from_C, rel=1e-12, abs=1e-15)
+
+    def test_large_model_passes_relative_trace_guard(self):
+        # spin-63/2, K = 8: C is ~3e6 with an imaginary roundoff residue ~1e-8,
+        # which an absolute 1e-10 guard rejected; relative to ||B||^K it is ~1e-22
+        jx, _, jz = spin_operators(63)
+        h = jz + 0.3 * jx
+        model = TargetModel(hamiltonian=h, coupling=1.5 * jx, initial_state=thermal_state(h, 0.1))
+        bases = (S2, S3, S2, S3, S2, S2, S3, S2)
+        p = proto([(0.3 * i, b) for i, b in enumerate(bases)], alpha=3.0, tau=0.02)
+        value = gk_leading(model, p).value
+        rho = model.initial_state.matrix
+        for shot in p.shots:
+            u = hermitian_expm(h, shot.time)
+            rho = apply_branch(u.conj().T @ model.coupling @ u, shot.basis.eta, rho)
+        expect = 2.0**-8 * 0.02**8 * 3.0**16 * np.trace(rho).real
+        assert value == pytest.approx(expect, rel=1e-9)
 
     def test_basis_order_matters(self):
         model = precession_model()
