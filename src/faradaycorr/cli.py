@@ -40,9 +40,7 @@ from .snr import snr_material
 from .trajectory_mc import TrajectoryConfig, empirical_snr, run_sequences
 from .weak_measurement import (
     ProtocolWarning,
-    gk_exact_unitary,
     gk_exact_unitary_grid,
-    gk_leading,
     gk_leading_grid,
     prediction_factor,
 )
@@ -175,8 +173,8 @@ def cmd_simulate(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
         warnings.simplefilter("ignore", ProtocolWarning)
         for proto in build_protocols(raw["protocol"]):
             if mode == "kraus_quantum":
-                leading = gk_leading(tgt, proto)
-                exact = gk_exact_unitary(tgt, proto)
+                leading = float(gk_leading_grid(tgt, [proto])[0])
+                exact = float(gk_exact_unitary_grid(tgt, [proto])[0])
             else:
                 leading = exact = None
             cfg = TrajectoryConfig(
@@ -189,7 +187,7 @@ def cmd_simulate(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
             )
             est = run_sequences(cfg)
             row = _protocol_row_base(proto)
-            abs_err = None if exact is None else abs(est.mean - exact.value)
+            abs_err = None if exact is None else abs(est.mean - exact)
             row.update(
                 {
                     "mode": mode,
@@ -200,8 +198,8 @@ def cmd_simulate(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
                     "per_shot_variance_half[counts^2]": est.per_shot_variance,
                     "per_shot_variance_raw[counts^2]": est.per_shot_variance_raw,
                     "empirical_snr": empirical_snr(est),
-                    "gk_leading[counts^K]": None if leading is None else leading.value,
-                    "gk_exact_unitary[counts^K]": None if exact is None else exact.value,
+                    "gk_leading[counts^K]": leading,
+                    "gk_exact_unitary[counts^K]": exact,
                     "abs_error[counts^K]": abs_err,
                     "sigma_distance": (
                         None

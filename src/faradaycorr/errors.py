@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the memory guard shared across the package."""
+
+MEMORY_GUARD_BYTES = 2 * 1024**3
 
 
 class FaradaycorrError(Exception):
@@ -27,3 +29,16 @@ class ResourceGuardError(FaradaycorrError):
 
 class ConfigError(FaradaycorrError):
     """A run configuration failed schema validation."""
+
+
+def check_memory(nbytes: float, what: str) -> None:
+    """Raise ``ResourceGuardError`` if ``what`` would need more than the guard.
+
+    The limit is read at call time, so one module-level value serves every
+    caller (and tests can lower it).
+    """
+    if nbytes > MEMORY_GUARD_BYTES:
+        raise ResourceGuardError(
+            f"{what} would need ~{nbytes / 1024**3:.3g} GiB "
+            f"(> {MEMORY_GUARD_BYTES / 1024**3:.3g} GiB guard)"
+        )

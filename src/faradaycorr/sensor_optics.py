@@ -179,14 +179,15 @@ def _coherent_mode(alpha: float, mode_dim: int) -> Array:
         c[0] = 1.0
         return c
     n = np.arange(mode_dim)
-    log_c = -0.5 * alpha * alpha + n * math.log(abs(alpha)) - 0.5 * _log_factorial(n)
+    log_c = -0.5 * alpha * alpha + n * math.log(abs(alpha)) - 0.5 * log_factorial(n)
     c = np.exp(log_c)
     if alpha < 0:
         c *= (-1.0) ** n
     return c.astype(complex)
 
 
-def _log_factorial(n: np.ndarray) -> np.ndarray:
+def log_factorial(n: np.ndarray) -> np.ndarray:
+    """log(n!) for non-negative integers n, from one cumulative table."""
     top = int(np.max(n))
     table = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, top + 1)))])
     return table[np.asarray(n, dtype=int)]
@@ -281,22 +282,30 @@ def grid_expectation(apply_op, alpha_h: float, alpha_v: float, tr: FockTruncatio
     return complex(np.vdot(psi, apply_op(psi)))
 
 
+def detector_amplitudes(alpha: float, theta, phase: float) -> tuple[Array, Array]:
+    """Coherent amplitudes (beta_c, beta_d) at the two detectors, elementwise
+    over plane rotations ``theta`` of any shape.
+
+    The input (alpha, 0) is rotated in the polarization plane by theta; the
+    PBS splits H (reflected) from V (transmitted); the phase exp(i*phase) is
+    applied to the transmitted arm; the 1:1 BS mixes
+    (a, b) -> ((a + i b)/sqrt2, (i a + b)/sqrt2).
+    """
+    theta = np.asarray(theta, dtype=float)
+    beta_h = alpha * np.cos(theta)
+    beta_v = alpha * np.sin(theta)
+    b = beta_v * np.exp(1j * phase)
+    beta_c = (beta_h + 1j * b) / math.sqrt(2)
+    beta_d = (1j * beta_h + b) / math.sqrt(2)
+    return beta_c, beta_d
+
+
 def interferometer_amplitudes(
     cfg: SensorConfig, faraday_angle: float, swap_detectors: bool = False
 ) -> OutputAmplitudes:
-    """Propagate the pulse amplitudes through the PBS / phase / BS network.
-
-    The input (alpha, 0) is rotated in the polarization plane by
-    ``faraday_angle``; the PBS splits H (reflected) from V (transmitted); the
-    phase exp(i*phase) is applied to the transmitted arm; the 1:1 BS mixes
-    (a, b) -> ((a + i b)/sqrt2, (i a + b)/sqrt2).
-    """
-    theta = faraday_angle
-    beta_h = cfg.alpha * math.cos(theta)
-    beta_v = cfg.alpha * math.sin(theta)
-    b = beta_v * complex(math.cos(cfg.phase), math.sin(cfg.phase))
-    beta_c = (beta_h + 1j * b) / math.sqrt(2)
-    beta_d = (1j * beta_h + b) / math.sqrt(2)
+    """Detector amplitudes of one pulse rotated by ``faraday_angle``
+    (see ``detector_amplitudes``)."""
+    beta_c, beta_d = detector_amplitudes(cfg.alpha, faraday_angle, cfg.phase)
     if swap_detectors:
         beta_c, beta_d = beta_d, beta_c
     return OutputAmplitudes(beta_c=complex(beta_c), beta_d=complex(beta_d))

@@ -2,22 +2,29 @@
 
 Two modes:
 
-* ``kraus_quantum``: exact quantum trajectories. Per shot, the coupling
-  B(t_j) is taken in its eigenbasis (from the model's spectral data, so no
-  shot diagonalizes anything); conditioned on an eigenvalue b the detectors see
+* ``kraus_quantum``: exact quantum trajectories of state vectors. Each
+  sequence starts in an eigenvector |u_k> of rho0 = sum_k lambda_k |u_k><u_k|,
+  drawn with probability lambda_k; the record statistics are linear in rho0,
+  so this unravelling reproduces those of the mixed state exactly. Per shot,
+  the state is held in the eigenbasis of the coupling B(t_j) (from the model's
+  spectral data, so no shot diagonalizes anything). Conditioned on an
+  eigenvalue b, drawn with probability |psi_b|^2, the detectors see
   independent Poisson counts with means given by the interferometer
-  amplitudes, and the post-measurement state is updated with the full Kraus
-  element (which is diagonal in the B(t_j) eigenbasis and keeps the
-  interference between eigenvalue branches). The marginal count distribution
-  of a mixed state is therefore a mixture of Poisson products, while the
-  state update is exact.
+  amplitudes. The state is then multiplied by the full Kraus element, which
+  is diagonal in that basis and keeps the interference between eigenvalue
+  branches, and renormalized. Moving to the next shot's eigenbasis is one
+  d x d rotation W_j = V_j^dag V_{j-1}, so a chunk of n sequences holds n x d
+  amplitudes and costs O(n d^2) per shot.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts around the deflected interferometer means. Only
   the all-anticommutator correlation survives in this mode.
 
 Reproducibility: the master seed is split into fixed-size chunks of
 sequences via ``numpy.random.SeedSequence.spawn``; results are combined in
-chunk-index order, so they do not depend on the worker count.
+chunk-index order, so they do not depend on the worker count. A chunk draws
+its shots from its own stream and its initial states from a child of that
+stream, so the shot draws do not depend on how rho0 is unravelled: for a
+pure rho0 they are those of a density-matrix simulation with the same seed.
 """
 
 from __future__ import annotations
@@ -29,13 +36,24 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonHermitianError
+from .errors import NonHermitianError, check_memory
 from .quantum_core import Array, DensityMatrix, TargetModel, require_hermitian
-from .sensor_optics import MeasurementBasis, SensorConfig, plane_rotation_angle
+from .sensor_optics import (
+    MeasurementBasis,
+    SensorConfig,
+    detector_amplitudes,
+    log_factorial,
+    plane_rotation_angle,
+)
 from .tolerances import TOL
 from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
+# Peak bytes a chunk holds per state amplitude and per sequence (counts,
+# products, draws), rounded up from tracemalloc peaks of single chunks
+# (73-79 bytes per amplitude at d = 8..64, 144 per sequence beyond the field path).
+AMPLITUDE_BYTES = 80
+SEQUENCE_BYTES = 160
 
 
 class FieldKind(Enum):
@@ -109,26 +127,11 @@ def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
     return out
 
 
-def _detector_means(alpha: float, theta: Array, phase: float) -> tuple[Array, Array, Array, Array]:
-    """Coherent detector amplitudes for plane rotations theta (vectorized).
-
-    Returns (beta_c, beta_d, mean_c, mean_d). Same network as
-    ``sensor_optics.interferometer_amplitudes``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    beta_h = alpha * np.cos(theta)
-    beta_v = alpha * np.sin(theta)
-    b = beta_v * np.exp(1j * phase)
-    beta_c = (beta_h + 1j * b) / math.sqrt(2)
-    beta_d = (1j * beta_h + b) / math.sqrt(2)
-    return beta_c, beta_d, np.abs(beta_c) ** 2, np.abs(beta_d) ** 2
-
-
 def _log_poisson(n: np.ndarray, mean: float) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if mean == 0:
         return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(mean) - mean - np.vectorize(math.lgamma)(n + 1)
+    return n * math.log(mean) - mean - log_factorial(n)
 
 
 def _count_log_modulus(beta: Array, counts: Array) -> Array:
@@ -140,20 +143,56 @@ def _count_log_modulus(beta: Array, counts: Array) -> Array:
     return np.where(zero & (counts > 0), -np.inf, out)
 
 
-def _kraus_amplitudes(beta_c: Array, beta_d: Array, n_c: Array, n_d: Array) -> Array:
-    """Kraus amplitudes beta_c^n_c beta_d^n_d per (outcome, branch), each row
-    scaled by a branch-independent factor so that its largest modulus is 1.
+def _branch_probabilities(p: Array) -> Array:
+    """Clip roundoff negatives and normalize along the last axis."""
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
 
-    The product is formed in log space: with n ~ alpha^2/2 counts the plain
-    powers underflow for alpha above about 33.
+
+@dataclass(frozen=True)
+class ShotTable:
+    """Detector statistics of one shot, per eigenvalue branch of its coupling.
+
+    Given the (clustered) eigenvalue b, the pulse leaves with coherent
+    amplitudes beta_c(b), beta_d(b), so the counts are independent Poisson
+    with means |beta|^2, and the Kraus element of an outcome (n_c, n_d) is
+    diagonal in the coupling's eigenbasis with entries beta_c^n_c beta_d^n_d
+    up to a branch-independent factor (|beta_c|^2 + |beta_d|^2 = alpha^2).
     """
-    n_c = np.asarray(n_c, dtype=float)
-    n_d = np.asarray(n_d, dtype=float)
-    log_mod = _count_log_modulus(beta_c, n_c) + _count_log_modulus(beta_d, n_d)
-    phase = n_c[:, None] * np.angle(beta_c)[None, :] + n_d[:, None] * np.angle(beta_d)[None, :]
-    top = np.max(log_mod, axis=1, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
-    return np.exp(log_mod - top + 1j * phase)
+
+    eigvals: Array
+    beta_c: Array
+    beta_d: Array
+    means_c: Array
+    means_d: Array
+
+    @classmethod
+    def of(cls, eigvals: Array, sensor: SensorConfig, phase: float) -> "ShotTable":
+        w = cluster_eigenvalues(eigvals)
+        beta_c, beta_d = detector_amplitudes(sensor.alpha, plane_rotation_angle(w, sensor.tau), phase)
+        return cls(w, beta_c, beta_d, np.abs(beta_c) ** 2, np.abs(beta_d) ** 2)
+
+    def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
+        """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row
+        scaled by a branch-independent factor so that its largest modulus is 1.
+
+        The product is formed in log space: with n ~ alpha^2/2 counts the plain
+        powers underflow for alpha above about 33.
+        """
+        n_c = np.asarray(n_c, dtype=float)
+        n_d = np.asarray(n_d, dtype=float)
+        log_mod = _count_log_modulus(self.beta_c, n_c) + _count_log_modulus(self.beta_d, n_d)
+        phase = n_c[:, None] * np.angle(self.beta_c)[None, :] + n_d[:, None] * np.angle(self.beta_d)[None, :]
+        top = np.max(log_mod, axis=1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
+        return np.exp(log_mod - top + 1j * phase)
+
+
+def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Array:
+    """Apply the Kraus element of each outcome to the state vector in the same
+    row (amplitudes in the shot's eigenbasis) and renormalize."""
+    states = states * table.kraus_diagonal(n_c, n_d)
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
 class KrausOutcomeSampler:
@@ -164,15 +203,12 @@ class KrausOutcomeSampler:
         if b.shape[0] != rho.dim:
             raise NonHermitianError("coupling and state dims differ")
         w, v = np.linalg.eigh(b)
-        self.eigvals = cluster_eigenvalues(w)
+        self.table = ShotTable.of(w, cfg, basis_phase)
+        self.eigvals = self.table.eigvals
         self.eigvecs = v
         self.rho_eig = v.conj().T @ rho.matrix @ v
-        self.branch_probs = np.clip(np.real(np.diag(self.rho_eig)), 0.0, None)
-        self.branch_probs = self.branch_probs / self.branch_probs.sum()
-        theta = plane_rotation_angle(self.eigvals, cfg.tau)
-        bc, bd, mc, md = _detector_means(cfg.alpha, theta, basis_phase)
-        self.beta_c, self.beta_d = bc, bd
-        self.means_c, self.means_d = mc, md
+        self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
+        self.means_c, self.means_d = self.table.means_c, self.table.means_d
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         i = rng.choice(len(self.branch_probs), p=self.branch_probs)
@@ -197,13 +233,9 @@ class KrausOutcomeSampler:
             )
         )
 
-    def _amplitude_factors(self, n_c: int, n_d: int) -> Array:
-        """Kraus amplitudes per branch, up to a branch-independent factor."""
-        return _kraus_amplitudes(self.beta_c, self.beta_d, [n_c], [n_d])[0]
-
     def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
         """Normalized post-measurement state K rho K† / P."""
-        g = self._amplitude_factors(n_c, n_d)
+        g = self.table.kraus_diagonal([n_c], [n_d])[0]
         rho = (g[:, None] * g.conj()[None, :]) * self.rho_eig
         norm = np.real(np.trace(rho))
         if norm <= 0:
@@ -222,57 +254,67 @@ def kraus_outcome_distribution(
 # -- batched sequence simulation ---------------------------------------------
 
 
-def _quantum_shot_tables(model: TargetModel, proto: ProtocolSpec):
-    """Per-shot eigendata and detector statistics, shared by all sequences.
+@dataclass(frozen=True)
+class _QuantumStep:
+    rotation: Array | None  # W_j^T, W_j = V_j^dag V_{j-1}; None for the first shot
+    table: ShotTable
+    scale: float            # record_scale of the shot's basis
+
+
+@dataclass(frozen=True)
+class _QuantumPlan:
+    """What every Kraus chunk of one protocol shares."""
+
+    weights: Array  # lambda_k, eigenvalues of rho0
+    kets: Array     # row k: eigenvector u_k of rho0 in the first shot's eigenbasis
+    steps: tuple[_QuantumStep, ...]
+
+
+def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
+    """Unravelling of rho0 and per-shot tables, shared by all sequences.
 
     Every B(t_j) has the eigenvalues of B, so the detector statistics depend
     on the shot's basis only; the eigenvectors come from the spectral data.
+    States are rows, so a change of basis multiplies by W_j^T on the right.
     """
     spec = model.spectral
-    theta = plane_rotation_angle(cluster_eigenvalues(spec.coupling_eigvals), proto.sensor.tau)
-    tables = []
-    for shot in proto.shots:
-        v = spec.coupling_eigvecs_at(shot.time)
-        bc, bd, mc, md = _detector_means(proto.sensor.alpha, theta, shot.basis.phase)
-        tables.append(
-            dict(
-                v=v,
-                vh=v.conj().T,
-                means_c=mc,
-                means_d=md,
-                beta_c=bc,
-                beta_d=bd,
-                scale=shot.basis.record_scale,
-            )
-        )
-    return tables
+    bases = [spec.coupling_eigvecs_at(shot.time) for shot in proto.shots]
+    tables = {}
+    steps = []
+    for j, shot in enumerate(proto.shots):
+        if shot.basis not in tables:
+            tables[shot.basis] = ShotTable.of(spec.coupling_eigvals, proto.sensor, shot.basis.phase)
+        rotation = (bases[j].conj().T @ bases[j - 1]).T if j else None
+        steps.append(_QuantumStep(rotation, tables[shot.basis], shot.basis.record_scale))
+    lam, u = np.linalg.eigh(model.initial_state.matrix)
+    kets = (bases[0].conj().T @ u).T
+    return _QuantumPlan(_branch_probabilities(lam), kets, tuple(steps))
 
 
-def _run_quantum_chunk(n: int, rng: np.random.Generator, rho0: Array, tables) -> tuple:
-    d = rho0.shape[0]
-    states = np.broadcast_to(rho0, (n, d, d)).copy()
+def _run_quantum_chunk(
+    n: int, rng: np.random.Generator, init_rng: np.random.Generator, plan: _QuantumPlan
+) -> tuple:
+    states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
     prod = np.ones(n)
     s_half = 0.0
     s_half2 = 0.0
     count = 0
-    for tb in tables:
-        rp = np.einsum("ab,nbc,cd->nad", tb["vh"], states, tb["v"], optimize=True)
-        p = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
-        p = p / p.sum(axis=1, keepdims=True)
+    last = len(plan.steps) - 1
+    for j, step in enumerate(plan.steps):
+        if step.rotation is not None:
+            states = states @ step.rotation
+        p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        n_c = rng.poisson(tb["means_c"][idx]).astype(float)
-        n_d = rng.poisson(tb["means_d"][idx]).astype(float)
+        n_c = rng.poisson(step.table.means_c[idx]).astype(float)
+        n_d = rng.poisson(step.table.means_d[idx]).astype(float)
         half = (n_d - n_c) / 2
-        prod = prod * (2.0 * tb["scale"]) * half
+        prod = prod * (2.0 * step.scale) * half
         s_half += half.sum()
         s_half2 += (half * half).sum()
         count += n
-        g = _kraus_amplitudes(tb["beta_c"], tb["beta_d"], n_c, n_d)
-        rp = rp * (g[:, :, None] * g.conj()[:, None, :])
-        norm = np.real(np.einsum("nii->n", rp))
-        rp = rp / norm[:, None, None]
-        states = np.einsum("ab,nbc,cd->nad", tb["v"], rp, tb["vh"], optimize=True)
+        if j < last:  # the state after the last shot is never read
+            states = _kraus_update(states, step.table, n_c, n_d)
     return prod.sum(), (prod * prod).sum(), s_half, s_half2, count, n
 
 
@@ -312,9 +354,9 @@ def _run_semiclassical_chunk(
     count = 0
     for j, shot in enumerate(proto.shots):
         theta = plane_rotation_angle(paths[:, j], tau)
-        _, _, mc, md = _detector_means(alpha, theta, shot.basis.phase)
-        n_c = rng.poisson(mc).astype(float)
-        n_d = rng.poisson(md).astype(float)
+        beta_c, beta_d = detector_amplitudes(alpha, theta, shot.basis.phase)
+        n_c = rng.poisson(np.abs(beta_c) ** 2).astype(float)
+        n_d = rng.poisson(np.abs(beta_d) ** 2).astype(float)
         half = (n_d - n_c) / 2
         prod = prod * (2.0 * shot.basis.record_scale) * half
         s_half += half.sum()
@@ -323,34 +365,20 @@ def _run_semiclassical_chunk(
     return prod.sum(), (prod * prod).sum(), s_half, s_half2, count, n
 
 
-def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
-    """Estimate the K-shot count correlation over L independent sequences."""
-    L = cfg.sequences
-    n_chunks = (L + CHUNK_SIZE - 1) // CHUNK_SIZE
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
-    sizes = [min(CHUNK_SIZE, L - i * CHUNK_SIZE) for i in range(n_chunks)]
-
+def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
+    """Bytes ``run_sequences`` holds at once: the chunks in flight with their
+    temporaries, and the shared per-shot tables."""
+    n = min(CHUNK_SIZE, cfg.sequences)
+    in_flight = min(cfg.workers, n_chunks)
+    k = cfg.proto.order
     if cfg.mode == "kraus_quantum":
-        tables = _quantum_shot_tables(cfg.model, cfg.proto)
-        rho0 = cfg.model.initial_state.matrix
+        d = cfg.model.dim
+        return in_flight * n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + 2 * k * d * d * 16
+    return in_flight * n * (8 * k + SEQUENCE_BYTES)
 
-        def job(args):
-            size, seed = args
-            return _run_quantum_chunk(size, np.random.default_rng(seed), rho0, tables)
 
-    else:
-
-        def job(args):
-            size, seed = args
-            return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
-
-    work = list(zip(sizes, seeds))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(job, work))
-    else:
-        results = [job(w) for w in work]
-
+def _estimate(results, L: int) -> McEstimate:
+    """Combine per-chunk sums, in chunk order, into the estimate."""
     s1 = sum(r[0] for r in results)
     s2 = sum(r[1] for r in results)
     sh = sum(r[2] for r in results)
@@ -372,6 +400,41 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
         per_shot_variance_raw=float(4.0 * half_var),
         n_sequences=L,
     )
+
+
+def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
+    """Estimate the K-shot count correlation over L independent sequences.
+
+    Raises ``ResourceGuardError`` before allocating if the chunks in flight
+    would exceed the memory guard.
+    """
+    L = cfg.sequences
+    n_chunks = (L + CHUNK_SIZE - 1) // CHUNK_SIZE
+    check_memory(_memory_bytes(cfg, n_chunks), f"{cfg.mode} Monte Carlo")
+    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
+    sizes = [min(CHUNK_SIZE, L - i * CHUNK_SIZE) for i in range(n_chunks)]
+
+    if cfg.mode == "kraus_quantum":
+        plan = _quantum_plan(cfg.model, cfg.proto)
+
+        def job(args):
+            size, seed = args
+            init_rng = np.random.default_rng(seed.spawn(1)[0])
+            return _run_quantum_chunk(size, np.random.default_rng(seed), init_rng, plan)
+
+    else:
+
+        def job(args):
+            size, seed = args
+            return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
+
+    work = list(zip(sizes, seeds))
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = list(pool.map(job, work))
+    else:
+        results = [job(w) for w in work]
+    return _estimate(results, L)
 
 
 def empirical_snr(est: McEstimate) -> float:

@@ -47,7 +47,7 @@ from .correlations import (
     heisenberg_coupling,
     real_trace,
 )
-from .errors import ResourceGuardError
+from .errors import check_memory
 from .quantum_core import Array, TargetModel
 from .sensor_optics import (
     FockTruncation,
@@ -58,8 +58,6 @@ from .sensor_optics import (
     coherent_state,
     stokes_operators,
 )
-
-MEMORY_GUARD_BYTES = 2 * 1024**3
 
 
 class ProtocolWarning(UserWarning):
@@ -250,11 +248,7 @@ def gk_exact_unitary_grid(
     if engine == "fock":
         if tr is None:
             tr = FockTruncation.for_alpha(alpha)
-        joint_bytes = (tr.fock_dim * model.dim) ** 2 * 16
-        if joint_bytes > MEMORY_GUARD_BYTES:
-            raise ResourceGuardError(
-                f"joint space would need ~{joint_bytes / 1024**3:.1f} GiB (> 2 GiB guard)"
-            )
+        check_memory((tr.fock_dim * model.dim) ** 2 * 16, "joint space")
     spec = model.spectral
     w, v_b = spec.coupling_eigvals, spec.coupling_eigvecs
     records = {}

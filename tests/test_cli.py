@@ -14,6 +14,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
+from faradaycorr import errors, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -230,6 +231,30 @@ class TestCliSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
         main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", "4"])
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+    def test_mc_resource_guard_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024)
+        cfg = write_config(tmp_path, SIM_DOC)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
+        assert not (out / "results.csv").exists()
+
+    def test_simulate_computes_no_correlation(self, tmp_path, monkeypatch):
+        # simulate reports gk_leading and gk_exact_unitary only; C is never needed
+        calls = []
+        real = weak_measurement.correlation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weak_measurement, "correlation", counting)
+        protocol = dict(SIM_DOC["protocol"], final_time_grid=[0.5 + 0.25 * i for i in range(8)])
+        doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 500, "mode": "kraus_quantum"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 8
+        assert calls == []
 
     def test_semiclassical_mode(self, tmp_path):
         doc = {

@@ -17,8 +17,10 @@ from faradaycorr.sensor_optics import (
     apply_s3,
     coherent_grid,
     coherent_state,
+    detector_amplitudes,
     grid_expectation,
     interferometer_amplitudes,
+    log_factorial,
     plane_rotation_angle,
     required_cutoff,
     selection_traces,
@@ -164,6 +166,12 @@ class TestMeasurementBasis:
         assert abs(s3.t_minus) < tol
 
 
+def test_log_factorial_matches_lgamma():
+    n = np.arange(0, 5000)
+    expect = np.array([math.lgamma(k + 1) for k in n])
+    assert np.allclose(log_factorial(n), expect, rtol=1e-13, atol=1e-13)
+
+
 class TestInterferometer:
     CFG2 = SensorConfig(alpha=1.3, tau=0.05, phase=math.pi / 2)
     CFG3 = SensorConfig(alpha=1.3, tau=0.05, phase=0.0)
@@ -206,6 +214,18 @@ class TestInterferometer:
 
     def test_rotation_angle_convention(self):
         assert plane_rotation_angle(3.0, 0.5) == pytest.approx(0.75)
+
+    def test_vectorized_amplitudes_match_scalar(self):
+        theta = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
+        for cfg in (self.CFG2, self.CFG3):
+            beta_c, beta_d = detector_amplitudes(cfg.alpha, theta, cfg.phase)
+            assert beta_c.shape == beta_d.shape == theta.shape
+            for i, t in np.ndenumerate(theta):
+                out = interferometer_amplitudes(cfg, float(t))
+                assert (beta_c[i], beta_d[i]) == (out.beta_c, out.beta_d)
+            # |beta_d|^2 - |beta_c|^2 = alpha^2 sin(2 theta) sin(phase)
+            diff = np.abs(beta_d) ** 2 - np.abs(beta_c) ** 2
+            assert np.allclose(diff, cfg.alpha**2 * np.sin(2 * theta) * math.sin(cfg.phase), atol=1e-12)
 
     def test_detector_swap(self):
         out = interferometer_amplitudes(self.CFG2, 0.2)

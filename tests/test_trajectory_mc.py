@@ -4,14 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state
+from faradaycorr import errors
+from faradaycorr.correlations import heisenberg_coupling
+from faradaycorr.errors import ResourceGuardError
+from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig
 from faradaycorr.trajectory_mc import (
+    CHUNK_SIZE,
     ClassicalFieldModel,
     FieldKind,
     KrausOutcomeSampler,
     McEstimate,
+    ShotTable,
     TrajectoryConfig,
+    _estimate,
+    _kraus_update,
+    _quantum_plan,
     cluster_eigenvalues,
     empirical_snr,
     kraus_outcome_distribution,
@@ -20,7 +28,7 @@ from faradaycorr.trajectory_mc import (
 )
 from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitary
 
-from conftest import SX, SZ, UP, precession_model
+from conftest import SX, SZ, UP, precession_model, random_hermitian
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 PHASE2, PHASE3 = S2.phase, S3.phase
@@ -179,6 +187,114 @@ class TestQuantumSequences:
         )
         assert est.std_error == math.inf
         assert empirical_snr(est) == 0.0
+
+
+def _density_matrix_chunk(n, rng, model, p):
+    """Reference Kraus chunk carrying n x d x d density matrices; same draws
+    in the same order as the vector-state chunk."""
+    spec = model.spectral
+    d = model.dim
+    states = np.broadcast_to(model.initial_state.matrix, (n, d, d)).copy()
+    prod = np.ones(n)
+    s_half = s_half2 = 0.0
+    for shot in p.shots:
+        v = spec.coupling_eigvecs_at(shot.time)
+        table = ShotTable.of(spec.coupling_eigvals, p.sensor, shot.basis.phase)
+        rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
+        probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        u = rng.random(n)
+        idx = (np.cumsum(probs, axis=1) > u[:, None]).argmax(axis=1)
+        n_c = rng.poisson(table.means_c[idx]).astype(float)
+        n_d = rng.poisson(table.means_d[idx]).astype(float)
+        half = (n_d - n_c) / 2
+        prod = prod * (2.0 * shot.basis.record_scale) * half
+        s_half += half.sum()
+        s_half2 += (half * half).sum()
+        g = table.kraus_diagonal(n_c, n_d)
+        rp = rp * (g[:, :, None] * g.conj()[:, None, :])
+        rp = rp / np.real(np.einsum("nii->n", rp))[:, None, None]
+        states = np.einsum("ab,nbc,cd->nad", v, rp, v.conj().T, optimize=True)
+    return prod.sum(), (prod * prod).sum(), s_half, s_half2, n * len(p.shots), n
+
+
+def _pure_four_level_model():
+    rng = np.random.default_rng(21)
+    ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return TargetModel(
+        hamiltonian=random_hermitian(rng, 4),
+        coupling=random_hermitian(rng, 4),
+        initial_state=pure_state(ket),
+    )
+
+
+class TestVectorTrajectories:
+    def test_vector_update_matches_density_matrix_update(self):
+        model = _pure_four_level_model()
+        p = proto([(0.0, S3), (0.4, S2), (1.1, S2)], alpha=2.0, tau=0.2)
+        plan = _quantum_plan(model, p)
+        (psi,) = plan.kets[plan.weights > 0.5]
+        rho = model.initial_state
+        for shot, step, (n_c, n_d) in zip(p.shots, plan.steps, [(3, 1), (0, 4), (2, 2)]):
+            if step.rotation is not None:
+                psi = psi @ step.rotation
+            psi = _kraus_update(psi[None, :], step.table, [n_c], [n_d])[0]
+            b_t = heisenberg_coupling(model, shot.time)
+            rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis.phase).post_state(n_c, n_d)
+            ket = model.spectral.coupling_eigvecs_at(shot.time) @ psi
+            assert np.max(np.abs(np.outer(ket, ket.conj()) - rho.matrix)) < 1e-12
+
+    def test_mixed_state_matches_exact_for_any_worker_count(self):
+        jx, _, jz = spin_operators(7)
+        h = jz + 0.3 * jx
+        model = TargetModel(hamiltonian=h, coupling=jx, initial_state=thermal_state(h, 0.5))
+        p = proto([(0.0, S2), (0.7, S2)], alpha=3.0, tau=0.1)
+        base = dict(sequences=40000, seed=31, mode="kraus_quantum", proto=p, model=model)
+        a = run_sequences(TrajectoryConfig(workers=1, **base))
+        b = run_sequences(TrajectoryConfig(workers=3, **base))
+        assert a == b
+        exact = gk_exact_unitary(model, p).value
+        assert abs(exact) > 10 * a.std_error
+        assert abs(a.mean - exact) <= 5 * a.std_error
+
+    @pytest.mark.parametrize("make_model", [precession_model, _pure_four_level_model])
+    def test_pure_state_reproduces_density_matrix_chunks(self, make_model):
+        model = make_model()
+        p = proto([(0.0, S3), (0.6, S2), (1.5, S2)], alpha=3.0, tau=0.1)
+        L, seed = CHUNK_SIZE + 3000, 17
+        sizes = (CHUNK_SIZE, 3000)
+        seeds = np.random.SeedSequence(seed).spawn(2)
+        chunks = [_density_matrix_chunk(n, np.random.default_rng(s), model, p) for n, s in zip(sizes, seeds)]
+        cfg = TrajectoryConfig(sequences=L, seed=seed, mode="kraus_quantum", proto=p, model=model, workers=2)
+        assert run_sequences(cfg) == _estimate(chunks, L)
+
+
+class TestMemoryGuard:
+    P = proto([(0.0, S3), (1.0, S2)], alpha=2.0, tau=0.05)
+
+    def test_kraus_guard_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
+        # one 16384-sequence chunk of a spin-1/2 is estimated at ~5 MiB
+        big = TrajectoryConfig(sequences=CHUNK_SIZE, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        with pytest.raises(ResourceGuardError):
+            run_sequences(big)
+        small = TrajectoryConfig(sequences=1000, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        assert run_sequences(small).n_sequences == 1000
+
+    def test_semiclassical_guard(self, monkeypatch):
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
+        field = ClassicalFieldModel(kind=FieldKind.ORNSTEIN_UHLENBECK, amplitude=1.0, correlation_time=1.0)
+        cfg = TrajectoryConfig(sequences=CHUNK_SIZE, seed=0, mode="semiclassical_field", proto=self.P, model=field)
+        with pytest.raises(ResourceGuardError):
+            run_sequences(cfg)
+
+    def test_guard_counts_chunks_in_flight(self, monkeypatch):
+        # two chunks of a spin-1/2 need ~5 MiB each: one worker fits 8 MiB, two do not
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
+        base = dict(sequences=2 * CHUNK_SIZE, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        assert run_sequences(TrajectoryConfig(workers=1, **base)).n_sequences == 2 * CHUNK_SIZE
+        with pytest.raises(ResourceGuardError):
+            run_sequences(TrajectoryConfig(workers=2, **base))
 
 
 class TestSemiclassicalSequences:
