@@ -20,30 +20,16 @@ import hashlib
 import json
 import os
 import sys
-import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .correlations import correlation_grid
-from .config import (
-    build_field,
-    build_model,
-    build_protocols,
-    build_scenarios,
-    load_config,
-    set_config_path,
-    validate_config,
-)
+from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
-from .sensor_optics import FockTruncation
 from .snr import snr_material
-from .trajectory_mc import TrajectoryConfig, empirical_snr, run_sequences
-from .weak_measurement import (
-    ProtocolWarning,
-    gk_exact_unitary_grid,
-    gk_leading_grid,
-    prediction_factor,
-)
+from .trajectory_mc import empirical_snr, run_sequences
+from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, prediction_factor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,6 +68,7 @@ SIMULATE_COLUMNS = [
     "gk_exact_unitary[counts^K]",
     "abs_error[counts^K]",
     "sigma_distance",
+    "warning",
 ]
 
 SNR_COLUMNS = [
@@ -128,24 +115,18 @@ def _protocol_row_base(proto) -> dict:
     }
 
 
-def cmd_exact(raw: dict) -> tuple[list[str], list[dict]]:
-    model = build_model(raw["model"])
-    section = raw.get("exact", {})
-    include_exact = bool(section.get("include_exact_unitary", False))
-    engine = section.get("engine", "coherent")
-    tr = FockTruncation(int(section["n_max"])) if "n_max" in section else None
-    rows = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ProtocolWarning)
-        protocols = build_protocols(raw["protocol"])
-    proto_warning = "; ".join(sorted({str(w.message) for w in caught}))
+def cmd_exact(run: ExactRun) -> tuple[list[str], list[dict]]:
+    model, protocols = run.model, run.protocols
     # build_protocols varies only the last shot's time, so every column is
     # one grid evaluation: the first K-1 shots are applied once per chain.
     queries = [proto.query() for proto in protocols]
     corr = correlation_grid(model, queries)
     leading = gk_leading_grid(model, protocols)
-    exact = gk_exact_unitary_grid(model, protocols, tr, engine=engine) if include_exact else None
+    exact = None
+    if run.include_exact_unitary:
+        exact = gk_exact_unitary_grid(model, protocols, run.truncation, engine=run.engine)
     factor = prediction_factor(protocols[0])
+    rows = []
     for i, (proto, query) in enumerate(zip(protocols, queries)):
         row = _protocol_row_base(proto)
         row.update(
@@ -155,66 +136,50 @@ def cmd_exact(raw: dict) -> tuple[list[str], list[dict]]:
                 "gk_leading[counts^K]": float(leading[i]),
                 "gk_predicted_from_C[counts^K]": factor * float(corr[i]),
                 "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
-                "warning": proto_warning,
+                "warning": run.protocol_warning,
             }
         )
         rows.append(row)
     return EXACT_COLUMNS, rows
 
 
-def cmd_simulate(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
-    mc = raw["mc"]
-    mode = mc.get("mode", "kraus_quantum")
-    seed = int(raw["seed"])
+def cmd_simulate(run: SimulateRun, threads: int) -> tuple[list[str], list[dict]]:
+    mc = replace(run.mc, workers=max(1, threads))
+    leading = exact = [None] * len(run.protocols)
+    if mc.mode == "kraus_quantum":
+        # one grid evaluation per column, as in cmd_exact
+        leading = gk_leading_grid(mc.model, run.protocols).tolist()
+        exact = gk_exact_unitary_grid(mc.model, run.protocols).tolist()
     rows = []
-    # one model for every protocol, so its spectral data is computed once
-    tgt = build_model(raw["model"]) if mode == "kraus_quantum" else build_field(mc["field"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ProtocolWarning)
-        for proto in build_protocols(raw["protocol"]):
-            if mode == "kraus_quantum":
-                leading = float(gk_leading_grid(tgt, [proto])[0])
-                exact = float(gk_exact_unitary_grid(tgt, [proto])[0])
-            else:
-                leading = exact = None
-            cfg = TrajectoryConfig(
-                sequences=int(mc["sequences"]),
-                seed=seed,
-                mode=mode,
-                proto=proto,
-                model=tgt,
-                workers=max(1, threads),
-            )
-            est = run_sequences(cfg)
-            row = _protocol_row_base(proto)
-            abs_err = None if exact is None else abs(est.mean - exact)
-            row.update(
-                {
-                    "mode": mode,
-                    "sequences": est.n_sequences,
-                    "seed": seed,
-                    "mc_mean[counts^K]": est.mean,
-                    "mc_std_error[counts^K]": est.std_error,
-                    "per_shot_variance_half[counts^2]": est.per_shot_variance,
-                    "per_shot_variance_raw[counts^2]": est.per_shot_variance_raw,
-                    "empirical_snr": empirical_snr(est),
-                    "gk_leading[counts^K]": leading,
-                    "gk_exact_unitary[counts^K]": exact,
-                    "abs_error[counts^K]": abs_err,
-                    "sigma_distance": (
-                        None
-                        if abs_err is None or est.std_error == 0
-                        else abs_err / est.std_error
-                    ),
-                }
-            )
-            rows.append(row)
+    for proto, lead, ex in zip(run.protocols, leading, exact):
+        est = run_sequences(replace(mc, proto=proto))
+        abs_err = None if ex is None else abs(est.mean - ex)
+        sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
+        row = _protocol_row_base(proto)
+        row.update(
+            {
+                "mode": mc.mode,
+                "sequences": est.n_sequences,
+                "seed": mc.seed,
+                "mc_mean[counts^K]": est.mean,
+                "mc_std_error[counts^K]": est.std_error,
+                "per_shot_variance_half[counts^2]": est.per_shot_variance,
+                "per_shot_variance_raw[counts^2]": est.per_shot_variance_raw,
+                "empirical_snr": empirical_snr(est),
+                "gk_leading[counts^K]": lead,
+                "gk_exact_unitary[counts^K]": ex,
+                "abs_error[counts^K]": abs_err,
+                "sigma_distance": sigma,
+                "warning": run.protocol_warning,
+            }
+        )
+        rows.append(row)
     return SIMULATE_COLUMNS, rows
 
 
-def cmd_snr(raw: dict) -> tuple[list[str], list[dict]]:
+def cmd_snr(run: SnrRun) -> tuple[list[str], list[dict]]:
     rows = []
-    for k, scenario in build_scenarios(raw["snr"]):
+    for k, scenario in run.scenarios:
         report = snr_material(scenario)
         rows.append(
             {
@@ -230,37 +195,25 @@ def cmd_snr(raw: dict) -> tuple[list[str], list[dict]]:
     return SNR_COLUMNS, rows
 
 
-def cmd_sweep(raw: dict, threads: int) -> tuple[list[str], list[dict]]:
-    sweep = raw["sweep"]
-    base_command = sweep["command"]
-    columns = None
-    rows = []
-    for value in sweep["values"]:
-        variant = set_config_path(raw, sweep["path"], value)
-        variant["command"] = base_command
-        variant.pop("sweep")
-        validate_config(variant)
-        cols, sub_rows = _dispatch(base_command, variant, threads)
-        columns = ["sweep_path", "sweep_value"] + cols
-        for row in sub_rows:
-            row = dict(row)
-            row["sweep_path"] = sweep["path"]
-            row["sweep_value"] = value
-            rows.append(row)
-    return columns or ["sweep_path", "sweep_value"], rows
+def cmd_sweep(run: SweepRun, threads: int) -> tuple[list[str], list[dict]]:
+    columns, rows = [], []
+    for value, variant in run.runs:
+        columns, sub_rows = _dispatch(variant, threads)
+        rows.extend(dict(row, sweep_path=run.path, sweep_value=value) for row in sub_rows)
+    return ["sweep_path", "sweep_value"] + columns, rows
 
 
-def _dispatch(command: str, raw: dict, threads: int) -> tuple[list[str], list[dict]]:
-    if command == "exact":
-        return cmd_exact(raw)
-    if command == "simulate":
-        return cmd_simulate(raw, threads)
-    if command == "snr":
-        return cmd_snr(raw)
-    return cmd_sweep(raw, threads)
+def _dispatch(run: Run, threads: int) -> tuple[list[str], list[dict]]:
+    if isinstance(run, ExactRun):
+        return cmd_exact(run)
+    if isinstance(run, SimulateRun):
+        return cmd_simulate(run, threads)
+    if isinstance(run, SnrRun):
+        return cmd_snr(run)
+    return cmd_sweep(run, threads)
 
 
-def _write_outputs(out_dir: Path, columns, rows, raw: dict, command: str) -> None:
+def _write_outputs(out_dir: Path, columns, rows, raw: dict, command: str, seed) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -273,7 +226,7 @@ def _write_outputs(out_dir: Path, columns, rows, raw: dict, command: str) -> Non
         "tool_version": __version__,
         "command": command,
         "config_sha256": hashlib.sha256(config_blob).hexdigest(),
-        "seed": raw.get("seed"),
+        "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "provenance": {c: PROVENANCE.get(c, "cli") for c in columns},
         "config": raw,
@@ -297,13 +250,13 @@ def main(argv=None) -> int:
         threads = int(os.environ.get("FARADAYCORR_THREADS", "1"))
     try:
         raw = load_config(args.config)
-        if raw.get("command") != args.command:
+        run = parse_config(raw)
+        if raw["command"] != args.command:
             raise ConfigError(
-                f"config command {raw.get('command')!r} does not match CLI command {args.command!r}"
+                f"config command {raw['command']!r} does not match CLI command {args.command!r}"
             )
-        validate_config(raw)
-        columns, rows = _dispatch(args.command, raw, threads)
-        _write_outputs(Path(args.out), columns, rows, raw, args.command)
+        columns, rows = _dispatch(run, threads)
+        _write_outputs(Path(args.out), columns, rows, raw, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

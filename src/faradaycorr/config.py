@@ -1,26 +1,71 @@
-"""Run-configuration schema: parsing, validation, and object construction.
+"""Run-configuration schema: one parse from the YAML document to domain objects.
 
-The config is one YAML document. Validation is strict: unknown keys are
-rejected, and every command checks that the sections it needs are present
-before any computation starts.
+``parse_config`` reads each section the command needs once: it checks keys
+and types, then builds the domain object. Range rules live in the domain
+constructors; their errors come back as a ``ConfigError`` naming the section,
+so a value the CLI can read but not use exits 2 before any computation, for
+every value of a sweep. Unknown keys are rejected.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass
+
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, FaradaycorrError
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
-from .sensor_optics import MeasurementBasis, SensorConfig
+from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
 from .snr import SnrScenario, lihof4_scenario, load_scenarios
-from .trajectory_mc import ClassicalFieldModel, FieldKind
-from .weak_measurement import ProtocolSpec, ShotSpec
+from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig
+from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
 
 COMMANDS = ("exact", "simulate", "snr", "sweep")
+_SECTIONS = ("model", "protocol", "exact", "mc", "snr", "sweep")
 
 _SPIN_TERMS = ("jx", "jy", "jz")
+_MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
+_SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
+
+
+@dataclass(frozen=True)
+class Run:
+    """A parsed config; ``seed`` is the top-level seed (None when absent)."""
+
+    seed: int | None
+
+
+@dataclass(frozen=True)
+class ExactRun(Run):
+    model: TargetModel
+    protocols: list[ProtocolSpec]
+    protocol_warning: str
+    include_exact_unitary: bool
+    engine: str
+    truncation: FockTruncation | None
+
+
+@dataclass(frozen=True)
+class SimulateRun(Run):
+    protocols: list[ProtocolSpec]
+    protocol_warning: str
+    mc: TrajectoryConfig  # for the first protocol, one worker
+
+
+@dataclass(frozen=True)
+class SnrRun(Run):
+    scenarios: list[tuple[int, SnrScenario]]
+
+
+@dataclass(frozen=True)
+class SweepRun(Run):
+    path: str
+    runs: list[tuple[object, Run]]  # (value, parsed variant)
 
 
 def load_config(path) -> dict:
@@ -34,7 +79,12 @@ def load_config(path) -> dict:
     return raw
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+# -- value checks ---------------------------------------------------------------
+
+
+def _check_keys(section, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -46,171 +96,264 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _nonempty_list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list")
+    return value
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
 
 
-def validate_config(raw: dict) -> dict:
-    """Validate the whole document; returns it unchanged on success."""
-    _check_keys(
-        raw,
-        {"command", "seed", "model", "protocol", "exact", "mc", "snr", "sweep"},
-        "top level",
-    )
-    command = _require(raw, "command", "top level")
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
-    if command == "exact":
-        _validate_model(_require(raw, "model", "top level"))
-        _validate_protocol(_require(raw, "protocol", "top level"))
-        _validate_exact(raw.get("exact", {}))
-    elif command == "simulate":
-        if "seed" not in raw:
-            raise ConfigError("simulate requires an explicit top-level seed")
-        _validate_protocol(_require(raw, "protocol", "top level"))
-        mc = _require(raw, "mc", "top level")
-        _validate_mc(mc)
-        if mc.get("mode", "kraus_quantum") == "kraus_quantum":
-            _validate_model(_require(raw, "model", "top level"))
-    elif command == "snr":
-        _validate_snr(_require(raw, "snr", "top level"))
-    else:  # sweep
-        _validate_sweep(raw)
-    return raw
+def _integer(value, where: str) -> int:
+    """An int, or a float with an integral value; never a bool or a string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
-def _validate_model(model: dict) -> None:
-    if not isinstance(model, dict):
+def _choice(value, choices: tuple[str, ...], where: str) -> str:
+    if value not in choices:
+        raise ConfigError(f"{where} must be {' | '.join(choices)}, got {value!r}")
+    return value
+
+
+@contextmanager
+def _constructing(where: str):
+    """Re-raise a domain constructor's range error as a ConfigError at ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, FaradaycorrError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# -- section parsers --------------------------------------------------------------
+
+
+def _complex_matrix(model_cfg: dict, key: str) -> np.ndarray:
+    """The matrix at model.<key>; entries are numbers or [re, im] pairs."""
+    rows = _require(model_cfg, key, "model")
+    try:
+        entries = [[complex(*x) if isinstance(x, list) and len(x) == 2 else complex(x) for x in row]
+                   for row in rows]
+        return np.array(entries, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model.{key} is not a valid matrix: {exc}") from exc
+
+
+def build_model(model_cfg: dict) -> TargetModel:
+    """Parse the ``model`` section into a TargetModel."""
+    if not isinstance(model_cfg, dict):
         raise ConfigError("model must be a mapping")
-    kind = _require(model, "kind", "model")
-    if kind == "single_spin":
-        _check_keys(
-            model,
-            {"kind", "two_j", "hamiltonian", "coupling", "initial_state", "beta"},
-            "model",
-        )
-        for section in ("hamiltonian", "coupling"):
-            terms = _require(model, section, "model")
-            if not isinstance(terms, dict):
-                raise ConfigError(f"model.{section} must map spin terms to coefficients")
-            _check_keys(terms, set(_SPIN_TERMS), f"model.{section}")
-            for key, value in terms.items():
-                _number(value, f"model.{section}.{key}")
-        state = model.get("initial_state", "up")
-        if state not in ("up", "down", "thermal"):
-            raise ConfigError("model.initial_state must be up | down | thermal")
-        if state == "thermal":
-            _number(_require(model, "beta", "model"), "model.beta")
-    elif kind == "custom":
-        _check_keys(
-            model,
-            {"kind", "hamiltonian_matrix", "coupling_matrix", "initial_state_matrix"},
-            "model",
-        )
-        for key in ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix"):
-            _require(model, key, "model")
-    else:
+    kind = _require(model_cfg, "kind", "model")
+    if kind == "custom":
+        _check_keys(model_cfg, {"kind", *_MATRIX_KEYS}, "model")
+        h, b, rho = (_complex_matrix(model_cfg, key) for key in _MATRIX_KEYS)
+        with _constructing("model"):
+            return TargetModel(hamiltonian=h, coupling=b, initial_state=DensityMatrix(rho))
+    if kind != "single_spin":
         raise ConfigError(f"unknown model kind {kind!r}")
+    _check_keys(
+        model_cfg, {"kind", "two_j", "hamiltonian", "coupling", "initial_state", "beta"}, "model"
+    )
+    two_j = _integer(model_cfg.get("two_j", 1), "model.two_j")
+    with _constructing("model.two_j"):
+        ops = dict(zip(_SPIN_TERMS, spin_operators(two_j)))
+
+    def combine(section: str) -> np.ndarray:
+        terms = _require(model_cfg, section, "model")
+        _check_keys(terms, set(_SPIN_TERMS), f"model.{section}")
+        out = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+        for key, coeff in terms.items():
+            out = out + _number(coeff, f"model.{section}.{key}") * ops[key]
+        return out
+
+    h, b = combine("hamiltonian"), combine("coupling")
+    state = model_cfg.get("initial_state", "up")
+    _choice(state, ("up", "down", "thermal"), "model.initial_state")
+    with _constructing("model"):
+        if state == "thermal":
+            rho = thermal_state(h, _number(_require(model_cfg, "beta", "model"), "model.beta"))
+        else:
+            ket = np.zeros(two_j + 1)
+            ket[0 if state == "up" else two_j] = 1.0
+            rho = pure_state(ket)
+        return TargetModel(hamiltonian=h, coupling=b, initial_state=rho)
 
 
-def _validate_protocol(proto: dict) -> None:
-    if not isinstance(proto, dict):
-        raise ConfigError("protocol must be a mapping")
-    _check_keys(proto, {"alpha", "tau", "shots", "final_time_grid"}, "protocol")
-    _number(_require(proto, "alpha", "protocol"), "protocol.alpha")
-    _number(_require(proto, "tau", "protocol"), "protocol.tau")
-    shots = _require(proto, "shots", "protocol")
-    if not isinstance(shots, list) or not shots:
-        raise ConfigError("protocol.shots must be a non-empty list")
-    for i, shot in enumerate(shots):
-        if not isinstance(shot, dict):
-            raise ConfigError(f"protocol.shots[{i}] must be a mapping")
-        _check_keys(shot, {"time", "basis"}, f"protocol.shots[{i}]")
-        _number(_require(shot, "time", f"protocol.shots[{i}]"), "shot time")
-        basis = _require(shot, "basis", f"protocol.shots[{i}]")
-        if basis not in ("S2", "S3"):
-            raise ConfigError(f"shot basis must be S2 or S3, got {basis!r}")
-    grid = proto.get("final_time_grid")
+def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
+    """Parse the ``protocol`` section: one ProtocolSpec per final-time grid
+    point (or a single one)."""
+    _check_keys(proto_cfg, {"alpha", "tau", "shots", "final_time_grid"}, "protocol")
+    alpha = _number(_require(proto_cfg, "alpha", "protocol"), "protocol.alpha")
+    tau = _number(_require(proto_cfg, "tau", "protocol"), "protocol.tau")
+    shots = []
+    shot_cfgs = _nonempty_list(_require(proto_cfg, "shots", "protocol"), "protocol.shots")
+    for i, shot in enumerate(shot_cfgs):
+        where = f"protocol.shots[{i}]"
+        _check_keys(shot, {"time", "basis"}, where)
+        time = _number(_require(shot, "time", where), f"{where}.time")
+        basis = _require(shot, "basis", where)
+        with _constructing(f"{where}.basis"):
+            shots.append(ShotSpec(time=time, basis=MeasurementBasis(basis)))
+    grid = proto_cfg.get("final_time_grid")
     if grid is not None:
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("protocol.final_time_grid must be a non-empty list")
-        for value in grid:
-            _number(value, "protocol.final_time_grid entry")
+        grid = _nonempty_list(grid, "protocol.final_time_grid")
+        grid = [_number(t, "protocol.final_time_grid entry") for t in grid]
+    with _constructing("protocol"):
+        sensor = SensorConfig(alpha=alpha, tau=tau)
+    with _constructing("protocol.shots"):
+        if grid is None:
+            return [ProtocolSpec(shots=tuple(shots), sensor=sensor)]
+        head, last = tuple(shots[:-1]), shots[-1].basis
+        return [ProtocolSpec((*head, ShotSpec(t, last)), sensor) for t in grid]
 
 
-def _validate_exact(section: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError("exact must be a mapping")
-    _check_keys(section, {"include_exact_unitary", "engine", "n_max"}, "exact")
-    engine = section.get("engine", "coherent")
-    if engine not in ("coherent", "fock"):
-        raise ConfigError("exact.engine must be coherent | fock")
+def build_field(field_cfg: dict) -> ClassicalFieldModel:
+    """Parse the ``mc.field`` section into a ClassicalFieldModel."""
+    _check_keys(field_cfg, {"kind", "amplitude", "correlation_time"}, "mc.field")
+    kind = _require(field_cfg, "kind", "mc.field")
+    amplitude = _number(_require(field_cfg, "amplitude", "mc.field"), "mc.field.amplitude")
+    tc = _number(field_cfg.get("correlation_time", math.inf), "mc.field.correlation_time")
+    with _constructing("mc.field"):
+        return ClassicalFieldModel(kind=FieldKind(kind), amplitude=amplitude, correlation_time=tc)
 
 
-def _validate_mc(section: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError("mc must be a mapping")
-    _check_keys(section, {"sequences", "mode", "field"}, "mc")
-    sequences = _require(section, "sequences", "mc")
-    if not isinstance(sequences, int) or sequences < 1:
-        raise ConfigError("mc.sequences must be a positive integer")
-    mode = section.get("mode", "kraus_quantum")
-    if mode not in ("kraus_quantum", "semiclassical_field"):
-        raise ConfigError("mc.mode must be kraus_quantum | semiclassical_field")
-    if mode == "semiclassical_field":
-        field = _require(section, "field", "mc")
-        _check_keys(field, {"kind", "amplitude", "correlation_time"}, "mc.field")
-        kind = _require(field, "kind", "mc.field")
-        if kind not in [k.value for k in FieldKind]:
-            raise ConfigError(f"unknown field kind {kind!r}")
-        _number(_require(field, "amplitude", "mc.field"), "mc.field.amplitude")
-
-
-def _validate_snr(section: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError("snr must be a mapping")
-    _check_keys(section, {"preset", "preset_file", "scenario", "orders", "L", "xi"}, "snr")
-    has_source = ("preset" in section) or ("scenario" in section) or ("preset_file" in section)
-    if not has_source:
+def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
+    """Parse the ``snr`` section into (K, scenario) pairs."""
+    _check_keys(snr_cfg, {"preset", "preset_file", "scenario", "orders", "L", "xi"}, "snr")
+    L = _number(snr_cfg.get("L", 1.0), "snr.L")
+    xi = None if snr_cfg.get("xi") is None else _number(snr_cfg["xi"], "snr.xi")
+    orders = snr_cfg.get("orders")
+    if orders is not None:
+        orders = _nonempty_list(orders, "snr.orders")
+        orders = [_integer(k, f"snr.orders[{i}]") for i, k in enumerate(orders)]
+    if "scenario" in snr_cfg:
+        params = snr_cfg["scenario"]
+        _check_keys(params, {*_SCENARIO_KEYS, "L", "K", "xi"}, "snr.scenario")
+        values = {k: _number(_require(params, k, "snr.scenario"), f"snr.scenario.{k}")
+                  for k in _SCENARIO_KEYS}
+        values["L"] = _number(params.get("L", L), "snr.scenario.L")
+        own_xi = params.get("xi")
+        values["xi"] = None if own_xi is None else _number(own_xi, "snr.scenario.xi")
+        if "K" in params or orders is None:
+            k = _integer(_require(params, "K", "snr.scenario"), "snr.scenario.K")
+            orders = orders or [k]
+        with _constructing("snr.scenario"):
+            return [(k, SnrScenario(**values, K=k)) for k in orders]
+    if "preset_file" in snr_cfg:
+        path = snr_cfg["preset_file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"snr.preset_file must be a path, got {path!r}")
+        try:
+            return [(scen.K, scen) for scen in load_scenarios(path).values()]
+        except (OSError, yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"snr.preset_file: {exc}") from exc
+    if "preset" not in snr_cfg:
         raise ConfigError("snr needs a preset, preset_file, or inline scenario")
-    orders = section.get("orders", [section.get("scenario", {}).get("K")])
-    if not isinstance(orders, list) or not orders:
-        raise ConfigError("snr.orders must be a non-empty list")
-    if "scenario" in section:
-        scen = section["scenario"]
-        _check_keys(
-            scen,
-            {"g", "D", "n_s", "A", "N_ph", "L", "K", "moment_k", "xi"},
-            "snr.scenario",
-        )
+    if snr_cfg["preset"] != "lihof4":
+        raise ConfigError(f"unknown preset {snr_cfg['preset']!r}")
+    if orders is None:
+        raise ConfigError("snr.orders is required with a preset")
+    with _constructing("snr.orders"):
+        return [(k, lihof4_scenario(K=k, L=L, xi=xi)) for k in orders]
 
 
-def _validate_sweep(raw: dict) -> None:
+def _protocols(proto_cfg: dict) -> tuple[list[ProtocolSpec], str]:
+    """The protocols, and the text of the ProtocolWarnings building them raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ProtocolWarning)
+        protocols = build_protocols(proto_cfg)
+    text = "; ".join(sorted({str(w.message) for w in caught if w.category is ProtocolWarning}))
+    return protocols, text
+
+
+def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
+    model = build_model(_require(raw, "model", "top level"))
+    protocols, warning = _protocols(_require(raw, "protocol", "top level"))
+    section = raw.get("exact", {})
+    _check_keys(section, {"include_exact_unitary", "engine", "n_max"}, "exact")
+    include = section.get("include_exact_unitary", False)
+    if not isinstance(include, bool):
+        raise ConfigError(f"exact.include_exact_unitary must be true or false, got {include!r}")
+    engine = _choice(section.get("engine", "coherent"), ("coherent", "fock"), "exact.engine")
+    truncation = None
+    if "n_max" in section:
+        n_max = _integer(section["n_max"], "exact.n_max")
+        with _constructing("exact.n_max"):
+            truncation = FockTruncation(n_max)
+            if include and engine == "fock":
+                truncation.check_alpha(protocols[0].sensor.alpha)
+    return ExactRun(seed, model, protocols, warning, include, engine, truncation)
+
+
+def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
+    if seed is None:
+        raise ConfigError("simulate requires an explicit top-level seed")
+    protocols, warning = _protocols(_require(raw, "protocol", "top level"))
+    mc = _require(raw, "mc", "top level")
+    _check_keys(mc, {"sequences", "mode", "field"}, "mc")
+    sequences = _integer(_require(mc, "sequences", "mc"), "mc.sequences")
+    mode = mc.get("mode", "kraus_quantum")
+    _choice(mode, ("kraus_quantum", "semiclassical_field"), "mc.mode")
+    if mode == "kraus_quantum":
+        target = build_model(_require(raw, "model", "top level"))
+    else:
+        target = build_field(_require(mc, "field", "mc"))
+    with _constructing("mc"):
+        cfg = TrajectoryConfig(sequences, seed, mode, protocols[0], target)
+    return SimulateRun(seed, protocols, warning, cfg)
+
+
+def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
     sweep = _require(raw, "sweep", "top level")
     _check_keys(sweep, {"command", "path", "values"}, "sweep")
     base = _require(sweep, "command", "sweep")
-    if base not in ("exact", "simulate", "snr"):
-        raise ConfigError("sweep.command must be exact | simulate | snr")
+    _choice(base, ("exact", "simulate", "snr"), "sweep.command")
     path = _require(sweep, "path", "sweep")
     if not isinstance(path, str) or not path:
         raise ConfigError("sweep.path must be a non-empty dotted key path")
-    values = _require(sweep, "values", "sweep")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values must be a non-empty list")
-    # validate the base command with the first value substituted
-    probe = dict(raw)
-    probe["command"] = base
-    probe.pop("sweep")
-    probe = set_config_path(probe, path, values[0])
-    validate_config(probe)
+    runs = []
+    for value in _nonempty_list(_require(sweep, "values", "sweep"), "sweep.values"):
+        variant = set_config_path(raw, path, value)
+        variant["command"] = base
+        del variant["sweep"]
+        try:
+            runs.append((value, parse_config(variant)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep value {value!r} at {path}: {exc}") from exc
+    return SweepRun(seed, path, runs)
+
+
+def parse_config(raw: dict) -> Run:
+    """Parse the document into what its command needs; raises ConfigError."""
+    _check_keys(raw, {"command", "seed", *_SECTIONS}, "top level")
+    command = _choice(_require(raw, "command", "top level"), COMMANDS, "command")
+    seed = None if raw.get("seed") is None else _integer(raw["seed"], "seed")
+    if command == "exact":
+        return _parse_exact(raw, seed)
+    if command == "simulate":
+        return _parse_simulate(raw, seed)
+    if command == "snr":
+        return SnrRun(seed, build_scenarios(_require(raw, "snr", "top level")))
+    return _parse_sweep(raw, seed)
+
+
+def validate_config(raw: dict) -> dict:
+    """Parse the whole document; returns it unchanged on success."""
+    parse_config(raw)
+    return raw
 
 
 def set_config_path(raw: dict, path: str, value) -> dict:
     """Return a deep copy of the document with the dotted path replaced."""
-    import copy
-
     doc = copy.deepcopy(raw)
     keys = path.split(".")
     node = doc
@@ -222,100 +365,3 @@ def set_config_path(raw: dict, path: str, value) -> dict:
         raise ConfigError(f"sweep path {path!r} does not resolve")
     node[keys[-1]] = value
     return doc
-
-
-# -- object builders ----------------------------------------------------------
-
-
-def _complex_matrix(rows, where: str) -> np.ndarray:
-    try:
-        def to_c(x):
-            if isinstance(x, (list, tuple)):
-                re, im = x
-                return complex(re, im)
-            return complex(x)
-
-        return np.array([[to_c(x) for x in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} is not a valid matrix: {exc}") from exc
-
-
-def build_model(model_cfg: dict) -> TargetModel:
-    if model_cfg["kind"] == "custom":
-        h = _complex_matrix(model_cfg["hamiltonian_matrix"], "model.hamiltonian_matrix")
-        b = _complex_matrix(model_cfg["coupling_matrix"], "model.coupling_matrix")
-        rho = _complex_matrix(model_cfg["initial_state_matrix"], "model.initial_state_matrix")
-        return TargetModel(hamiltonian=h, coupling=b, initial_state=DensityMatrix(rho))
-    two_j = int(model_cfg.get("two_j", 1))
-    ops = dict(zip(_SPIN_TERMS, spin_operators(two_j)))
-    def combine(terms: dict) -> np.ndarray:
-        out = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-        for key, coeff in terms.items():
-            out = out + float(coeff) * ops[key]
-        return out
-
-    h = combine(model_cfg["hamiltonian"])
-    b = combine(model_cfg["coupling"])
-    state_kind = model_cfg.get("initial_state", "up")
-    if state_kind == "thermal":
-        rho = thermal_state(h, float(model_cfg["beta"]))
-    else:
-        ket = np.zeros(two_j + 1)
-        ket[0 if state_kind == "up" else two_j] = 1.0
-        rho = pure_state(ket)
-    return TargetModel(hamiltonian=h, coupling=b, initial_state=rho)
-
-
-def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
-    """One ProtocolSpec per final-time grid point (or a single one)."""
-    sensor = SensorConfig(alpha=float(proto_cfg["alpha"]), tau=float(proto_cfg["tau"]))
-    shots = tuple(
-        ShotSpec(time=float(s["time"]), basis=MeasurementBasis(s["basis"]))
-        for s in proto_cfg["shots"]
-    )
-    grid = proto_cfg.get("final_time_grid")
-    if grid is None:
-        return [ProtocolSpec(shots=shots, sensor=sensor)]
-    protocols = []
-    for t in grid:
-        varied = shots[:-1] + (ShotSpec(time=float(t), basis=shots[-1].basis),)
-        protocols.append(ProtocolSpec(shots=varied, sensor=sensor))
-    return protocols
-
-
-def build_field(field_cfg: dict) -> ClassicalFieldModel:
-    return ClassicalFieldModel(
-        kind=FieldKind(field_cfg["kind"]),
-        amplitude=float(field_cfg["amplitude"]),
-        correlation_time=float(field_cfg.get("correlation_time", math.inf)),
-    )
-
-
-def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
-    """Expand the snr section into (K, scenario) pairs."""
-    L = float(snr_cfg.get("L", 1.0))
-    xi = snr_cfg.get("xi")
-    orders = [int(k) for k in snr_cfg.get("orders", [])]
-    out = []
-    if "scenario" in snr_cfg:
-        params = dict(snr_cfg["scenario"])
-        params.setdefault("L", L)
-        base_orders = orders or [int(params["K"])]
-        for k in base_orders:
-            p = dict(params)
-            p["K"] = k
-            out.append((k, SnrScenario(**p)))
-        return out
-    if "preset_file" in snr_cfg:
-        named = load_scenarios(snr_cfg["preset_file"])
-        for name, scen in named.items():
-            out.append((scen.K, scen))
-        return out
-    preset = snr_cfg["preset"]
-    if preset != "lihof4":
-        raise ConfigError(f"unknown preset {preset!r}")
-    if not orders:
-        raise ConfigError("snr.orders is required with a preset")
-    for k in orders:
-        out.append((k, lihof4_scenario(K=k, L=L, xi=xi)))
-    return out

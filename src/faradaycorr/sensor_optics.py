@@ -67,10 +67,10 @@ class SensorConfig:
     phase: float = PHASE_S2
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive (real amplitudes only)")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite (real amplitudes only)")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
 
 def required_cutoff(alpha: float) -> int:

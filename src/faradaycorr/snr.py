@@ -126,11 +126,16 @@ def load_scenarios(path) -> dict[str, SnrScenario]:
     """Load named scenarios from a YAML file (same schema as the CLI config)."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must map scenario names to parameters")
     scenarios = {}
     for name, params in raw.items():
         if not isinstance(params, dict):
             raise ValueError(f"scenario {name!r} must be a mapping")
-        scenarios[name] = SnrScenario(**{k: (int(v) if k == "K" else v) for k, v in params.items()})
+        try:
+            scenarios[name] = SnrScenario(**{k: (int(v) if k == "K" else v) for k, v in params.items()})
+        except TypeError as exc:  # unknown or missing parameter, or a non-numeric value
+            raise ValueError(f"scenario {name!r}: {exc}") from exc
     return scenarios
 
 

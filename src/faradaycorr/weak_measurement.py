@@ -85,8 +85,8 @@ class ProtocolSpec:
         if len(shots) < 1:
             raise ValueError("protocol needs at least one shot")
         times = [s.time for s in shots]
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("shot times must be non-decreasing")
+        if not all(map(math.isfinite, times)) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+            raise ValueError("shot times must be finite and non-decreasing")
         if shots[-1].basis is not MeasurementBasis.S2:
             warnings.warn(
                 "last shot is an S3 (commutator) readout: the expected signal "

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from faradaycorr import cli
 from faradaycorr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 from faradaycorr.config import (
     build_model,
@@ -256,6 +258,32 @@ class TestCliSimulate:
         assert len(read_rows(out)) == 8
         assert calls == []
 
+    def test_simulate_evaluates_each_column_once_over_the_grid(self, tmp_path, monkeypatch):
+        calls = {"leading": 0, "exact": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "gk_leading_grid", counting("leading", cli.gk_leading_grid))
+        monkeypatch.setattr(cli, "gk_exact_unitary_grid", counting("exact", cli.gk_exact_unitary_grid))
+        protocol = dict(SIM_DOC["protocol"], final_time_grid=[0.5 + 0.25 * i for i in range(8)])
+        doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 500, "mode": "kraus_quantum"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 8
+        assert calls == {"leading": 1, "exact": 1}
+
+    def test_warning_column_for_closed_protocol(self, tmp_path):
+        shots = [{"time": 0.0, "basis": "S2"}, {"time": 1.0, "basis": "S3"}]
+        doc = dict(SIM_DOC, protocol=dict(SIM_DOC["protocol"], shots=shots), mc={"sequences": 500})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        assert "S3" in read_rows(out)[0]["warning"]
+
     def test_semiclassical_mode(self, tmp_path):
         doc = {
             "command": "simulate",
@@ -355,3 +383,154 @@ class TestLoadConfig:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+
+def _doc(base, **paths):
+    """A deep copy of ``base`` with each ``a__b`` keyword set at the path a.b."""
+    doc = copy.deepcopy(base)
+    for path, value in paths.items():
+        *parents, key = path.split("__")
+        node = doc
+        for parent in parents:
+            node = node[int(parent) if isinstance(node, list) else parent]
+        node[key] = value
+    return doc
+
+
+SCENARIO = {"g": 1.0, "D": 2.0, "n_s": 1.0e3, "A": 0.1, "N_ph": 1.0e4, "L": 4.0, "K": 2, "moment_k": 3.0}
+OU_DOC = {
+    "command": "simulate",
+    "seed": 3,
+    "protocol": EXACT_DOC["protocol"],
+    "mc": {
+        "sequences": 100,
+        "mode": "semiclassical_field",
+        "field": {"kind": "ornstein_uhlenbeck", "amplitude": 1.0, "correlation_time": 1.0},
+    },
+}
+SWEEP_DOC = {
+    "command": "sweep",
+    "model": EXACT_DOC["model"],
+    "protocol": EXACT_DOC["protocol"],
+    "sweep": {"command": "exact", "path": "protocol.alpha", "values": [1.0, -1.0]},
+}
+
+
+def _write_preset(tmp_path, text):
+    path = tmp_path / "scenarios.yaml"
+    path.write_text(text)
+    return str(path)
+
+
+# (id, document for a tmp_path, text the message must contain). Each of these
+# crashed with a traceback, or ran something else than asked, before the
+# config was parsed in one step.
+INVALID_CONFIGS = [
+    ("negative-alpha", lambda tmp: _doc(EXACT_DOC, protocol__alpha=-2), "alpha must be positive"),
+    (
+        "decreasing-shot-times",
+        lambda tmp: _doc(
+            EXACT_DOC, protocol__shots=[{"time": 1.0, "basis": "S3"}, {"time": 0.0, "basis": "S2"}]
+        ),
+        "protocol.shots",
+    ),
+    ("negative-two-j", lambda tmp: _doc(EXACT_DOC, model__two_j=-3), "model.two_j"),
+    (
+        "negative-beta",
+        lambda tmp: _doc(EXACT_DOC, model__initial_state="thermal", model__beta=-1),
+        "model: beta",
+    ),
+    ("nan-coefficient", lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.nan}), "model:"),
+    ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
+    ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
+    (
+        "fock-n-max-below-cutoff",
+        lambda tmp: _doc(
+            EXACT_DOC,
+            protocol__alpha=2.0,
+            exact={"include_exact_unitary": True, "engine": "fock", "n_max": 3},
+        ),
+        "exact.n_max",
+    ),
+    ("zero-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max=0), "exact.n_max"),
+    ("text-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max="abc"), "exact.n_max"),
+    ("scenario-not-mapping", lambda tmp: {"command": "snr", "snr": {"scenario": 5}}, "snr.scenario"),
+    (
+        "scenario-negative-g",
+        lambda tmp: {"command": "snr", "snr": {"scenario": dict(SCENARIO, g=-1.0)}},
+        "snr.scenario",
+    ),
+    (
+        "scenario-without-K",
+        lambda tmp: {"command": "snr", "snr": {"scenario": {k: v for k, v in SCENARIO.items() if k != "K"}}},
+        "'K'",
+    ),
+    (
+        "scenario-without-g",
+        lambda tmp: {"command": "snr", "snr": {"scenario": {k: v for k, v in SCENARIO.items() if k != "g"}}},
+        "'g'",
+    ),
+    ("text-order", lambda tmp: _doc(SNR_DOC, snr__orders=[2, "x"]), "snr.orders"),
+    ("zero-order", lambda tmp: _doc(SNR_DOC, snr__orders=[0]), "snr.orders"),
+    (
+        "missing-preset-file",
+        lambda tmp: {"command": "snr", "snr": {"preset_file": str(tmp / "none.yaml")}},
+        "snr.preset_file",
+    ),
+    (
+        "preset-file-unknown-key",
+        lambda tmp: {
+            "command": "snr",
+            "snr": {"preset_file": _write_preset(tmp, yaml.safe_dump({"s": dict(SCENARIO, mass=1.0)}))},
+        },
+        "snr.preset_file",
+    ),
+    (
+        "non-hermitian-matrix",
+        lambda tmp: dict(
+            EXACT_DOC,
+            model={
+                "kind": "custom",
+                "hamiltonian_matrix": [[0.0, 1.0], [0.0, 0.0]],
+                "coupling_matrix": [[1.0, 0.0], [0.0, -1.0]],
+                "initial_state_matrix": [[1.0, 0.0], [0.0, 0.0]],
+            },
+        ),
+        "hamiltonian",
+    ),
+    ("negative-correlation-time", lambda tmp: _doc(OU_DOC, mc__field__correlation_time=-1), "mc.field"),
+    ("text-seed", lambda tmp: _doc(SIM_DOC, seed="abc"), "seed"),
+    ("sweep-value-negative-alpha", lambda tmp: SWEEP_DOC, "sweep value -1.0"),
+    # values that were silently coerced into another run
+    ("fractional-two-j", lambda tmp: _doc(EXACT_DOC, model__two_j=1.5), "model.two_j"),
+    (
+        "text-include-exact-unitary",
+        lambda tmp: _doc(EXACT_DOC, exact__include_exact_unitary="no"),
+        "exact.include_exact_unitary",
+    ),
+    ("boolean-sequences", lambda tmp: _doc(SIM_DOC, mc__sequences=True), "mc.sequences"),
+    ("fractional-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max=3.7), "exact.n_max"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_doc, names", [case[1:] for case in INVALID_CONFIGS], ids=[case[0] for case in INVALID_CONFIGS]
+)
+def test_invalid_value_is_a_config_error(tmp_path, capsys, make_doc, names):
+    doc = make_doc(tmp_path)
+    out = tmp_path / "out"
+    code = main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and names in err
+    assert "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "gk_leading_grid", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
+    assert calls == []
