@@ -63,5 +63,4 @@ from .weak_measurement import (  # noqa: F401
     gk_exact_unitary_grid,
     gk_leading,
     gk_leading_grid,
-    measurement_superoperator,
 )

@@ -247,7 +247,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("FARADAYCORR_THREADS", "1"))
+        env = os.environ.get("FARADAYCORR_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            parser.error(f"FARADAYCORR_THREADS must be an integer, got {env!r}")
     try:
         raw = load_config(args.config)
         run = parse_config(raw)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FaradaycorrError
+from .errors import ConfigError, FaradaycorrError, ResourceGuardError
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
-from .snr import SnrScenario, lihof4_scenario, load_scenarios
+from .snr import SnrScenario, lihof4_scenario
 from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig
 from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
 
@@ -125,10 +125,11 @@ def _choice(value, choices: tuple[str, ...], where: str) -> str:
 
 @contextmanager
 def _constructing(where: str):
-    """Re-raise a domain constructor's range error as a ConfigError at ``where``."""
+    """Re-raise a domain constructor's range error as a ConfigError at ``where``;
+    a resource guard passes through (exit 4, not 2)."""
     try:
         yield
-    except ConfigError:
+    except (ConfigError, ResourceGuardError):
         raise
     except (ValueError, FaradaycorrError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -226,6 +227,20 @@ def build_field(field_cfg: dict) -> ClassicalFieldModel:
         return ClassicalFieldModel(kind=FieldKind(kind), amplitude=amplitude, correlation_time=tc)
 
 
+def _scenario(params, where: str, L: float, orders) -> list[tuple[int, SnrScenario]]:
+    """A scenario mapping at its own K, or at each of ``orders`` when given."""
+    _check_keys(params, {*_SCENARIO_KEYS, "L", "K", "xi"}, where)
+    values = {k: _number(_require(params, k, where), f"{where}.{k}") for k in _SCENARIO_KEYS}
+    values["L"] = _number(params.get("L", L), f"{where}.L")
+    own_xi = params.get("xi")
+    values["xi"] = None if own_xi is None else _number(own_xi, f"{where}.xi")
+    if "K" in params or orders is None:
+        k = _integer(_require(params, "K", where), f"{where}.K")
+        orders = orders or [k]
+    with _constructing(where):
+        return [(k, SnrScenario(**values, K=k)) for k in orders]
+
+
 def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
     """Parse the ``snr`` section into (K, scenario) pairs."""
     _check_keys(snr_cfg, {"preset", "preset_file", "scenario", "orders", "L", "xi"}, "snr")
@@ -236,26 +251,18 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
         orders = _nonempty_list(orders, "snr.orders")
         orders = [_integer(k, f"snr.orders[{i}]") for i, k in enumerate(orders)]
     if "scenario" in snr_cfg:
-        params = snr_cfg["scenario"]
-        _check_keys(params, {*_SCENARIO_KEYS, "L", "K", "xi"}, "snr.scenario")
-        values = {k: _number(_require(params, k, "snr.scenario"), f"snr.scenario.{k}")
-                  for k in _SCENARIO_KEYS}
-        values["L"] = _number(params.get("L", L), "snr.scenario.L")
-        own_xi = params.get("xi")
-        values["xi"] = None if own_xi is None else _number(own_xi, "snr.scenario.xi")
-        if "K" in params or orders is None:
-            k = _integer(_require(params, "K", "snr.scenario"), "snr.scenario.K")
-            orders = orders or [k]
-        with _constructing("snr.scenario"):
-            return [(k, SnrScenario(**values, K=k)) for k in orders]
+        return _scenario(snr_cfg["scenario"], "snr.scenario", L, orders)
     if "preset_file" in snr_cfg:
         path = snr_cfg["preset_file"]
         if not isinstance(path, str):
             raise ConfigError(f"snr.preset_file must be a path, got {path!r}")
         try:
-            return [(scen.K, scen) for scen in load_scenarios(path).values()]
-        except (OSError, yaml.YAMLError, ValueError) as exc:
+            entries = load_config(path)
+        except ConfigError as exc:
             raise ConfigError(f"snr.preset_file: {exc}") from exc
+        # each entry is parsed as an inline scenario at its own K
+        return [pair for name, params in entries.items()
+                for pair in _scenario(params, f"snr.preset_file.{name}", L, None)]
     if "preset" not in snr_cfg:
         raise ConfigError("snr needs a preset, preset_file, or inline scenario")
     if snr_cfg["preset"] != "lihof4":

@@ -1,4 +1,4 @@
-"""Time-ordered correlations of a target model via superoperator chains.
+"""Time-ordered correlations, and the record chain that evaluates them.
 
 A K-th order time-ordered correlation is the trace of a chain of branch
 superoperators applied to the initial state,
@@ -7,16 +7,20 @@ superoperators applied to the initial state,
 
 where each B^{+} is the symmetrized product (anticommutator / 2), each B^{-}
 the commutator divided by i, and the k-th operator is the coupling taken in
-the interaction picture at time t_k. If the last sign is "-" the value is
-identically zero (trace of a commutator).
+the interaction picture at time t_k.
 
-Chains are evaluated in the eigenbasis of H, from the spectral data the
-target model computes once (``TargetModel.spectral``): there B(t) is B with
-element (i, j) multiplied by exp(i (E_i - E_j) t), so a shot costs one
-elementwise phase multiply and no exponential or eigendecomposition. A
-closing "+" branch leaves Tr[B(t_K) rho'], so ``correlation_grid`` builds the
-state rho' after the first K-1 branches once and evaluates a whole grid of
-final times t_K at O(d^2) each; ``correlation`` is that grid with one point.
+In the eigenbasis of B(t_j), with eigenvalues w, B^{+} multiplies rho
+elementwise by (w_i + w_k)/2 and B^{-} by (w_i - w_k)/i (``branch_record``).
+A weak-measurement shot acts the same way with another d x d "record matrix"
+(``weak_measurement``), so one chain, ``_record_chain``, evaluates C and both
+count correlations: it holds rho in the current B(t_j) eigenbasis, multiplies
+by each shot's record matrix and moves to the next shot's eigenbasis with
+W_j = V_j† V_{j-1}. The eigendata come from ``TargetModel.spectral``, so no
+shot computes an exponential or an eigendecomposition. Only the diagonal m_ii
+of the last record reaches the trace, so the last shot is the observable
+X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
+(``SpectralData.final_traces``). A closing "-" branch has a zero diagonal, so
+its C is exactly zero. ``correlation`` is ``correlation_grid`` with one point.
 
 ``liouville_correlation`` is an independent cross-implementation that builds
 each superoperator as a dense d^2 x d^2 matrix acting on the column-major
@@ -25,14 +29,15 @@ vectorization of rho.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, pairwise
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalGuardError
-from .quantum_core import Array, as_operator, identity, TargetModel
+from .quantum_core import Array, TargetModel, as_operator, identity
 from .tolerances import TOL
 
 
@@ -79,6 +84,15 @@ def apply_branch(b: Array, sign: BranchSign, rho: Array) -> Array:
     return (b @ rho - rho @ b) / 1j
 
 
+def branch_record(w: Array, sign: BranchSign) -> Array:
+    """``apply_branch`` in the eigenbasis of B, eigenvalues ``w``: the matrix
+    that multiplies rho elementwise."""
+    w = np.asarray(w, dtype=float)
+    if sign is BranchSign.PLUS:
+        return (w[:, None] + w[None, :]) / 2
+    return (w[:, None] - w[None, :]) / 1j
+
+
 def heisenberg_coupling(model: TargetModel, t: float) -> Array:
     """Interaction-picture coupling B(t) = exp(+iHt) B exp(-iHt).
 
@@ -119,20 +133,42 @@ def final_time_grid(queries: Sequence[CorrelationQuery]) -> Array:
     return np.array([q.times[-1] for q in queries])
 
 
+def basis_changes(bases: Iterable[Array]) -> Iterator[Array]:
+    """W_j = V_j† V_{j-1}: coordinates in basis j-1 to coordinates in basis j."""
+    return (v.conj().T @ prev for prev, v in pairwise(bases))
+
+
+def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale: float, what: str) -> Array:
+    """Traces of a chain of K shots, one per final time.
+
+    Shot j multiplies rho, held in the eigenbasis of B(t_j), elementwise by
+    ``records[keys[j]]``, the record matrix of its basis; ``times`` are the
+    t_j of the first K-1 shots. The last record closes the chain through its
+    diagonal as X = V_B diag(m_ii) V_B†, traced at each of ``finals``.
+    ``scale`` is the a-priori size of the traces for ``real_trace``.
+    """
+    spec = model.spectral
+    # rho0 and X are in the H eigenbasis; the last change returns there, with no record
+    bases = chain([spec.basis], map(spec.coupling_eigvecs_at, times), [spec.basis])
+    steps = [*(records[key] for key in keys[:-1]), 1.0]
+    rho = spec.initial_state
+    for w, record in zip(basis_changes(bases), steps):
+        rho = record * (w @ rho @ w.conj().T)
+    v_b = spec.coupling_eigvecs
+    x = (v_b * np.diag(records[keys[-1]])) @ v_b.conj().T
+    return real_trace(spec.final_traces(x, rho, finals), scale, what)
+
+
 def correlation_grid(model: TargetModel, queries: Sequence[CorrelationQuery]) -> Array:
     """C for queries sharing every shot but the last one's time (see
     ``final_time_grid``): the first K-1 branches are applied once, then each
     final time costs one O(d^2) trace."""
     finals = final_time_grid(queries)
     head = queries[0]
-    if head.signs[-1] is BranchSign.MINUS:
-        return np.zeros(len(finals))
     spec = model.spectral
-    rho = spec.initial_state
-    for t, sign in zip(head.times[:-1], head.signs[:-1]):
-        rho = apply_branch(spec.coupling_at(t), sign, rho)
-    traces = spec.final_traces(spec.coupling, rho, finals)
-    return real_trace(traces, spec.coupling_norm**head.order, "correlation trace")
+    records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(head.signs)}
+    scale = spec.coupling_norm**head.order
+    return _record_chain(model, records, head.signs, head.times[:-1], finals, scale, "correlation trace")
 
 
 def correlation(model: TargetModel, q: CorrelationQuery) -> float:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, NonHermitianError, check_memory
 from .tolerances import TOL
 
 Array = np.ndarray
@@ -81,6 +81,7 @@ def spin_operators(two_j: int) -> tuple[Array, Array, Array]:
     """
     if two_j < 0 or int(two_j) != two_j:
         raise ValueError("two_j must be a non-negative integer")
+    check_memory(6 * 16 * (two_j + 1) ** 2, f"spin-{two_j}/2 operators")  # with temporaries
     j = two_j / 2.0
     m = np.arange(j, -j - 1, -1.0)  # j, j-1, ..., -j
     jz = np.diag(m).astype(complex)
@@ -227,9 +228,6 @@ class SpectralData:
 
     def to_model_basis(self, x: Array) -> Array:
         return self.basis @ x @ self.basis.conj().T
-
-    def to_eigenbasis(self, x: Array) -> Array:
-        return self.basis.conj().T @ x @ self.basis
 
     def final_traces(self, x: Array, rho: Array, times) -> Array:
         """Tr[X(t) rho] for each t, with X(t) = exp(iHt) X exp(-iHt).

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import yaml
-
 
 @dataclass(frozen=True)
 class SnrScenario:
@@ -120,23 +118,6 @@ def lihof4_scenario(K: int, L: float = 1.0, xi: float | None = None) -> SnrScena
         moment_k=LIHOF4["moment"] ** K,
         xi=xi,
     )
-
-
-def load_scenarios(path) -> dict[str, SnrScenario]:
-    """Load named scenarios from a YAML file (same schema as the CLI config)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path} must map scenario names to parameters")
-    scenarios = {}
-    for name, params in raw.items():
-        if not isinstance(params, dict):
-            raise ValueError(f"scenario {name!r} must be a mapping")
-        try:
-            scenarios[name] = SnrScenario(**{k: (int(v) if k == "K" else v) for k, v in params.items()})
-        except TypeError as exc:  # unknown or missing parameter, or a non-numeric value
-            raise ValueError(f"scenario {name!r}: {exc}") from exc
-    return scenarios
 
 
 def _require_positive(**kwargs):

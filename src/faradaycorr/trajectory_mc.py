@@ -36,7 +36,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonHermitianError, check_memory
+from .correlations import basis_changes
+from .errors import DimensionMismatchError, check_memory
 from .quantum_core import Array, DensityMatrix, TargetModel, require_hermitian
 from .sensor_optics import (
     MeasurementBasis,
@@ -51,9 +52,12 @@ from .weak_measurement import ProtocolSpec
 CHUNK_SIZE = 16384
 # Peak bytes a chunk holds per state amplitude and per sequence (counts,
 # products, draws), rounded up from tracemalloc peaks of single chunks
-# (73-79 bytes per amplitude at d = 8..64, 144 per sequence beyond the field path).
+# (73-79 bytes per amplitude at d = 8..64, 144 per sequence beyond the field path),
+# and per chunk for the bookkeeping held for every chunk (seed, size, result;
+# 610-635 bytes).
 AMPLITUDE_BYTES = 80
 SEQUENCE_BYTES = 160
+CHUNK_BYTES = 640
 
 
 class FieldKind(Enum):
@@ -201,7 +205,7 @@ class KrausOutcomeSampler:
     def __init__(self, rho: DensityMatrix, b: Array, cfg: SensorConfig, basis_phase: float):
         b = require_hermitian(b, "coupling")
         if b.shape[0] != rho.dim:
-            raise NonHermitianError("coupling and state dims differ")
+            raise DimensionMismatchError("coupling and state dims differ")
         w, v = np.linalg.eigh(b)
         self.table = ShotTable.of(w, cfg, basis_phase)
         self.eigvals = self.table.eigvals
@@ -279,12 +283,12 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     """
     spec = model.spectral
     bases = [spec.coupling_eigvecs_at(shot.time) for shot in proto.shots]
+    rotations = [None] + [w.T for w in basis_changes(bases)]
     tables = {}
     steps = []
-    for j, shot in enumerate(proto.shots):
+    for rotation, shot in zip(rotations, proto.shots):
         if shot.basis not in tables:
             tables[shot.basis] = ShotTable.of(spec.coupling_eigvals, proto.sensor, shot.basis.phase)
-        rotation = (bases[j].conj().T @ bases[j - 1]).T if j else None
         steps.append(_QuantumStep(rotation, tables[shot.basis], shot.basis.record_scale))
     lam, u = np.linalg.eigh(model.initial_state.matrix)
     kets = (bases[0].conj().T @ u).T
@@ -366,15 +370,16 @@ def _run_semiclassical_chunk(
 
 
 def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
-    """Bytes ``run_sequences`` holds at once: the chunks in flight with their
-    temporaries, and the shared per-shot tables."""
+    """Bytes ``run_sequences`` holds at once: the bookkeeping of every chunk,
+    the chunks in flight with their temporaries, and the shared per-shot tables."""
     n = min(CHUNK_SIZE, cfg.sequences)
     in_flight = min(cfg.workers, n_chunks)
     k = cfg.proto.order
+    bookkeeping = n_chunks * CHUNK_BYTES
     if cfg.mode == "kraus_quantum":
         d = cfg.model.dim
-        return in_flight * n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + 2 * k * d * d * 16
-    return in_flight * n * (8 * k + SEQUENCE_BYTES)
+        return bookkeeping + in_flight * n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + 2 * k * d * d * 16
+    return bookkeeping + in_flight * n * (8 * k + SEQUENCE_BYTES)
 
 
 def _estimate(results, L: int) -> McEstimate:
@@ -405,8 +410,8 @@ def _estimate(results, L: int) -> McEstimate:
 def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
     """Estimate the K-shot count correlation over L independent sequences.
 
-    Raises ``ResourceGuardError`` before allocating if the chunks in flight
-    would exceed the memory guard.
+    Raises ``ResourceGuardError`` before allocating if the chunks' bookkeeping
+    and the chunks in flight would exceed the memory guard.
     """
     L = cfg.sequences
     n_chunks = (L + CHUNK_SIZE - 1) // CHUNK_SIZE

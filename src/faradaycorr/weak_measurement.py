@@ -1,31 +1,30 @@
 """Sequential weak-measurement pipeline.
 
 Each shot couples a fresh coherent pulse to the target through
-exp(-i (S3 ⊗ B(t_j)) tau), reads out the count difference in a chosen
-polarization basis, and thereby applies a measurement superoperator to the
-target state. Two evaluation paths are provided:
+exp(-i (S3 ⊗ B(t_j)) tau) and reads out the count difference in a chosen
+polarization basis. In the eigenbasis of B(t_j) the shot multiplies the
+target state elementwise by a d x d record matrix, so both evaluation paths
+run the record chain of ``correlations`` and differ only in that matrix:
 
-* ``gk_leading`` keeps only the leading order in tau: every shot applies
-  (tau*alpha^2/2) times the branch superoperator selected by its basis, so
-  the K-shot correlation is exactly 2^-K tau^K alpha^2K times the matching
-  target correlation.
+* ``gk_leading`` keeps the leading order in tau: the record is
+  (tau*alpha^2/2) times the branch record selected by the basis
+  (``branch_record``), so the K-shot correlation is exactly
+  2^-K tau^K alpha^2K times the matching target correlation.
 * ``gk_exact_unitary`` keeps all orders in tau. Because the pulse is
   coherent and S3 generates a passive polarization rotation, the joint
   unitary maps the pulse to a rotated coherent state conditioned on each
-  eigenvalue of B(t_j); the shot then multiplies the target state (in the
-  B(t_j) eigenbasis) elementwise by the matrix of recorded-observable
-  coherent matrix elements. The default engine evaluates those matrix
-  elements in closed form (exact, no truncation); ``engine="fock"``
-  re-derives them numerically on a truncated two-mode Fock space as an
-  independent cross-check.
+  eigenvalue of B(t_j); the record holds the recorded observable's matrix
+  elements between those rotated pulses. The default engine evaluates them
+  in closed form (exact, no truncation); ``engine="fock"`` re-derives them
+  numerically on a truncated two-mode Fock space as an independent
+  cross-check.
 
-The eigendata of every B(t_j) comes from the model's spectral data
-(``TargetModel.spectral``), and the record matrix depends only on the pulse,
-the eigenvalues of B and the basis, so it is built once per basis. Protocols
-that differ only in the time of their last shot (a ``final_time_grid``) are
-evaluated together by the ``*_grid`` functions: the state after the first
-K-1 shots is built once and each final time costs one O(d^2) trace. The
-single-protocol functions are those grids with one point.
+A record depends only on the pulse, the eigenvalues of B and the basis, so
+it is built once per basis. Protocols that differ only in the time of their
+last shot (a ``final_time_grid``) are evaluated together by the ``*_grid``
+functions: the state after the first K-1 shots is built once and each final
+time costs one O(d^2) trace. The single-protocol functions are those grids
+with one point.
 """
 
 from __future__ import annotations
@@ -34,18 +33,16 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .correlations import (
-    BranchSign,
     CorrelationQuery,
-    apply_branch,
+    _record_chain,
+    branch_record,
     correlation,
     final_time_grid,
-    heisenberg_coupling,
-    real_trace,
 )
 from .errors import check_memory
 from .quantum_core import Array, TargetModel
@@ -120,18 +117,6 @@ def _leading_coefficient(sensor: SensorConfig) -> float:
     return 0.5 * sensor.tau * sensor.alpha**2
 
 
-def measurement_superoperator(model: TargetModel, shot: ShotSpec, sensor: SensorConfig):
-    """Leading-order map rho -> (tau alpha^2 / 2) * branch(B(t_j)) rho."""
-    coeff = _leading_coefficient(sensor)
-    b_t = heisenberg_coupling(model, shot.time)
-    sign = shot.basis.eta
-
-    def apply(rho: Array) -> Array:
-        return coeff * apply_branch(b_t, sign, rho)
-
-    return apply
-
-
 def prediction_factor(proto: ProtocolSpec) -> float:
     """2^-K tau^K alpha^2K: the leading-order count correlation per unit C."""
     k = proto.order
@@ -153,27 +138,20 @@ def _shared_grid(protos: Sequence[ProtocolSpec]) -> tuple[ProtocolSpec, Array]:
 
 
 def gk_leading_grid(model: TargetModel, protos: Sequence[ProtocolSpec]) -> Array:
-    """Leading-order count correlations over a final-time grid.
-
-    The measurement maps of the first K-1 shots are composed once. The last
-    map's trace is (tau alpha^2 / 2) Tr[B(t_K) rho'] for an S2 readout and
-    zero for S3 (trace of a commutator), one O(d^2) trace per final time.
-    """
+    """Leading-order count correlations over a final-time grid: the record
+    chain with (tau alpha^2 / 2) times each shot's branch record."""
     head, finals = _shared_grid(protos)
-    if head.shots[-1].basis.eta is BranchSign.MINUS:
-        return np.zeros(len(finals))
-    rho = model.initial_state.matrix
-    for shot in head.shots[:-1]:
-        rho = measurement_superoperator(model, shot, head.sensor)(rho)
     spec = model.spectral
     coeff = _leading_coefficient(head.sensor)
-    traces = coeff * spec.final_traces(spec.coupling, spec.to_eigenbasis(rho), finals)
+    keys = [s.basis for s in head.shots]
+    records = {b: coeff * branch_record(spec.coupling_eigvals, b.eta) for b in set(keys)}
     scale = (coeff * spec.coupling_norm) ** head.order
-    return real_trace(traces, scale, "leading-order count correlation")
+    times = [s.time for s in head.shots[:-1]]
+    return _record_chain(model, records, keys, times, finals, scale, "leading-order count correlation")
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
-    """Compose the leading-order measurement maps in shot order and trace."""
+    """Leading-order K-shot count correlation: ``gk_leading_grid`` with one point."""
     value = float(gk_leading_grid(model, [proto])[0])
     return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
 
@@ -232,12 +210,9 @@ def gk_exact_unitary_grid(
     engine: str = "coherent",
     time_convention: str = "start",
 ) -> Array:
-    """All-orders count correlations over a final-time grid.
-
-    The first K-1 shots are applied once. For the last shot only the
-    diagonal of its record matrix m reaches the trace, so it acts as the
-    observable X = V_B diag(m_ii) V_B† and each final time costs one O(d^2)
-    trace Tr[X(t_K) rho']. See ``gk_exact_unitary`` for the options.
+    """All-orders count correlations over a final-time grid: the record
+    chain with each shot's coherent (or Fock) record matrix, B frozen at
+    the shot's start or midpoint. See ``gk_exact_unitary`` for the options.
     """
     if engine not in ("coherent", "fock"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -245,29 +220,19 @@ def gk_exact_unitary_grid(
         raise ValueError(f"unknown time convention {time_convention!r}")
     head, finals = _shared_grid(protos)
     alpha, tau = head.sensor.alpha, head.sensor.tau
+    build = _coherent_record_matrix
     if engine == "fock":
         if tr is None:
             tr = FockTruncation.for_alpha(alpha)
         check_memory((tr.fock_dim * model.dim) ** 2 * 16, "joint space")
-    spec = model.spectral
-    w, v_b = spec.coupling_eigvals, spec.coupling_eigvecs
-    records = {}
-    for shot in head.shots:
-        if shot.basis not in records:
-            if engine == "coherent":
-                records[shot.basis] = _coherent_record_matrix(alpha, tau, w, shot.basis)
-            else:
-                records[shot.basis] = _fock_record_matrix(alpha, tau, w, shot.basis, tr)
+        build = partial(_fock_record_matrix, tr=tr)
+    w = model.spectral.coupling_eigvals
+    keys = [s.basis for s in head.shots]
+    records = {b: build(alpha, tau, w, b) for b in set(keys)}
     shift = 0.5 * tau if time_convention == "midpoint" else 0.0
-    rho = model.initial_state.matrix
-    for shot in head.shots[:-1]:
-        v = spec.coupling_eigvecs_at(shot.time + shift)
-        rho_eig = v.conj().T @ rho @ v
-        rho = v @ (records[shot.basis] * rho_eig) @ v.conj().T
-    x = (v_b * np.diag(records[head.shots[-1].basis])) @ v_b.conj().T
-    traces = spec.final_traces(x, spec.to_eigenbasis(rho), finals + shift)
-    scale = math.prod(float(np.max(np.abs(records[s.basis]))) for s in head.shots)
-    return real_trace(traces, scale, "exact count correlation")
+    times = [s.time + shift for s in head.shots[:-1]]
+    scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
+    return _record_chain(model, records, keys, times, finals + shift, scale, "exact count correlation")
 
 
 def gk_exact_unitary(

@@ -203,6 +203,16 @@ class TestCliExact:
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
 
 
+    def test_spin_resource_guard_exit_code(self, tmp_path, capsys):
+        # spin-100000 operators would need hundreds of GiB: refused before allocating
+        doc = _doc(EXACT_DOC, model__two_j=200000)
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard:") and "Traceback" not in err
+        assert not (out / "results.csv").exists()
+
+
 class TestCliSimulate:
     def test_end_to_end_and_determinism(self, tmp_path):
         cfg = write_config(tmp_path, SIM_DOC)
@@ -226,6 +236,13 @@ class TestCliSimulate:
         out2 = tmp_path / "b"
         assert main(["simulate", "--config", str(cfg2), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+    def test_non_integer_threads_variable_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FARADAYCORR_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "FARADAYCORR_THREADS" in capsys.readouterr().err
 
     def test_threads_do_not_change_results(self, tmp_path):
         cfg = write_config(tmp_path, SIM_DOC)
@@ -485,6 +502,22 @@ INVALID_CONFIGS = [
             "snr": {"preset_file": _write_preset(tmp, yaml.safe_dump({"s": dict(SCENARIO, mass=1.0)}))},
         },
         "snr.preset_file",
+    ),
+    (
+        "preset-file-fractional-K",
+        lambda tmp: {
+            "command": "snr",
+            "snr": {"preset_file": _write_preset(tmp, yaml.safe_dump({"s": dict(SCENARIO, K=2.7)}))},
+        },
+        "snr.preset_file.s.K",
+    ),
+    (
+        "preset-file-boolean-g",
+        lambda tmp: {
+            "command": "snr",
+            "snr": {"preset_file": _write_preset(tmp, yaml.safe_dump({"s": dict(SCENARIO, g=True)}))},
+        },
+        "snr.preset_file.s.g",
     ),
     (
         "non-hermitian-matrix",

@@ -9,6 +9,7 @@ from faradaycorr.correlations import (
     BranchSign,
     CorrelationQuery,
     apply_branch,
+    branch_record,
     branch_superoperator,
     correlation,
     heisenberg_coupling,
@@ -66,6 +67,14 @@ class TestApplyBranch:
         rng = np.random.default_rng(22)
         out = apply_branch(random_hermitian(rng, 4), MINUS, random_hermitian(rng, 4))
         assert abs(np.trace(out)) < 1e-12
+
+    def test_branch_record_is_the_branch_in_the_coupling_eigenbasis(self):
+        rng = np.random.default_rng(24)
+        b, rho = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        w, v = np.linalg.eigh(b)
+        for sign in (PLUS, MINUS):
+            expect = v.conj().T @ apply_branch(b, sign, rho) @ v
+            assert np.max(np.abs(branch_record(w, sign) * (v.conj().T @ rho @ v) - expect)) < 1e-12
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,12 +1,13 @@
 import pytest
 
+from faradaycorr.config import build_scenarios
+from faradaycorr.errors import ConfigError
 from faradaycorr.snr import (
     LIHOF4,
     FeasibilityReport,
     SnrScenario,
     faraday_angle,
     lihof4_scenario,
-    load_scenarios,
     snr_first_order,
     snr_kth_order,
     snr_material,
@@ -103,15 +104,16 @@ class TestLihof4Preset:
 
 
 class TestScenarioLoading:
+    # a preset file maps names to scenarios, each parsed as an inline snr.scenario
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "scenarios.yaml"
         path.write_text(
             "demo:\n  g: 1.0\n  D: 2.0\n  n_s: 1.0e+3\n  A: 0.1\n"
             "  N_ph: 1.0e+4\n  L: 4.0\n  K: 2\n  moment_k: 3.0\n"
         )
-        scen = load_scenarios(path)
-        assert scen["demo"].K == 2
-        assert scen["demo"].n_s == pytest.approx(1e3)
+        [(k, scen)] = build_scenarios({"preset_file": str(path)})
+        assert k == scen.K == 2
+        assert scen.n_s == pytest.approx(1e3)
 
     def test_packaged_preset_loads(self):
         from importlib import resources
@@ -119,16 +121,16 @@ class TestScenarioLoading:
         with resources.as_file(
             resources.files("faradaycorr").joinpath("presets/materials.yaml")
         ) as p:
-            scen = load_scenarios(p)
-        assert "lihof4_k2" in scen
-        rep = snr_material(scen["lihof4_k2"])
+            [(k, scen)] = build_scenarios({"preset_file": str(p)})
+        assert k == 2
+        rep = snr_material(scen)
         assert rep.regime == "uncorrelated"
 
     def test_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("demo: [1, 2, 3]\n")
-        with pytest.raises(ValueError):
-            load_scenarios(path)
+        with pytest.raises(ConfigError):
+            build_scenarios({"preset_file": str(path)})
 
 
 def test_report_is_plain_data():

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr import errors
+from faradaycorr import errors, trajectory_mc
 from faradaycorr.correlations import heisenberg_coupling
-from faradaycorr.errors import ResourceGuardError
+from faradaycorr.errors import DimensionMismatchError, ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig
 from faradaycorr.trajectory_mc import (
@@ -112,7 +112,7 @@ class TestKrausSampler:
         assert hits / draws == pytest.approx(p, abs=4 * sigma)
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatchError):
             KrausOutcomeSampler(UP, np.zeros((3, 3)), self.CFG, PHASE2)
 
 
@@ -295,6 +295,17 @@ class TestMemoryGuard:
         assert run_sequences(TrajectoryConfig(workers=1, **base)).n_sequences == 2 * CHUNK_SIZE
         with pytest.raises(ResourceGuardError):
             run_sequences(TrajectoryConfig(workers=2, **base))
+
+    def test_guard_counts_every_chunk_bookkeeping(self, monkeypatch):
+        # seeds, sizes and results are held for every chunk, not only those in flight:
+        # 4096 one-sequence chunks need ~2.5 MiB, 512 of them ~0.3 MiB
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
+        monkeypatch.setattr(trajectory_mc, "CHUNK_SIZE", 1)
+        field = ClassicalFieldModel(kind=FieldKind.CONSTANT, amplitude=1.0)
+        base = dict(seed=0, mode="semiclassical_field", proto=self.P, model=field)
+        with pytest.raises(ResourceGuardError):
+            run_sequences(TrajectoryConfig(sequences=4096, **base))
+        assert run_sequences(TrajectoryConfig(sequences=512, **base)).n_sequences == 512
 
 
 class TestSemiclassicalSequences:

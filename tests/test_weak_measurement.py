@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr.correlations import BranchSign, apply_branch
+from faradaycorr.correlations import BranchSign, apply_branch, branch_record
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import (
     DensityMatrix,
@@ -19,9 +19,9 @@ from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
+    _coherent_record_matrix,
     gk_exact_unitary,
     gk_leading,
-    measurement_superoperator,
 )
 
 from conftest import SX, SZ, UP, precession_model, random_model
@@ -62,10 +62,11 @@ class TestProtocolSpec:
 
 class TestLeadingOrder:
     def test_superoperator_coefficient(self):
-        model = TargetModel(hamiltonian=np.zeros((2, 2)), coupling=SX, initial_state=UP)
-        sensor = SensorConfig(alpha=3.0, tau=0.02)
-        out = measurement_superoperator(model, ShotSpec(0.0, S2), sensor)(np.eye(2) / 2)
-        assert np.allclose(out, 0.5 * 0.02 * 9.0 * SX / 2)
+        # one S2 shot maps rho to (tau alpha^2 / 2) B^+ rho, whose trace is
+        # (tau alpha^2 / 2) <B>, here with <sx> = 1
+        model = TargetModel(hamiltonian=np.zeros((2, 2)), coupling=SX, initial_state=pure_state([1, 1]))
+        p = proto([(0.0, S2)], alpha=3.0, tau=0.02)
+        assert gk_leading(model, p).value == pytest.approx(0.5 * 0.02 * 9.0, rel=1e-12)
 
     def test_first_order_expectation(self):
         model = TargetModel(
@@ -163,6 +164,19 @@ class TestExactUnitary:
                 res.append(abs(gk_exact_unitary(model, p).value - gk_leading(model, p).value))
             ratio = res[0] / res[1]
             assert ratio == pytest.approx(2**expo, rel=0.25)
+
+    @pytest.mark.parametrize("basis", [S2, S3])
+    def test_coherent_record_approaches_leading_record(self, basis):
+        # the all-orders record is (tau alpha^2 / 2) times the branch record up to O(tau^2)
+        w, alpha = np.array([-1.3, -0.2, 0.4, 1.1, 2.0]), 1.5
+        taus = np.array([0.04, 0.02, 0.01, 0.005])
+        deviations = []
+        for tau in taus:
+            lead = 0.5 * tau * alpha**2 * branch_record(w, basis.eta)
+            m = _coherent_record_matrix(alpha, tau, w, basis)
+            deviations.append(np.max(np.abs(m - lead)) / np.max(np.abs(lead)))
+        exponent = np.polyfit(np.log(taus), np.log(deviations), 1)[0]
+        assert exponent >= 1.8
 
     def test_engines_agree(self):
         rng = np.random.default_rng(42)
