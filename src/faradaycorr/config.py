@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError, FaradaycorrError, ResourceGuardError
+from .errors import ConfigError, FaradaycorrError, ResourceGuardError, check_memory
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
 from .snr import SnrScenario, lihof4_scenario
@@ -30,6 +30,10 @@ _SECTIONS = ("model", "protocol", "exact", "mc", "snr", "sweep")
 
 _SPIN_TERMS = ("jx", "jy", "jz")
 _MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
+# Peak of a spin model's life in (two_j+1)^2 complex numbers: the spin operators
+# with their temporaries, the H and B sums, the thermal state and the eighs of
+# TargetModel.spectral (10.2 measured as peak RSS at two_j = 1400).
+_SPIN_MODEL_PEAK_MATRICES = 11
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
 
 
@@ -165,6 +169,9 @@ def build_model(model_cfg: dict) -> TargetModel:
         model_cfg, {"kind", "two_j", "hamiltonian", "coupling", "initial_state", "beta"}, "model"
     )
     two_j = _integer(model_cfg.get("two_j", 1), "model.two_j")
+    if two_j < 0:
+        raise ConfigError(f"model.two_j must be >= 0, got {two_j}")
+    check_memory(_SPIN_MODEL_PEAK_MATRICES * 16 * (two_j + 1) ** 2, f"spin-{two_j}/2 model")
     with _constructing("model.two_j"):
         ops = dict(zip(_SPIN_TERMS, spin_operators(two_j)))
 

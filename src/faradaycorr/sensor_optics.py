@@ -96,10 +96,6 @@ class FockTruncation:
     def mode_dim(self) -> int:
         return self.n_max + 1
 
-    @property
-    def fock_dim(self) -> int:
-        return self.mode_dim * self.mode_dim
-
     def check_alpha(self, alpha: float) -> None:
         if self.n_max < required_cutoff(alpha):
             raise TruncationError(
@@ -159,8 +155,9 @@ def _two_mode_ops(n_max: int) -> tuple[Array, Array]:
 def stokes_operators(tr: FockTruncation) -> tuple[Array, Array, Array]:
     """Dense Stokes operators (S1, S2, S3) on the truncated two-mode space.
 
-    Heavy for large cutoffs (dim = (n_max+1)^2); the matrix-free helpers
-    below are preferred for expectation values at large alpha.
+    Used for the algebra checks only. Heavy for large cutoffs
+    (dim = (n_max+1)^2): the matrix-free helpers below serve expectation
+    values, and the Fock record engine works in photon-number sectors.
     """
     a_h, a_v = _two_mode_ops(tr.n_max)
     hd, vd = a_h.conj().T, a_v.conj().T

@@ -17,7 +17,14 @@ run the record chain of ``correlations`` and differ only in that matrix:
   elements between those rotated pulses. The default engine evaluates them
   in closed form (exact, no truncation); ``engine="fock"`` re-derives them
   numerically on a truncated two-mode Fock space as an independent
-  cross-check.
+  cross-check. The Stokes operators are Schwinger bosons: S3 and the
+  recorded observable conserve the photon number N, and in sector N they
+  are the spin-N/2 matrices Jy and Jx (or 2 Jy). The Fock engine sums the
+  record over the sectors N <= n_max with one (N+1)-dimensional eigh of Jy
+  each, which is exactly the truncated two-mode result. That costs
+  sum (N+1)^3 ~ n_max^4/4 once per n_max (cached), and the cached
+  eigendata, sum (N+1)^2 complex numbers (48 MiB at alpha = 10), is
+  checked against the memory guard before any sector is diagonalized.
 
 A record depends only on the pulse, the eigenvalues of B and the basis, so
 it is built once per basis. Protocols that differ only in the time of their
@@ -45,16 +52,8 @@ from .correlations import (
     final_time_grid,
 )
 from .errors import check_memory
-from .quantum_core import Array, TargetModel
-from .sensor_optics import (
-    FockTruncation,
-    MeasurementBasis,
-    SensorConfig,
-    apply_s2,
-    apply_s3,
-    coherent_state,
-    stokes_operators,
-)
+from .quantum_core import Array, TargetModel, spin_operators
+from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, _coherent_mode
 
 
 class ProtocolWarning(UserWarning):
@@ -171,35 +170,44 @@ def _coherent_record_matrix(alpha: float, tau: float, eigvals: Array, basis: Mea
     return -1j * alpha**2 * np.sin(diff) * overlap
 
 
-@lru_cache(maxsize=4)
-def _s3_eigendecomposition(n_max: int):
-    _, _, s3 = stokes_operators(FockTruncation(n_max))
-    w, f = np.linalg.eigh(s3)
-    return w, f
+@lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
+def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
+    """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
+    the components of |N, 0> = |j, j> on its eigenvectors, and S2 = Jx in
+    that eigenbasis (spin j = N/2, basis index n_V, ``spin_operators(N)``).
+    The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds."""
+    nbytes = 16 * sum((n + 1) ** 2 for n in range(n_max + 1))
+    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
+    sectors = []
+    for n in range(n_max + 1):
+        jx, jy, _ = spin_operators(n)
+        s, u = np.linalg.eigh(jy)
+        sector = (s, u[0].conj(), u.conj().T @ jx @ u)
+        for a in sector:
+            a.setflags(write=False)  # shared by every later call at this n_max
+        sectors.append(sector)
+    return tuple(sectors)
 
 
 def _fock_record_matrix(
     alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis, tr: FockTruncation
 ) -> Array:
-    """Truncated-Fock cross-check of ``_coherent_record_matrix``."""
+    """Truncated-Fock cross-check of ``_coherent_record_matrix``.
+
+    S3 and the recorded observable conserve the photon number N, and the
+    pulse |alpha, H> has weight |c_N|^2 in sector N at |j, j>. On the
+    truncated grid the record is therefore an exact sum over sectors
+    N <= n_max of (N+1)-dimensional spin-N/2 matrix elements.
+    """
     tr.check_alpha(alpha)
-    s, f = _s3_eigendecomposition(tr.n_max)
-    v0 = f.conj().T @ coherent_state(alpha, tr)
-    chis = []
-    for b in np.asarray(eigvals, dtype=float):
-        chis.append(f @ (np.exp(-1j * s * tau * b) * v0))
-    d = len(chis)
-    shape = (tr.mode_dim, tr.mode_dim)
-    applied = []
-    for chi in chis:
-        grid = chi.reshape(shape)
-        out = apply_s2(grid) if basis is MeasurementBasis.S2 else 2.0 * apply_s3(grid)
-        applied.append(out.ravel())
-    m = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            m[i, k] = np.vdot(chis[k], applied[i])
-    return m
+    weights = np.abs(_coherent_mode(alpha, tr.mode_dim)) ** 2
+    tb = tau * np.asarray(eigvals, dtype=float)
+    m = np.zeros((tb.size, tb.size), dtype=complex)
+    for weight, (s, v0, jx) in zip(weights, _sector_eigendata(tr.n_max)):
+        phi = np.exp(-1j * np.outer(s, tb)) * v0[:, None]  # |chi_b> per column
+        lam_phi = jx @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
+        m += weight * (phi.conj().T @ lam_phi)
+    return m.T
 
 
 def gk_exact_unitary_grid(
@@ -224,7 +232,6 @@ def gk_exact_unitary_grid(
     if engine == "fock":
         if tr is None:
             tr = FockTruncation.for_alpha(alpha)
-        check_memory((tr.fock_dim * model.dim) ** 2 * 16, "joint space")
         build = partial(_fock_record_matrix, tr=tr)
     w = model.spectral.coupling_eigvals
     keys = [s.basis for s in head.shots]

@@ -122,6 +122,14 @@ class TestBuilders:
         model = build_model(cfg)
         assert np.trace(model.initial_state.matrix).real == pytest.approx(1.0)
 
+    def test_spin_model_guard_covers_the_build_peak(self, monkeypatch):
+        # the spin operators alone need 6 (two_j+1)^2 complex numbers, the
+        # whole build with the thermal state and the spectral eighs about 10
+        cfg = dict(EXACT_DOC["model"], two_j=63, initial_state="thermal", beta=0.5)
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 16 * 64**2)
+        with pytest.raises(errors.ResourceGuardError):
+            build_model(cfg)
+
     def test_custom_model_complex_entries(self):
         cfg = {
             "kind": "custom",

@@ -14,13 +14,23 @@ from faradaycorr.quantum_core import (
     spin_operators,
     thermal_state,
 )
-from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
+from faradaycorr.sensor_optics import (
+    FockTruncation,
+    MeasurementBasis,
+    SensorConfig,
+    apply_s2,
+    apply_s3,
+    coherent_state,
+    stokes_operators,
+)
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
     _coherent_record_matrix,
+    _fock_record_matrix,
     gk_exact_unitary,
+    gk_exact_unitary_grid,
     gk_leading,
 )
 
@@ -32,6 +42,31 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 def proto(bases_times, alpha=1.0, tau=0.01):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
+
+
+def dense_fock_records(alpha, tau, eigvals, tr):
+    """Reference records of both bases on the whole (n_max+1)^2 two-mode
+    space: dense Stokes operators, one eigh of S3, and the pulse rotated by
+    each eigenvalue."""
+    _, _, s3 = stokes_operators(tr)
+    s, f = np.linalg.eigh(s3)
+    v0 = f.conj().T @ coherent_state(alpha, tr)
+    chis = [f @ (np.exp(-1j * s * tau * b) * v0) for b in eigvals]
+    shape = (tr.mode_dim, tr.mode_dim)
+    records = {}
+    for basis in (S2, S3):
+        applied = []
+        for chi in chis:
+            grid = chi.reshape(shape)
+            out = apply_s2(grid) if basis is S2 else 2.0 * apply_s3(grid)
+            applied.append(out.ravel())
+        d = len(chis)
+        m = np.empty((d, d), dtype=complex)
+        for i in range(d):
+            for k in range(d):
+                m[i, k] = np.vdot(chis[k], applied[i])
+        records[basis] = m
+    return records
 
 
 class TestProtocolSpec:
@@ -194,6 +229,24 @@ class TestExactUnitary:
         res = gk_exact_unitary(model, p)
         assert math.isfinite(res.value)
         assert res.value == pytest.approx(res.predicted_from_C, rel=0.05)
+
+    @pytest.mark.parametrize("alpha, n_max", [(2.0, 34), (1.0, 30)])
+    def test_sector_record_matches_dense_reference(self, alpha, n_max):
+        w = np.array([-1.3, -0.2, 0.4, 1.1, 2.0])
+        tr = FockTruncation(n_max)
+        for basis, ref in dense_fock_records(alpha, 0.15, w, tr).items():
+            m = _fock_record_matrix(alpha, 0.15, w, basis, tr)
+            assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fock_engine_at_alpha_10(self):
+        # n_max = 210: a dense two-mode space would have 44521 dimensions
+        model = precession_model()
+        protos = [proto([(0.0, S3), (t, S2)], alpha=10.0, tau=0.02) for t in (0.5, 1.0, 1.5, 2.0)]
+        tr = FockTruncation.for_alpha(10.0)
+        assert tr.n_max == 210
+        fock = gk_exact_unitary_grid(model, protos, tr, engine="fock")
+        coherent = gk_exact_unitary_grid(model, protos)
+        assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
     def test_fock_memory_guard(self):
         model = precession_model()
