@@ -20,9 +20,6 @@ from .quantum_core import (  # noqa: F401
     SpectralData,
     TargetModel,
     hermitian_expm,
-    kron,
-    matmul,
-    partial_trace_sensor,
     pure_state,
     spin_operators,
     thermal_state,
@@ -30,10 +27,8 @@ from .quantum_core import (  # noqa: F401
 from .sensor_optics import (  # noqa: F401
     FockTruncation,
     MeasurementBasis,
-    OutputAmplitudes,
     SensorConfig,
     coherent_state,
-    interferometer_amplitudes,
     selection_traces,
     stokes_operators,
 )
@@ -42,7 +37,6 @@ from .snr import (  # noqa: F401
     SnrScenario,
     faraday_angle,
     lihof4_scenario,
-    snr_first_order,
     snr_kth_order,
     snr_material,
 )
@@ -52,7 +46,6 @@ from .trajectory_mc import (  # noqa: F401
     McEstimate,
     TrajectoryConfig,
     empirical_snr,
-    kraus_outcome_distribution,
     run_sequences,
 )
 from .weak_measurement import (  # noqa: F401

@@ -1,9 +1,7 @@
 """Dense complex operator algebra and spin-system constructors.
 
 Everything here works on small dense matrices (target dimensions of a few
-tens at most), stored as ``numpy`` complex arrays. The global tensor-product
-ordering convention is sensor ⊗ target: in any joint operator the sensor
-factor comes first.
+tens at most), stored as ``numpy`` complex arrays.
 
 All functions are pure; returned arrays are fresh and safe to share.
 """
@@ -38,29 +36,11 @@ def is_hermitian(a: Array, tol: float = TOL.structural) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
-def is_unitary(u: Array, tol: float = TOL.unitarity) -> bool:
-    u = as_operator(u)
-    return float(np.max(np.abs(u.conj().T @ u - identity(u.shape[0])))) <= tol
-
-
 def require_hermitian(a: Array, what: str = "operator", tol: float = TOL.structural) -> Array:
     a = as_operator(a)
     if not is_hermitian(a, tol):
         raise NonHermitianError(f"{what} is not Hermitian within {tol}")
     return a
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with an explicit dimension check."""
-    a, b = as_operator(a), as_operator(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"dims {a.shape[0]} and {b.shape[0]} differ")
-    return a @ b
-
-
-def kron(a: Array, b: Array) -> Array:
-    """Kronecker product (first factor is the slow index)."""
-    return np.kron(as_operator(a), as_operator(b))
 
 
 def hermitian_expm(h: Array, t: float) -> Array:
@@ -104,17 +84,6 @@ def thermal_state(h: Array, beta: float) -> "DensityMatrix":
     p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
     return DensityMatrix((v * p) @ v.conj().T)
-
-
-def partial_trace_sensor(joint: Array, sensor_dim: int) -> Array:
-    """Trace out the sensor factor of a sensor ⊗ target operator."""
-    joint = as_operator(joint)
-    d = joint.shape[0]
-    if sensor_dim < 1 or d % sensor_dim != 0:
-        raise DimensionMismatchError(f"joint dim {d} not divisible by sensor dim {sensor_dim}")
-    t = d // sensor_dim
-    blocks = joint.reshape(sensor_dim, t, sensor_dim, t)
-    return np.trace(blocks, axis1=0, axis2=2)
 
 
 @dataclass(frozen=True)

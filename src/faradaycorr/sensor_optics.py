@@ -34,9 +34,6 @@ from .correlations import BranchSign
 from .errors import TruncationError
 from .quantum_core import Array
 
-PHASE_S2 = math.pi / 2
-PHASE_S3 = 0.0
-
 
 class MeasurementBasis(Enum):
     """Polarization readout basis of one measurement shot."""
@@ -46,7 +43,7 @@ class MeasurementBasis(Enum):
 
     @property
     def phase(self) -> float:
-        return PHASE_S2 if self is MeasurementBasis.S2 else PHASE_S3
+        return math.pi / 2 if self is MeasurementBasis.S2 else 0.0
 
     @property
     def eta(self) -> BranchSign:
@@ -60,11 +57,14 @@ class MeasurementBasis(Enum):
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Coherent pulse amplitude (photons/pulse = alpha^2), duration, phase."""
+    """Coherent pulse amplitude (photons/pulse = alpha^2) and duration.
+
+    The interferometer phase is not a sensor property: each shot takes it
+    from its ``MeasurementBasis``.
+    """
 
     alpha: float
     tau: float
-    phase: float = PHASE_S2
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
@@ -104,27 +104,6 @@ class FockTruncation:
             )
 
 
-@dataclass(frozen=True)
-class OutputAmplitudes:
-    """Coherent amplitudes at the two detectors after the network."""
-
-    beta_c: complex
-    beta_d: complex
-
-    @property
-    def mean_c(self) -> float:
-        return abs(self.beta_c) ** 2
-
-    @property
-    def mean_d(self) -> float:
-        return abs(self.beta_d) ** 2
-
-    @property
-    def raw_difference_mean(self) -> float:
-        """Mean of the unhalved difference count n_d - n_c."""
-        return self.mean_d - self.mean_c
-
-
 def plane_rotation_angle(b: float, tau: float) -> float:
     """Polarization-plane rotation produced by field eigenvalue b over tau."""
     return 0.5 * tau * b
@@ -156,8 +135,8 @@ def stokes_operators(tr: FockTruncation) -> tuple[Array, Array, Array]:
     """Dense Stokes operators (S1, S2, S3) on the truncated two-mode space.
 
     Used for the algebra checks only. Heavy for large cutoffs
-    (dim = (n_max+1)^2): the matrix-free helpers below serve expectation
-    values, and the Fock record engine works in photon-number sectors.
+    (dim = (n_max+1)^2): the matrix-free helpers below serve the selection
+    traces, and the Fock record engine works in photon-number sectors.
     """
     a_h, a_v = _two_mode_ops(tr.n_max)
     hd, vd = a_h.conj().T, a_v.conj().T
@@ -223,12 +202,6 @@ def _aV_dag(psi: Array) -> Array:
     return psi @ a.conj()
 
 
-def apply_s1(psi: Array) -> Array:
-    n_h = np.arange(psi.shape[0])[:, None]
-    n_v = np.arange(psi.shape[1])[None, :]
-    return (n_h - n_v) / 2 * psi
-
-
 def apply_s2(psi: Array) -> Array:
     return (_aH_dag(_aV(psi)) + _aV_dag(_aH(psi))) / 2
 
@@ -273,12 +246,6 @@ def selection_traces(alpha: float, tr: FockTruncation, basis: MeasurementBasis) 
     return SelectionTraces(t0=float(t0.real), t_plus=float(z.real), t_minus=float(2 * z.imag))
 
 
-def grid_expectation(apply_op, alpha_h: float, alpha_v: float, tr: FockTruncation) -> complex:
-    """<op> in the two-mode coherent state (alpha_h, alpha_v), truncated."""
-    psi = coherent_grid(alpha_h, alpha_v, tr)
-    return complex(np.vdot(psi, apply_op(psi)))
-
-
 def detector_amplitudes(alpha: float, theta, phase: float) -> tuple[Array, Array]:
     """Coherent amplitudes (beta_c, beta_d) at the two detectors, elementwise
     over plane rotations ``theta`` of any shape.
@@ -295,14 +262,3 @@ def detector_amplitudes(alpha: float, theta, phase: float) -> tuple[Array, Array
     beta_c = (beta_h + 1j * b) / math.sqrt(2)
     beta_d = (1j * beta_h + b) / math.sqrt(2)
     return beta_c, beta_d
-
-
-def interferometer_amplitudes(
-    cfg: SensorConfig, faraday_angle: float, swap_detectors: bool = False
-) -> OutputAmplitudes:
-    """Detector amplitudes of one pulse rotated by ``faraday_angle``
-    (see ``detector_amplitudes``)."""
-    beta_c, beta_d = detector_amplitudes(cfg.alpha, faraday_angle, cfg.phase)
-    if swap_detectors:
-        beta_c, beta_d = beta_d, beta_c
-    return OutputAmplitudes(beta_c=complex(beta_c), beta_d=complex(beta_d))

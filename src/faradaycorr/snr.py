@@ -52,12 +52,6 @@ class FeasibilityReport:
     prefactor: float  # effective number of independent emitters
 
 
-def snr_first_order(alpha: float, tau: float, L: float, c_plus: float) -> float:
-    """Shot-noise-limited SNR of a first-order correlation measurement."""
-    _require_positive(alpha=alpha, tau=tau, L=L)
-    return 0.5 * math.sqrt(L) * alpha * tau * c_plus
-
-
 def snr_kth_order(alpha: float, tau: float, L: float, K: int, c_k: float) -> float:
     """SNR of a K-th order correlation: 2^-K sqrt(L) alpha^K tau^K C."""
     _require_positive(alpha=alpha, tau=tau, L=L)

@@ -37,13 +37,12 @@ from enum import Enum
 import numpy as np
 
 from .correlations import basis_changes
-from .errors import DimensionMismatchError, check_memory
-from .quantum_core import Array, DensityMatrix, TargetModel, require_hermitian
+from .errors import check_memory
+from .quantum_core import Array, TargetModel
 from .sensor_optics import (
     MeasurementBasis,
     SensorConfig,
     detector_amplitudes,
-    log_factorial,
     plane_rotation_angle,
 )
 from .tolerances import TOL
@@ -120,22 +119,20 @@ class McEstimate:
 
 
 def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
-    """Snap near-degenerate (sorted) eigenvalues to their cluster means."""
+    """Snap near-degenerate (sorted) eigenvalues to their cluster means.
+
+    Neighbours closer than ``tol`` times the largest |w| form one cluster, so
+    the width scales with the spectrum.
+    """
     w = np.asarray(w, dtype=float)
     out = w.copy()
+    width = tol * np.max(np.abs(w), initial=0.0)
     start = 0
     for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
+        if i == len(w) or w[i] - w[i - 1] > width:
             out[start:i] = w[start:i].mean()
             start = i
     return out
-
-
-def _log_poisson(n: np.ndarray, mean: float) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if mean == 0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(mean) - mean - log_factorial(n)
 
 
 def _count_log_modulus(beta: Array, counts: Array) -> Array:
@@ -199,62 +196,6 @@ def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Ar
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
-class KrausOutcomeSampler:
-    """Photon-count outcome distribution of a single shot, with state update."""
-
-    def __init__(self, rho: DensityMatrix, b: Array, cfg: SensorConfig, basis_phase: float):
-        b = require_hermitian(b, "coupling")
-        if b.shape[0] != rho.dim:
-            raise DimensionMismatchError("coupling and state dims differ")
-        w, v = np.linalg.eigh(b)
-        self.table = ShotTable.of(w, cfg, basis_phase)
-        self.eigvals = self.table.eigvals
-        self.eigvecs = v
-        self.rho_eig = v.conj().T @ rho.matrix @ v
-        self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
-        self.means_c, self.means_d = self.table.means_c, self.table.means_d
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        i = rng.choice(len(self.branch_probs), p=self.branch_probs)
-        n_c = int(rng.poisson(self.means_c[i]))
-        n_d = int(rng.poisson(self.means_d[i]))
-        return n_c, n_d
-
-    def branch_count_probability(self, i: int, n_c: int, n_d: int) -> float:
-        return float(
-            np.exp(
-                _log_poisson(np.array([n_c]), self.means_c[i])
-                + _log_poisson(np.array([n_d]), self.means_d[i])
-            )[0]
-        )
-
-    def probability(self, n_c: int, n_d: int) -> float:
-        """P(n_c, n_d) = sum_i rho_ii Pois(n_c; mu_c(b_i)) Pois(n_d; mu_d(b_i))."""
-        return float(
-            sum(
-                p * self.branch_count_probability(i, n_c, n_d)
-                for i, p in enumerate(self.branch_probs)
-            )
-        )
-
-    def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
-        """Normalized post-measurement state K rho K† / P."""
-        g = self.table.kraus_diagonal([n_c], [n_d])[0]
-        rho = (g[:, None] * g.conj()[None, :]) * self.rho_eig
-        norm = np.real(np.trace(rho))
-        if norm <= 0:
-            raise ValueError("outcome has zero probability for this state")
-        rho = self.eigvecs @ (rho / norm) @ self.eigvecs.conj().T
-        rho = (rho + rho.conj().T) / 2
-        return DensityMatrix(rho)
-
-
-def kraus_outcome_distribution(
-    rho: DensityMatrix, b: Array, cfg: SensorConfig, basis_phase: float
-) -> KrausOutcomeSampler:
-    return KrausOutcomeSampler(rho, b, cfg, basis_phase)
-
-
 # -- batched sequence simulation ---------------------------------------------
 
 
@@ -295,14 +236,39 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     return _QuantumPlan(_branch_probabilities(lam), kets, tuple(steps))
 
 
+class _Record:
+    """The running record of a chunk of n sequences.
+
+    A shot records (n_d - n_c)/2 times 2 * record_scale of its basis: the half
+    difference for S2, the raw difference for S3. Per sequence the record is
+    the product over its shots; over all shots the half difference and its
+    square are summed for the per-shot variance.
+    """
+
+    def __init__(self, n: int):
+        self.prod = np.ones(n)
+        self.s_half = 0.0
+        self.s_half2 = 0.0
+
+    def shot(self, rng: np.random.Generator, means_c: Array, means_d: Array, scale: float):
+        """Draw the counts (n_c, n_d) from their Poisson means and record them."""
+        n_c = rng.poisson(means_c).astype(float)
+        n_d = rng.poisson(means_d).astype(float)
+        half = (n_d - n_c) / 2
+        self.prod = self.prod * (2.0 * scale) * half
+        self.s_half += half.sum()
+        self.s_half2 += (half * half).sum()
+        return n_c, n_d
+
+    def sums(self) -> tuple:
+        return self.prod.sum(), (self.prod * self.prod).sum(), self.s_half, self.s_half2
+
+
 def _run_quantum_chunk(
     n: int, rng: np.random.Generator, init_rng: np.random.Generator, plan: _QuantumPlan
 ) -> tuple:
     states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
-    prod = np.ones(n)
-    s_half = 0.0
-    s_half2 = 0.0
-    count = 0
+    record = _Record(n)
     last = len(plan.steps) - 1
     for j, step in enumerate(plan.steps):
         if step.rotation is not None:
@@ -310,16 +276,10 @@ def _run_quantum_chunk(
         p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        n_c = rng.poisson(step.table.means_c[idx]).astype(float)
-        n_d = rng.poisson(step.table.means_d[idx]).astype(float)
-        half = (n_d - n_c) / 2
-        prod = prod * (2.0 * step.scale) * half
-        s_half += half.sum()
-        s_half2 += (half * half).sum()
-        count += n
+        n_c, n_d = record.shot(rng, step.table.means_c[idx], step.table.means_d[idx], step.scale)
         if j < last:  # the state after the last shot is never read
             states = _kraus_update(states, step.table, n_c, n_d)
-    return prod.sum(), (prod * prod).sum(), s_half, s_half2, count, n
+    return record.sums()
 
 
 def _sample_field_paths(
@@ -352,21 +312,12 @@ def _run_semiclassical_chunk(
     alpha, tau = proto.sensor.alpha, proto.sensor.tau
     times = np.array([s.time for s in proto.shots])
     paths = _sample_field_paths(field, times, n, rng)
-    prod = np.ones(n)
-    s_half = 0.0
-    s_half2 = 0.0
-    count = 0
+    record = _Record(n)
     for j, shot in enumerate(proto.shots):
         theta = plane_rotation_angle(paths[:, j], tau)
         beta_c, beta_d = detector_amplitudes(alpha, theta, shot.basis.phase)
-        n_c = rng.poisson(np.abs(beta_c) ** 2).astype(float)
-        n_d = rng.poisson(np.abs(beta_d) ** 2).astype(float)
-        half = (n_d - n_c) / 2
-        prod = prod * (2.0 * shot.basis.record_scale) * half
-        s_half += half.sum()
-        s_half2 += (half * half).sum()
-        count += n
-    return prod.sum(), (prod * prod).sum(), s_half, s_half2, count, n
+        record.shot(rng, np.abs(beta_c) ** 2, np.abs(beta_d) ** 2, shot.basis.record_scale)
+    return record.sums()
 
 
 def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
@@ -382,13 +333,15 @@ def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
     return bookkeeping + in_flight * n * (8 * k + SEQUENCE_BYTES)
 
 
-def _estimate(results, L: int) -> McEstimate:
-    """Combine per-chunk sums, in chunk order, into the estimate."""
+def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
+    """Combine per-chunk sums, in chunk order, into the estimate; every one of
+    the L sequences records K shots."""
+    L = cfg.sequences
     s1 = sum(r[0] for r in results)
     s2 = sum(r[1] for r in results)
     sh = sum(r[2] for r in results)
     sh2 = sum(r[3] for r in results)
-    n_rec = sum(r[4] for r in results)
+    n_rec = L * cfg.proto.order
 
     mean = s1 / L
     if L > 1:
@@ -439,7 +392,7 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
             results = list(pool.map(job, work))
     else:
         results = [job(w) for w in work]
-    return _estimate(results, L)
+    return _estimate(results, cfg)
 
 
 def empirical_snr(est: McEstimate) -> float:

@@ -10,16 +10,12 @@ from faradaycorr.errors import TruncationError
 from faradaycorr.sensor_optics import (
     FockTruncation,
     MeasurementBasis,
-    OutputAmplitudes,
     SensorConfig,
-    apply_s1,
     apply_s2,
     apply_s3,
     coherent_grid,
     coherent_state,
     detector_amplitudes,
-    grid_expectation,
-    interferometer_amplitudes,
     log_factorial,
     plane_rotation_angle,
     required_cutoff,
@@ -34,6 +30,18 @@ def number_projector(tr: FockTruncation, max_total: int) -> np.ndarray:
     n_v = np.arange(tr.mode_dim)[None, :]
     keep = ((n_h + n_v) <= max_total).ravel()
     return np.diag(keep.astype(float)).astype(complex)
+
+
+def number_difference(mode_dim: int) -> np.ndarray:
+    """(n_H - n_V)/2 on a psi[n_H, n_V] grid: S1, diagonal in the Fock basis."""
+    n = np.arange(mode_dim)
+    return (n[:, None] - n[None, :]) / 2
+
+
+def expectation(apply_op, alpha_h: float, alpha_v: float, tr: FockTruncation) -> complex:
+    """<op> in the truncated two-mode coherent state (alpha_h, alpha_v)."""
+    psi = coherent_grid(alpha_h, alpha_v, tr)
+    return complex(np.vdot(psi, apply_op(psi)))
 
 
 class TestStokesAlgebra:
@@ -84,14 +92,15 @@ class TestStokesAlgebra:
         rng = np.random.default_rng(31)
         psi = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         s1, s2, s3 = stokes_operators(self.TR)
-        for apply_op, dense in ((apply_s1, s1), (apply_s2, s2), (apply_s3, s3)):
+        assert np.max(np.abs(s1 - np.diag(number_difference(self.TR.mode_dim).ravel()))) < 1e-12
+        for apply_op, dense in ((apply_s2, s2), (apply_s3, s3)):
             got = apply_op(psi).ravel()
             assert np.max(np.abs(got - dense @ psi.ravel())) < 1e-12
 
     def test_vacuum_expectations_vanish(self):
         vac = np.zeros((7, 7), dtype=complex)
         vac[0, 0] = 1.0
-        for op in (apply_s1, apply_s2, apply_s3):
+        for op in (apply_s2, apply_s3):
             assert abs(np.vdot(vac, op(vac))) == 0.0
 
 
@@ -108,17 +117,17 @@ class TestCoherentStates:
     def test_h_pulse_stokes_vector(self):
         alpha = 1.5
         tr = FockTruncation.for_alpha(alpha)
-        assert grid_expectation(apply_s1, alpha, 0.0, tr).real == pytest.approx(
-            alpha**2 / 2, rel=1e-10
-        )
-        assert abs(grid_expectation(apply_s2, alpha, 0.0, tr)) < 1e-12
-        assert abs(grid_expectation(apply_s3, alpha, 0.0, tr)) < 1e-12
+        psi = coherent_grid(alpha, 0.0, tr)
+        s1 = float(np.sum(number_difference(tr.mode_dim) * np.abs(psi) ** 2))
+        assert s1 == pytest.approx(alpha**2 / 2, rel=1e-10)
+        assert abs(expectation(apply_s2, alpha, 0.0, tr)) < 1e-12
+        assert abs(expectation(apply_s3, alpha, 0.0, tr)) < 1e-12
 
     def test_rotated_pulse_s2(self):
         # <S2> of (alpha cos t, alpha sin t) is (alpha^2/2) sin 2t
         alpha, theta = 1.5, 0.23
         tr = FockTruncation.for_alpha(alpha)
-        val = grid_expectation(apply_s2, alpha * math.cos(theta), alpha * math.sin(theta), tr)
+        val = expectation(apply_s2, alpha * math.cos(theta), alpha * math.sin(theta), tr)
         assert val.real == pytest.approx(alpha**2 / 2 * math.sin(2 * theta), rel=1e-10)
 
     def test_negative_amplitude_sign(self):
@@ -173,8 +182,8 @@ def test_log_factorial_matches_lgamma():
 
 
 class TestInterferometer:
-    CFG2 = SensorConfig(alpha=1.3, tau=0.05, phase=math.pi / 2)
-    CFG3 = SensorConfig(alpha=1.3, tau=0.05, phase=0.0)
+    ALPHA = 1.3
+    PHASES = (MeasurementBasis.S2.phase, MeasurementBasis.S3.phase)
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
@@ -182,60 +191,48 @@ class TestInterferometer:
     )
     @settings(max_examples=60, deadline=None)
     def test_photon_conservation(self, theta, phase):
-        cfg = SensorConfig(alpha=1.3, tau=0.05, phase=phase)
-        out = interferometer_amplitudes(cfg, theta)
-        assert out.mean_c + out.mean_d == pytest.approx(cfg.alpha**2, rel=1e-12)
+        beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, phase)
+        assert abs(beta_c) ** 2 + abs(beta_d) ** 2 == pytest.approx(self.ALPHA**2, rel=1e-12)
 
     def test_balanced_at_zero_rotation(self):
-        for cfg in (self.CFG2, self.CFG3):
-            out = interferometer_amplitudes(cfg, 0.0)
-            assert out.raw_difference_mean == pytest.approx(0.0, abs=1e-12)
+        for phase in self.PHASES:
+            beta_c, beta_d = detector_amplitudes(self.ALPHA, 0.0, phase)
+            assert abs(beta_d) ** 2 - abs(beta_c) ** 2 == pytest.approx(0.0, abs=1e-12)
 
     def test_raw_difference_matches_stokes_expectations(self):
-        # the network's n_d - n_c equals 2<S2> (phase pi/2) or 2<S3> (phase 0)
+        # the network's n_d - n_c equals 2<S2> (S2 basis) or 2<S3> (S3 basis)
         # of the rotated pulse, evaluated independently on the truncated space
-        alpha = 1.3
+        alpha = self.ALPHA
         tr = FockTruncation.for_alpha(alpha)
         for theta in (-0.3, -0.05, 0.12, 0.3):
             ah, av = alpha * math.cos(theta), alpha * math.sin(theta)
-            out2 = interferometer_amplitudes(self.CFG2, theta)
-            s2 = grid_expectation(apply_s2, ah, av, tr).real
-            assert out2.raw_difference_mean == pytest.approx(2 * s2, abs=1e-8 * alpha**2)
-            out3 = interferometer_amplitudes(self.CFG3, theta)
-            s3 = grid_expectation(apply_s3, ah, av, tr).real
-            assert out3.raw_difference_mean == pytest.approx(2 * s3, abs=1e-8 * alpha**2)
+            for basis, apply_op in ((MeasurementBasis.S2, apply_s2), (MeasurementBasis.S3, apply_s3)):
+                beta_c, beta_d = detector_amplitudes(alpha, theta, basis.phase)
+                stokes = expectation(apply_op, ah, av, tr).real
+                assert abs(beta_d) ** 2 - abs(beta_c) ** 2 == pytest.approx(2 * stokes, abs=1e-8 * alpha**2)
 
     def test_linear_response_coefficient(self):
-        # recorded S2 signal ~ alpha^2 * theta for small rotations
-        for theta in (1e-4, 1e-5):
-            out = interferometer_amplitudes(self.CFG2, theta)
-            half = out.raw_difference_mean / 2
-            assert half / (self.CFG2.alpha**2 * theta) == pytest.approx(1.0, rel=1e-6)
+        # the recorded S2 half difference is alpha^2 tau b / 2 for a weak field b
+        tau = 0.05
+        for b in (2e-3, 2e-4):
+            theta = plane_rotation_angle(b, tau)
+            beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, MeasurementBasis.S2.phase)
+            half = (abs(beta_d) ** 2 - abs(beta_c) ** 2) / 2
+            assert half / (self.ALPHA**2 * tau * b / 2) == pytest.approx(1.0, rel=1e-6)
 
     def test_rotation_angle_convention(self):
         assert plane_rotation_angle(3.0, 0.5) == pytest.approx(0.75)
 
     def test_vectorized_amplitudes_match_scalar(self):
         theta = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
-        for cfg in (self.CFG2, self.CFG3):
-            beta_c, beta_d = detector_amplitudes(cfg.alpha, theta, cfg.phase)
+        for phase in self.PHASES:
+            beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, phase)
             assert beta_c.shape == beta_d.shape == theta.shape
             for i, t in np.ndenumerate(theta):
-                out = interferometer_amplitudes(cfg, float(t))
-                assert (beta_c[i], beta_d[i]) == (out.beta_c, out.beta_d)
+                assert (beta_c[i], beta_d[i]) == detector_amplitudes(self.ALPHA, float(t), phase)
             # |beta_d|^2 - |beta_c|^2 = alpha^2 sin(2 theta) sin(phase)
             diff = np.abs(beta_d) ** 2 - np.abs(beta_c) ** 2
-            assert np.allclose(diff, cfg.alpha**2 * np.sin(2 * theta) * math.sin(cfg.phase), atol=1e-12)
-
-    def test_detector_swap(self):
-        out = interferometer_amplitudes(self.CFG2, 0.2)
-        swapped = interferometer_amplitudes(self.CFG2, 0.2, swap_detectors=True)
-        assert swapped.raw_difference_mean == pytest.approx(-out.raw_difference_mean)
-
-    def test_output_amplitudes_means(self):
-        o = OutputAmplitudes(beta_c=1 + 1j, beta_d=2.0)
-        assert o.mean_c == pytest.approx(2.0)
-        assert o.raw_difference_mean == pytest.approx(2.0)
+            assert np.allclose(diff, self.ALPHA**2 * np.sin(2 * theta) * math.sin(phase), atol=1e-12)
 
 
 class TestConfigValidation:

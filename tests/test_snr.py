@@ -8,7 +8,6 @@ from faradaycorr.snr import (
     SnrScenario,
     faraday_angle,
     lihof4_scenario,
-    snr_first_order,
     snr_kth_order,
     snr_material,
 )
@@ -17,12 +16,12 @@ from faradaycorr.snr import (
 class TestClosedForms:
     def test_first_order_value(self):
         # sqrt(1e4)/2 * 0.1 * 0.01 * 2 = 0.1
-        assert snr_first_order(alpha=0.1, tau=0.01, L=1e4, c_plus=2.0) == pytest.approx(0.1)
+        assert snr_kth_order(alpha=0.1, tau=0.01, L=1e4, K=1, c_k=2.0) == pytest.approx(0.1)
 
     def test_kth_order_reduces_to_first(self):
+        # K = 1: (sqrt L / 2) alpha tau C+
         a = snr_kth_order(alpha=0.3, tau=0.02, L=1e6, K=1, c_k=1.7)
-        b = snr_first_order(alpha=0.3, tau=0.02, L=1e6, c_plus=1.7)
-        assert a == pytest.approx(b, rel=1e-15)
+        assert a == pytest.approx(0.5 * 1e3 * 0.3 * 0.02 * 1.7, rel=1e-15)
 
     def test_kth_order_per_order_factor(self):
         # each extra order multiplies by alpha * tau / 2
@@ -37,7 +36,7 @@ class TestClosedForms:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            snr_first_order(alpha=0.0, tau=0.1, L=10, c_plus=1.0)
+            snr_kth_order(alpha=0.0, tau=0.1, L=10, K=1, c_k=1.0)
         with pytest.raises(ValueError):
             snr_kth_order(alpha=0.1, tau=0.1, L=10, K=0, c_k=1.0)
 

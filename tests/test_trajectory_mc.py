@@ -3,26 +3,35 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faradaycorr import errors, trajectory_mc
 from faradaycorr.correlations import heisenberg_coupling
 from faradaycorr.errors import DimensionMismatchError, ResourceGuardError
-from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
-from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig
+from faradaycorr.quantum_core import (
+    DensityMatrix,
+    TargetModel,
+    pure_state,
+    require_hermitian,
+    spin_operators,
+    thermal_state,
+)
+from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, log_factorial
 from faradaycorr.trajectory_mc import (
     CHUNK_SIZE,
     ClassicalFieldModel,
     FieldKind,
-    KrausOutcomeSampler,
     McEstimate,
     ShotTable,
     TrajectoryConfig,
+    _Record,
+    _branch_probabilities,
     _estimate,
     _kraus_update,
     _quantum_plan,
     cluster_eigenvalues,
     empirical_snr,
-    kraus_outcome_distribution,
     snr_convention_factor,
     run_sequences,
 )
@@ -39,6 +48,49 @@ def proto(bases_times, alpha, tau):
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
 
 
+def log_poisson(n, mean: float) -> np.ndarray:
+    n = np.asarray(n, dtype=float)
+    if mean == 0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(mean) - mean - log_factorial(n)
+
+
+class KrausOutcomeSampler:
+    """Single-shot reference for the vector Kraus update: the photon-count
+    outcome distribution of one shot on a density matrix, its sampling, and
+    the post-measurement state, from an eigendecomposition of the coupling."""
+
+    def __init__(self, rho: DensityMatrix, b, cfg: SensorConfig, basis_phase: float):
+        b = require_hermitian(b, "coupling")
+        if b.shape[0] != rho.dim:
+            raise DimensionMismatchError("coupling and state dims differ")
+        w, v = np.linalg.eigh(b)
+        self.table = ShotTable.of(w, cfg, basis_phase)
+        self.eigvals = self.table.eigvals
+        self.eigvecs = v
+        self.rho_eig = v.conj().T @ rho.matrix @ v
+        self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
+        self.means_c, self.means_d = self.table.means_c, self.table.means_d
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        i = rng.choice(len(self.branch_probs), p=self.branch_probs)
+        return int(rng.poisson(self.means_c[i])), int(rng.poisson(self.means_d[i]))
+
+    def branch_count_probability(self, i: int, n_c: int, n_d: int) -> float:
+        return float(np.exp(log_poisson([n_c], self.means_c[i]) + log_poisson([n_d], self.means_d[i]))[0])
+
+    def probability(self, n_c: int, n_d: int) -> float:
+        """P(n_c, n_d) = sum_i rho_ii Pois(n_c; mu_c(b_i)) Pois(n_d; mu_d(b_i))."""
+        return sum(p * self.branch_count_probability(i, n_c, n_d) for i, p in enumerate(self.branch_probs))
+
+    def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
+        """Normalized post-measurement state K rho K† / P."""
+        g = self.table.kraus_diagonal([n_c], [n_d])[0]
+        rho = (g[:, None] * g.conj()[None, :]) * self.rho_eig
+        rho = self.eigvecs @ (rho / np.real(np.trace(rho))) @ self.eigvecs.conj().T
+        return DensityMatrix((rho + rho.conj().T) / 2)
+
+
 class TestClusterEigenvalues:
     def test_distinct_untouched(self):
         w = np.array([-1.0, 0.5, 2.0])
@@ -50,14 +102,46 @@ class TestClusterEigenvalues:
         assert out[0] == out[1]
         assert out[2] == 2.0
 
+    def test_small_distinct_eigenvalues_stay_apart(self):
+        w = np.array([-5e-11, 5e-11])
+        assert np.array_equal(cluster_eigenvalues(w), w)
+
+    def test_large_degenerate_pairs_snapped(self):
+        # Jx^2 at spin 2 has eigenvalues 0, 1, 1, 4, 4; scaled by 1e7, eigvalsh
+        # splits the degenerate pairs by more than an absolute 1e-9
+        jx, _, _ = spin_operators(4)
+        out = cluster_eigenvalues(np.linalg.eigvalsh(1e7 * jx @ jx))
+        assert out[1] == out[2] and out[3] == out[4]
+        assert np.allclose(out, 1e7 * np.array([0.0, 1.0, 1.0, 4.0, 4.0]), rtol=0, atol=1e-6)
+
+    def test_zero_spectrum_is_one_cluster(self):
+        assert np.array_equal(cluster_eigenvalues(np.zeros(3)), np.zeros(3))
+
+    @given(
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3).filter(lambda x: x == 0 or abs(x) > 1e-200),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_width_scales_with_the_spectrum(self, values, power):
+        # near-degenerate copies cluster at every scale: scaling the spectrum
+        # by a power of two scales the result exactly
+        v = np.array(values)
+        w = np.sort(np.concatenate([v, v * (1 + 1e-12)]))
+        c = 2.0**power
+        assert np.array_equal(cluster_eigenvalues(c * w), c * cluster_eigenvalues(w))
+
 
 class TestKrausSampler:
-    CFG = SensorConfig(alpha=1.0, tau=0.2, phase=PHASE2)
+    CFG = SensorConfig(alpha=1.0, tau=0.2)
 
     def test_zero_coupling_is_passive(self):
         # b = 0: both detectors see alpha^2/2 and the state is unchanged
         rho = pure_state([1, 1j])
-        s = kraus_outcome_distribution(rho, np.zeros((2, 2)), self.CFG, PHASE2)
+        s = KrausOutcomeSampler(rho, np.zeros((2, 2)), self.CFG, PHASE2)
         assert np.allclose(s.means_c, 0.5)
         assert np.allclose(s.means_d, 0.5)
         post = s.post_state(3, 1)
@@ -87,7 +171,7 @@ class TestKrausSampler:
     def test_post_states_average_to_nonselective_map(self):
         # sum_n P(n) rho_n reproduces the deterministic shot map on rho
         rho = pure_state([0.6, 0.8j])
-        cfg = SensorConfig(alpha=1.0, tau=0.3, phase=PHASE2)
+        cfg = SensorConfig(alpha=1.0, tau=0.3)
         s = KrausOutcomeSampler(rho, SZ, cfg, PHASE2)
         acc = np.zeros((2, 2), dtype=complex)
         for nc in range(15):
@@ -114,6 +198,50 @@ class TestKrausSampler:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             KrausOutcomeSampler(UP, np.zeros((3, 3)), self.CFG, PHASE2)
+
+
+class TestShotRecord:
+    def test_per_basis_record(self):
+        # S2 records the half difference (n_d - n_c)/2, S3 the raw difference n_d - n_c;
+        # the half-difference sums do not depend on the basis
+        means_c, means_d = np.array([2.0, 5.0, 0.5]), np.array([4.0, 1.0, 3.0])
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        record = _Record(3)
+        expect = np.ones(3)
+        halves = []
+        for basis, factor in ((S2, 0.5), (S3, 1.0), (S2, 0.5)):
+            n_c, n_d = record.shot(rng, means_c, means_d, basis.record_scale)
+            assert np.array_equal(n_c, ref.poisson(means_c)) and np.array_equal(n_d, ref.poisson(means_d))
+            expect = expect * (factor * (n_d - n_c))
+            halves.append((n_d - n_c) / 2)
+        half = np.concatenate(halves)
+        assert np.array_equal(record.prod, expect)
+        assert record.sums()[2:] == (pytest.approx(half.sum()), pytest.approx((half * half).sum()))
+
+    def test_estimate_counts_every_shot(self):
+        # 4 sequences of 2 shots: half differences summing to 8 with squares summing
+        # to 40 give mean 1 and variance 4 per shot
+        p = proto([(0.0, S2), (1.0, S2)], alpha=1.0, tau=0.1)
+        cfg = TrajectoryConfig(sequences=4, seed=0, mode="kraus_quantum", proto=p, model=precession_model())
+        est = _estimate([(0.0, 0.0, 6.0, 30.0), (0.0, 0.0, 2.0, 10.0)], cfg)
+        assert est.per_shot_variance == 4.0
+        assert est.per_shot_variance_raw == 16.0
+
+    def test_quantum_and_classical_paths_share_the_record(self):
+        # d = 1: the coupling is the number b, so the Kraus path and a constant
+        # classical field draw from the same count distributions. The S3 record
+        # (raw difference) has mean 0 and variance alpha^2, each S2 record (half
+        # difference) mean m = (alpha^2/2) sin(tau b) and variance alpha^2/4.
+        b, alpha, tau, L = 2.0, 4.0, 0.1, 100000
+        p = proto([(0.0, S3), (0.3, S2), (0.5, S2)], alpha, tau)
+        m = alpha**2 / 2 * math.sin(tau * b)
+        spread = math.sqrt(alpha**2 * (alpha**2 / 4 + m * m) ** 2)
+        model = TargetModel(hamiltonian=[[0.0]], coupling=[[b]], initial_state=pure_state([1.0]))
+        field = ClassicalFieldModel(kind=FieldKind.CONSTANT, amplitude=b)
+        for mode, target in (("kraus_quantum", model), ("semiclassical_field", field)):
+            est = run_sequences(TrajectoryConfig(sequences=L, seed=3, mode=mode, proto=p, model=target))
+            assert abs(est.mean) < 5 * est.std_error
+            assert est.std_error * math.sqrt(L) == pytest.approx(spread, rel=0.05)
 
 
 class TestQuantumSequences:
@@ -215,7 +343,7 @@ def _density_matrix_chunk(n, rng, model, p):
         rp = rp * (g[:, :, None] * g.conj()[:, None, :])
         rp = rp / np.real(np.einsum("nii->n", rp))[:, None, None]
         states = np.einsum("ab,nbc,cd->nad", v, rp, v.conj().T, optimize=True)
-    return prod.sum(), (prod * prod).sum(), s_half, s_half2, n * len(p.shots), n
+    return prod.sum(), (prod * prod).sum(), s_half, s_half2
 
 
 def _pure_four_level_model():
@@ -266,7 +394,7 @@ class TestVectorTrajectories:
         seeds = np.random.SeedSequence(seed).spawn(2)
         chunks = [_density_matrix_chunk(n, np.random.default_rng(s), model, p) for n, s in zip(sizes, seeds)]
         cfg = TrajectoryConfig(sequences=L, seed=seed, mode="kraus_quantum", proto=p, model=model, workers=2)
-        assert run_sequences(cfg) == _estimate(chunks, L)
+        assert run_sequences(cfg) == _estimate(chunks, cfg)
 
 
 class TestMemoryGuard:
