@@ -6,9 +6,12 @@
     faradaycorr sweep    --config run.yaml --out results/
 
 Writes ``results.csv`` (long format, deterministic for a fixed seed) and
-``manifest.json`` (config hash, version, seed, timestamps, provenance) to the
-output directory. Exit codes: 0 success, 2 config error, 3 numerical guard,
-4 resource guard.
+``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
+Monte Carlo runs the worker and chunk layout) to the output directory.
+Without ``--threads`` or ``FARADAYCORR_THREADS``, Monte Carlo runs one worker
+per usable core, within the memory guard; the count never changes the
+results. Exit codes: 0 success, 2 config error, 3 numerical guard, 4 resource
+guard.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from .correlations import correlation_grid
 from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
-from .trajectory_mc import empirical_snr, run_sequences
+from .trajectory_mc import (
+    CHUNK_SIZE,
+    chunk_count,
+    default_workers,
+    empirical_snr,
+    run_sequences,
+)
 from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, prediction_factor
 
 EXIT_OK = 0
@@ -143,16 +152,21 @@ def cmd_exact(run: ExactRun) -> tuple[list[str], list[dict]]:
     return EXACT_COLUMNS, rows
 
 
-def cmd_simulate(run: SimulateRun, threads: int) -> tuple[list[str], list[dict]]:
-    mc = replace(run.mc, workers=max(1, threads))
+def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
+    """The simulate table, plus the worker and chunk layout of each
+    protocol's Monte Carlo; ``threads`` None takes ``default_workers``."""
+    mc = run.mc
     leading = exact = [None] * len(run.protocols)
     if mc.mode == "kraus_quantum":
         # one grid evaluation per column, as in cmd_exact
         leading = gk_leading_grid(mc.model, run.protocols).tolist()
         exact = gk_exact_unitary_grid(mc.model, run.protocols).tolist()
-    rows = []
+    rows, layout = [], []
     for proto, lead, ex in zip(run.protocols, leading, exact):
-        est = run_sequences(replace(mc, proto=proto))
+        cfg = replace(mc, proto=proto)
+        cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
+        layout.append({"workers": cfg.workers, "chunks": chunk_count(cfg.sequences)})
+        est = run_sequences(cfg)
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
         row = _protocol_row_base(proto)
@@ -174,7 +188,7 @@ def cmd_simulate(run: SimulateRun, threads: int) -> tuple[list[str], list[dict]]
             }
         )
         rows.append(row)
-    return SIMULATE_COLUMNS, rows
+    return SIMULATE_COLUMNS, rows, layout
 
 
 def cmd_snr(run: SnrRun) -> tuple[list[str], list[dict]]:
@@ -195,25 +209,27 @@ def cmd_snr(run: SnrRun) -> tuple[list[str], list[dict]]:
     return SNR_COLUMNS, rows
 
 
-def cmd_sweep(run: SweepRun, threads: int) -> tuple[list[str], list[dict]]:
-    columns, rows = [], []
+def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
+    columns, rows, layout = [], [], []
     for value, variant in run.runs:
-        columns, sub_rows = _dispatch(variant, threads)
+        columns, sub_rows, sub_layout = _dispatch(variant, threads)
         rows.extend(dict(row, sweep_path=run.path, sweep_value=value) for row in sub_rows)
-    return ["sweep_path", "sweep_value"] + columns, rows
+        layout.extend(dict(entry, sweep_value=value) for entry in sub_layout)
+    return ["sweep_path", "sweep_value"] + columns, rows, layout
 
 
-def _dispatch(run: Run, threads: int) -> tuple[list[str], list[dict]]:
+def _dispatch(run: Run, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
+    """Columns, rows and the Monte Carlo layout (one entry per simulated protocol)."""
     if isinstance(run, ExactRun):
-        return cmd_exact(run)
+        return (*cmd_exact(run), [])
     if isinstance(run, SimulateRun):
         return cmd_simulate(run, threads)
     if isinstance(run, SnrRun):
-        return cmd_snr(run)
+        return (*cmd_snr(run), [])
     return cmd_sweep(run, threads)
 
 
-def _write_outputs(out_dir: Path, columns, rows, raw: dict, command: str, seed) -> None:
+def _write_outputs(out_dir: Path, columns, rows, layout, raw: dict, command: str, seed) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -231,6 +247,8 @@ def _write_outputs(out_dir: Path, columns, rows, raw: dict, command: str, seed) 
         "provenance": {c: PROVENANCE.get(c, "cli") for c in columns},
         "config": raw,
     }
+    if layout:
+        manifest["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -246,12 +264,16 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     threads = args.threads
-    if threads is None:
-        env = os.environ.get("FARADAYCORR_THREADS", "1")
+    if threads is not None and threads < 1:
+        parser.error(f"--threads must be at least 1, got {threads}")
+    env = os.environ.get("FARADAYCORR_THREADS")
+    if threads is None and env is not None:
         try:
             threads = int(env)
         except ValueError:
             parser.error(f"FARADAYCORR_THREADS must be an integer, got {env!r}")
+        if threads < 1:
+            parser.error(f"FARADAYCORR_THREADS must be at least 1, got {threads}")
     try:
         raw = load_config(args.config)
         run = parse_config(raw)
@@ -259,8 +281,8 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config command {raw['command']!r} does not match CLI command {args.command!r}"
             )
-        columns, rows = _dispatch(run, threads)
-        _write_outputs(Path(args.out), columns, rows, raw, args.command, run.seed)
+        columns, rows, layout = _dispatch(run, threads)
+        _write_outputs(Path(args.out), columns, rows, layout, raw, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

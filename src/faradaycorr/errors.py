@@ -31,13 +31,18 @@ class ConfigError(FaradaycorrError):
     """A run configuration failed schema validation."""
 
 
-def check_memory(nbytes: float, what: str) -> None:
-    """Raise ``ResourceGuardError`` if ``what`` would need more than the guard.
+def fits_memory(nbytes: float) -> bool:
+    """Whether ``nbytes`` is within the guard.
 
     The limit is read at call time, so one module-level value serves every
     caller (and tests can lower it).
     """
-    if nbytes > MEMORY_GUARD_BYTES:
+    return not nbytes > MEMORY_GUARD_BYTES
+
+
+def check_memory(nbytes: float, what: str) -> None:
+    """Raise ``ResourceGuardError`` if ``what`` would need more than the guard."""
+    if not fits_memory(nbytes):
         raise ResourceGuardError(
             f"{what} would need ~{nbytes / 1024**3:.3g} GiB "
             f"(> {MEMORY_GUARD_BYTES / 1024**3:.3g} GiB guard)"

@@ -262,3 +262,18 @@ def detector_amplitudes(alpha: float, theta, phase: float) -> tuple[Array, Array
     beta_c = (beta_h + 1j * b) / math.sqrt(2)
     beta_d = (1j * beta_h + b) / math.sqrt(2)
     return beta_c, beta_d
+
+
+def detector_means(alpha: float, theta, phase: float) -> tuple[Array, Array]:
+    """Mean counts (|beta_c|^2, |beta_d|^2) at the two detectors, elementwise
+    over plane rotations ``theta`` of any shape, in real arithmetic.
+
+    Expanding the moduli of ``detector_amplitudes`` gives
+    (alpha^2/2)(1 -/+ sin(2 theta) sin(phase)): the two means always sum to
+    alpha^2, and the circular basis (phase 0) sees alpha^2/2 at both
+    detectors whatever the rotation. This is the one source of the Poisson
+    means of the counting Monte Carlo.
+    """
+    half = 0.5 * alpha * alpha
+    shift = half * math.sin(phase) * np.sin(2.0 * np.asarray(theta, dtype=float))
+    return half - shift, half + shift

@@ -9,40 +9,45 @@ Two modes:
   the state is held in the eigenbasis of the coupling B(t_j) (from the model's
   spectral data, so no shot diagonalizes anything). Conditioned on an
   eigenvalue b, drawn with probability |psi_b|^2, the detectors see
-  independent Poisson counts with means given by the interferometer
-  amplitudes. The state is then multiplied by the full Kraus element, which
+  independent Poisson counts with the means ``sensor_optics.detector_means``
+  gives for b. The state is then multiplied by the full Kraus element, which
   is diagonal in that basis and keeps the interference between eigenvalue
   branches, and renormalized. Moving to the next shot's eigenbasis is one
   d x d rotation W_j = V_j^dag V_{j-1}, so a chunk of n sequences holds n x d
   amplitudes and costs O(n d^2) per shot.
 * ``semiclassical_field``: the target is a classical stochastic field; each
-  shot draws Poisson counts around the deflected interferometer means. Only
-  the all-anticommutator correlation survives in this mode.
+  shot draws Poisson counts around the same ``detector_means``, evaluated at
+  each sequence's field value. Only the all-anticommutator correlation
+  survives in this mode.
 
 Reproducibility: the master seed is split into fixed-size chunks of
 sequences via ``numpy.random.SeedSequence.spawn``; results are combined in
-chunk-index order, so they do not depend on the worker count. A chunk draws
-its shots from its own stream and its initial states from a child of that
-stream, so the shot draws do not depend on how rho0 is unravelled: for a
-pure rho0 they are those of a density-matrix simulation with the same seed.
+chunk-index order, so they do not depend on the worker count
+(``default_workers`` picks one per usable core, within the memory guard). A
+chunk draws its shots from its own stream and its initial states from a
+child of that stream, so the shot draws do not depend on how rho0 is
+unravelled: for a pure rho0 they are those of a density-matrix simulation
+with the same seed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .correlations import basis_changes
-from .errors import check_memory
+from .errors import check_memory, fits_memory
 from .quantum_core import Array, TargetModel
 from .sensor_optics import (
     MeasurementBasis,
     SensorConfig,
     detector_amplitudes,
+    detector_means,
     plane_rotation_angle,
 )
 from .tolerances import TOL
@@ -156,9 +161,11 @@ class ShotTable:
 
     Given the (clustered) eigenvalue b, the pulse leaves with coherent
     amplitudes beta_c(b), beta_d(b), so the counts are independent Poisson
-    with means |beta|^2, and the Kraus element of an outcome (n_c, n_d) is
-    diagonal in the coupling's eigenbasis with entries beta_c^n_c beta_d^n_d
-    up to a branch-independent factor (|beta_c|^2 + |beta_d|^2 = alpha^2).
+    with means |beta|^2 (from ``detector_means``), and the Kraus element of
+    an outcome (n_c, n_d) is diagonal in the coupling's eigenbasis with
+    entries beta_c^n_c beta_d^n_d up to a branch-independent factor
+    (|beta_c|^2 + |beta_d|^2 = alpha^2). The amplitudes serve only the
+    Kraus phases and moduli of ``kraus_diagonal``.
     """
 
     eigvals: Array
@@ -170,8 +177,9 @@ class ShotTable:
     @classmethod
     def of(cls, eigvals: Array, sensor: SensorConfig, phase: float) -> "ShotTable":
         w = cluster_eigenvalues(eigvals)
-        beta_c, beta_d = detector_amplitudes(sensor.alpha, plane_rotation_angle(w, sensor.tau), phase)
-        return cls(w, beta_c, beta_d, np.abs(beta_c) ** 2, np.abs(beta_d) ** 2)
+        theta = plane_rotation_angle(w, sensor.tau)
+        beta_c, beta_d = detector_amplitudes(sensor.alpha, theta, phase)
+        return cls(w, beta_c, beta_d, *detector_means(sensor.alpha, theta, phase))
 
     def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
         """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row
@@ -315,9 +323,14 @@ def _run_semiclassical_chunk(
     record = _Record(n)
     for j, shot in enumerate(proto.shots):
         theta = plane_rotation_angle(paths[:, j], tau)
-        beta_c, beta_d = detector_amplitudes(alpha, theta, shot.basis.phase)
-        record.shot(rng, np.abs(beta_c) ** 2, np.abs(beta_d) ** 2, shot.basis.record_scale)
+        means_c, means_d = detector_means(alpha, theta, shot.basis.phase)
+        record.shot(rng, means_c, means_d, shot.basis.record_scale)
     return record.sums()
+
+
+def chunk_count(sequences: int) -> int:
+    """Number of CHUNK_SIZE chunks that ``sequences`` sequences split into."""
+    return (sequences + CHUNK_SIZE - 1) // CHUNK_SIZE
 
 
 def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
@@ -367,7 +380,7 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
     and the chunks in flight would exceed the memory guard.
     """
     L = cfg.sequences
-    n_chunks = (L + CHUNK_SIZE - 1) // CHUNK_SIZE
+    n_chunks = chunk_count(L)
     check_memory(_memory_bytes(cfg, n_chunks), f"{cfg.mode} Monte Carlo")
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     sizes = [min(CHUNK_SIZE, L - i * CHUNK_SIZE) for i in range(n_chunks)]
@@ -387,12 +400,37 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
             return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
 
     work = list(zip(sizes, seeds))
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    in_flight = min(cfg.workers, n_chunks)
+    if in_flight > 1:
+        with ThreadPoolExecutor(max_workers=in_flight) as pool:
             results = list(pool.map(job, work))
     else:
         results = [job(w) for w in work]
     return _estimate(results, cfg)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def default_workers(cfg: TrajectoryConfig) -> int:
+    """Worker count for ``cfg`` when none is asked for: one per usable core
+    but no more than there are chunks, stepped down to the largest count
+    whose chunks in flight pass the memory guard (at least 1).
+
+    ``cfg.workers`` is ignored. Results do not depend on the count, so a
+    defaulted run never exits 4 where one worker would fit.
+    """
+    n_chunks = chunk_count(cfg.sequences)
+    workers = max(1, min(usable_cores(), n_chunks))
+    while workers > 1 and not fits_memory(_memory_bytes(replace(cfg, workers=workers), n_chunks)):
+        workers -= 1
+    return workers
 
 
 def empirical_snr(est: McEstimate) -> float:

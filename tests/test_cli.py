@@ -16,7 +16,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
-from faradaycorr import errors, weak_measurement
+from faradaycorr import errors, trajectory_mc, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -173,6 +173,7 @@ class TestCliExact:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["config"]["protocol"]["alpha"] == 1.5
         assert manifest["provenance"]["gk_leading[counts^K]"] == "weak_measurement"
+        assert "run" not in manifest  # no Monte Carlo, no worker layout
 
     def test_warning_column_for_closed_protocol(self, tmp_path):
         doc = dict(
@@ -251,6 +252,71 @@ class TestCliSimulate:
             main(["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_CONFIG
         assert "FARADAYCORR_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, flag):
+        args = ["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--threads", flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_variable_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FARADAYCORR_THREADS", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_CONFIG
+        assert "FARADAYCORR_THREADS" in capsys.readouterr().err
+
+    def test_default_workers_do_not_change_results(self, tmp_path, monkeypatch):
+        # three usable cores, whatever the machine: the default runs three
+        # workers on both the Kraus and the multi-chunk semiclassical sweep
+        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
+        monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 3)
+        field = {"kind": "ornstein_uhlenbeck", "amplitude": 10.0, "correlation_time": 1.0}
+        sweep = {
+            "command": "sweep",
+            "seed": 5,
+            "protocol": {
+                "alpha": 4.0,
+                "tau": 0.05,
+                "shots": [{"time": 0.0, "basis": "S2"}, {"time": 0.3, "basis": "S2"}],
+            },
+            "mc": {"sequences": 3 * trajectory_mc.CHUNK_SIZE, "mode": "semiclassical_field", "field": field},
+            "sweep": {"command": "simulate", "path": "mc.field.kind", "values": ["ornstein_uhlenbeck", "telegraph"]},
+        }
+        kraus = dict(SIM_DOC, mc={"sequences": 2 * trajectory_mc.CHUNK_SIZE, "mode": "kraus_quantum"})
+        for doc, workers in ((sweep, [3, 3]), (kraus, [2])):
+            cfg = write_config(tmp_path, doc)
+            command = doc["command"]
+            defaulted, single = tmp_path / f"{command}_default", tmp_path / f"{command}_1"
+            assert main([command, "--config", str(cfg), "--out", str(defaulted)]) == EXIT_OK
+            assert main([command, "--config", str(cfg), "--out", str(single), "--threads", "1"]) == EXIT_OK
+            assert (defaulted / "results.csv").read_bytes() == (single / "results.csv").read_bytes()
+            layout = json.loads((defaulted / "manifest.json").read_text())["run"]["protocols"]
+            assert [entry["workers"] for entry in layout] == workers
+
+    def test_manifest_records_the_worker_and_chunk_layout(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
+        cfg = write_config(tmp_path, SIM_DOC)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "3"]) == EXIT_OK
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert run == {"chunk_size": trajectory_mc.CHUNK_SIZE, "protocols": [{"workers": 3, "chunks": 1}]}
+
+    def test_defaulted_run_steps_down_where_explicit_threads_exit(self, tmp_path, monkeypatch):
+        # two chunks of a spin-1/2 need ~5 MiB each: under an 8 MiB guard one
+        # worker fits and two do not
+        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
+        monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 2)
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
+        doc = dict(SIM_DOC, mc={"sequences": 2 * trajectory_mc.CHUNK_SIZE, "mode": "kraus_quantum"})
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+        run = json.loads((tmp_path / "a" / "manifest.json").read_text())["run"]
+        assert run["protocols"] == [{"workers": 1, "chunks": 2}]
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"]) == EXIT_RESOURCE
 
     def test_threads_do_not_change_results(self, tmp_path):
         cfg = write_config(tmp_path, SIM_DOC)

@@ -16,6 +16,7 @@ from faradaycorr.sensor_optics import (
     coherent_grid,
     coherent_state,
     detector_amplitudes,
+    detector_means,
     log_factorial,
     plane_rotation_angle,
     required_cutoff,
@@ -233,6 +234,33 @@ class TestInterferometer:
             # |beta_d|^2 - |beta_c|^2 = alpha^2 sin(2 theta) sin(phase)
             diff = np.abs(beta_d) ** 2 - np.abs(beta_c) ** 2
             assert np.allclose(diff, self.ALPHA**2 * np.sin(2 * theta) * math.sin(phase), atol=1e-12)
+
+
+class TestDetectorMeans:
+    @given(
+        st.floats(min_value=1e-3, max_value=60.0),
+        st.floats(min_value=-4.0, max_value=4.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_means_are_the_squared_amplitudes(self, alpha, theta, phase):
+        means_c, means_d = detector_means(alpha, theta, phase)
+        beta_c, beta_d = detector_amplitudes(alpha, theta, phase)
+        assert abs(means_c - abs(beta_c) ** 2) <= 1e-14 * alpha**2
+        assert abs(means_d - abs(beta_d) ** 2) <= 1e-14 * alpha**2
+
+    @given(st.floats(min_value=1e-3, max_value=60.0), st.floats(min_value=-4.0, max_value=4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_circular_basis_is_balanced_exactly(self, alpha, theta):
+        means_c, means_d = detector_means(alpha, theta, MeasurementBasis.S3.phase)
+        assert means_c == means_d == alpha**2 / 2
+
+    def test_elementwise_over_any_shape(self):
+        theta = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
+        means_c, means_d = detector_means(1.3, theta, MeasurementBasis.S2.phase)
+        assert means_c.shape == means_d.shape == theta.shape
+        for i, t in np.ndenumerate(theta):
+            assert (means_c[i], means_d[i]) == detector_means(1.3, float(t), MeasurementBasis.S2.phase)
 
 
 class TestConfigValidation:

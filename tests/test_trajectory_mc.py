@@ -31,6 +31,7 @@ from faradaycorr.trajectory_mc import (
     _kraus_update,
     _quantum_plan,
     cluster_eigenvalues,
+    default_workers,
     empirical_snr,
     snr_convention_factor,
     run_sequences,
@@ -294,6 +295,34 @@ class TestQuantumSequences:
         b = run_sequences(TrajectoryConfig(workers=4, **base))
         assert a == b
 
+    def test_pool_holds_no_more_threads_than_chunks(self, monkeypatch):
+        sizes = []
+        real = trajectory_mc.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(trajectory_mc, "ThreadPoolExecutor", recording)
+        p = proto([(0.0, S3), (1.0, S2)], alpha=2.0, tau=0.05)
+        base = dict(seed=8, mode="kraus_quantum", proto=p, model=precession_model(), workers=4)
+        run_sequences(TrajectoryConfig(sequences=CHUNK_SIZE, **base))  # one chunk runs inline
+        run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
+        assert sizes == [2]
+
+    def test_default_workers_one_per_core_up_to_the_chunks(self, monkeypatch):
+        monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 3)
+        p = proto([(0.0, S2)], alpha=2.0, tau=0.05)
+        field = ClassicalFieldModel(kind=FieldKind.CONSTANT, amplitude=1.0)
+        base = dict(seed=0, mode="semiclassical_field", proto=p, model=field)
+        counts = [default_workers(TrajectoryConfig(sequences=n * CHUNK_SIZE, **base)) for n in (1, 2, 3, 10)]
+        assert counts == [1, 2, 3, 3]
+
+    def test_usable_cores_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(trajectory_mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(trajectory_mc.os, "cpu_count", lambda: 5)
+        assert trajectory_mc.usable_cores() == 5
+
     def test_large_alpha_amplitudes_do_not_underflow(self):
         # at alpha = 45 a shot records ~1000 photons per detector; the Kraus
         # amplitudes beta^n underflow unless formed in log space
@@ -423,6 +452,20 @@ class TestMemoryGuard:
         assert run_sequences(TrajectoryConfig(workers=1, **base)).n_sequences == 2 * CHUNK_SIZE
         with pytest.raises(ResourceGuardError):
             run_sequences(TrajectoryConfig(workers=2, **base))
+
+    def test_default_workers_step_down_to_what_fits(self, monkeypatch):
+        # the same two chunks: with four usable cores the default is two
+        # workers, and under the 8 MiB guard it steps down to one, which runs
+        monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 4)
+        base = dict(sequences=2 * CHUNK_SIZE, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        cfg = TrajectoryConfig(**base)
+        assert default_workers(cfg) == 2
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
+        assert default_workers(cfg) == 1
+        assert run_sequences(TrajectoryConfig(workers=default_workers(cfg), **base)).n_sequences == 2 * CHUNK_SIZE
+        # nothing fits: the default is still one worker, and the run exits on the guard
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024)
+        assert default_workers(cfg) == 1
 
     def test_guard_counts_every_chunk_bookkeeping(self, monkeypatch):
         # seeds, sizes and results are held for every chunk, not only those in flight:
