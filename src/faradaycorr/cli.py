@@ -165,7 +165,9 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list
     for proto, lead, ex in zip(run.protocols, leading, exact):
         cfg = replace(mc, proto=proto)
         cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
-        layout.append({"workers": cfg.workers, "chunks": chunk_count(cfg.sequences)})
+        chunks = chunk_count(cfg.sequences)
+        # run_sequences never runs more workers than there are chunks
+        layout.append({"workers": min(cfg.workers, chunks), "chunks": chunks})
         est = run_sequences(cfg)
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error

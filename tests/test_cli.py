@@ -303,7 +303,8 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "3"]) == EXIT_OK
         run = json.loads((out / "manifest.json").read_text())["run"]
-        assert run == {"chunk_size": trajectory_mc.CHUNK_SIZE, "protocols": [{"workers": 3, "chunks": 1}]}
+        # three workers asked for, one chunk to run: one worker runs it
+        assert run == {"chunk_size": trajectory_mc.CHUNK_SIZE, "protocols": [{"workers": 1, "chunks": 1}]}
 
     def test_defaulted_run_steps_down_where_explicit_threads_exit(self, tmp_path, monkeypatch):
         # two chunks of a spin-1/2 need ~5 MiB each: under an 8 MiB guard one
