@@ -31,13 +31,7 @@ from .correlations import correlation_grid
 from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
-from .trajectory_mc import (
-    CHUNK_SIZE,
-    chunk_count,
-    default_workers,
-    empirical_snr,
-    run_sequences,
-)
+from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
 from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, prediction_factor
 
 EXIT_OK = 0
@@ -165,10 +159,8 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list
     for proto, lead, ex in zip(run.protocols, leading, exact):
         cfg = replace(mc, proto=proto)
         cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
-        chunks = chunk_count(cfg.sequences)
-        # run_sequences never runs more workers than there are chunks
-        layout.append({"workers": min(cfg.workers, chunks), "chunks": chunks})
         est = run_sequences(cfg)
+        layout.append({"workers": est.workers, "chunks": est.chunks})
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
         row = _protocol_row_base(proto)

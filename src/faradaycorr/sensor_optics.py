@@ -1,5 +1,5 @@
 """Photon-polarization pseudo-spin sensor: Stokes operators, coherent pulses,
-and the interferometer network.
+the interferometer network, and the instrument of one shot.
 
 Conventions fixed here, once, for the whole package:
 
@@ -19,6 +19,10 @@ Conventions fixed here, once, for the whole package:
   count correlation exactly proportional to a single target correlation.
   (A uniform half-count convention would make the R/L coefficient alpha^2/4
   and break that proportionality; see the README.)
+* One shot is one instrument, ``ShotTable``: per eigenvalue of the coupling
+  it holds the detector amplitudes, and from them alone the Poisson means and
+  Kraus elements that the trajectories sample and the record matrix (their
+  first moment) that the exact chain multiplies by.
 """
 
 from __future__ import annotations
@@ -277,3 +281,72 @@ def detector_means(alpha: float, theta, phase: float) -> tuple[Array, Array]:
     half = 0.5 * alpha * alpha
     shift = half * math.sin(phase) * np.sin(2.0 * np.asarray(theta, dtype=float))
     return half - shift, half + shift
+
+
+def _count_log_modulus(beta: Array, counts: Array) -> Array:
+    """n log|beta| per (count, branch), with 0^0 = 1 and 0^n = 0 (-inf) for n > 0."""
+    counts = np.asarray(counts, dtype=float)[:, None]
+    modulus = np.abs(beta)[None, :]
+    zero = modulus == 0
+    out = counts * np.log(np.where(zero, 1.0, modulus))
+    return np.where(zero & (counts > 0), -np.inf, out)
+
+
+@dataclass(frozen=True)
+class ShotTable:
+    """The instrument of one shot, per eigenvalue branch b of its coupling.
+
+    The pulse leaves the interferometer in the coherent state
+    |beta_c(b), beta_d(b)>, so the counts are independent Poisson with means
+    |beta|^2 (from ``detector_means``), and the Kraus element of an outcome
+    (n_c, n_d) is diagonal in the coupling's eigenbasis with entries
+    beta_c^n_c beta_d^n_d up to a branch-independent factor
+    (|beta_c|^2 + |beta_d|^2 = alpha^2). The Monte Carlo samples these
+    elements (``kraus_diagonal``); the exact chain multiplies by their first
+    moment (``record``). ``scale`` is the basis's ``record_scale``.
+    """
+
+    beta_c: Array
+    beta_d: Array
+    means_c: Array
+    means_d: Array
+    scale: float
+
+    @classmethod
+    def of(cls, eigvals: Array, sensor: SensorConfig, basis: MeasurementBasis) -> "ShotTable":
+        theta = plane_rotation_angle(np.asarray(eigvals, dtype=float), sensor.tau)
+        beta_c, beta_d = detector_amplitudes(sensor.alpha, theta, basis.phase)
+        means_c, means_d = detector_means(sensor.alpha, theta, basis.phase)
+        return cls(beta_c, beta_d, means_c, means_d, basis.record_scale)
+
+    def record(self) -> Array:
+        """m[i,k] = <chi_k| Lambda |chi_i>, the recorded observable
+        Lambda = scale (n_d - n_c) between the output pulses of branches i, k.
+
+        With x = beta_i beta_k^* per detector, m = scale (x_d - x_c) times the
+        overlap exp(-(|beta_c,i - beta_c,k|^2 + |beta_d,i - beta_d,k|^2)/2),
+        which is real because the interferometer is passive and the input
+        amplitudes are real. The diagonal is scale (mu_d - mu_c) from the
+        real means, so an R/L record has an exactly zero diagonal.
+        """
+        c, d = self.beta_c, self.beta_d
+        x = np.outer(d, d.conj()) - np.outer(c, c.conj())
+        gap = np.abs(np.subtract.outer(c, c)) ** 2 + np.abs(np.subtract.outer(d, d)) ** 2
+        m = self.scale * x * np.exp(-0.5 * gap)
+        np.fill_diagonal(m, self.scale * (self.means_d - self.means_c))
+        return m
+
+    def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
+        """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row
+        scaled by a branch-independent factor so that its largest modulus is 1.
+
+        The product is formed in log space: with n ~ alpha^2/2 counts the plain
+        powers underflow for alpha above about 33.
+        """
+        n_c = np.asarray(n_c, dtype=float)
+        n_d = np.asarray(n_d, dtype=float)
+        log_mod = _count_log_modulus(self.beta_c, n_c) + _count_log_modulus(self.beta_d, n_d)
+        phase = n_c[:, None] * np.angle(self.beta_c)[None, :] + n_d[:, None] * np.angle(self.beta_d)[None, :]
+        top = np.max(log_mod, axis=1, keepdims=True)
+        top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
+        return np.exp(log_mod - top + 1j * phase)

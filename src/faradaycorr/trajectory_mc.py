@@ -7,14 +7,15 @@ Two modes:
   drawn with probability lambda_k; the record statistics are linear in rho0,
   so this unravelling reproduces those of the mixed state exactly. Per shot,
   the state is held in the eigenbasis of the coupling B(t_j) (from the model's
-  spectral data, so no shot diagonalizes anything). Conditioned on an
-  eigenvalue b, drawn with probability |psi_b|^2, the detectors see
-  independent Poisson counts with the means ``sensor_optics.detector_means``
-  gives for b. The state is then multiplied by the full Kraus element, which
-  is diagonal in that basis and keeps the interference between eigenvalue
-  branches, and renormalized. Moving to the next shot's eigenbasis is one
-  d x d rotation W_j = V_j^dag V_{j-1}, so a chunk of n sequences holds n x d
-  amplitudes and costs O(n d^2) per shot.
+  spectral data, so no shot diagonalizes anything). Each shot's statistics
+  come from the shot instrument, ``sensor_optics.ShotTable``, whose first
+  moment is the record of the exact chain. Conditioned on an eigenvalue b,
+  drawn with probability |psi_b|^2, the detectors see independent Poisson
+  counts with the table's means for b. The state is then multiplied by the
+  full Kraus element, which is diagonal in that basis and keeps the
+  interference between eigenvalue branches, and renormalized. Moving to the
+  next shot's eigenbasis is one d x d rotation W_j = V_j^dag V_{j-1}, so a
+  chunk of n sequences holds n x d amplitudes and costs O(n d^2) per shot.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts around the same ``detector_means``, evaluated at
   each sequence's field value. Only the all-anticommutator correlation
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -43,13 +44,7 @@ import numpy as np
 from .correlations import basis_changes
 from .errors import check_memory, fits_memory
 from .quantum_core import Array, TargetModel
-from .sensor_optics import (
-    MeasurementBasis,
-    SensorConfig,
-    detector_amplitudes,
-    detector_means,
-    plane_rotation_angle,
-)
+from .sensor_optics import MeasurementBasis, ShotTable, detector_means, plane_rotation_angle
 from .tolerances import TOL
 from .weak_measurement import ProtocolSpec
 
@@ -114,6 +109,9 @@ class McEstimate:
     ``per_shot_variance`` is the variance of the half count difference
     (n_d - n_c)/2, independent of the per-basis record normalization;
     ``per_shot_variance_raw`` is the variance of the unhalved difference.
+    ``chunks`` is the number of seeded chunks and ``workers`` the pool size
+    that ran them, min(requested workers, chunks); neither changes the
+    estimate, so neither takes part in comparisons.
     """
 
     mean: float
@@ -121,6 +119,8 @@ class McEstimate:
     per_shot_variance: float
     per_shot_variance_raw: float
     n_sequences: int
+    workers: int = field(default=1, compare=False)
+    chunks: int = field(default=1, compare=False)
 
 
 def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
@@ -140,61 +140,10 @@ def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
     return out
 
 
-def _count_log_modulus(beta: Array, counts: Array) -> Array:
-    """n log|beta| per (count, branch), with 0^0 = 1 and 0^n = 0 (-inf) for n > 0."""
-    counts = np.asarray(counts, dtype=float)[:, None]
-    modulus = np.abs(beta)[None, :]
-    zero = modulus == 0
-    out = counts * np.log(np.where(zero, 1.0, modulus))
-    return np.where(zero & (counts > 0), -np.inf, out)
-
-
 def _branch_probabilities(p: Array) -> Array:
     """Clip roundoff negatives and normalize along the last axis."""
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class ShotTable:
-    """Detector statistics of one shot, per eigenvalue branch of its coupling.
-
-    Given the (clustered) eigenvalue b, the pulse leaves with coherent
-    amplitudes beta_c(b), beta_d(b), so the counts are independent Poisson
-    with means |beta|^2 (from ``detector_means``), and the Kraus element of
-    an outcome (n_c, n_d) is diagonal in the coupling's eigenbasis with
-    entries beta_c^n_c beta_d^n_d up to a branch-independent factor
-    (|beta_c|^2 + |beta_d|^2 = alpha^2). The amplitudes serve only the
-    Kraus phases and moduli of ``kraus_diagonal``.
-    """
-
-    eigvals: Array
-    beta_c: Array
-    beta_d: Array
-    means_c: Array
-    means_d: Array
-
-    @classmethod
-    def of(cls, eigvals: Array, sensor: SensorConfig, phase: float) -> "ShotTable":
-        w = cluster_eigenvalues(eigvals)
-        theta = plane_rotation_angle(w, sensor.tau)
-        beta_c, beta_d = detector_amplitudes(sensor.alpha, theta, phase)
-        return cls(w, beta_c, beta_d, *detector_means(sensor.alpha, theta, phase))
-
-    def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
-        """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row
-        scaled by a branch-independent factor so that its largest modulus is 1.
-
-        The product is formed in log space: with n ~ alpha^2/2 counts the plain
-        powers underflow for alpha above about 33.
-        """
-        n_c = np.asarray(n_c, dtype=float)
-        n_d = np.asarray(n_d, dtype=float)
-        log_mod = _count_log_modulus(self.beta_c, n_c) + _count_log_modulus(self.beta_d, n_d)
-        phase = n_c[:, None] * np.angle(self.beta_c)[None, :] + n_d[:, None] * np.angle(self.beta_d)[None, :]
-        top = np.max(log_mod, axis=1, keepdims=True)
-        top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
-        return np.exp(log_mod - top + 1j * phase)
 
 
 def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Array:
@@ -211,7 +160,6 @@ def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Ar
 class _QuantumStep:
     rotation: Array | None  # W_j^T, W_j = V_j^dag V_{j-1}; None for the first shot
     table: ShotTable
-    scale: float            # record_scale of the shot's basis
 
 
 @dataclass(frozen=True)
@@ -233,12 +181,9 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     spec = model.spectral
     bases = [spec.coupling_eigvecs_at(shot.time) for shot in proto.shots]
     rotations = [None] + [w.T for w in basis_changes(bases)]
-    tables = {}
-    steps = []
-    for rotation, shot in zip(rotations, proto.shots):
-        if shot.basis not in tables:
-            tables[shot.basis] = ShotTable.of(spec.coupling_eigvals, proto.sensor, shot.basis.phase)
-        steps.append(_QuantumStep(rotation, tables[shot.basis], shot.basis.record_scale))
+    w = cluster_eigenvalues(spec.coupling_eigvals)
+    tables = {b: ShotTable.of(w, proto.sensor, b) for b in {shot.basis for shot in proto.shots}}
+    steps = [_QuantumStep(rotation, tables[shot.basis]) for rotation, shot in zip(rotations, proto.shots)]
     lam, u = np.linalg.eigh(model.initial_state.matrix)
     kets = (bases[0].conj().T @ u).T
     return _QuantumPlan(_branch_probabilities(lam), kets, tuple(steps))
@@ -284,7 +229,7 @@ def _run_quantum_chunk(
         p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        n_c, n_d = record.shot(rng, step.table.means_c[idx], step.table.means_d[idx], step.scale)
+        n_c, n_d = record.shot(rng, step.table.means_c[idx], step.table.means_d[idx], step.table.scale)
         if j < last:  # the state after the last shot is never read
             states = _kraus_update(states, step.table, n_c, n_d)
     return record.sums()
@@ -370,6 +315,8 @@ def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
         per_shot_variance=float(half_var),
         per_shot_variance_raw=float(4.0 * half_var),
         n_sequences=L,
+        workers=min(cfg.workers, len(results)),
+        chunks=len(results),
     )
 
 

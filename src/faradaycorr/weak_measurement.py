@@ -14,17 +14,19 @@ run the record chain of ``correlations`` and differ only in that matrix:
   coherent and S3 generates a passive polarization rotation, the joint
   unitary maps the pulse to a rotated coherent state conditioned on each
   eigenvalue of B(t_j); the record holds the recorded observable's matrix
-  elements between those rotated pulses. The default engine evaluates them
-  in closed form (exact, no truncation); ``engine="fock"`` re-derives them
-  numerically on a truncated two-mode Fock space as an independent
-  cross-check. The Stokes operators are Schwinger bosons: S3 and the
-  recorded observable conserve the photon number N, and in sector N they
-  are the spin-N/2 matrices Jy and Jx (or 2 Jy). The Fock engine sums the
-  record over the sectors N <= n_max with one (N+1)-dimensional eigh of Jy
-  each, which is exactly the truncated two-mode result. That costs
-  sum (N+1)^3 ~ n_max^4/4 once per n_max (cached), and the cached
-  eigendata, sum (N+1)^2 complex numbers (48 MiB at alpha = 10), is
-  checked against the memory guard before any sector is diagonalized.
+  elements between those rotated pulses. The default engine takes them from
+  the shot instrument, ``sensor_optics.ShotTable.record`` (exact, no
+  truncation), whose amplitudes the Kraus trajectories sample too;
+  ``engine="fock"`` re-derives them numerically on a truncated two-mode Fock
+  space as an independent cross-check. The Stokes operators are Schwinger
+  bosons: S3 and the recorded observable conserve the photon number N, and
+  in sector N they are the spin-N/2 matrices Jy and Jx (or 2 Jy). The Fock
+  engine sums the record over the sectors N <= n_max with one
+  (N+1)-dimensional eigh of Jy each, which is exactly the truncated
+  two-mode result. That costs sum (N+1)^3 ~ n_max^4/4 once per n_max
+  (cached), and the cached eigendata, sum (N+1)^2 complex numbers (48 MiB
+  at alpha = 10), is checked against the memory guard before any sector is
+  diagonalized.
 
 A record depends only on the pulse, the eigenvalues of B and the basis, so
 it is built once per basis. Protocols that differ only in the time of their
@@ -40,7 +42,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +55,7 @@ from .correlations import (
 )
 from .errors import check_memory
 from .quantum_core import Array, TargetModel, spin_operators
-from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, _coherent_mode
+from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, ShotTable, _coherent_mode
 
 
 class ProtocolWarning(UserWarning):
@@ -118,8 +120,7 @@ def _leading_coefficient(sensor: SensorConfig) -> float:
 
 def prediction_factor(proto: ProtocolSpec) -> float:
     """2^-K tau^K alpha^2K: the leading-order count correlation per unit C."""
-    k = proto.order
-    return 2.0**-k * proto.sensor.tau**k * proto.sensor.alpha ** (2 * k)
+    return _leading_coefficient(proto.sensor) ** proto.order
 
 
 def _predicted_from_c(model: TargetModel, proto: ProtocolSpec) -> float:
@@ -155,21 +156,6 @@ def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
 
 
-def _coherent_record_matrix(alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis) -> Array:
-    """Matrix m[i,k] = <chi_k| Lambda |chi_i> of the recorded observable
-    between the coherent pulses rotated by each eigenvalue of B(t_j).
-
-    chi_b = (alpha cos(theta_b), alpha sin(theta_b)) with theta_b = tau*b/2;
-    overlaps and quadratic-form matrix elements are closed-form.
-    """
-    theta = 0.5 * tau * np.asarray(eigvals, dtype=float)
-    diff = theta[:, None] - theta[None, :]
-    overlap = np.exp(-(alpha**2) * (1.0 - np.cos(diff)))
-    if basis is MeasurementBasis.S2:
-        return 0.5 * alpha**2 * np.sin(theta[:, None] + theta[None, :]) * overlap
-    return -1j * alpha**2 * np.sin(diff) * overlap
-
-
 @lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
 def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
     """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
@@ -192,7 +178,7 @@ def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
 def _fock_record_matrix(
     alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis, tr: FockTruncation
 ) -> Array:
-    """Truncated-Fock cross-check of ``_coherent_record_matrix``.
+    """Truncated-Fock cross-check of ``ShotTable.record``.
 
     S3 and the recorded observable conserve the photon number N, and the
     pulse |alpha, H> has weight |c_N|^2 in sector N at |j, j>. On the
@@ -219,8 +205,9 @@ def gk_exact_unitary_grid(
     time_convention: str = "start",
 ) -> Array:
     """All-orders count correlations over a final-time grid: the record
-    chain with each shot's coherent (or Fock) record matrix, B frozen at
-    the shot's start or midpoint. See ``gk_exact_unitary`` for the options.
+    chain with each shot's instrument record (or its Fock cross-check), B
+    frozen at the shot's start or midpoint. See ``gk_exact_unitary`` for the
+    options.
     """
     if engine not in ("coherent", "fock"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -228,14 +215,13 @@ def gk_exact_unitary_grid(
         raise ValueError(f"unknown time convention {time_convention!r}")
     head, finals = _shared_grid(protos)
     alpha, tau = head.sensor.alpha, head.sensor.tau
-    build = _coherent_record_matrix
-    if engine == "fock":
-        if tr is None:
-            tr = FockTruncation.for_alpha(alpha)
-        build = partial(_fock_record_matrix, tr=tr)
     w = model.spectral.coupling_eigvals
     keys = [s.basis for s in head.shots]
-    records = {b: build(alpha, tau, w, b) for b in set(keys)}
+    if engine == "fock":
+        tr = FockTruncation.for_alpha(alpha) if tr is None else tr
+        records = {b: _fock_record_matrix(alpha, tau, w, b, tr) for b in set(keys)}
+    else:
+        records = {b: ShotTable.of(w, head.sensor, b).record() for b in set(keys)}
     shift = 0.5 * tau if time_convention == "midpoint" else 0.0
     times = [s.time + shift for s in head.shots[:-1]]
     scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)

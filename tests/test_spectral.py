@@ -24,7 +24,6 @@ from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
-    _coherent_record_matrix,
     _fock_record_matrix,
     gk_exact_unitary,
     gk_exact_unitary_grid,
@@ -33,6 +32,7 @@ from faradaycorr.weak_measurement import (
 )
 
 from conftest import random_model
+from test_weak_measurement import coherent_record
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 GRID_RTOL = 1e-12
@@ -57,7 +57,7 @@ def reference_exact(model, proto, tr, engine, time_convention):
     for shot in proto.shots:
         w, v = np.linalg.eigh(expm_coupling(model, shot.time + shift))
         if engine == "coherent":
-            m = _coherent_record_matrix(alpha, tau, w, shot.basis)
+            m = coherent_record(alpha, tau, w, shot.basis)
         else:
             m = _fock_record_matrix(alpha, tau, w, shot.basis, tr)
         rho = v @ (m * (v.conj().T @ rho @ v)) @ v.conj().T

@@ -17,13 +17,12 @@ from faradaycorr.quantum_core import (
     spin_operators,
     thermal_state,
 )
-from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, log_factorial
+from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable, log_factorial
 from faradaycorr.trajectory_mc import (
     CHUNK_SIZE,
     ClassicalFieldModel,
     FieldKind,
     McEstimate,
-    ShotTable,
     TrajectoryConfig,
     _Record,
     _branch_probabilities,
@@ -41,7 +40,6 @@ from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitar
 from conftest import SX, SZ, UP, precession_model, random_hermitian
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
-PHASE2, PHASE3 = S2.phase, S3.phase
 
 
 def proto(bases_times, alpha, tau):
@@ -61,13 +59,13 @@ class KrausOutcomeSampler:
     outcome distribution of one shot on a density matrix, its sampling, and
     the post-measurement state, from an eigendecomposition of the coupling."""
 
-    def __init__(self, rho: DensityMatrix, b, cfg: SensorConfig, basis_phase: float):
+    def __init__(self, rho: DensityMatrix, b, cfg: SensorConfig, basis: MeasurementBasis):
         b = require_hermitian(b, "coupling")
         if b.shape[0] != rho.dim:
             raise DimensionMismatchError("coupling and state dims differ")
         w, v = np.linalg.eigh(b)
-        self.table = ShotTable.of(w, cfg, basis_phase)
-        self.eigvals = self.table.eigvals
+        self.eigvals = cluster_eigenvalues(w)
+        self.table = ShotTable.of(self.eigvals, cfg, basis)
         self.eigvecs = v
         self.rho_eig = v.conj().T @ rho.matrix @ v
         self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
@@ -142,27 +140,27 @@ class TestKrausSampler:
     def test_zero_coupling_is_passive(self):
         # b = 0: both detectors see alpha^2/2 and the state is unchanged
         rho = pure_state([1, 1j])
-        s = KrausOutcomeSampler(rho, np.zeros((2, 2)), self.CFG, PHASE2)
+        s = KrausOutcomeSampler(rho, np.zeros((2, 2)), self.CFG, S2)
         assert np.allclose(s.means_c, 0.5)
         assert np.allclose(s.means_d, 0.5)
         post = s.post_state(3, 1)
         assert np.max(np.abs(post.matrix - rho.matrix)) < 1e-12
 
     def test_eigenstate_is_undisturbed(self):
-        s = KrausOutcomeSampler(UP, SZ, self.CFG, PHASE2)
+        s = KrausOutcomeSampler(UP, SZ, self.CFG, S2)
         post = s.post_state(2, 0)
         assert np.max(np.abs(post.matrix - UP.matrix)) < 1e-12
 
     def test_outcome_distribution_normalized(self):
         rho = pure_state([0.6, 0.8])
-        s = KrausOutcomeSampler(rho, SZ, self.CFG, PHASE2)
+        s = KrausOutcomeSampler(rho, SZ, self.CFG, S2)
         total = sum(s.probability(nc, nd) for nc in range(15) for nd in range(15))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_branch_distributions_normalized(self):
         # per-branch completeness: sum over outcomes of each Poisson pair is 1
         rho = pure_state([0.6, 0.8])
-        s = KrausOutcomeSampler(rho, SX, self.CFG, PHASE3)
+        s = KrausOutcomeSampler(rho, SX, self.CFG, S3)
         for i in range(2):
             total = sum(
                 s.branch_count_probability(i, nc, nd) for nc in range(15) for nd in range(15)
@@ -173,7 +171,7 @@ class TestKrausSampler:
         # sum_n P(n) rho_n reproduces the deterministic shot map on rho
         rho = pure_state([0.6, 0.8j])
         cfg = SensorConfig(alpha=1.0, tau=0.3)
-        s = KrausOutcomeSampler(rho, SZ, cfg, PHASE2)
+        s = KrausOutcomeSampler(rho, SZ, cfg, S2)
         acc = np.zeros((2, 2), dtype=complex)
         for nc in range(15):
             for nd in range(15):
@@ -188,7 +186,7 @@ class TestKrausSampler:
 
     def test_sampled_counts_match_probabilities(self):
         rho = pure_state([0.6, 0.8])
-        s = KrausOutcomeSampler(rho, SZ, self.CFG, PHASE2)
+        s = KrausOutcomeSampler(rho, SZ, self.CFG, S2)
         rng = np.random.default_rng(51)
         draws = 20000
         hits = sum(1 for _ in range(draws) if s.sample(rng) == (0, 0))
@@ -198,7 +196,7 @@ class TestKrausSampler:
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            KrausOutcomeSampler(UP, np.zeros((3, 3)), self.CFG, PHASE2)
+            KrausOutcomeSampler(UP, np.zeros((3, 3)), self.CFG, S2)
 
 
 class TestShotRecord:
@@ -310,6 +308,13 @@ class TestQuantumSequences:
         run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
         assert sizes == [2]
 
+    def test_estimate_records_the_pool_that_ran(self):
+        # three workers asked for, one chunk to run: the estimate says one ran it
+        p = proto([(0.0, S3), (1.0, S2)], alpha=2.0, tau=0.05)
+        model = precession_model()
+        est = run_sequences(TrajectoryConfig(sequences=100, seed=8, mode="kraus_quantum", proto=p, model=model, workers=3))
+        assert (est.workers, est.chunks) == (1, 1)
+
     def test_default_workers_one_per_core_up_to_the_chunks(self, monkeypatch):
         monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 3)
         p = proto([(0.0, S2)], alpha=2.0, tau=0.05)
@@ -356,7 +361,7 @@ def _density_matrix_chunk(n, rng, model, p):
     s_half = s_half2 = 0.0
     for shot in p.shots:
         v = spec.coupling_eigvecs_at(shot.time)
-        table = ShotTable.of(spec.coupling_eigvals, p.sensor, shot.basis.phase)
+        table = ShotTable.of(cluster_eigenvalues(spec.coupling_eigvals), p.sensor, shot.basis)
         rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
         probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
         probs = probs / probs.sum(axis=1, keepdims=True)
@@ -397,7 +402,7 @@ class TestVectorTrajectories:
                 psi = psi @ step.rotation
             psi = _kraus_update(psi[None, :], step.table, [n_c], [n_d])[0]
             b_t = heisenberg_coupling(model, shot.time)
-            rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis.phase).post_state(n_c, n_d)
+            rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis).post_state(n_c, n_d)
             ket = model.spectral.coupling_eigvecs_at(shot.time) @ psi
             assert np.max(np.abs(np.outer(ket, ket.conj()) - rho.matrix)) < 1e-12
 

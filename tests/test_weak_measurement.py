@@ -18,16 +18,18 @@ from faradaycorr.sensor_optics import (
     FockTruncation,
     MeasurementBasis,
     SensorConfig,
+    ShotTable,
     apply_s2,
     apply_s3,
     coherent_state,
+    log_factorial,
+    required_cutoff,
     stokes_operators,
 )
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
-    _coherent_record_matrix,
     _fock_record_matrix,
     gk_exact_unitary,
     gk_exact_unitary_grid,
@@ -42,6 +44,18 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 def proto(bases_times, alpha=1.0, tau=0.01):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
+
+
+def coherent_record(alpha, tau, eigvals, basis):
+    """Closed-form reference for ``ShotTable.record``: m[i,k] = <chi_k|Lambda|chi_i>
+    between the pulses chi_b = (alpha cos theta_b, alpha sin theta_b) rotated
+    by theta_b = tau b / 2, with overlap exp(-alpha^2 (1 - cos(theta_i - theta_k)))."""
+    theta = 0.5 * tau * np.asarray(eigvals, dtype=float)
+    diff = theta[:, None] - theta[None, :]
+    overlap = np.exp(-(alpha**2) * (1.0 - np.cos(diff)))
+    if basis is S2:
+        return 0.5 * alpha**2 * np.sin(theta[:, None] + theta[None, :]) * overlap
+    return -1j * alpha**2 * np.sin(diff) * overlap
 
 
 def dense_fock_records(alpha, tau, eigvals, tr):
@@ -190,13 +204,18 @@ class TestExactUnitary:
         assert exact == pytest.approx(lead, rel=1e-5)
 
     def test_residual_shrinks_two_orders_faster(self):
-        # leading-order error of the K-shot signal scales like tau^(K+2)
-        model = precession_model()
-        for k_shots, expo in (([(0.0, S2)], 3), ([(0.0, S3), (1.0, S2)], 4)):
+        # leading-order error of the K-shot signal scales like tau^(K+2); the
+        # K = 1 case needs <B> != 0, else both residuals are roundoff
+        tilted = TargetModel(
+            hamiltonian=SZ / 2, coupling=SX, initial_state=pure_state([math.cos(0.3), math.sin(0.3)])
+        )
+        cases = ((tilted, [(0.0, S2)], 3), (precession_model(), [(0.0, S3), (1.0, S2)], 4))
+        for model, k_shots, expo in cases:
             res = []
             for tau in (0.2, 0.1):
                 p = proto(k_shots, alpha=1.0, tau=tau)
                 res.append(abs(gk_exact_unitary(model, p).value - gk_leading(model, p).value))
+            assert min(res) > 1e-8
             ratio = res[0] / res[1]
             assert ratio == pytest.approx(2**expo, rel=0.25)
 
@@ -208,7 +227,7 @@ class TestExactUnitary:
         deviations = []
         for tau in taus:
             lead = 0.5 * tau * alpha**2 * branch_record(w, basis.eta)
-            m = _coherent_record_matrix(alpha, tau, w, basis)
+            m = ShotTable.of(w, SensorConfig(alpha, tau), basis).record()
             deviations.append(np.max(np.abs(m - lead)) / np.max(np.abs(lead)))
         exponent = np.polyfit(np.log(taus), np.log(deviations), 1)[0]
         assert exponent >= 1.8
@@ -274,3 +293,45 @@ class TestExactUnitary:
             gk_exact_unitary(model, p, engine="tensor")
         with pytest.raises(ValueError):
             gk_exact_unitary(model, p, time_convention="end")
+
+
+class TestShotInstrument:
+    """``ShotTable`` is the one per-shot instrument: the exact chain reads its
+    first moment and the Monte Carlo samples its Kraus elements."""
+
+    W = np.array([-1.3, -0.2, 0.4, 1.1, 2.0])
+
+    @pytest.mark.parametrize("basis", [S2, S3])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 45.0])
+    def test_record_matches_closed_form(self, alpha, basis):
+        for tau in (1e-3, 0.02, 0.3):
+            table = ShotTable.of(self.W, SensorConfig(alpha, tau), basis)
+            ref = coherent_record(alpha, tau, self.W, basis)
+            assert np.max(np.abs(table.record() - ref)) <= 1e-12 * basis.record_scale * alpha**2
+
+    @pytest.mark.parametrize("basis", [S2, S3])
+    @pytest.mark.parametrize("alpha, tau", [(1.0, 0.3), (2.0, 0.05), (5.0, 0.02)])
+    def test_record_is_first_moment_of_kraus_elements(self, alpha, tau, basis):
+        # K_n(i) = <n_c, n_d|beta_c,i, beta_d,i>, so sum_n s (n_d - n_c) K_n(i) K_n(k)^*
+        # is the record; summed up to the cutoff that bounds the coherent tail
+        table = ShotTable.of(self.W, SensorConfig(alpha, tau), basis)
+        n = np.arange(required_cutoff(alpha) + 1)
+        n_c, n_d = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
+        log_norm = -0.5 * alpha**2 - 0.5 * (log_factorial(n_c) + log_factorial(n_d))
+        kraus = np.exp(
+            log_norm[:, None]
+            + n_c[:, None] * np.log(table.beta_c.astype(complex))[None, :]
+            + n_d[:, None] * np.log(table.beta_d.astype(complex))[None, :]
+        )
+        moment = table.scale * ((n_d - n_c)[:, None] * kraus).T @ kraus.conj()
+        m = table.record()
+        assert np.max(np.abs(moment - m)) <= 1e-12 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("alpha", [2.0, 45.0])
+    def test_closing_circular_shot_is_exactly_zero(self, alpha):
+        m = ShotTable.of(self.W, SensorConfig(alpha, 0.3), S3).record()
+        assert np.all(np.diag(m) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ProtocolWarning)
+            p = proto([(0.0, S2), (0.7, S3)], alpha=alpha, tau=0.02)
+        assert gk_exact_unitary(random_model(np.random.default_rng(5), 4), p).value == 0.0
