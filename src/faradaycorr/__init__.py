@@ -13,7 +13,6 @@ from .correlations import (  # noqa: F401
     correlation,
     correlation_grid,
     heisenberg_coupling,
-    liouville_correlation,
 )
 from .quantum_core import (  # noqa: F401
     DensityMatrix,

@@ -127,7 +127,7 @@ def cmd_exact(run: ExactRun) -> tuple[list[str], list[dict]]:
     leading = gk_leading_grid(model, protocols)
     exact = None
     if run.include_exact_unitary:
-        exact = gk_exact_unitary_grid(model, protocols, run.truncation, engine=run.engine)
+        exact = gk_exact_unitary_grid(model, protocols, run.fock)
     factor = prediction_factor(protocols[0])
     rows = []
     for i, (proto, query) in enumerate(zip(protocols, queries)):

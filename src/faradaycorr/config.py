@@ -50,8 +50,7 @@ class ExactRun(Run):
     protocols: list[ProtocolSpec]
     protocol_warning: str
     include_exact_unitary: bool
-    engine: str
-    truncation: FockTruncation | None
+    fock: FockTruncation | None  # the Fock cross-check's truncation; None runs the coherent engine
 
 
 @dataclass(frozen=True)
@@ -298,14 +297,15 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     if not isinstance(include, bool):
         raise ConfigError(f"exact.include_exact_unitary must be true or false, got {include!r}")
     engine = _choice(section.get("engine", "coherent"), ("coherent", "fock"), "exact.engine")
-    truncation = None
+    alpha = protocols[0].sensor.alpha
+    fock = FockTruncation.for_alpha(alpha)
     if "n_max" in section:
         n_max = _integer(section["n_max"], "exact.n_max")
         with _constructing("exact.n_max"):
-            truncation = FockTruncation(n_max)
+            fock = FockTruncation(n_max)
             if include and engine == "fock":
-                truncation.check_alpha(protocols[0].sensor.alpha)
-    return ExactRun(seed, model, protocols, warning, include, engine, truncation)
+                fock.check_alpha(alpha)
+    return ExactRun(seed, model, protocols, warning, include, fock if engine == "fock" else None)
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:

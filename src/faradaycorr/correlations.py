@@ -21,10 +21,6 @@ of the last record reaches the trace, so the last shot is the observable
 X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
 (``SpectralData.final_traces``). A closing "-" branch has a zero diagonal, so
 its C is exactly zero. ``correlation`` is ``correlation_grid`` with one point.
-
-``liouville_correlation`` is an independent cross-implementation that builds
-each superoperator as a dense d^2 x d^2 matrix acting on the column-major
-vectorization of rho.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalGuardError
-from .quantum_core import Array, TargetModel, as_operator, identity
+from .quantum_core import Array, TargetModel, as_operator
 from .tolerances import TOL
 
 
@@ -175,38 +171,3 @@ def correlation(model: TargetModel, q: CorrelationQuery) -> float:
     """Evaluate C^{eta_K...eta_1}: ``correlation_grid`` with one final time."""
     return float(correlation_grid(model, [q])[0])
 
-
-def vectorize(rho: Array) -> Array:
-    """Column-major (Fortran-order) vectorization of a matrix."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unvectorize(v: Array, dim: int) -> Array:
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
-
-
-def branch_superoperator(b: Array, sign: BranchSign) -> Array:
-    """Dense d^2 x d^2 matrix of B^{sign} on column-vectorized states.
-
-    With column-major vectorization, left multiplication by B maps to
-    I ⊗ B and right multiplication to B^T ⊗ I.
-    """
-    b = as_operator(b)
-    d = b.shape[0]
-    left = np.kron(identity(d), b)
-    right = np.kron(b.T, identity(d))
-    if sign is BranchSign.PLUS:
-        return (left + right) / 2
-    return (left - right) / 1j
-
-
-def liouville_correlation(model: TargetModel, q: CorrelationQuery) -> float:
-    """Cross-implementation of ``correlation`` in Liouville space."""
-    if q.signs[-1] is BranchSign.MINUS:
-        return 0.0
-    spec = model.spectral
-    v = vectorize(spec.initial_state)
-    for t, sign in zip(q.times, q.signs):
-        v = branch_superoperator(spec.coupling_at(t), sign) @ v
-    trace = np.trace(unvectorize(v, model.dim))
-    return float(real_trace(trace, spec.coupling_norm**q.order, "Liouville correlation trace"))

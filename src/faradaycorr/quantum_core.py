@@ -27,10 +27,6 @@ def as_operator(entries) -> Array:
     return a
 
 
-def identity(dim: int) -> Array:
-    return np.eye(dim, dtype=complex)
-
-
 def is_hermitian(a: Array, tol: float = TOL.structural) -> bool:
     a = as_operator(a)
     return float(np.max(np.abs(a - a.conj().T))) <= tol

@@ -35,12 +35,12 @@ class SnrScenario:
 
     def __post_init__(self):
         for name in ("g", "D", "n_s", "A", "N_ph", "L", "moment_k"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.xi is not None and not self.xi > 0:
-            raise ValueError("xi must be positive when given")
+        if self.xi is not None and not 0 < self.xi < math.inf:
+            raise ValueError("xi must be positive and finite when given")
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,8 @@ class ClassicalFieldModel:
     correlation_time: float = math.inf
 
     def __post_init__(self):
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
         if self.kind is not FieldKind.CONSTANT and not self.correlation_time > 0:
             raise ValueError("stochastic field kinds need a positive correlation time")
 
@@ -278,11 +280,17 @@ def chunk_count(sequences: int) -> int:
     return (sequences + CHUNK_SIZE - 1) // CHUNK_SIZE
 
 
+def _pool_size(cfg: TrajectoryConfig, n_chunks: int) -> int:
+    """Workers that run ``n_chunks`` chunks of ``cfg`` at once: the requested
+    count, but no more than there are chunks. One runs them inline."""
+    return min(cfg.workers, n_chunks)
+
+
 def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
     """Bytes ``run_sequences`` holds at once: the bookkeeping of every chunk,
     the chunks in flight with their temporaries, and the shared per-shot tables."""
     n = min(CHUNK_SIZE, cfg.sequences)
-    in_flight = min(cfg.workers, n_chunks)
+    in_flight = _pool_size(cfg, n_chunks)
     k = cfg.proto.order
     bookkeeping = n_chunks * CHUNK_BYTES
     if cfg.mode == "kraus_quantum":
@@ -315,7 +323,7 @@ def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
         per_shot_variance=float(half_var),
         per_shot_variance_raw=float(4.0 * half_var),
         n_sequences=L,
-        workers=min(cfg.workers, len(results)),
+        workers=_pool_size(cfg, len(results)),
         chunks=len(results),
     )
 
@@ -347,7 +355,7 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
             return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
 
     work = list(zip(sizes, seeds))
-    in_flight = min(cfg.workers, n_chunks)
+    in_flight = _pool_size(cfg, n_chunks)
     if in_flight > 1:
         with ThreadPoolExecutor(max_workers=in_flight) as pool:
             results = list(pool.map(job, work))
@@ -381,9 +389,16 @@ def default_workers(cfg: TrajectoryConfig) -> int:
 
 
 def empirical_snr(est: McEstimate) -> float:
-    """sqrt(L)-included SNR of the estimate: mean / standard error."""
+    """sqrt(L)-included SNR of the estimate: mean / standard error.
+
+    0 when the standard error is infinite (one sequence). A zero standard
+    error (every sequence recorded the same value) gives 0 for a zero mean
+    and infinity with the sign of the mean otherwise, never NaN.
+    """
     if not math.isfinite(est.std_error):
         return 0.0
+    if est.std_error == 0:
+        return 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
     return est.mean / est.std_error
 
 

@@ -14,14 +14,14 @@ run the record chain of ``correlations`` and differ only in that matrix:
   coherent and S3 generates a passive polarization rotation, the joint
   unitary maps the pulse to a rotated coherent state conditioned on each
   eigenvalue of B(t_j); the record holds the recorded observable's matrix
-  elements between those rotated pulses. The default engine takes them from
-  the shot instrument, ``sensor_optics.ShotTable.record`` (exact, no
-  truncation), whose amplitudes the Kraus trajectories sample too;
-  ``engine="fock"`` re-derives them numerically on a truncated two-mode Fock
-  space as an independent cross-check. The Stokes operators are Schwinger
-  bosons: S3 and the recorded observable conserve the photon number N, and
-  in sector N they are the spin-N/2 matrices Jy and Jx (or 2 Jy). The Fock
-  engine sums the record over the sectors N <= n_max with one
+  elements between those rotated pulses. Without a ``FockTruncation`` it
+  takes them from the shot instrument, ``sensor_optics.ShotTable.record``
+  (exact, no truncation), whose amplitudes the Kraus trajectories sample
+  too; given one, it re-derives them numerically on that truncated two-mode
+  Fock space as an independent cross-check. The Stokes operators are
+  Schwinger bosons: S3 and the recorded observable conserve the photon
+  number N, and in sector N they are the spin-N/2 matrices Jy and Jx (or
+  2 Jy). The Fock engine sums the record over the sectors N <= n_max with one
   (N+1)-dimensional eigh of Jy each, which is exactly the truncated
   two-mode result. That costs sum (N+1)^3 ~ n_max^4/4 once per n_max
   (cached), and the cached eigendata, sum (N+1)^2 complex numbers (48 MiB
@@ -197,52 +197,34 @@ def _fock_record_matrix(
 
 
 def gk_exact_unitary_grid(
-    model: TargetModel,
-    protos: Sequence[ProtocolSpec],
-    tr: FockTruncation | None = None,
-    *,
-    engine: str = "coherent",
-    time_convention: str = "start",
+    model: TargetModel, protos: Sequence[ProtocolSpec], fock: FockTruncation | None = None
 ) -> Array:
     """All-orders count correlations over a final-time grid: the record
-    chain with each shot's instrument record (or its Fock cross-check), B
-    frozen at the shot's start or midpoint. See ``gk_exact_unitary`` for the
-    options.
+    chain with each shot's instrument record, or with its cross-check on the
+    truncated Fock space ``fock`` when one is given. B is frozen at each
+    shot's start time.
     """
-    if engine not in ("coherent", "fock"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if time_convention not in ("start", "midpoint"):
-        raise ValueError(f"unknown time convention {time_convention!r}")
     head, finals = _shared_grid(protos)
     alpha, tau = head.sensor.alpha, head.sensor.tau
     w = model.spectral.coupling_eigvals
     keys = [s.basis for s in head.shots]
-    if engine == "fock":
-        tr = FockTruncation.for_alpha(alpha) if tr is None else tr
-        records = {b: _fock_record_matrix(alpha, tau, w, b, tr) for b in set(keys)}
-    else:
+    if fock is None:
         records = {b: ShotTable.of(w, head.sensor, b).record() for b in set(keys)}
-    shift = 0.5 * tau if time_convention == "midpoint" else 0.0
-    times = [s.time + shift for s in head.shots[:-1]]
+    else:
+        records = {b: _fock_record_matrix(alpha, tau, w, b, fock) for b in set(keys)}
+    times = [s.time for s in head.shots[:-1]]
     scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
-    return _record_chain(model, records, keys, times, finals + shift, scale, "exact count correlation")
+    return _record_chain(model, records, keys, times, finals, scale, "exact count correlation")
 
 
-def gk_exact_unitary(
-    model: TargetModel,
-    proto: ProtocolSpec,
-    tr: FockTruncation | None = None,
-    *,
-    engine: str = "coherent",
-    time_convention: str = "start",
-) -> GkResult:
-    """All-orders K-shot count correlation with a fresh pulse per shot.
+def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: FockTruncation | None = None) -> GkResult:
+    """All-orders K-shot count correlation with a fresh pulse per shot:
+    ``gk_exact_unitary_grid`` with one point.
 
     Sensor-target entanglement is discarded between shots (each shot uses a
-    new pulse). ``time_convention`` chooses where B is frozen during a pulse:
-    at the shot's nominal start time (default) or at its midpoint.
+    new pulse), and B is frozen at each shot's nominal start time.
     """
-    values = gk_exact_unitary_grid(model, [proto], tr, engine=engine, time_convention=time_convention)
+    values = gk_exact_unitary_grid(model, [proto], fock)
     return GkResult(
         value=float(values[0]), order=proto.order, predicted_from_C=_predicted_from_c(model, proto)
     )

@@ -1,0 +1,228 @@
+"""Independent reference implementations that the tests compare the package
+against. None of them is runtime code.
+
+* The Liouville chain builds each branch superoperator as a dense d^2 x d^2
+  matrix on the column-major vectorization of rho.
+* The per-shot chains take a fresh matrix exponential for every B(t) and a
+  fresh eigendecomposition of B(t) for every all-orders shot, where the
+  package reads both from ``TargetModel.spectral``.
+* The records are the closed form of ``ShotTable.record`` and the dense
+  (n_max+1)^2 two-mode Fock computation that the sector engine replaces.
+* The Kraus references act on one density matrix per shot, or on n x d x d
+  density matrices per chunk, where the Monte Carlo carries state vectors.
+"""
+
+import math
+
+import numpy as np
+
+from faradaycorr.correlations import BranchSign, CorrelationQuery, apply_branch, real_trace
+from faradaycorr.errors import DimensionMismatchError
+from faradaycorr.quantum_core import (
+    Array,
+    DensityMatrix,
+    TargetModel,
+    as_operator,
+    hermitian_expm,
+    require_hermitian,
+)
+from faradaycorr.sensor_optics import (
+    FockTruncation,
+    MeasurementBasis,
+    SensorConfig,
+    ShotTable,
+    apply_s2,
+    apply_s3,
+    coherent_state,
+    log_factorial,
+    stokes_operators,
+)
+from faradaycorr.trajectory_mc import _branch_probabilities, cluster_eigenvalues
+from faradaycorr.weak_measurement import ProtocolSpec, _fock_record_matrix
+
+
+def identity(dim: int) -> Array:
+    return np.eye(dim, dtype=complex)
+
+
+# -- the Liouville-space chain ---------------------------------------------------
+
+
+def vectorize(rho: Array) -> Array:
+    """Column-major (Fortran-order) vectorization of a matrix."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def unvectorize(v: Array, dim: int) -> Array:
+    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+
+
+def branch_superoperator(b: Array, sign: BranchSign) -> Array:
+    """Dense d^2 x d^2 matrix of B^{sign} on column-vectorized states.
+
+    With column-major vectorization, left multiplication by B maps to
+    I ⊗ B and right multiplication to B^T ⊗ I.
+    """
+    b = as_operator(b)
+    d = b.shape[0]
+    left = np.kron(identity(d), b)
+    right = np.kron(b.T, identity(d))
+    if sign is BranchSign.PLUS:
+        return (left + right) / 2
+    return (left - right) / 1j
+
+
+def liouville_correlation(model: TargetModel, q: CorrelationQuery) -> float:
+    """Cross-implementation of ``correlation`` in Liouville space."""
+    if q.signs[-1] is BranchSign.MINUS:
+        return 0.0
+    spec = model.spectral
+    v = vectorize(spec.initial_state)
+    for t, sign in zip(q.times, q.signs):
+        v = branch_superoperator(spec.coupling_at(t), sign) @ v
+    trace = np.trace(unvectorize(v, model.dim))
+    return float(real_trace(trace, spec.coupling_norm**q.order, "Liouville correlation trace"))
+
+
+# -- per-shot chains ---------------------------------------------------------------
+
+
+def expm_coupling(model: TargetModel, t: float) -> Array:
+    """B(t) = exp(+iHt) B exp(-iHt) from a fresh matrix exponential."""
+    u = hermitian_expm(model.hamiltonian, t)
+    return u.conj().T @ model.coupling @ u
+
+
+def reference_correlation(model: TargetModel, proto: ProtocolSpec) -> float:
+    """C of the branches the protocol's bases select, one ``apply_branch`` per shot."""
+    rho = model.initial_state.matrix
+    for shot in proto.shots:
+        rho = apply_branch(expm_coupling(model, shot.time), shot.basis.eta, rho)
+    return np.trace(rho).real
+
+
+def coherent_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
+    """Closed-form reference for ``ShotTable.record``: m[i,k] = <chi_k|Lambda|chi_i>
+    between the pulses chi_b = (alpha cos theta_b, alpha sin theta_b) rotated
+    by theta_b = tau b / 2, with overlap exp(-alpha^2 (1 - cos(theta_i - theta_k)))."""
+    theta = 0.5 * tau * np.asarray(eigvals, dtype=float)
+    diff = theta[:, None] - theta[None, :]
+    overlap = np.exp(-(alpha**2) * (1.0 - np.cos(diff)))
+    if basis is MeasurementBasis.S2:
+        return 0.5 * alpha**2 * np.sin(theta[:, None] + theta[None, :]) * overlap
+    return -1j * alpha**2 * np.sin(diff) * overlap
+
+
+def dense_fock_records(alpha, tau, eigvals, tr: FockTruncation) -> dict:
+    """Reference records of both bases on the whole (n_max+1)^2 two-mode
+    space: dense Stokes operators, one eigh of S3, and the pulse rotated by
+    each eigenvalue."""
+    _, _, s3 = stokes_operators(tr)
+    s, f = np.linalg.eigh(s3)
+    v0 = f.conj().T @ coherent_state(alpha, tr)
+    chis = [f @ (np.exp(-1j * s * tau * b) * v0) for b in eigvals]
+    shape = (tr.mode_dim, tr.mode_dim)
+    records = {}
+    for basis in MeasurementBasis:
+        applied = []
+        for chi in chis:
+            grid = chi.reshape(shape)
+            out = apply_s2(grid) if basis is MeasurementBasis.S2 else 2.0 * apply_s3(grid)
+            applied.append(out.ravel())
+        d = len(chis)
+        m = np.empty((d, d), dtype=complex)
+        for i in range(d):
+            for k in range(d):
+                m[i, k] = np.vdot(chis[k], applied[i])
+        records[basis] = m
+    return records
+
+
+def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: FockTruncation | None = None) -> float:
+    """All-orders count correlation with a fresh eigendecomposition of B(t)
+    per shot; the closed-form record, or the sector Fock record on ``fock``."""
+    alpha, tau = proto.sensor.alpha, proto.sensor.tau
+    rho = model.initial_state.matrix
+    for shot in proto.shots:
+        w, v = np.linalg.eigh(expm_coupling(model, shot.time))
+        if fock is None:
+            m = coherent_record(alpha, tau, w, shot.basis)
+        else:
+            m = _fock_record_matrix(alpha, tau, w, shot.basis, fock)
+        rho = v @ (m * (v.conj().T @ rho @ v)) @ v.conj().T
+    return np.trace(rho).real
+
+
+# -- Kraus references ------------------------------------------------------------------
+
+
+def log_poisson(n, mean: float) -> np.ndarray:
+    n = np.asarray(n, dtype=float)
+    if mean == 0:
+        return np.where(n == 0, 0.0, -np.inf)
+    return n * math.log(mean) - mean - log_factorial(n)
+
+
+class KrausOutcomeSampler:
+    """Single-shot reference for the vector Kraus update: the photon-count
+    outcome distribution of one shot on a density matrix, its sampling, and
+    the post-measurement state, from an eigendecomposition of the coupling."""
+
+    def __init__(self, rho: DensityMatrix, b, cfg: SensorConfig, basis: MeasurementBasis):
+        b = require_hermitian(b, "coupling")
+        if b.shape[0] != rho.dim:
+            raise DimensionMismatchError("coupling and state dims differ")
+        w, v = np.linalg.eigh(b)
+        self.eigvals = cluster_eigenvalues(w)
+        self.table = ShotTable.of(self.eigvals, cfg, basis)
+        self.eigvecs = v
+        self.rho_eig = v.conj().T @ rho.matrix @ v
+        self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
+        self.means_c, self.means_d = self.table.means_c, self.table.means_d
+
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        i = rng.choice(len(self.branch_probs), p=self.branch_probs)
+        return int(rng.poisson(self.means_c[i])), int(rng.poisson(self.means_d[i]))
+
+    def branch_count_probability(self, i: int, n_c: int, n_d: int) -> float:
+        return float(np.exp(log_poisson([n_c], self.means_c[i]) + log_poisson([n_d], self.means_d[i]))[0])
+
+    def probability(self, n_c: int, n_d: int) -> float:
+        """P(n_c, n_d) = sum_i rho_ii Pois(n_c; mu_c(b_i)) Pois(n_d; mu_d(b_i))."""
+        return sum(p * self.branch_count_probability(i, n_c, n_d) for i, p in enumerate(self.branch_probs))
+
+    def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
+        """Normalized post-measurement state K rho K† / P."""
+        g = self.table.kraus_diagonal([n_c], [n_d])[0]
+        rho = (g[:, None] * g.conj()[None, :]) * self.rho_eig
+        rho = self.eigvecs @ (rho / np.real(np.trace(rho))) @ self.eigvecs.conj().T
+        return DensityMatrix((rho + rho.conj().T) / 2)
+
+
+def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p: ProtocolSpec) -> tuple:
+    """Reference Kraus chunk carrying n x d x d density matrices; same draws
+    in the same order as the vector-state chunk."""
+    spec = model.spectral
+    d = model.dim
+    states = np.broadcast_to(model.initial_state.matrix, (n, d, d)).copy()
+    prod = np.ones(n)
+    s_half = s_half2 = 0.0
+    for shot in p.shots:
+        v = spec.coupling_eigvecs_at(shot.time)
+        table = ShotTable.of(cluster_eigenvalues(spec.coupling_eigvals), p.sensor, shot.basis)
+        rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
+        probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        u = rng.random(n)
+        idx = (np.cumsum(probs, axis=1) > u[:, None]).argmax(axis=1)
+        n_c = rng.poisson(table.means_c[idx]).astype(float)
+        n_d = rng.poisson(table.means_d[idx]).astype(float)
+        half = (n_d - n_c) / 2
+        prod = prod * (2.0 * shot.basis.record_scale) * half
+        s_half += half.sum()
+        s_half2 += (half * half).sum()
+        g = table.kraus_diagonal(n_c, n_d)
+        rp = rp * (g[:, :, None] * g.conj()[:, None, :])
+        rp = rp / np.real(np.einsum("nii->n", rp))[:, None, None]
+        states = np.einsum("ab,nbc,cd->nad", v, rp, v.conj().T, optimize=True)
+    return prod.sum(), (prod * prod).sum(), s_half, s_half2

@@ -333,6 +333,20 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
         assert not (out / "results.csv").exists()
 
+    def test_zero_standard_error_is_not_a_crash(self, tmp_path):
+        # at alpha = 0.01 every one of the 1000 sequences records 0, so the
+        # standard error is 0: the empirical SNR is 0, the sigma distance empty
+        protocol = {
+            "alpha": 0.01,
+            "tau": 0.02,
+            "shots": [{"time": 0.0, "basis": "S3"}, {"time": 1.5, "basis": "S2"}],
+        }
+        doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 1000, "mode": "kraus_quantum"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        row = read_rows(out)[0]
+        assert (row["mc_std_error[counts^K]"], row["empirical_snr"], row["sigma_distance"]) == ("0.0", "0.0", "")
+
     def test_simulate_computes_no_correlation(self, tmp_path, monkeypatch):
         # simulate reports gk_leading and gk_exact_unitary only; C is never needed
         calls = []
@@ -608,6 +622,14 @@ INVALID_CONFIGS = [
         "hamiltonian",
     ),
     ("negative-correlation-time", lambda tmp: _doc(OU_DOC, mc__field__correlation_time=-1), "mc.field"),
+    ("nan-field-amplitude", lambda tmp: _doc(OU_DOC, mc__field__amplitude=math.nan), "mc.field"),
+    ("infinite-field-amplitude", lambda tmp: _doc(OU_DOC, mc__field__amplitude=math.inf), "mc.field"),
+    ("infinite-xi", lambda tmp: _doc(SNR_DOC, snr__xi=math.inf), "xi must be positive and finite"),
+    (
+        "scenario-infinite-g",
+        lambda tmp: {"command": "snr", "snr": {"scenario": dict(SCENARIO, g=math.inf)}},
+        "snr.scenario",
+    ),
     ("text-seed", lambda tmp: _doc(SIM_DOC, seed="abc"), "seed"),
     ("sweep-value-negative-alpha", lambda tmp: SWEEP_DOC, "sweep value -1.0"),
     # values that were silently coerced into another run

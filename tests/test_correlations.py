@@ -10,18 +10,15 @@ from faradaycorr.correlations import (
     CorrelationQuery,
     apply_branch,
     branch_record,
-    branch_superoperator,
     correlation,
     heisenberg_coupling,
-    liouville_correlation,
     real_trace,
-    unvectorize,
-    vectorize,
 )
 from faradaycorr.errors import NumericalGuardError
-from faradaycorr.quantum_core import TargetModel, identity, pure_state, thermal_state
+from faradaycorr.quantum_core import TargetModel, pure_state, thermal_state
 
 from conftest import SX, SY, SZ, UP, precession_model, random_hermitian, random_model
+from crosscheck import branch_superoperator, identity, liouville_correlation, unvectorize, vectorize
 
 PLUS, MINUS = BranchSign.PLUS, BranchSign.MINUS
 

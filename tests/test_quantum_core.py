@@ -7,7 +7,6 @@ from faradaycorr.errors import NonHermitianError
 from faradaycorr.quantum_core import (
     DensityMatrix,
     hermitian_expm,
-    identity,
     is_hermitian,
     pure_state,
     spin_operators,
@@ -15,6 +14,7 @@ from faradaycorr.quantum_core import (
 )
 
 from conftest import SX, SY, SZ, random_density, random_hermitian
+from crosscheck import identity
 
 
 def expm_series_oracle(h, t, terms=60):

@@ -1,8 +1,9 @@
 """The spectral target model and the final-time grid path.
 
-The references here are the per-shot procedure the spectral data replaces:
-a fresh matrix exponential for every B(t), a fresh eigendecomposition of
-B(t) for every all-orders shot, and a full chain per protocol.
+The references (``crosscheck``) are the per-shot procedure the spectral data
+replaces: a fresh matrix exponential for every B(t), a fresh
+eigendecomposition of B(t) for every all-orders shot, and a full chain per
+protocol.
 """
 
 import warnings
@@ -12,19 +13,12 @@ import pytest
 import yaml
 
 from faradaycorr import cli
-from faradaycorr.correlations import (
-    apply_branch,
-    correlation,
-    correlation_grid,
-    heisenberg_coupling,
-)
-from faradaycorr.quantum_core import hermitian_expm
+from faradaycorr.correlations import correlation, correlation_grid, heisenberg_coupling
 from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
-    _fock_record_matrix,
     gk_exact_unitary,
     gk_exact_unitary_grid,
     gk_leading,
@@ -32,36 +26,10 @@ from faradaycorr.weak_measurement import (
 )
 
 from conftest import random_model
-from test_weak_measurement import coherent_record
+from crosscheck import expm_coupling, reference_correlation, reference_exact
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 GRID_RTOL = 1e-12
-
-
-def expm_coupling(model, t):
-    u = hermitian_expm(model.hamiltonian, t)
-    return u.conj().T @ model.coupling @ u
-
-
-def reference_correlation(model, proto):
-    rho = model.initial_state.matrix
-    for shot in proto.shots:
-        rho = apply_branch(expm_coupling(model, shot.time), shot.basis.eta, rho)
-    return np.trace(rho).real
-
-
-def reference_exact(model, proto, tr, engine, time_convention):
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
-    shift = 0.5 * tau if time_convention == "midpoint" else 0.0
-    rho = model.initial_state.matrix
-    for shot in proto.shots:
-        w, v = np.linalg.eigh(expm_coupling(model, shot.time + shift))
-        if engine == "coherent":
-            m = coherent_record(alpha, tau, w, shot.basis)
-        else:
-            m = _fock_record_matrix(alpha, tau, w, shot.basis, tr)
-        rho = v @ (m * (v.conj().T @ rho @ v)) @ v.conj().T
-    return np.trace(rho).real
 
 
 def grid_protocols(prefix, last_basis, finals, sensor):
@@ -130,15 +98,13 @@ class TestFinalTimeGrid:
 
     @pytest.mark.parametrize("last_basis", [S2, S3])
     @pytest.mark.parametrize("engine", ["coherent", "fock"])
-    @pytest.mark.parametrize("time_convention", ["start", "midpoint"])
-    def test_exact_unitary(self, last_basis, engine, time_convention):
+    def test_exact_unitary(self, last_basis, engine):
         model, protos, bound = self._setup(last_basis)
-        tr = FockTruncation.for_alpha(self.SENSOR.alpha) if engine == "fock" else None
-        opts = dict(engine=engine, time_convention=time_convention)
-        grid = gk_exact_unitary_grid(model, protos, tr, **opts)
-        ref = [reference_exact(model, p, tr, engine, time_convention) for p in protos]
+        fock = FockTruncation.for_alpha(self.SENSOR.alpha) if engine == "fock" else None
+        grid = gk_exact_unitary_grid(model, protos, fock)
+        ref = [reference_exact(model, p, fock) for p in protos]
         assert_grid_close(grid, ref, bound)
-        single = [gk_exact_unitary(model, p, tr, **opts).value for p in protos]
+        single = [gk_exact_unitary(model, p, fock).value for p in protos]
         assert_grid_close(grid, single, bound)
 
     def test_rejects_protocols_differing_before_the_last_shot(self):

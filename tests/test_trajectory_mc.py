@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from faradaycorr.quantum_core import (
     DensityMatrix,
     TargetModel,
     pure_state,
-    require_hermitian,
     spin_operators,
     thermal_state,
 )
-from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable, log_factorial
+from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig
 from faradaycorr.trajectory_mc import (
     CHUNK_SIZE,
     ClassicalFieldModel,
@@ -25,7 +25,6 @@ from faradaycorr.trajectory_mc import (
     McEstimate,
     TrajectoryConfig,
     _Record,
-    _branch_probabilities,
     _estimate,
     _kraus_update,
     _quantum_plan,
@@ -38,6 +37,7 @@ from faradaycorr.trajectory_mc import (
 from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitary
 
 from conftest import SX, SZ, UP, precession_model, random_hermitian
+from crosscheck import KrausOutcomeSampler, density_matrix_chunk
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -45,49 +45,6 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 def proto(bases_times, alpha, tau):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
-
-
-def log_poisson(n, mean: float) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if mean == 0:
-        return np.where(n == 0, 0.0, -np.inf)
-    return n * math.log(mean) - mean - log_factorial(n)
-
-
-class KrausOutcomeSampler:
-    """Single-shot reference for the vector Kraus update: the photon-count
-    outcome distribution of one shot on a density matrix, its sampling, and
-    the post-measurement state, from an eigendecomposition of the coupling."""
-
-    def __init__(self, rho: DensityMatrix, b, cfg: SensorConfig, basis: MeasurementBasis):
-        b = require_hermitian(b, "coupling")
-        if b.shape[0] != rho.dim:
-            raise DimensionMismatchError("coupling and state dims differ")
-        w, v = np.linalg.eigh(b)
-        self.eigvals = cluster_eigenvalues(w)
-        self.table = ShotTable.of(self.eigvals, cfg, basis)
-        self.eigvecs = v
-        self.rho_eig = v.conj().T @ rho.matrix @ v
-        self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
-        self.means_c, self.means_d = self.table.means_c, self.table.means_d
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        i = rng.choice(len(self.branch_probs), p=self.branch_probs)
-        return int(rng.poisson(self.means_c[i])), int(rng.poisson(self.means_d[i]))
-
-    def branch_count_probability(self, i: int, n_c: int, n_d: int) -> float:
-        return float(np.exp(log_poisson([n_c], self.means_c[i]) + log_poisson([n_d], self.means_d[i]))[0])
-
-    def probability(self, n_c: int, n_d: int) -> float:
-        """P(n_c, n_d) = sum_i rho_ii Pois(n_c; mu_c(b_i)) Pois(n_d; mu_d(b_i))."""
-        return sum(p * self.branch_count_probability(i, n_c, n_d) for i, p in enumerate(self.branch_probs))
-
-    def post_state(self, n_c: int, n_d: int) -> DensityMatrix:
-        """Normalized post-measurement state K rho K† / P."""
-        g = self.table.kraus_diagonal([n_c], [n_d])[0]
-        rho = (g[:, None] * g.conj()[None, :]) * self.rho_eig
-        rho = self.eigvecs @ (rho / np.real(np.trace(rho))) @ self.eigvecs.conj().T
-        return DensityMatrix((rho + rho.conj().T) / 2)
 
 
 class TestClusterEigenvalues:
@@ -304,9 +261,11 @@ class TestQuantumSequences:
         monkeypatch.setattr(trajectory_mc, "ThreadPoolExecutor", recording)
         p = proto([(0.0, S3), (1.0, S2)], alpha=2.0, tau=0.05)
         base = dict(seed=8, mode="kraus_quantum", proto=p, model=precession_model(), workers=4)
-        run_sequences(TrajectoryConfig(sequences=CHUNK_SIZE, **base))  # one chunk runs inline
-        run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
+        inline = run_sequences(TrajectoryConfig(sequences=CHUNK_SIZE, **base))  # one chunk runs inline
+        pooled = run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
         assert sizes == [2]
+        # the estimate reports the pool that ran, not the workers asked for
+        assert (inline.workers, pooled.workers) == (1, sizes[0])
 
     def test_estimate_records_the_pool_that_ran(self):
         # three workers asked for, one chunk to run: the estimate says one ran it
@@ -349,35 +308,6 @@ class TestQuantumSequences:
         )
         assert est.std_error == math.inf
         assert empirical_snr(est) == 0.0
-
-
-def _density_matrix_chunk(n, rng, model, p):
-    """Reference Kraus chunk carrying n x d x d density matrices; same draws
-    in the same order as the vector-state chunk."""
-    spec = model.spectral
-    d = model.dim
-    states = np.broadcast_to(model.initial_state.matrix, (n, d, d)).copy()
-    prod = np.ones(n)
-    s_half = s_half2 = 0.0
-    for shot in p.shots:
-        v = spec.coupling_eigvecs_at(shot.time)
-        table = ShotTable.of(cluster_eigenvalues(spec.coupling_eigvals), p.sensor, shot.basis)
-        rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
-        probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        u = rng.random(n)
-        idx = (np.cumsum(probs, axis=1) > u[:, None]).argmax(axis=1)
-        n_c = rng.poisson(table.means_c[idx]).astype(float)
-        n_d = rng.poisson(table.means_d[idx]).astype(float)
-        half = (n_d - n_c) / 2
-        prod = prod * (2.0 * shot.basis.record_scale) * half
-        s_half += half.sum()
-        s_half2 += (half * half).sum()
-        g = table.kraus_diagonal(n_c, n_d)
-        rp = rp * (g[:, :, None] * g.conj()[:, None, :])
-        rp = rp / np.real(np.einsum("nii->n", rp))[:, None, None]
-        states = np.einsum("ab,nbc,cd->nad", v, rp, v.conj().T, optimize=True)
-    return prod.sum(), (prod * prod).sum(), s_half, s_half2
 
 
 def _pure_four_level_model():
@@ -426,7 +356,7 @@ class TestVectorTrajectories:
         L, seed = CHUNK_SIZE + 3000, 17
         sizes = (CHUNK_SIZE, 3000)
         seeds = np.random.SeedSequence(seed).spawn(2)
-        chunks = [_density_matrix_chunk(n, np.random.default_rng(s), model, p) for n, s in zip(sizes, seeds)]
+        chunks = [density_matrix_chunk(n, np.random.default_rng(s), model, p) for n, s in zip(sizes, seeds)]
         cfg = TrajectoryConfig(sequences=L, seed=seed, mode="kraus_quantum", proto=p, model=model, workers=2)
         assert run_sequences(cfg) == _estimate(chunks, cfg)
 
@@ -558,6 +488,10 @@ class TestConfigAndSnr:
             mean=0.01, std_error=0.005, per_shot_variance=1.0, per_shot_variance_raw=4.0, n_sequences=10
         )
         assert empirical_snr(est) == pytest.approx(2.0)
+        # every sequence recorded the same value: never NaN, never a ZeroDivisionError
+        assert empirical_snr(replace(est, mean=0.0, std_error=0.0)) == 0.0
+        assert empirical_snr(replace(est, std_error=0.0)) == math.inf
+        assert empirical_snr(replace(est, mean=-0.01, std_error=0.0)) == -math.inf
 
     def test_convention_factor_counts_s2_shots(self):
         p1 = proto([(0.0, S3), (1.0, S2)], alpha=1.0, tau=0.1)

@@ -4,27 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr.correlations import BranchSign, apply_branch, branch_record
+from faradaycorr.correlations import BranchSign, branch_record
 from faradaycorr.errors import ResourceGuardError
-from faradaycorr.quantum_core import (
-    DensityMatrix,
-    TargetModel,
-    hermitian_expm,
-    pure_state,
-    spin_operators,
-    thermal_state,
-)
+from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import (
     FockTruncation,
     MeasurementBasis,
     SensorConfig,
     ShotTable,
-    apply_s2,
-    apply_s3,
-    coherent_state,
     log_factorial,
     required_cutoff,
-    stokes_operators,
 )
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
@@ -37,6 +26,7 @@ from faradaycorr.weak_measurement import (
 )
 
 from conftest import SX, SZ, UP, precession_model, random_model
+from crosscheck import coherent_record, dense_fock_records, reference_correlation
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -44,43 +34,6 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 def proto(bases_times, alpha=1.0, tau=0.01):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
-
-
-def coherent_record(alpha, tau, eigvals, basis):
-    """Closed-form reference for ``ShotTable.record``: m[i,k] = <chi_k|Lambda|chi_i>
-    between the pulses chi_b = (alpha cos theta_b, alpha sin theta_b) rotated
-    by theta_b = tau b / 2, with overlap exp(-alpha^2 (1 - cos(theta_i - theta_k)))."""
-    theta = 0.5 * tau * np.asarray(eigvals, dtype=float)
-    diff = theta[:, None] - theta[None, :]
-    overlap = np.exp(-(alpha**2) * (1.0 - np.cos(diff)))
-    if basis is S2:
-        return 0.5 * alpha**2 * np.sin(theta[:, None] + theta[None, :]) * overlap
-    return -1j * alpha**2 * np.sin(diff) * overlap
-
-
-def dense_fock_records(alpha, tau, eigvals, tr):
-    """Reference records of both bases on the whole (n_max+1)^2 two-mode
-    space: dense Stokes operators, one eigh of S3, and the pulse rotated by
-    each eigenvalue."""
-    _, _, s3 = stokes_operators(tr)
-    s, f = np.linalg.eigh(s3)
-    v0 = f.conj().T @ coherent_state(alpha, tr)
-    chis = [f @ (np.exp(-1j * s * tau * b) * v0) for b in eigvals]
-    shape = (tr.mode_dim, tr.mode_dim)
-    records = {}
-    for basis in (S2, S3):
-        applied = []
-        for chi in chis:
-            grid = chi.reshape(shape)
-            out = apply_s2(grid) if basis is S2 else 2.0 * apply_s3(grid)
-            applied.append(out.ravel())
-        d = len(chis)
-        m = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            for k in range(d):
-                m[i, k] = np.vdot(chis[k], applied[i])
-        records[basis] = m
-    return records
 
 
 class TestProtocolSpec:
@@ -163,11 +116,7 @@ class TestLeadingOrder:
         bases = (S2, S3, S2, S3, S2, S2, S3, S2)
         p = proto([(0.3 * i, b) for i, b in enumerate(bases)], alpha=3.0, tau=0.02)
         value = gk_leading(model, p).value
-        rho = model.initial_state.matrix
-        for shot in p.shots:
-            u = hermitian_expm(h, shot.time)
-            rho = apply_branch(u.conj().T @ model.coupling @ u, shot.basis.eta, rho)
-        expect = 2.0**-8 * 0.02**8 * 3.0**16 * np.trace(rho).real
+        expect = 2.0**-8 * 0.02**8 * 3.0**16 * reference_correlation(model, p)
         assert value == pytest.approx(expect, rel=1e-9)
 
     def test_basis_order_matters(self):
@@ -237,8 +186,8 @@ class TestExactUnitary:
         model = random_model(rng, 3)
         p = proto([(0.1, S3), (0.9, S2)], alpha=2.0, tau=0.15)
         tr = FockTruncation(40)
-        a = gk_exact_unitary(model, p, engine="coherent").value
-        b = gk_exact_unitary(model, p, tr, engine="fock").value
+        a = gk_exact_unitary(model, p).value
+        b = gk_exact_unitary(model, p, tr).value
         assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_large_alpha_is_cheap(self):
@@ -263,7 +212,7 @@ class TestExactUnitary:
         protos = [proto([(0.0, S3), (t, S2)], alpha=10.0, tau=0.02) for t in (0.5, 1.0, 1.5, 2.0)]
         tr = FockTruncation.for_alpha(10.0)
         assert tr.n_max == 210
-        fock = gk_exact_unitary_grid(model, protos, tr, engine="fock")
+        fock = gk_exact_unitary_grid(model, protos, tr)
         coherent = gk_exact_unitary_grid(model, protos)
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
@@ -271,28 +220,7 @@ class TestExactUnitary:
         model = precession_model()
         p = proto([(0.0, S2)], alpha=2.0, tau=0.1)
         with pytest.raises(ResourceGuardError):
-            gk_exact_unitary(model, p, FockTruncation(3000), engine="fock")
-
-    def test_midpoint_convention_shifts_times(self):
-        model = TargetModel(
-            hamiltonian=SZ / 2, coupling=SX, initial_state=pure_state([1, 1])
-        )
-        tau = 0.4
-        start = gk_exact_unitary(model, proto([(0.5, S2)], 1.0, tau)).value
-        mid = gk_exact_unitary(
-            model, proto([(0.5, S2)], 1.0, tau), time_convention="midpoint"
-        ).value
-        shifted = gk_exact_unitary(model, proto([(0.5 + tau / 2, S2)], 1.0, tau)).value
-        assert mid == pytest.approx(shifted, rel=1e-12)
-        assert mid != pytest.approx(start, rel=1e-6)
-
-    def test_rejects_unknown_options(self):
-        model = precession_model()
-        p = proto([(0.0, S2)])
-        with pytest.raises(ValueError):
-            gk_exact_unitary(model, p, engine="tensor")
-        with pytest.raises(ValueError):
-            gk_exact_unitary(model, p, time_convention="end")
+            gk_exact_unitary(model, p, FockTruncation(3000))
 
 
 class TestShotInstrument:
