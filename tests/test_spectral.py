@@ -41,6 +41,13 @@ def grid_protocols(prefix, last_basis, finals, sensor):
         ]
 
 
+def shift_protocol(proto, dt):
+    shots = tuple(ShotSpec(time=s.time + dt, basis=s.basis) for s in proto.shots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProtocolWarning)
+        return ProtocolSpec(shots=shots, sensor=proto.sensor)
+
+
 def assert_grid_close(grid, ref, floor):
     """Deviation within GRID_RTOL of the grid's largest value; ``floor`` sets
     the scale where the grid is identically zero (a closing S3 shot)."""
@@ -98,8 +105,13 @@ class TestFinalTimeGrid:
 
     @pytest.mark.parametrize("last_basis", [S2, S3])
     @pytest.mark.parametrize("engine", ["coherent", "fock"])
-    def test_exact_unitary(self, last_basis, engine):
+    @pytest.mark.parametrize("time_convention", ["start", "midpoint"])
+    def test_exact_unitary(self, last_basis, engine, time_convention):
+        """``midpoint`` reads each pulse at its centre: every shot time,
+        prefix included, moves by tau/2 in the protocol."""
         model, protos, bound = self._setup(last_basis)
+        if time_convention == "midpoint":
+            protos = [shift_protocol(p, 0.5 * self.SENSOR.tau) for p in protos]
         fock = FockTruncation.for_alpha(self.SENSOR.alpha) if engine == "fock" else None
         grid = gk_exact_unitary_grid(model, protos, fock)
         ref = [reference_exact(model, p, fock) for p in protos]
