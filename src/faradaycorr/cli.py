@@ -7,11 +7,11 @@
 
 Writes ``results.csv`` (long format, deterministic for a fixed seed) and
 ``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
-Monte Carlo runs the worker and chunk layout) to the output directory.
-Without ``--threads`` or ``FARADAYCORR_THREADS``, Monte Carlo runs one worker
-per usable core, within the memory guard; the count never changes the
-results. Exit codes: 0 success, 2 config error, 3 numerical guard, 4 resource
-guard.
+Monte Carlo runs the worker and chunk layout) to the output directory. The
+columns of ``results.csv`` are the keys of each command's rows, in order.
+Without ``--threads``, Monte Carlo runs one worker per usable core, within the
+memory guard; the count never changes the results. Exit codes: 0 success,
+2 config error, 3 numerical guard, 4 resource guard.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import datetime
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,51 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
-
-EXACT_COLUMNS = [
-    "order_K",
-    "shot_times[s]",
-    "bases",
-    "sign_type",
-    "alpha",
-    "tau[s]",
-    "correlation_C[(rad/s)^K]",
-    "gk_leading[counts^K]",
-    "gk_predicted_from_C[counts^K]",
-    "gk_exact_unitary[counts^K]",
-    "warning",
-]
-
-SIMULATE_COLUMNS = [
-    "order_K",
-    "shot_times[s]",
-    "bases",
-    "alpha",
-    "tau[s]",
-    "mode",
-    "sequences",
-    "seed",
-    "mc_mean[counts^K]",
-    "mc_std_error[counts^K]",
-    "per_shot_variance_half[counts^2]",
-    "per_shot_variance_raw[counts^2]",
-    "empirical_snr",
-    "gk_leading[counts^K]",
-    "gk_exact_unitary[counts^K]",
-    "abs_error[counts^K]",
-    "sigma_distance",
-    "warning",
-]
-
-SNR_COLUMNS = [
-    "order_K",
-    "regime",
-    "snr",
-    "snr_per_sqrt_L",
-    "L_for_unit_snr",
-    "base_factor",
-    "prefactor[spins]",
-]
 
 PROVENANCE = {
     "correlation_C[(rad/s)^K]": "correlations",
@@ -108,17 +62,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _protocol_row_base(proto) -> dict:
+def _protocol_row_base(proto, **after_bases) -> dict:
     return {
         "order_K": proto.order,
         "shot_times[s]": ";".join(repr(s.time) for s in proto.shots),
         "bases": ";".join(s.basis.value for s in proto.shots),
+        **after_bases,
         "alpha": proto.sensor.alpha,
         "tau[s]": proto.sensor.tau,
     }
 
 
-def cmd_exact(run: ExactRun) -> tuple[list[str], list[dict]]:
+def cmd_exact(run: ExactRun) -> list[dict]:
     model, protocols = run.model, run.protocols
     # build_protocols varies only the last shot's time, so every column is
     # one grid evaluation: the first K-1 shots are applied once per chain.
@@ -129,25 +84,21 @@ def cmd_exact(run: ExactRun) -> tuple[list[str], list[dict]]:
     if run.include_exact_unitary:
         exact = gk_exact_unitary_grid(model, protocols, run.fock)
     factor = prediction_factor(protocols[0])
-    rows = []
-    for i, (proto, query) in enumerate(zip(protocols, queries)):
-        row = _protocol_row_base(proto)
-        row.update(
-            {
-                "sign_type": query.label(),
-                "correlation_C[(rad/s)^K]": float(corr[i]),
-                "gk_leading[counts^K]": float(leading[i]),
-                "gk_predicted_from_C[counts^K]": factor * float(corr[i]),
-                "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
-                "warning": run.protocol_warning,
-            }
-        )
-        rows.append(row)
-    return EXACT_COLUMNS, rows
+    return [
+        {
+            **_protocol_row_base(proto, sign_type=query.label()),
+            "correlation_C[(rad/s)^K]": float(corr[i]),
+            "gk_leading[counts^K]": float(leading[i]),
+            "gk_predicted_from_C[counts^K]": factor * float(corr[i]),
+            "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
+            "warning": run.protocol_warning,
+        }
+        for i, (proto, query) in enumerate(zip(protocols, queries))
+    ]
 
 
-def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
-    """The simulate table, plus the worker and chunk layout of each
+def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], list[dict]]:
+    """The simulate rows, plus the worker and chunk layout of each
     protocol's Monte Carlo; ``threads`` None takes ``default_workers``."""
     mc = run.mc
     leading = exact = [None] * len(run.protocols)
@@ -163,9 +114,9 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list
         layout.append({"workers": est.workers, "chunks": est.chunks})
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
-        row = _protocol_row_base(proto)
-        row.update(
+        rows.append(
             {
+                **_protocol_row_base(proto),
                 "mode": mc.mode,
                 "sequences": est.n_sequences,
                 "seed": mc.seed,
@@ -181,11 +132,10 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[str], list
                 "warning": run.protocol_warning,
             }
         )
-        rows.append(row)
-    return SIMULATE_COLUMNS, rows, layout
+    return rows, layout
 
 
-def cmd_snr(run: SnrRun) -> tuple[list[str], list[dict]]:
+def cmd_snr(run: SnrRun) -> list[dict]:
     rows = []
     for k, scenario in run.scenarios:
         report = snr_material(scenario)
@@ -200,42 +150,51 @@ def cmd_snr(run: SnrRun) -> tuple[list[str], list[dict]]:
                 "prefactor[spins]": report.prefactor,
             }
         )
-    return SNR_COLUMNS, rows
+    return rows
 
 
-def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
-    columns, rows, layout = [], [], []
+def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[list[dict], list[dict]]:
+    rows, layout = [], []
     for value, variant in run.runs:
-        columns, sub_rows, sub_layout = _dispatch(variant, threads)
-        rows.extend(dict(row, sweep_path=run.path, sweep_value=value) for row in sub_rows)
+        sub_rows, sub_layout = _dispatch(variant, threads)
+        rows.extend({"sweep_path": run.path, "sweep_value": value, **row} for row in sub_rows)
         layout.extend(dict(entry, sweep_value=value) for entry in sub_layout)
-    return ["sweep_path", "sweep_value"] + columns, rows, layout
+    return rows, layout
 
 
-def _dispatch(run: Run, threads: int | None) -> tuple[list[str], list[dict], list[dict]]:
-    """Columns, rows and the Monte Carlo layout (one entry per simulated protocol)."""
+def _dispatch(run: Run, threads: int | None) -> tuple[list[dict], list[dict]]:
+    """Rows (their keys are the columns) and the Monte Carlo layout, one
+    entry per simulated protocol."""
     if isinstance(run, ExactRun):
-        return (*cmd_exact(run), [])
+        return cmd_exact(run), []
     if isinstance(run, SimulateRun):
         return cmd_simulate(run, threads)
     if isinstance(run, SnrRun):
-        return (*cmd_snr(run), [])
+        return cmd_snr(run), []
     return cmd_sweep(run, threads)
 
 
-def _write_outputs(out_dir: Path, columns, rows, layout, raw: dict, command: str, seed) -> None:
+def _config_sha256(raw: dict) -> str:
+    """Hash of the config as the manifest stores it; a value JSON cannot hold
+    is a config error, found before anything runs or is written."""
+    try:
+        blob = json.dumps(raw, sort_keys=True).encode()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config cannot be stored in manifest.json: {exc}") from exc
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _write_outputs(out_dir: Path, rows, layout, raw: dict, config_sha256: str, command: str, seed) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    columns = list(rows[0])
+    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
-    config_blob = json.dumps(raw, sort_keys=True).encode()
+        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
     manifest = {
         "tool_version": __version__,
         "command": command,
-        "config_sha256": hashlib.sha256(config_blob).hexdigest(),
+        "config_sha256": config_sha256,
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "provenance": {c: PROVENANCE.get(c, "cli") for c in columns},
@@ -260,14 +219,6 @@ def main(argv=None) -> int:
     threads = args.threads
     if threads is not None and threads < 1:
         parser.error(f"--threads must be at least 1, got {threads}")
-    env = os.environ.get("FARADAYCORR_THREADS")
-    if threads is None and env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            parser.error(f"FARADAYCORR_THREADS must be an integer, got {env!r}")
-        if threads < 1:
-            parser.error(f"FARADAYCORR_THREADS must be at least 1, got {threads}")
     try:
         raw = load_config(args.config)
         run = parse_config(raw)
@@ -275,8 +226,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config command {raw['command']!r} does not match CLI command {args.command!r}"
             )
-        columns, rows, layout = _dispatch(run, threads)
-        _write_outputs(Path(args.out), columns, rows, layout, raw, args.command, run.seed)
+        config_sha256 = _config_sha256(raw)
+        rows, layout = _dispatch(run, threads)
+        _write_outputs(Path(args.out), rows, layout, raw, config_sha256, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

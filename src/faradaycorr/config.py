@@ -266,6 +266,8 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
             entries = load_config(path)
         except ConfigError as exc:
             raise ConfigError(f"snr.preset_file: {exc}") from exc
+        if not entries:
+            raise ConfigError("snr.preset_file has no scenarios")
         # each entry is parsed as an inline scenario at its own K
         return [pair for name, params in entries.items()
                 for pair in _scenario(params, f"snr.preset_file.{name}", L, None)]

@@ -198,8 +198,13 @@ class SpectralData:
         """Tr[X(t) rho] for each t, with X(t) = exp(iHt) X exp(-iHt).
 
         ``x`` and ``rho`` are in the H eigenbasis. Each time costs O(d^2) and
-        no d x d matrix is formed per time.
+        no d x d matrix is formed per time. The phases, their product with
+        the weights, their conjugate and the product of those two are G x d
+        complex arrays held at once; the memory guard sees all four.
         """
+        times = np.asarray(times, dtype=float)
+        d = self.energies.size
+        check_memory(4 * 16 * times.size * d, f"final-time grid of {times.size} times at d={d}")
         weights = x * rho.T
-        p = np.exp(1j * np.outer(np.asarray(times, dtype=float), self.energies))
+        p = np.exp(1j * np.outer(times, self.energies))
         return np.sum((p @ weights) * p.conj(), axis=1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NumericalGuardError
+
 
 @dataclass(frozen=True)
 class SnrScenario:
@@ -66,20 +68,29 @@ def snr_material(s: SnrScenario) -> FeasibilityReport:
     Uncorrelated spins:  sqrt(L) (g sqrt(N_ph) / (2 n_s A))^K  n_s D A <J^K>.
     Critical regime (xi given): spins within xi^3 act as one large spin:
     sqrt(L) (g xi^3 sqrt(N_ph) / (2 A))^K  (D A / xi^3) <J^K>.
+    An SNR that leaves the float range raises ``NumericalGuardError``.
     """
-    if s.xi is None:
-        base = s.g * math.sqrt(s.N_ph) / (2.0 * s.n_s * s.A)
-        prefactor = s.n_s * s.D * s.A
-        regime = "uncorrelated"
-    else:
-        base = s.g * s.xi**3 * math.sqrt(s.N_ph) / (2.0 * s.A)
-        prefactor = s.D * s.A / s.xi**3
-        regime = "critical"
-    snr_per_sqrt_l = base**s.K * prefactor * s.moment_k
-    snr = math.sqrt(s.L) * snr_per_sqrt_l
+    try:
+        if s.xi is None:
+            base = s.g * math.sqrt(s.N_ph) / (2.0 * s.n_s * s.A)
+            prefactor = s.n_s * s.D * s.A
+            regime = "uncorrelated"
+        else:
+            base = s.g * s.xi**3 * math.sqrt(s.N_ph) / (2.0 * s.A)
+            prefactor = s.D * s.A / s.xi**3
+            regime = "critical"
+        snr_per_sqrt_l = base**s.K * prefactor * s.moment_k
+        snr = math.sqrt(s.L) * snr_per_sqrt_l
+        l_for_unit_snr = snr_per_sqrt_l**-2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalGuardError(f"order-{s.K} SNR leaves the float range: {exc}") from exc
+    if not all(0 < v < math.inf for v in (snr_per_sqrt_l, snr, l_for_unit_snr)):
+        raise NumericalGuardError(
+            f"order-{s.K} SNR leaves the float range: snr = {snr!r}, L_for_unit_snr = {l_for_unit_snr!r}"
+        )
     return FeasibilityReport(
         snr=snr,
-        L_for_unit_snr=snr_per_sqrt_l**-2,
+        L_for_unit_snr=l_for_unit_snr,
         regime=regime,
         base_factor=base,
         prefactor=prefactor,

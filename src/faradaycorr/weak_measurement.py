@@ -162,7 +162,8 @@ def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
     the components of |N, 0> = |j, j> on its eigenvectors, and S2 = Jx in
     that eigenbasis (spin j = N/2, basis index n_V, ``spin_operators(N)``).
     The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds."""
-    nbytes = 16 * sum((n + 1) ** 2 for n in range(n_max + 1))
+    # 16 sum (N+1)^2 in closed form, so that a huge n_max is refused at once
+    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
     check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
     sectors = []
     for n in range(n_max + 1):
@@ -186,10 +187,11 @@ def _fock_record_matrix(
     N <= n_max of (N+1)-dimensional spin-N/2 matrix elements.
     """
     tr.check_alpha(alpha)
+    sectors = _sector_eigendata(tr.n_max)  # its memory guard runs before any n_max-sized array
     weights = np.abs(_coherent_mode(alpha, tr.mode_dim)) ** 2
     tb = tau * np.asarray(eigvals, dtype=float)
     m = np.zeros((tb.size, tb.size), dtype=complex)
-    for weight, (s, v0, jx) in zip(weights, _sector_eigendata(tr.n_max)):
+    for weight, (s, v0, jx) in zip(weights, sectors):
         phi = np.exp(-1j * np.outer(s, tb)) * v0[:, None]  # |chi_b> per column
         lam_phi = jx @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
         m += weight * (phi.conj().T @ lam_phi)

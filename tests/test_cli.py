@@ -1,5 +1,6 @@
 import copy
 import csv
+import datetime
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 import yaml
 
 from faradaycorr import cli
-from faradaycorr.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from faradaycorr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
 from faradaycorr.config import (
     build_model,
     build_protocols,
@@ -22,7 +23,7 @@ from faradaycorr.errors import ConfigError
 
 def write_config(tmp_path, doc, name="run.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))  # unsorted: a mapping may mix key types
     return path
 
 
@@ -221,6 +222,33 @@ class TestCliExact:
         assert err.startswith("resource guard:") and "Traceback" not in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "paths",
+        [{"protocol__alpha": 1.0e5}, {"exact__n_max": 1.0e12}],
+        ids=["alpha-1e5", "n-max-1e12"],
+    )
+    def test_fock_guard_precedes_the_pulse_weights(self, tmp_path, monkeypatch, capsys, paths):
+        # n_max ~ 1e10 and 1e12: the pulse weights alone would need 75 GiB and 7.3 TiB
+        def unreachable(*args):
+            raise AssertionError("_coherent_mode ran before the memory guard")
+
+        monkeypatch.setattr(weak_measurement, "_coherent_mode", unreachable)
+        doc = _doc(EXACT_DOC, exact__engine="fock", **paths)
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+        assert "Fock sector eigendata" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_final_time_grid_guard_exit_code(self, tmp_path, monkeypatch, capsys):
+        # d = 64 and 4096 final times: four 4 MiB complex arrays, above a 2 MiB guard
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 2 * 1024**2)
+        grid = [1.0 + 1e-3 * i for i in range(4096)]
+        doc = _doc(EXACT_DOC, model__two_j=63, protocol__final_time_grid=grid, exact={})
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+        assert "final-time grid of 4096 times at d=64" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
 
 class TestCliSimulate:
     def test_end_to_end_and_determinism(self, tmp_path):
@@ -246,13 +274,6 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg2), "--out", str(out2)]) == EXIT_OK
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
-    def test_non_integer_threads_variable_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FARADAYCORR_THREADS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")])
-        assert exc.value.code == EXIT_CONFIG
-        assert "FARADAYCORR_THREADS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, flag):
         args = ["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")]
@@ -262,17 +283,9 @@ class TestCliSimulate:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_threads_variable_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FARADAYCORR_THREADS", "0")
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--config", str(write_config(tmp_path, SIM_DOC)), "--out", str(tmp_path / "out")])
-        assert exc.value.code == EXIT_CONFIG
-        assert "FARADAYCORR_THREADS" in capsys.readouterr().err
-
     def test_default_workers_do_not_change_results(self, tmp_path, monkeypatch):
         # three usable cores, whatever the machine: the default runs three
         # workers on both the Kraus and the multi-chunk semiclassical sweep
-        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
         monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 3)
         field = {"kind": "ornstein_uhlenbeck", "amplitude": 10.0, "correlation_time": 1.0}
         sweep = {
@@ -297,8 +310,7 @@ class TestCliSimulate:
             layout = json.loads((defaulted / "manifest.json").read_text())["run"]["protocols"]
             assert [entry["workers"] for entry in layout] == workers
 
-    def test_manifest_records_the_worker_and_chunk_layout(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
+    def test_manifest_records_the_worker_and_chunk_layout(self, tmp_path):
         cfg = write_config(tmp_path, SIM_DOC)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "3"]) == EXIT_OK
@@ -309,7 +321,6 @@ class TestCliSimulate:
     def test_defaulted_run_steps_down_where_explicit_threads_exit(self, tmp_path, monkeypatch):
         # two chunks of a spin-1/2 need ~5 MiB each: under an 8 MiB guard one
         # worker fits and two do not
-        monkeypatch.delenv("FARADAYCORR_THREADS", raising=False)
         monkeypatch.setattr(trajectory_mc, "usable_cores", lambda: 2)
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
         doc = dict(SIM_DOC, mc={"sequences": 2 * trajectory_mc.CHUNK_SIZE, "mode": "kraus_quantum"})
@@ -641,6 +652,15 @@ INVALID_CONFIGS = [
     ),
     ("boolean-sequences", lambda tmp: _doc(SIM_DOC, mc__sequences=True), "mc.sequences"),
     ("fractional-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max=3.7), "exact.n_max"),
+    # a run with no rows, which would leave results.csv without a header
+    (
+        "preset-file-empty",
+        lambda tmp: {"command": "snr", "snr": {"preset_file": _write_preset(tmp, "{}\n")}},
+        "snr.preset_file has no scenarios",
+    ),
+    # sections snr never reads, holding what manifest.json cannot store
+    ("unread-section-date", lambda tmp: dict(SNR_DOC, mc=datetime.date(2024, 1, 1)), "manifest.json"),
+    ("unread-section-mixed-keys", lambda tmp: dict(SNR_DOC, mc={1: "a", "b": "c"}), "manifest.json"),
 ]
 
 
@@ -664,3 +684,51 @@ def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "snr",
+    [{"preset": "lihof4", "orders": [30]}, {"scenario": dict(SCENARIO, g=1.0e200, N_ph=1.0e200, K=4)}],
+    ids=["snr-underflows", "snr-overflows"],
+)
+def test_snr_out_of_float_range_is_a_numerical_guard(tmp_path, capsys, snr):
+    out = tmp_path / "out"
+    code = main(["snr", "--config", str(write_config(tmp_path, {"command": "snr", "snr": snr})), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("numerical guard:") and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+EXACT_HEADER = (
+    "order_K,shot_times[s],bases,sign_type,alpha,tau[s],correlation_C[(rad/s)^K],gk_leading[counts^K],"
+    "gk_predicted_from_C[counts^K],gk_exact_unitary[counts^K],warning"
+)
+SIMULATE_HEADER = (
+    "order_K,shot_times[s],bases,alpha,tau[s],mode,sequences,seed,mc_mean[counts^K],mc_std_error[counts^K],"
+    "per_shot_variance_half[counts^2],per_shot_variance_raw[counts^2],empirical_snr,gk_leading[counts^K],"
+    "gk_exact_unitary[counts^K],abs_error[counts^K],sigma_distance,warning"
+)
+SNR_HEADER = "order_K,regime,snr,snr_per_sqrt_L,L_for_unit_snr,base_factor,prefactor[spins]"
+SWEEP_OU_DOC = dict(
+    OU_DOC, command="sweep", sweep={"command": "simulate", "path": "mc.sequences", "values": [100]}
+)
+
+# results.csv headers, pinned literally: the columns are the keys of each
+# command's rows, so a reordered row would otherwise move them unnoticed.
+HEADERS = [
+    ("exact", EXACT_DOC, EXACT_HEADER),
+    ("exact-without-exact-unitary", _doc(EXACT_DOC, exact__include_exact_unitary=False), EXACT_HEADER),
+    ("simulate-kraus", SIM_DOC, SIMULATE_HEADER),
+    ("simulate-semiclassical", OU_DOC, SIMULATE_HEADER),
+    ("snr", SNR_DOC, SNR_HEADER),
+    ("sweep-simulate", SWEEP_OU_DOC, "sweep_path,sweep_value," + SIMULATE_HEADER),
+    ("sweep-exact", _doc(SWEEP_DOC, sweep__values=[1.0]), "sweep_path,sweep_value," + EXACT_HEADER),
+]
+
+
+@pytest.mark.parametrize("doc, header", [case[1:] for case in HEADERS], ids=[case[0] for case in HEADERS])
+def test_results_header(tmp_path, doc, header):
+    out = tmp_path / "out"
+    assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    assert (out / "results.csv").read_text().splitlines()[0] == header

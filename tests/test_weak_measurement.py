@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from faradaycorr import errors, weak_measurement
 from faradaycorr.correlations import BranchSign, branch_record
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
@@ -221,6 +222,18 @@ class TestExactUnitary:
         p = proto([(0.0, S2)], alpha=2.0, tau=0.1)
         with pytest.raises(ResourceGuardError):
             gk_exact_unitary(model, p, FockTruncation(3000))
+
+    def test_fock_memory_guard_runs_before_any_allocation(self, monkeypatch):
+        # the sector eigendata at n_max = 40 need 372 KiB, above a 64 KiB
+        # guard; the pulse weights (n_max + 1 entries) must not be built first
+        def unreachable(*args):
+            raise AssertionError("_coherent_mode ran before the memory guard")
+
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 64 * 1024)
+        monkeypatch.setattr(weak_measurement, "_coherent_mode", unreachable)
+        weak_measurement._sector_eigendata.cache_clear()
+        with pytest.raises(ResourceGuardError):
+            _fock_record_matrix(2.0, 0.1, np.array([-1.0, 1.0]), S2, FockTruncation(40))
 
 
 class TestShotInstrument:
