@@ -21,6 +21,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,17 +74,23 @@ def _protocol_row_base(proto, **after_bases) -> dict:
     }
 
 
+def _final_times(protocols) -> list[float]:
+    """The last shot's time of each protocol. build_protocols varies only that
+    time, so each column is one grid evaluation of the first protocol: its
+    first K-1 shots are applied once per chain."""
+    return [proto.shots[-1].time for proto in protocols]
+
+
 def cmd_exact(run: ExactRun) -> list[dict]:
     model, protocols = run.model, run.protocols
-    # build_protocols varies only the last shot's time, so every column is
-    # one grid evaluation: the first K-1 shots are applied once per chain.
-    queries = [proto.query() for proto in protocols]
-    corr = correlation_grid(model, queries)
-    leading = gk_leading_grid(model, protocols)
+    head, finals = protocols[0], _final_times(protocols)
+    query = head.query()
+    corr = correlation_grid(model, query, finals)
+    leading = gk_leading_grid(model, head, finals)
     exact = None
     if run.include_exact_unitary:
-        exact = gk_exact_unitary_grid(model, protocols, run.fock)
-    factor = prediction_factor(protocols[0])
+        exact = gk_exact_unitary_grid(model, head, finals, run.fock)
+    factor = prediction_factor(head)
     return [
         {
             **_protocol_row_base(proto, sign_type=query.label()),
@@ -93,7 +100,7 @@ def cmd_exact(run: ExactRun) -> list[dict]:
             "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
             "warning": run.protocol_warning,
         }
-        for i, (proto, query) in enumerate(zip(protocols, queries))
+        for i, proto in enumerate(protocols)
     ]
 
 
@@ -103,9 +110,9 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], lis
     mc = run.mc
     leading = exact = [None] * len(run.protocols)
     if mc.mode == "kraus_quantum":
-        # one grid evaluation per column, as in cmd_exact
-        leading = gk_leading_grid(mc.model, run.protocols).tolist()
-        exact = gk_exact_unitary_grid(mc.model, run.protocols).tolist()
+        head, finals = run.protocols[0], _final_times(run.protocols)
+        leading = gk_leading_grid(mc.model, head, finals).tolist()
+        exact = gk_exact_unitary_grid(mc.model, head, finals).tolist()
     rows, layout = [], []
     for proto, lead, ex in zip(run.protocols, leading, exact):
         cfg = replace(mc, proto=proto)
@@ -174,17 +181,30 @@ def _dispatch(run: Run, threads: int | None) -> tuple[list[dict], list[dict]]:
     return cmd_sweep(run, threads)
 
 
-def _config_sha256(raw: dict) -> str:
-    """Hash of the config as the manifest stores it; a value JSON cannot hold
-    is a config error, found before anything runs or is written."""
+def _stored_config(value):
+    """The config as manifest.json stores it: each non-finite float becomes
+    its YAML spelling as a string (``.nan``, ``.inf``, ``-.inf``), since RFC
+    8259 JSON has no token for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return ".nan" if math.isnan(value) else ".inf" if value > 0 else "-.inf"
+    if isinstance(value, dict):
+        return {key: _stored_config(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_stored_config(item) for item in value]
+    return value
+
+
+def _config_sha256(stored: dict) -> str:
+    """Hash of the stored config; a value JSON cannot hold is a config error,
+    found before anything runs or is written."""
     try:
-        blob = json.dumps(raw, sort_keys=True).encode()
+        blob = json.dumps(stored, sort_keys=True, allow_nan=False).encode()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config cannot be stored in manifest.json: {exc}") from exc
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_outputs(out_dir: Path, rows, layout, raw: dict, config_sha256: str, command: str, seed) -> None:
+def _write_outputs(out_dir: Path, rows, layout, stored: dict, config_sha256: str, command: str, seed) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = list(rows[0])
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
@@ -198,12 +218,12 @@ def _write_outputs(out_dir: Path, rows, layout, raw: dict, config_sha256: str, c
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "provenance": {c: PROVENANCE.get(c, "cli") for c in columns},
-        "config": raw,
+        "config": stored,
     }
     if layout:
         manifest["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -226,9 +246,10 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config command {raw['command']!r} does not match CLI command {args.command!r}"
             )
-        config_sha256 = _config_sha256(raw)
+        stored = _stored_config(raw)
+        config_sha256 = _config_sha256(stored)
         rows, layout = _dispatch(run, threads)
-        _write_outputs(Path(args.out), rows, layout, raw, config_sha256, args.command, run.seed)
+        _write_outputs(Path(args.out), rows, layout, stored, config_sha256, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

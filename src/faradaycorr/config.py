@@ -50,7 +50,7 @@ class ExactRun(Run):
     protocols: list[ProtocolSpec]
     protocol_warning: str
     include_exact_unitary: bool
-    fock: FockTruncation | None  # the Fock cross-check's truncation; None runs the coherent engine
+    fock: FockTruncation | None  # the Fock cross-check's cutoff, from alpha; None runs the coherent engine
 
 
 @dataclass(frozen=True)
@@ -294,20 +294,13 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     model = build_model(_require(raw, "model", "top level"))
     protocols, warning = _protocols(_require(raw, "protocol", "top level"))
     section = raw.get("exact", {})
-    _check_keys(section, {"include_exact_unitary", "engine", "n_max"}, "exact")
+    _check_keys(section, {"include_exact_unitary", "engine"}, "exact")
     include = section.get("include_exact_unitary", False)
     if not isinstance(include, bool):
         raise ConfigError(f"exact.include_exact_unitary must be true or false, got {include!r}")
     engine = _choice(section.get("engine", "coherent"), ("coherent", "fock"), "exact.engine")
-    alpha = protocols[0].sensor.alpha
-    fock = FockTruncation.for_alpha(alpha)
-    if "n_max" in section:
-        n_max = _integer(section["n_max"], "exact.n_max")
-        with _constructing("exact.n_max"):
-            fock = FockTruncation(n_max)
-            if include and engine == "fock":
-                fock.check_alpha(alpha)
-    return ExactRun(seed, model, protocols, warning, include, fock if engine == "fock" else None)
+    fock = FockTruncation.for_alpha(protocols[0].sensor.alpha) if engine == "fock" else None
+    return ExactRun(seed, model, protocols, warning, include, fock)
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:

@@ -20,12 +20,14 @@ shot computes an exponential or an eigendecomposition. Only the diagonal m_ii
 of the last record reaches the trace, so the last shot is the observable
 X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
 (``SpectralData.final_traces``). A closing "-" branch has a zero diagonal, so
-its C is exactly zero. ``correlation`` is ``correlation_grid`` with one point.
+its C is exactly zero. ``correlation_grid`` takes one query and the final
+times to evaluate it at; ``correlation`` is that grid at the query's own last
+time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, pairwise
@@ -118,17 +120,6 @@ def real_trace(values, scale: float, what: str) -> Array:
     return values.real
 
 
-def final_time_grid(queries: Sequence[CorrelationQuery]) -> Array:
-    """Final times of queries that differ only in the time of their last shot."""
-    if not queries:
-        raise ValueError("need at least one query")
-    head = queries[0]
-    for q in queries[1:]:
-        if q.signs != head.signs or q.times[:-1] != head.times[:-1]:
-            raise ValueError("queries must differ only in the time of their last shot")
-    return np.array([q.times[-1] for q in queries])
-
-
 def basis_changes(bases: Iterable[Array]) -> Iterator[Array]:
     """W_j = V_j† V_{j-1}: coordinates in basis j-1 to coordinates in basis j."""
     return (v.conj().T @ prev for prev, v in pairwise(bases))
@@ -140,9 +131,13 @@ def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale:
     Shot j multiplies rho, held in the eigenbasis of B(t_j), elementwise by
     ``records[keys[j]]``, the record matrix of its basis; ``times`` are the
     t_j of the first K-1 shots. The last record closes the chain through its
-    diagonal as X = V_B diag(m_ii) V_B†, traced at each of ``finals``.
+    diagonal as X = V_B diag(m_ii) V_B†, traced at each of ``finals``, which
+    must be finite and not before the last of ``times`` (else ``ValueError``).
     ``scale`` is the a-priori size of the traces for ``real_trace``.
     """
+    finals = np.asarray(finals, dtype=float)
+    if not np.all(np.isfinite(finals)) or (len(times) and np.any(finals < times[-1])):
+        raise ValueError("final times must be finite and not before the shot they follow")
     spec = model.spectral
     # rho0 and X are in the H eigenbasis; the last change returns there, with no record
     bases = chain([spec.basis], map(spec.coupling_eigvecs_at, times), [spec.basis])
@@ -155,19 +150,16 @@ def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale:
     return real_trace(spec.final_traces(x, rho, finals), scale, what)
 
 
-def correlation_grid(model: TargetModel, queries: Sequence[CorrelationQuery]) -> Array:
-    """C for queries sharing every shot but the last one's time (see
-    ``final_time_grid``): the first K-1 branches are applied once, then each
-    final time costs one O(d^2) trace."""
-    finals = final_time_grid(queries)
-    head = queries[0]
+def correlation_grid(model: TargetModel, q: CorrelationQuery, finals) -> Array:
+    """C of ``q`` with its last shot's time replaced by each of ``finals``:
+    the first K-1 branches are applied once, then each final time costs one
+    O(d^2) trace."""
     spec = model.spectral
-    records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(head.signs)}
-    scale = spec.coupling_norm**head.order
-    return _record_chain(model, records, head.signs, head.times[:-1], finals, scale, "correlation trace")
+    records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(q.signs)}
+    scale = spec.coupling_norm**q.order
+    return _record_chain(model, records, q.signs, q.times[:-1], finals, scale, "correlation trace")
 
 
 def correlation(model: TargetModel, q: CorrelationQuery) -> float:
-    """Evaluate C^{eta_K...eta_1}: ``correlation_grid`` with one final time."""
-    return float(correlation_grid(model, [q])[0])
-
+    """Evaluate C^{eta_K...eta_1}: ``correlation_grid`` at the query's own last time."""
+    return float(correlation_grid(model, q, [q.times[-1]])[0])

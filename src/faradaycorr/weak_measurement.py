@@ -29,30 +29,23 @@ run the record chain of ``correlations`` and differ only in that matrix:
   diagonalized.
 
 A record depends only on the pulse, the eigenvalues of B and the basis, so
-it is built once per basis. Protocols that differ only in the time of their
-last shot (a ``final_time_grid``) are evaluated together by the ``*_grid``
-functions: the state after the first K-1 shots is built once and each final
-time costs one O(d^2) trace. The single-protocol functions are those grids
-with one point.
+it is built once per basis. The ``*_grid`` functions take one protocol and
+the final times to evaluate it at, each replacing the time of its last shot:
+the state after the first K-1 shots is built once and each final time costs
+one O(d^2) trace. The single-protocol functions are those grids at the
+protocol's own last time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .correlations import (
-    CorrelationQuery,
-    _record_chain,
-    branch_record,
-    correlation,
-    final_time_grid,
-)
+from .correlations import CorrelationQuery, _record_chain, branch_record, correlation
 from .errors import check_memory
 from .quantum_core import Array, TargetModel, spin_operators
 from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, ShotTable, _coherent_mode
@@ -127,32 +120,23 @@ def _predicted_from_c(model: TargetModel, proto: ProtocolSpec) -> float:
     return prediction_factor(proto) * correlation(model, proto.query())
 
 
-def _shared_grid(protos: Sequence[ProtocolSpec]) -> tuple[ProtocolSpec, Array]:
-    """First protocol and final times of protocols that share one sensor and
-    differ only in the time of their last shot."""
-    finals = final_time_grid([p.query() for p in protos])
-    head = protos[0]
-    if any(p.sensor != head.sensor for p in protos):
-        raise ValueError("protocols on one grid must share their sensor configuration")
-    return head, finals
-
-
-def gk_leading_grid(model: TargetModel, protos: Sequence[ProtocolSpec]) -> Array:
-    """Leading-order count correlations over a final-time grid: the record
-    chain with (tau alpha^2 / 2) times each shot's branch record."""
-    head, finals = _shared_grid(protos)
+def gk_leading_grid(model: TargetModel, proto: ProtocolSpec, finals) -> Array:
+    """Leading-order count correlations of ``proto`` with its last shot at
+    each of ``finals``: the record chain with (tau alpha^2 / 2) times each
+    shot's branch record."""
     spec = model.spectral
-    coeff = _leading_coefficient(head.sensor)
-    keys = [s.basis for s in head.shots]
+    coeff = _leading_coefficient(proto.sensor)
+    keys = [s.basis for s in proto.shots]
     records = {b: coeff * branch_record(spec.coupling_eigvals, b.eta) for b in set(keys)}
-    scale = (coeff * spec.coupling_norm) ** head.order
-    times = [s.time for s in head.shots[:-1]]
+    scale = (coeff * spec.coupling_norm) ** proto.order
+    times = [s.time for s in proto.shots[:-1]]
     return _record_chain(model, records, keys, times, finals, scale, "leading-order count correlation")
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
-    """Leading-order K-shot count correlation: ``gk_leading_grid`` with one point."""
-    value = float(gk_leading_grid(model, [proto])[0])
+    """Leading-order K-shot count correlation: ``gk_leading_grid`` at the
+    protocol's own last time."""
+    value = float(gk_leading_grid(model, proto, [proto.shots[-1].time])[0])
     return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
 
 
@@ -199,34 +183,33 @@ def _fock_record_matrix(
 
 
 def gk_exact_unitary_grid(
-    model: TargetModel, protos: Sequence[ProtocolSpec], fock: FockTruncation | None = None
+    model: TargetModel, proto: ProtocolSpec, finals, fock: FockTruncation | None = None
 ) -> Array:
-    """All-orders count correlations over a final-time grid: the record
-    chain with each shot's instrument record, or with its cross-check on the
-    truncated Fock space ``fock`` when one is given. B is frozen at each
-    shot's start time.
+    """All-orders count correlations of ``proto`` with its last shot at each
+    of ``finals``: the record chain with each shot's instrument record, or
+    with its cross-check on the truncated Fock space ``fock`` when one is
+    given. B is frozen at each shot's start time.
     """
-    head, finals = _shared_grid(protos)
-    alpha, tau = head.sensor.alpha, head.sensor.tau
+    alpha, tau = proto.sensor.alpha, proto.sensor.tau
     w = model.spectral.coupling_eigvals
-    keys = [s.basis for s in head.shots]
+    keys = [s.basis for s in proto.shots]
     if fock is None:
-        records = {b: ShotTable.of(w, head.sensor, b).record() for b in set(keys)}
+        records = {b: ShotTable.of(w, proto.sensor, b).record() for b in set(keys)}
     else:
         records = {b: _fock_record_matrix(alpha, tau, w, b, fock) for b in set(keys)}
-    times = [s.time for s in head.shots[:-1]]
+    times = [s.time for s in proto.shots[:-1]]
     scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
     return _record_chain(model, records, keys, times, finals, scale, "exact count correlation")
 
 
 def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: FockTruncation | None = None) -> GkResult:
     """All-orders K-shot count correlation with a fresh pulse per shot:
-    ``gk_exact_unitary_grid`` with one point.
+    ``gk_exact_unitary_grid`` at the protocol's own last time.
 
     Sensor-target entanglement is discarded between shots (each shot uses a
     new pulse), and B is frozen at each shot's nominal start time.
     """
-    values = gk_exact_unitary_grid(model, [proto], fock)
+    values = gk_exact_unitary_grid(model, proto, [proto.shots[-1].time], fock)
     return GkResult(
         value=float(values[0]), order=proto.order, predicted_from_C=_predicted_from_c(model, proto)
     )

@@ -17,7 +17,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
-from faradaycorr import errors, trajectory_mc, weak_measurement
+from faradaycorr import errors, quantum_core, trajectory_mc, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -206,11 +206,13 @@ class TestCliExact:
         code = main(["exact", "--config", str(tmp_path / "nope.yaml"), "--out", str(out)])
         assert code == EXIT_CONFIG
 
-    def test_resource_guard_exit_code(self, tmp_path):
-        doc = dict(EXACT_DOC, exact={"include_exact_unitary": True, "engine": "fock", "n_max": 3000})
+    def test_resource_guard_exit_code(self, tmp_path, capsys):
+        # alpha = 50 needs the cutoff 3010, whose sector eigendata would take 136 GiB
+        doc = _doc(EXACT_DOC, protocol__alpha=50.0, exact__engine="fock")
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
+        assert "Fock sector eigendata (n_max=3010)" in capsys.readouterr().err
 
 
     def test_spin_resource_guard_exit_code(self, tmp_path, capsys):
@@ -222,32 +224,34 @@ class TestCliExact:
         assert err.startswith("resource guard:") and "Traceback" not in err
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize(
-        "paths",
-        [{"protocol__alpha": 1.0e5}, {"exact__n_max": 1.0e12}],
-        ids=["alpha-1e5", "n-max-1e12"],
-    )
-    def test_fock_guard_precedes_the_pulse_weights(self, tmp_path, monkeypatch, capsys, paths):
-        # n_max ~ 1e10 and 1e12: the pulse weights alone would need 75 GiB and 7.3 TiB
+    def test_fock_guard_precedes_the_pulse_weights(self, tmp_path, monkeypatch, capsys):
+        # alpha = 1e5 needs n_max ~ 1e10: the pulse weights alone would need 75 GiB
         def unreachable(*args):
             raise AssertionError("_coherent_mode ran before the memory guard")
 
         monkeypatch.setattr(weak_measurement, "_coherent_mode", unreachable)
-        doc = _doc(EXACT_DOC, exact__engine="fock", **paths)
+        doc = _doc(EXACT_DOC, exact__engine="fock", protocol__alpha=1.0e5)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
         assert "Fock sector eigendata" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
-    def test_final_time_grid_guard_exit_code(self, tmp_path, monkeypatch, capsys):
-        # d = 64 and 4096 final times: four 4 MiB complex arrays, above a 2 MiB guard
-        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 2 * 1024**2)
+    def test_final_time_grid_guard_sees_one_block(self, tmp_path, monkeypatch, capsys):
+        # d = 64 and 4096 final times: four 4 MiB complex arrays for the whole
+        # grid, above a 2 MiB guard, but four 512 KiB arrays per 512-time block
         grid = [1.0 + 1e-3 * i for i in range(4096)]
         doc = _doc(EXACT_DOC, model__two_j=63, protocol__final_time_grid=grid, exact={})
-        out = tmp_path / "out"
-        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
-        assert "final-time grid of 4096 times at d=64" in capsys.readouterr().err
-        assert not (out / "results.csv").exists()
+        args = ["exact", "--config", str(write_config(tmp_path, doc)), "--out"]
+        monkeypatch.setattr(quantum_core, "FINAL_TIME_BLOCK", 4096)
+        assert main([*args, str(tmp_path / "whole")]) == EXIT_OK
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 2 * 1024**2)
+        assert main([*args, str(tmp_path / "refused")]) == EXIT_RESOURCE
+        assert "final-time block of 4096 times at d=64" in capsys.readouterr().err
+        assert not (tmp_path / "refused" / "results.csv").exists()
+        monkeypatch.setattr(quantum_core, "FINAL_TIME_BLOCK", 512)
+        assert main([*args, str(tmp_path / "blocked")]) == EXIT_OK
+        blocked = (tmp_path / "blocked" / "results.csv").read_bytes()
+        assert blocked == (tmp_path / "whole" / "results.csv").read_bytes()
 
 
 class TestCliSimulate:
@@ -561,17 +565,8 @@ INVALID_CONFIGS = [
     ("nan-coefficient", lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.nan}), "model:"),
     ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
     ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
-    (
-        "fock-n-max-below-cutoff",
-        lambda tmp: _doc(
-            EXACT_DOC,
-            protocol__alpha=2.0,
-            exact={"include_exact_unitary": True, "engine": "fock", "n_max": 3},
-        ),
-        "exact.n_max",
-    ),
-    ("zero-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max=0), "exact.n_max"),
-    ("text-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max="abc"), "exact.n_max"),
+    # the Fock cutoff comes from alpha; a config that still sets one is refused
+    ("n-max-is-unknown", lambda tmp: _doc(EXACT_DOC, exact__n_max=210), "unknown keys in exact: ['n_max']"),
     ("scenario-not-mapping", lambda tmp: {"command": "snr", "snr": {"scenario": 5}}, "snr.scenario"),
     (
         "scenario-negative-g",
@@ -651,7 +646,6 @@ INVALID_CONFIGS = [
         "exact.include_exact_unitary",
     ),
     ("boolean-sequences", lambda tmp: _doc(SIM_DOC, mc__sequences=True), "mc.sequences"),
-    ("fractional-n-max", lambda tmp: _doc(EXACT_DOC, exact__n_max=3.7), "exact.n_max"),
     # a run with no rows, which would leave results.csv without a header
     (
         "preset-file-empty",
@@ -698,6 +692,31 @@ def test_snr_out_of_float_range_is_a_numerical_guard(tmp_path, capsys, snr):
     assert code == EXIT_NUMERIC
     assert err.startswith("numerical guard:") and "Traceback" not in err
     assert not (out / "results.csv").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"manifest.json holds the non-JSON token {token}")
+
+
+@pytest.mark.parametrize(
+    "doc, path, stored",
+    [
+        (dict(SNR_DOC, mc=math.nan), ("mc",), ".nan"),
+        (
+            _doc(OU_DOC, mc__field={"kind": "constant", "amplitude": 1.0, "correlation_time": math.inf}),
+            ("mc", "field", "correlation_time"),
+            ".inf",
+        ),
+    ],
+    ids=["unread-nan", "infinite-correlation-time"],
+)
+def test_manifest_is_strict_json(tmp_path, doc, path, stored):
+    out = tmp_path / "out"
+    assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    config = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)["config"]
+    for key in path:
+        config = config[key]
+    assert config == stored
 
 
 EXACT_HEADER = (

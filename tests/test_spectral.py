@@ -95,11 +95,11 @@ class TestFinalTimeGrid:
     def test_correlation_and_leading(self, last_basis):
         model, protos, bound = self._setup(last_basis)
         ref_c = [reference_correlation(model, p) for p in protos]
-        c = correlation_grid(model, [p.query() for p in protos])
+        c = correlation_grid(model, protos[0].query(), self.FINALS)
         assert_grid_close(c, ref_c, model.spectral.coupling_norm**4)
         assert_grid_close(c, [correlation(model, p.query()) for p in protos], 0.0)
         coeff = 2.0**-4 * self.SENSOR.tau**4 * self.SENSOR.alpha**8
-        leading = gk_leading_grid(model, protos)
+        leading = gk_leading_grid(model, protos[0], self.FINALS)
         assert_grid_close(leading, coeff * np.array(ref_c), bound)
         assert_grid_close(leading, [gk_leading(model, p).value for p in protos], 0.0)
 
@@ -113,20 +113,24 @@ class TestFinalTimeGrid:
         if time_convention == "midpoint":
             protos = [shift_protocol(p, 0.5 * self.SENSOR.tau) for p in protos]
         fock = FockTruncation.for_alpha(self.SENSOR.alpha) if engine == "fock" else None
-        grid = gk_exact_unitary_grid(model, protos, fock)
+        grid = gk_exact_unitary_grid(model, protos[0], [p.shots[-1].time for p in protos], fock)
         ref = [reference_exact(model, p, fock) for p in protos]
         assert_grid_close(grid, ref, bound)
         single = [gk_exact_unitary(model, p, fock).value for p in protos]
         assert_grid_close(grid, single, bound)
 
-    def test_rejects_protocols_differing_before_the_last_shot(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.89], ids=["nan", "inf", "before-shot-3"])
+    def test_rejects_final_times_no_protocol_could_hold(self, bad):
+        # a ProtocolSpec refuses a non-finite time or one before the shot it
+        # follows; a final time on a grid must be refused the same way
         model, protos, _ = self._setup(S2)
-        moved = ProtocolSpec(shots=(ShotSpec(0.2, S3),) + protos[1].shots[1:], sensor=self.SENSOR)
+        finals = [1.0, bad]
         with pytest.raises(ValueError):
-            gk_leading_grid(model, [protos[0], moved])
-        other_sensor = ProtocolSpec(shots=protos[1].shots, sensor=SensorConfig(alpha=2.0, tau=0.1))
+            correlation_grid(model, protos[0].query(), finals)
         with pytest.raises(ValueError):
-            gk_exact_unitary_grid(model, [protos[0], other_sensor])
+            gk_leading_grid(model, protos[0], finals)
+        with pytest.raises(ValueError):
+            gk_exact_unitary_grid(model, protos[0], finals)
 
 
 def _exact_config(grid_points: int) -> dict:

@@ -210,11 +210,11 @@ class TestExactUnitary:
     def test_fock_engine_at_alpha_10(self):
         # n_max = 210: a dense two-mode space would have 44521 dimensions
         model = precession_model()
-        protos = [proto([(0.0, S3), (t, S2)], alpha=10.0, tau=0.02) for t in (0.5, 1.0, 1.5, 2.0)]
+        p, finals = proto([(0.0, S3), (0.5, S2)], alpha=10.0, tau=0.02), [0.5, 1.0, 1.5, 2.0]
         tr = FockTruncation.for_alpha(10.0)
         assert tr.n_max == 210
-        fock = gk_exact_unitary_grid(model, protos, tr)
-        coherent = gk_exact_unitary_grid(model, protos)
+        fock = gk_exact_unitary_grid(model, p, finals, tr)
+        coherent = gk_exact_unitary_grid(model, p, finals)
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
     def test_fock_memory_guard(self):
