@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .correlations import correlation_grid
-from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
+from .config import NON_FINITE, ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
@@ -165,7 +165,7 @@ def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[list[dict], list[dict
     for value, variant in run.runs:
         sub_rows, sub_layout = _dispatch(variant, threads)
         rows.extend({"sweep_path": run.path, "sweep_value": value, **row} for row in sub_rows)
-        layout.extend(dict(entry, sweep_value=value) for entry in sub_layout)
+        layout.extend(dict(entry, sweep_value=_stored_config(value)) for entry in sub_layout)
     return rows, layout
 
 
@@ -183,10 +183,10 @@ def _dispatch(run: Run, threads: int | None) -> tuple[list[dict], list[dict]]:
 
 def _stored_config(value):
     """The config as manifest.json stores it: each non-finite float becomes
-    its YAML spelling as a string (``.nan``, ``.inf``, ``-.inf``), since RFC
-    8259 JSON has no token for it."""
+    its YAML spelling from ``config.NON_FINITE`` as a string, since RFC 8259
+    JSON has no token for it."""
     if isinstance(value, float) and not math.isfinite(value):
-        return ".nan" if math.isnan(value) else ".inf" if value > 0 else "-.inf"
+        return next(spelling for spelling, x in NON_FINITE.items() if str(x) == str(value))
     if isinstance(value, dict):
         return {key: _stored_config(item) for key, item in value.items()}
     if isinstance(value, list):

@@ -35,6 +35,10 @@ _MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
 # TargetModel.spectral (10.2 measured as peak RSS at two_j = 1400).
 _SPIN_MODEL_PEAK_MATRICES = 11
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
+# YAML's spellings of the non-finite floats. manifest.json stores a non-finite
+# config value as its spelling (``cli._stored_config``), and a number or sweep
+# value reads the spelling back, so a stored config replays as it stands.
+NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,13 @@ def _nonempty_list(value, where: str) -> list:
     return value
 
 
+def _unspelled(value):
+    """The float that a spelling in ``NON_FINITE`` names; any other value as it is."""
+    return NON_FINITE[value] if isinstance(value, str) and value in NON_FINITE else value
+
+
 def _number(value, where: str) -> float:
+    value = _unspelled(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
@@ -330,7 +340,7 @@ def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
     if not isinstance(path, str) or not path:
         raise ConfigError("sweep.path must be a non-empty dotted key path")
     runs = []
-    for value in _nonempty_list(_require(sweep, "values", "sweep"), "sweep.values"):
+    for value in map(_unspelled, _nonempty_list(_require(sweep, "values", "sweep"), "sweep.values")):
         variant = set_config_path(raw, path, value)
         variant["command"] = base
         del variant["sweep"]

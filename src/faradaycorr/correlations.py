@@ -15,8 +15,9 @@ A weak-measurement shot acts the same way with another d x d "record matrix"
 (``weak_measurement``), so one chain, ``_record_chain``, evaluates C and both
 count correlations: it holds rho in the current B(t_j) eigenbasis, multiplies
 by each shot's record matrix and moves to the next shot's eigenbasis with
-W_j = V_j† V_{j-1}. The eigendata come from ``TargetModel.spectral``, so no
-shot computes an exponential or an eigendecomposition. Only the diagonal m_ii
+W_j = V_B† diag(exp(-iE (t_j - t_{j-1}))) V_B, with H = V diag(E) V† and
+B = V_B diag(w_B) V_B† (``SpectralData.walk``), so no shot computes an
+exponential or an eigendecomposition. Only the diagonal m_ii
 of the last record reaches the trace, so the last shot is the observable
 X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
 (``SpectralData.final_traces``). A closing "-" branch has a zero diagonal, so
@@ -27,10 +28,9 @@ time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, pairwise
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class BranchSign(Enum):
 
 @dataclass(frozen=True)
 class CorrelationQuery:
-    """Times (non-decreasing, seconds) and branch signs, index k paired with t_k."""
+    """Times (finite, non-decreasing, seconds) and branch signs, index k paired with t_k."""
 
     times: tuple[float, ...]
     signs: tuple[BranchSign, ...]
@@ -60,8 +60,8 @@ class CorrelationQuery:
             raise ValueError("times and signs must have the same length")
         if len(times) < 1:
             raise ValueError("need at least one shot")
-        if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("times must be non-decreasing")
+        if not all(map(math.isfinite, times)) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
+            raise ValueError("times must be finite and non-decreasing")
 
     @property
     def order(self) -> int:
@@ -99,7 +99,8 @@ def heisenberg_coupling(model: TargetModel, t: float) -> Array:
     model's basis. No exponential or eigendecomposition is computed per call.
     """
     spec = model.spectral
-    return spec.to_model_basis(spec.coupling_at(t))
+    p = spec.phases(t)
+    return spec.basis @ (p[:, None] * spec.coupling * p.conj()[None, :]) @ spec.basis.conj().T
 
 
 def real_trace(values, scale: float, what: str) -> Array:
@@ -120,11 +121,6 @@ def real_trace(values, scale: float, what: str) -> Array:
     return values.real
 
 
-def basis_changes(bases: Iterable[Array]) -> Iterator[Array]:
-    """W_j = V_j† V_{j-1}: coordinates in basis j-1 to coordinates in basis j."""
-    return (v.conj().T @ prev for prev, v in pairwise(bases))
-
-
 def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale: float, what: str) -> Array:
     """Traces of a chain of K shots, one per final time.
 
@@ -139,12 +135,11 @@ def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale:
     if not np.all(np.isfinite(finals)) or (len(times) and np.any(finals < times[-1])):
         raise ValueError("final times must be finite and not before the shot they follow")
     spec = model.spectral
-    # rho0 and X are in the H eigenbasis; the last change returns there, with no record
-    bases = chain([spec.basis], map(spec.coupling_eigvecs_at, times), [spec.basis])
-    steps = [*(records[key] for key in keys[:-1]), 1.0]
+    *changes, back = spec.walk(times)  # rho0 and X are in the H eigenbasis
     rho = spec.initial_state
-    for w, record in zip(basis_changes(bases), steps):
-        rho = record * (w @ rho @ w.conj().T)
+    for w, key in zip(changes, keys):
+        rho = records[key] * (w @ rho @ w.conj().T)
+    rho = back @ rho @ back.conj().T
     v_b = spec.coupling_eigvecs
     x = (v_b * np.diag(records[keys[-1]])) @ v_b.conj().T
     return real_trace(spec.final_traces(x, rho, finals), scale, what)

@@ -144,6 +144,23 @@ class TargetModel:
         return SpectralData.of(self)
 
 
+def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
+    """Snap near-degenerate (sorted) eigenvalues to their cluster means.
+
+    Neighbours closer than ``tol`` times the largest |w| form one cluster, so
+    the width scales with the spectrum.
+    """
+    w = np.asarray(w, dtype=float)
+    out = w.copy()
+    width = tol * np.max(np.abs(w), initial=0.0)
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > width:
+            out[start:i] = w[start:i].mean()
+            start = i
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """A target model in the eigenbasis of its Hamiltonian.
@@ -152,14 +169,14 @@ class SpectralData:
     B(t)_ij = B_ij exp(i (E_i - E_j) t). It is unitarily similar to B, so its
     eigenvalues are those of B and its eigenvectors are diag(exp(iEt)) V_B,
     where B = V_B diag(w_B) V_B† in the H eigenbasis. One eigendecomposition
-    of H and one of B therefore serve every shot time.
+    of H and one of B, its eigenvalues clustered once here, serve every shot.
     """
 
     energies: Array          # E, eigenvalues of H (ascending)
     basis: Array             # V, columns are the eigenvectors of H
     coupling: Array          # B in the H eigenbasis
     initial_state: Array     # rho0 in the H eigenbasis
-    coupling_eigvals: Array  # w_B, eigenvalues of B (ascending)
+    coupling_eigvals: Array  # w_B, clustered eigenvalues of B (ascending)
     coupling_eigvecs: Array  # V_B, eigenvectors of B in the H eigenbasis
     coupling_norm: float     # spectral norm of B, max |w_B|
 
@@ -169,6 +186,7 @@ class SpectralData:
         coupling = basis.conj().T @ model.coupling @ basis
         coupling = (coupling + coupling.conj().T) / 2
         w_b, v_b = np.linalg.eigh(coupling)
+        w_b = cluster_eigenvalues(w_b)
         rho = basis.conj().T @ model.initial_state.matrix @ basis
         for a in (energies, basis, coupling, rho, w_b, v_b):
             a.setflags(write=False)  # shared by every caller of the model
@@ -186,17 +204,18 @@ class SpectralData:
         """diag(exp(iEt)), the H-eigenbasis form of exp(+iHt)."""
         return np.exp(1j * self.energies * t)
 
-    def coupling_at(self, t: float) -> Array:
-        """B(t) in the H eigenbasis: one elementwise phase multiply."""
-        p = self.phases(t)
-        return p[:, None] * self.coupling * p.conj()[None, :]
-
-    def coupling_eigvecs_at(self, t: float) -> Array:
-        """Eigenvectors of B(t) in the model's basis, ordered as ``coupling_eigvals``."""
-        return self.basis @ (self.phases(t)[:, None] * self.coupling_eigvecs)
-
-    def to_model_basis(self, x: Array) -> Array:
-        return self.basis @ x @ self.basis.conj().T
+    def walk(self, times) -> list[Array]:
+        """Changes of coordinates from the H eigenbasis into the eigenbasis of
+        B(t_j) at each of ``times`` in turn and back, from the time gaps alone:
+        V_B† diag(exp(-iE t_1)), then V_B† diag(exp(-iE (t_j - t_{j-1}))) V_B
+        per later shot, then diag(exp(iE t_K)) V_B. No times give the identity.
+        """
+        v = self.coupling_eigvecs
+        if len(times) == 0:
+            return [np.eye(len(v), dtype=complex)]
+        gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+        into = [v.conj().T * self.phases(-gap) for gap in gaps]
+        return [into[0], *(w @ v for w in into[1:]), self.phases(times[-1])[:, None] * v]
 
     def final_traces(self, x: Array, rho: Array, times) -> Array:
         """Tr[X(t) rho] for each t, with X(t) = exp(iHt) X exp(-iHt).

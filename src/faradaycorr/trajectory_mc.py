@@ -14,8 +14,9 @@ Two modes:
   counts with the table's means for b. The state is then multiplied by the
   full Kraus element, which is diagonal in that basis and keeps the
   interference between eigenvalue branches, and renormalized. Moving to the
-  next shot's eigenbasis is one d x d rotation W_j = V_j^dag V_{j-1}, so a
-  chunk of n sequences holds n x d amplitudes and costs O(n d^2) per shot.
+  next shot's eigenbasis is one d x d rotation, W_j = V_B^dag
+  diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences holds n x d
+  amplitudes and costs O(n d^2) per shot.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts around the same ``detector_means``, evaluated at
   each sequence's field value. Only the all-anticommutator correlation
@@ -41,11 +42,9 @@ from enum import Enum
 
 import numpy as np
 
-from .correlations import basis_changes
 from .errors import check_memory, fits_memory
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, ShotTable, detector_means, plane_rotation_angle
-from .tolerances import TOL
 from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
@@ -125,23 +124,6 @@ class McEstimate:
     chunks: int = field(default=1, compare=False)
 
 
-def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
-    """Snap near-degenerate (sorted) eigenvalues to their cluster means.
-
-    Neighbours closer than ``tol`` times the largest |w| form one cluster, so
-    the width scales with the spectrum.
-    """
-    w = np.asarray(w, dtype=float)
-    out = w.copy()
-    width = tol * np.max(np.abs(w), initial=0.0)
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > width:
-            out[start:i] = w[start:i].mean()
-            start = i
-    return out
-
-
 def _branch_probabilities(p: Array) -> Array:
     """Clip roundoff negatives and normalize along the last axis."""
     p = np.clip(p, 0.0, None)
@@ -159,36 +141,28 @@ def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Ar
 
 
 @dataclass(frozen=True)
-class _QuantumStep:
-    rotation: Array | None  # W_j^T, W_j = V_j^dag V_{j-1}; None for the first shot
-    table: ShotTable
-
-
-@dataclass(frozen=True)
 class _QuantumPlan:
     """What every Kraus chunk of one protocol shares."""
 
-    weights: Array  # lambda_k, eigenvalues of rho0
-    kets: Array     # row k: eigenvector u_k of rho0 in the first shot's eigenbasis
-    steps: tuple[_QuantumStep, ...]
+    weights: Array                # lambda_k, eigenvalues of rho0
+    kets: Array                   # row k: eigenvector u_k of rho0 in the first shot's eigenbasis
+    tables: tuple[ShotTable, ...]  # one per shot
+    rotations: tuple[Array, ...]  # W_j^T, into the eigenbasis of shot j = 2..K
 
 
 def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     """Unravelling of rho0 and per-shot tables, shared by all sequences.
 
     Every B(t_j) has the eigenvalues of B, so the detector statistics depend
-    on the shot's basis only; the eigenvectors come from the spectral data.
+    on the shot's basis only; the changes of basis are ``SpectralData.walk``.
     States are rows, so a change of basis multiplies by W_j^T on the right.
     """
     spec = model.spectral
-    bases = [spec.coupling_eigvecs_at(shot.time) for shot in proto.shots]
-    rotations = [None] + [w.T for w in basis_changes(bases)]
-    w = cluster_eigenvalues(spec.coupling_eigvals)
-    tables = {b: ShotTable.of(w, proto.sensor, b) for b in {shot.basis for shot in proto.shots}}
-    steps = [_QuantumStep(rotation, tables[shot.basis]) for rotation, shot in zip(rotations, proto.shots)]
-    lam, u = np.linalg.eigh(model.initial_state.matrix)
-    kets = (bases[0].conj().T @ u).T
-    return _QuantumPlan(_branch_probabilities(lam), kets, tuple(steps))
+    into_first, *rotations, _ = spec.walk([shot.time for shot in proto.shots])
+    tables = {b: ShotTable.of(spec.coupling_eigvals, proto.sensor, b) for b in {s.basis for s in proto.shots}}
+    lam, u = np.linalg.eigh(spec.initial_state)
+    steps = tuple(tables[shot.basis] for shot in proto.shots)
+    return _QuantumPlan(_branch_probabilities(lam), (into_first @ u).T, steps, tuple(w.T for w in rotations))
 
 
 class _Record:
@@ -224,16 +198,13 @@ def _run_quantum_chunk(
 ) -> tuple:
     states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
     record = _Record(n)
-    last = len(plan.steps) - 1
-    for j, step in enumerate(plan.steps):
-        if step.rotation is not None:
-            states = states @ step.rotation
+    for j, table in enumerate(plan.tables):
         p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        n_c, n_d = record.shot(rng, step.table.means_c[idx], step.table.means_d[idx], step.table.scale)
-        if j < last:  # the state after the last shot is never read
-            states = _kraus_update(states, step.table, n_c, n_d)
+        n_c, n_d = record.shot(rng, table.means_c[idx], table.means_d[idx], table.scale)
+        if j < len(plan.rotations):  # the state after the last shot is never read
+            states = _kraus_update(states, table, n_c, n_d) @ plan.rotations[j]
     return record.sums()
 
 

@@ -5,7 +5,7 @@ against. None of them is runtime code.
   matrix on the column-major vectorization of rho.
 * The per-shot chains take a fresh matrix exponential for every B(t) and a
   fresh eigendecomposition of B(t) for every all-orders shot, where the
-  package reads both from ``TargetModel.spectral``.
+  package walks from shot to shot on ``TargetModel.spectral``.
 * The records are the closed form of ``ShotTable.record`` and the dense
   (n_max+1)^2 two-mode Fock computation that the sector engine replaces.
 * The Kraus references act on one density matrix per shot, or on n x d x d
@@ -23,6 +23,7 @@ from faradaycorr.quantum_core import (
     DensityMatrix,
     TargetModel,
     as_operator,
+    cluster_eigenvalues,
     hermitian_expm,
     require_hermitian,
 )
@@ -37,7 +38,7 @@ from faradaycorr.sensor_optics import (
     log_factorial,
     stokes_operators,
 )
-from faradaycorr.trajectory_mc import _branch_probabilities, cluster_eigenvalues
+from faradaycorr.trajectory_mc import _branch_probabilities
 from faradaycorr.weak_measurement import ProtocolSpec, _fock_record_matrix
 
 
@@ -76,12 +77,11 @@ def liouville_correlation(model: TargetModel, q: CorrelationQuery) -> float:
     """Cross-implementation of ``correlation`` in Liouville space."""
     if q.signs[-1] is BranchSign.MINUS:
         return 0.0
-    spec = model.spectral
-    v = vectorize(spec.initial_state)
+    v = vectorize(model.initial_state.matrix)
     for t, sign in zip(q.times, q.signs):
-        v = branch_superoperator(spec.coupling_at(t), sign) @ v
+        v = branch_superoperator(expm_coupling(model, t), sign) @ v
     trace = np.trace(unvectorize(v, model.dim))
-    return float(real_trace(trace, spec.coupling_norm**q.order, "Liouville correlation trace"))
+    return float(real_trace(trace, model.spectral.coupling_norm**q.order, "Liouville correlation trace"))
 
 
 # -- per-shot chains ---------------------------------------------------------------
@@ -91,6 +91,13 @@ def expm_coupling(model: TargetModel, t: float) -> Array:
     """B(t) = exp(+iHt) B exp(-iHt) from a fresh matrix exponential."""
     u = hermitian_expm(model.hamiltonian, t)
     return u.conj().T @ model.coupling @ u
+
+
+def spectral_eigvecs(model: TargetModel, t: float) -> Array:
+    """Eigenvectors of B(t) in the model's basis, V diag(exp(iEt)) V_B, ordered
+    and phased as the package's walk holds them but formed here per time."""
+    spec = model.spectral
+    return spec.basis @ (np.exp(1j * spec.energies * t)[:, None] * spec.coupling_eigvecs)
 
 
 def reference_correlation(model: TargetModel, proto: ProtocolSpec) -> float:
@@ -208,8 +215,8 @@ def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p
     prod = np.ones(n)
     s_half = s_half2 = 0.0
     for shot in p.shots:
-        v = spec.coupling_eigvecs_at(shot.time)
-        table = ShotTable.of(cluster_eigenvalues(spec.coupling_eigvals), p.sensor, shot.basis)
+        v = spectral_eigvecs(model, shot.time)
+        table = ShotTable.of(spec.coupling_eigvals, p.sensor, shot.basis)
         rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
         probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
         probs = probs / probs.sum(axis=1, keepdims=True)

@@ -268,15 +268,23 @@ class TestCliSimulate:
         assert float(row["sigma_distance"]) < 4.0
 
     def test_manifest_round_trip(self, tmp_path):
-        # the config embedded in the manifest regenerates the CSV byte-for-byte
-        cfg = write_config(tmp_path, SIM_DOC)
-        out1 = tmp_path / "a"
-        main(["simulate", "--config", str(cfg), "--out", str(out1)])
-        manifest = json.loads((out1 / "manifest.json").read_text())
-        cfg2 = write_config(tmp_path, manifest["config"], name="replay.yaml")
-        out2 = tmp_path / "b"
-        assert main(["simulate", "--config", str(cfg2), "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        # the config embedded in the manifest regenerates the CSV byte-for-byte,
+        # also where it stores a non-finite number as its YAML spelling
+        constant = {"kind": "constant", "amplitude": 1.0, "correlation_time": math.inf}
+        infinite = _doc(OU_DOC, mc__field=constant)
+        field_sweep = dict(
+            _doc(OU_DOC, command="sweep"),
+            sweep={"command": "simulate", "path": "mc.field.correlation_time", "values": [1.0, math.inf]},
+        )
+        for i, doc in enumerate((SIM_DOC, infinite, field_sweep)):
+            command = doc["command"]
+            out1, out2 = tmp_path / f"{i}a", tmp_path / f"{i}b"
+            assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out1)]) == EXIT_OK
+            manifest = json.loads((out1 / "manifest.json").read_text())
+            cfg2 = write_config(tmp_path, manifest["config"], name="replay.yaml")
+            assert main([command, "--config", str(cfg2), "--out", str(out2)]) == EXIT_OK
+            assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+            assert json.loads((out2 / "manifest.json").read_text())["config_sha256"] == manifest["config_sha256"]
 
     @pytest.mark.parametrize("flag", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, flag):

@@ -38,6 +38,12 @@ class TestQuery:
         with pytest.raises(ValueError):
             CorrelationQuery(times=(1.0, 0.5), signs=(PLUS, PLUS))
 
+    @pytest.mark.parametrize("times", [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_rejects_non_finite_times(self, times):
+        # a NaN compares false both ways, so order alone cannot catch it
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationQuery(times=times, signs=(PLUS, PLUS))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             CorrelationQuery(times=(0.0,), signs=(PLUS, PLUS))

@@ -14,7 +14,9 @@ import yaml
 
 from faradaycorr import cli
 from faradaycorr.correlations import correlation, correlation_grid, heisenberg_coupling
-from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
+from faradaycorr.quantum_core import TargetModel, pure_state, spin_operators
+from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, ShotTable
+from faradaycorr.trajectory_mc import _quantum_plan
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
@@ -63,16 +65,44 @@ class TestSpectralData:
         for t in (0.0, 0.37, 2.9, 11.0):
             ref = expm_coupling(model, t)
             assert np.max(np.abs(heisenberg_coupling(model, t) - ref)) <= 1e-12
-            spec = model.spectral
-            assert np.max(np.abs(spec.to_model_basis(spec.coupling_at(t)) - ref)) <= 1e-12
 
     def test_eigvecs_diagonalize_coupling_at_any_time(self):
+        """The walk's running product W_j ... W_1 takes H-eigenbasis
+        coordinates into the eigenbasis of B(t_j) at every shot, a repeated
+        time included, and its last change takes them back."""
         model = random_model(np.random.default_rng(7), 6)
         spec = model.spectral
-        for t in (0.0, 1.3, 4.0):
-            v = spec.coupling_eigvecs_at(t)
+        times = (0.0, 1.3, 1.3, 4.0)
+        *changes, back = spec.walk(times)
+        u = np.eye(model.dim)
+        for t, w in zip(times, changes):
+            u = w @ u
+            v = spec.basis @ u.conj().T  # eigenvectors of B(t) in the model's basis
             diag = v.conj().T @ expm_coupling(model, t) @ v
             assert np.allclose(diag, np.diag(spec.coupling_eigvals), atol=1e-12)
+        assert np.allclose(back @ u, np.eye(model.dim), atol=1e-12)
+        assert np.array_equal(spec.walk([])[0], np.eye(model.dim))
+
+    def test_degenerate_eigenvalues_are_one_shared_array(self, monkeypatch):
+        """B = U diag(1, 1, -1) U†: the degenerate pair is one number, and the
+        exact chain and the Kraus plan build every ShotTable from that one
+        array, so an S3 record vanishes exactly on the cluster."""
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        jx, _, jz = spin_operators(2)
+        b = u @ np.diag([1.0, 1.0, -1.0]) @ u.conj().T
+        model = TargetModel(hamiltonian=jz + 0.3 * jx, coupling=b, initial_state=pure_state([1, 1, 0]))
+        w = model.spectral.coupling_eigvals
+        assert w[1] == w[2]
+        seen = []
+        of = ShotTable.of.__func__
+        monkeypatch.setattr(ShotTable, "of", classmethod(lambda cls, e, *rest: seen.append(e) or of(cls, e, *rest)))
+        p = ProtocolSpec(shots=(ShotSpec(0.0, S3), ShotSpec(0.5, S2)), sensor=SensorConfig(alpha=2.0, tau=0.3))
+        gk_exact_unitary(model, p)
+        plan = _quantum_plan(model, p)
+        assert len(seen) == 4 and all(e is w for e in seen)
+        record = plan.tables[0].record()
+        assert record[1, 2] == 0 and record[2, 1] == 0
 
     def test_computed_once_per_model(self):
         model = random_model(np.random.default_rng(8), 3)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faradaycorr import errors, trajectory_mc
-from faradaycorr.correlations import heisenberg_coupling
 from faradaycorr.errors import DimensionMismatchError, ResourceGuardError
 from faradaycorr.quantum_core import (
     DensityMatrix,
     TargetModel,
+    cluster_eigenvalues,
     pure_state,
     spin_operators,
     thermal_state,
@@ -28,7 +28,6 @@ from faradaycorr.trajectory_mc import (
     _estimate,
     _kraus_update,
     _quantum_plan,
-    cluster_eigenvalues,
     default_workers,
     empirical_snr,
     snr_convention_factor,
@@ -37,7 +36,7 @@ from faradaycorr.trajectory_mc import (
 from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitary
 
 from conftest import SX, SZ, UP, precession_model, random_hermitian
-from crosscheck import KrausOutcomeSampler, density_matrix_chunk
+from crosscheck import KrausOutcomeSampler, density_matrix_chunk, expm_coupling, spectral_eigvecs
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -327,14 +326,15 @@ class TestVectorTrajectories:
         plan = _quantum_plan(model, p)
         (psi,) = plan.kets[plan.weights > 0.5]
         rho = model.initial_state
-        for shot, step, (n_c, n_d) in zip(p.shots, plan.steps, [(3, 1), (0, 4), (2, 2)]):
-            if step.rotation is not None:
-                psi = psi @ step.rotation
-            psi = _kraus_update(psi[None, :], step.table, [n_c], [n_d])[0]
-            b_t = heisenberg_coupling(model, shot.time)
+        rotations = (*plan.rotations, None)  # the state after the last shot is never rotated
+        for shot, table, rotation, (n_c, n_d) in zip(p.shots, plan.tables, rotations, [(3, 1), (0, 4), (2, 2)]):
+            psi = _kraus_update(psi[None, :], table, [n_c], [n_d])[0]
+            b_t = expm_coupling(model, shot.time)
             rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis).post_state(n_c, n_d)
-            ket = model.spectral.coupling_eigvecs_at(shot.time) @ psi
+            ket = spectral_eigvecs(model, shot.time) @ psi
             assert np.max(np.abs(np.outer(ket, ket.conj()) - rho.matrix)) < 1e-12
+            if rotation is not None:
+                psi = psi @ rotation
 
     def test_mixed_state_matches_exact_for_any_worker_count(self):
         jx, _, jz = spin_operators(7)
