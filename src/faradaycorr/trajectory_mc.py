@@ -13,7 +13,10 @@ Two modes:
   drawn with probability |psi_b|^2, the detectors see independent Poisson
   counts with the table's means for b. The state is then multiplied by the
   full Kraus element, which is diagonal in that basis and keeps the
-  interference between eigenvalue branches, and renormalized. Moving to the
+  interference between eigenvalue branches, and renormalized. The counts
+  are Poisson around alpha^2/2, so a chunk sees far fewer distinct outcomes
+  (n_c, n_d) than sequences: each shot evaluates one Kraus diagonal per
+  distinct outcome and gathers it to the rows that saw it. Moving to the
   next shot's eigenbasis is one d x d rotation, W_j = V_B^dag
   diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences holds n x d
   amplitudes and costs O(n d^2) per shot.
@@ -49,8 +52,9 @@ from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
 # Peak bytes a chunk holds per state amplitude and per sequence (counts,
-# products, draws), rounded up from tracemalloc peaks of single chunks
-# (73-79 bytes per amplitude at d = 8..64, 144 per sequence beyond the field path),
+# products, draws), upper bounds on tracemalloc peaks of single 16384-sequence
+# chunks (K = 4, alpha = 5: 57-66 bytes per amplitude at d = 8..64 with the
+# whole peak charged to the amplitudes, 48-55 beyond 144 per sequence),
 # and per chunk for the bookkeeping held for every chunk (seed, size, result;
 # 610-635 bytes).
 AMPLITUDE_BYTES = 80
@@ -95,6 +99,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.sequences < 1:
             raise ValueError("need at least one sequence")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("kraus_quantum", "semiclassical_field"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "kraus_quantum" and not isinstance(self.model, TargetModel):
@@ -132,8 +138,21 @@ def _branch_probabilities(p: Array) -> Array:
 
 def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Array:
     """Apply the Kraus element of each outcome to the state vector in the same
-    row (amplitudes in the shot's eigenbasis) and renormalize."""
-    states = states * table.kraus_diagonal(n_c, n_d)
+    row (amplitudes in the shot's eigenbasis) and renormalize.
+
+    The counts are Poisson around alpha^2/2, so a batch repeats few outcomes
+    many times: each distinct (n_c, n_d) gets one Kraus diagonal, gathered
+    back to its rows. A row of ``kraus_diagonal`` depends on its own outcome
+    only, so this is the per-row product bit for bit. Outcomes are keyed by
+    the ranks of n_c and n_d among the batch's values, which stay below n^2;
+    a key built from the counts themselves overflows int64 once alpha^2
+    nears 1e10, and the materials preset's pulses carry 1e14 photons.
+    """
+    c_values, c_rank = np.unique(np.asarray(n_c, dtype=float), return_inverse=True)
+    d_values, d_rank = np.unique(np.asarray(n_d, dtype=float), return_inverse=True)
+    width = len(d_values)
+    keys, rows = np.unique(c_rank * width + d_rank, return_inverse=True)
+    states = states * table.kraus_diagonal(c_values[keys // width], d_values[keys % width])[rows]
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 

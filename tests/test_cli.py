@@ -645,6 +645,7 @@ INVALID_CONFIGS = [
         "snr.scenario",
     ),
     ("text-seed", lambda tmp: _doc(SIM_DOC, seed="abc"), "seed"),
+    ("negative-seed", lambda tmp: _doc(SIM_DOC, seed=-1), "mc: seed must be >= 0"),
     ("sweep-value-negative-alpha", lambda tmp: SWEEP_DOC, "sweep value -1.0"),
     # values that were silently coerced into another run
     ("fractional-two-j", lambda tmp: _doc(EXACT_DOC, model__two_j=1.5), "model.two_j"),

@@ -17,7 +17,7 @@ from faradaycorr.quantum_core import (
     spin_operators,
     thermal_state,
 )
-from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig
+from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable
 from faradaycorr.trajectory_mc import (
     CHUNK_SIZE,
     ClassicalFieldModel,
@@ -319,6 +319,13 @@ def _pure_four_level_model():
     )
 
 
+def _pure_spin_model(two_j: int = 15):
+    jx, _, jz = spin_operators(two_j)
+    ket = np.zeros(two_j + 1)
+    ket[0] = 1.0
+    return TargetModel(hamiltonian=jz + 0.3 * jx, coupling=jx, initial_state=pure_state(ket))
+
+
 class TestVectorTrajectories:
     def test_vector_update_matches_density_matrix_update(self):
         model = _pure_four_level_model()
@@ -349,16 +356,100 @@ class TestVectorTrajectories:
         assert abs(exact) > 10 * a.std_error
         assert abs(a.mean - exact) <= 5 * a.std_error
 
-    @pytest.mark.parametrize("make_model", [precession_model, _pure_four_level_model])
-    def test_pure_state_reproduces_density_matrix_chunks(self, make_model):
+    @pytest.mark.parametrize(
+        "make_model, alpha, sizes",
+        [
+            (precession_model, 3.0, (CHUNK_SIZE, 3000)),
+            (_pure_four_level_model, 3.0, (CHUNK_SIZE, 3000)),
+            # the benchmark's size class (d = 16, alpha = 5): within a chunk
+            # each shot's count outcomes repeat many times over
+            (_pure_spin_model, 5.0, (3000,)),
+        ],
+        ids=["precession_model", "_pure_four_level_model", "spin_15_half_alpha_5"],
+    )
+    def test_pure_state_reproduces_density_matrix_chunks(self, make_model, alpha, sizes):
         model = make_model()
-        p = proto([(0.0, S3), (0.6, S2), (1.5, S2)], alpha=3.0, tau=0.1)
-        L, seed = CHUNK_SIZE + 3000, 17
-        sizes = (CHUNK_SIZE, 3000)
-        seeds = np.random.SeedSequence(seed).spawn(2)
+        p = proto([(0.0, S3), (0.6, S2), (1.5, S2)], alpha=alpha, tau=0.1)
+        seed = 17
+        seeds = np.random.SeedSequence(seed).spawn(len(sizes))
         chunks = [density_matrix_chunk(n, np.random.default_rng(s), model, p) for n, s in zip(sizes, seeds)]
-        cfg = TrajectoryConfig(sequences=L, seed=seed, mode="kraus_quantum", proto=p, model=model, workers=2)
+        cfg = TrajectoryConfig(sequences=sum(sizes), seed=seed, mode="kraus_quantum", proto=p, model=model, workers=2)
         assert run_sequences(cfg) == _estimate(chunks, cfg)
+
+
+class TestKrausUpdate:
+    """``_kraus_update`` evaluates one Kraus diagonal per distinct outcome; it
+    must give the per-row product and renormalization bit for bit."""
+
+    TAU = 0.1
+    QUARTER = math.pi / (2 * TAU)  # b tau / 2 = pi/4: an S2 branch with beta_c = 0
+
+    @staticmethod
+    def per_row(states, table, n_c, n_d):
+        states = states * table.kraus_diagonal(n_c, n_d)
+        return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+    def table(self, eigvals, alpha=5.0, exact_zeros=False):
+        table = ShotTable.of(np.array(eigvals), SensorConfig(alpha=alpha, tau=self.TAU), S2)
+        if exact_zeros:  # the roundoff of cos - sin at pi/4 set to the 0 it stands for
+            beta_c, beta_d = (np.where(np.abs(b) < 1e-12 * alpha, 0.0, b) for b in (table.beta_c, table.beta_d))
+            table = replace(table, beta_c=beta_c, beta_d=beta_d)
+        return table
+
+    def check(self, table, n_c, n_d):
+        rng = np.random.default_rng(8)
+        shape = (len(n_c), len(table.beta_c))
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        n_c, n_d = np.asarray(n_c, dtype=float), np.asarray(n_d, dtype=float)
+        with np.errstate(invalid="ignore"):  # a row no branch can produce is 0/0
+            got = _kraus_update(states, table, n_c, n_d)
+            want = self.per_row(states, table, n_c, n_d)
+        assert np.array_equal(got, want, equal_nan=True)
+        return got
+
+    def test_heavily_repeated_outcomes(self):
+        jx, _, _ = spin_operators(15)
+        rng = np.random.default_rng(3)
+        n_c, n_d = rng.poisson(12.5, size=(2, 5000))
+        assert len(np.unique(n_c * 100 + n_d)) < 1000
+        self.check(self.table(np.linalg.eigvalsh(jx)), n_c, n_d)
+
+    def test_all_distinct_outcomes(self):
+        n_c = np.arange(400)
+        n_d = (7 * n_c) % 401
+        assert len(np.unique(n_c * 401 + n_d)) == len(n_c)
+        self.check(self.table([-2.0, 0.3, 1.0, 4.5], alpha=20.0), n_c, n_d)
+
+    def test_counts_whose_product_overflows_int64(self):
+        # the materials preset's 1e14 photons per pulse: counts near 5e13, so
+        # n_c * (max n_d + 1) + n_d would wrap and merge distinct outcomes
+        rng = np.random.default_rng(4)
+        n_c, n_d = rng.poisson(5e13, size=(2, 300))
+        n_c, n_d = np.tile(n_c, 3), np.tile(n_d, 3)
+        assert float(n_c.max()) * float(n_d.max()) > np.iinfo(np.int64).max
+        self.check(self.table([-2.0, 0.3, 1.0], alpha=1e7), n_c, n_d)
+
+    @pytest.mark.parametrize("exact_zeros", [False, True], ids=["roundoff", "exact-zero"])
+    def test_zero_modulus_branch(self, exact_zeros):
+        table = self.table([self.QUARTER, 1.0, -0.5], exact_zeros=exact_zeros)
+        assert abs(table.beta_c[0]) < 1e-15
+        n_c = np.array([0, 0, 3, 12, 3, 0, 12, 40])
+        n_d = np.array([5, 0, 9, 12, 9, 5, 0, 1])
+        out = self.check(table, n_c, n_d)
+        assert np.all(np.isfinite(out))
+        if exact_zeros:  # -inf log modulus: the branch has no weight once n_c > 0
+            assert np.all(out[n_c > 0, 0] == 0) and np.all(out[n_c == 0, 0] != 0)
+
+    def test_outcome_no_branch_can_produce(self):
+        # branch 0 never fires detector c and branch 1 never fires d, so only
+        # rows with n_c = 0 or n_d = 0 are possible; the rest have no weight at all
+        table = self.table([self.QUARTER, -self.QUARTER], exact_zeros=True)
+        assert table.beta_c[0] == 0 and table.beta_d[1] == 0
+        n_c = np.array([0, 4, 2, 0, 4, 7])
+        n_d = np.array([6, 3, 0, 6, 3, 0])
+        out = self.check(table, n_c, n_d)
+        impossible = (n_c > 0) & (n_d > 0)
+        assert np.all(np.isnan(out[impossible])) and np.all(np.isfinite(out[~impossible]))
 
 
 class TestMemoryGuard:
