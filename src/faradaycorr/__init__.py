@@ -24,7 +24,6 @@ from .quantum_core import (  # noqa: F401
     thermal_state,
 )
 from .sensor_optics import (  # noqa: F401
-    FockTruncation,
     MeasurementBasis,
     SensorConfig,
     coherent_state,

@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ConfigError, FaradaycorrError, ResourceGuardError, check_memory
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
-from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig
+from .sensor_optics import MeasurementBasis, SensorConfig
 from .snr import SnrScenario, lihof4_scenario
 from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig
 from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
@@ -54,7 +54,7 @@ class ExactRun(Run):
     protocols: list[ProtocolSpec]
     protocol_warning: str
     include_exact_unitary: bool
-    fock: FockTruncation | None  # the Fock cross-check's cutoff, from alpha; None runs the coherent engine
+    fock: bool  # exact.engine == "fock": the all-orders column from the truncated-Fock cross-check
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,10 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     if not isinstance(include, bool):
         raise ConfigError(f"exact.include_exact_unitary must be true or false, got {include!r}")
     engine = _choice(section.get("engine", "coherent"), ("coherent", "fock"), "exact.engine")
-    fock = FockTruncation.for_alpha(protocols[0].sensor.alpha) if engine == "fock" else None
-    return ExactRun(seed, model, protocols, warning, include, fock)
+    if engine == "fock" and not include:
+        raise ConfigError("exact.engine: fock computes the all-orders column only, so it needs "
+                          "exact.include_exact_unitary: true")
+    return ExactRun(seed, model, protocols, warning, include, engine == "fock")
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
@@ -356,6 +358,8 @@ def parse_config(raw: dict) -> Run:
     _check_keys(raw, {"command", "seed", *_SECTIONS}, "top level")
     command = _choice(_require(raw, "command", "top level"), COMMANDS, "command")
     seed = None if raw.get("seed") is None else _integer(raw["seed"], "seed")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if command == "exact":
         return _parse_exact(raw, seed)
     if command == "simulate":

@@ -3,8 +3,11 @@ the interferometer network, and the instrument of one shot.
 
 Conventions fixed here, once, for the whole package:
 
-* Two-mode Fock space ordering is H ⊗ V; a pure state is stored either as a
-  flat vector of length (n_max+1)^2 or as a grid psi[n_H, n_V].
+* The sensor space keeps n_max = ``required_cutoff(alpha)`` photons per mode.
+  S3 and the recorded observables conserve the photon number N, and sector
+  N is a spin N/2 with basis index n_V (|N, 0> = |j, j>): the runtime sums
+  over these sectors. The dense helpers order the two-mode space H ⊗ V and
+  store a state as a flat vector or a grid psi[n_H, n_V].
 * A magnetization eigenvalue b acting for a pulse of duration tau rotates the
   polarization plane by theta = b*tau/2 (the generator is exp(-i S3 b tau),
   and S3 is defined with a 1/2 prefactor).
@@ -35,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import BranchSign
-from .errors import TruncationError
-from .quantum_core import Array
+from .errors import TruncationError, check_memory
+from .quantum_core import Array, spin_operators
 
 
 class MeasurementBasis(Enum):
@@ -82,32 +85,6 @@ def required_cutoff(alpha: float) -> int:
     return int(math.ceil(alpha * alpha + 10 * alpha + 10))
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Per-mode photon-number cutoff of the numerical sensor space."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @classmethod
-    def for_alpha(cls, alpha: float) -> "FockTruncation":
-        return cls(required_cutoff(alpha))
-
-    @property
-    def mode_dim(self) -> int:
-        return self.n_max + 1
-
-    def check_alpha(self, alpha: float) -> None:
-        if self.n_max < required_cutoff(alpha):
-            raise TruncationError(
-                f"n_max={self.n_max} too small for alpha={alpha} "
-                f"(need >= {required_cutoff(alpha)})"
-            )
-
-
 def plane_rotation_angle(b: float, tau: float) -> float:
     """Polarization-plane rotation produced by field eigenvalue b over tau."""
     return 0.5 * tau * b
@@ -123,26 +100,11 @@ def _mode_annihilation(mode_dim: int) -> Array:
 
 
 @lru_cache(maxsize=8)
-def _two_mode_ops(n_max: int) -> tuple[Array, Array]:
-    """Dense two-mode annihilation operators (a_H, a_V), H ⊗ V ordering."""
-    a = _mode_annihilation(n_max + 1)
-    eye = np.eye(n_max + 1)
-    a_h = np.kron(a, eye)
-    a_v = np.kron(eye, a)
-    a_h.setflags(write=False)
-    a_v.setflags(write=False)
-    return a_h, a_v
-
-
-@lru_cache(maxsize=8)
-def stokes_operators(tr: FockTruncation) -> tuple[Array, Array, Array]:
-    """Dense Stokes operators (S1, S2, S3) on the truncated two-mode space.
-
-    Used for the algebra checks only. Heavy for large cutoffs
-    (dim = (n_max+1)^2): the matrix-free helpers below serve the selection
-    traces, and the Fock record engine works in photon-number sectors.
-    """
-    a_h, a_v = _two_mode_ops(tr.n_max)
+def stokes_operators(n_max: int) -> tuple[Array, Array, Array]:
+    """Dense Stokes operators (S1, S2, S3) on the two-mode space truncated at
+    n_max photons per mode, for the algebra checks: dim = (n_max+1)^2."""
+    a, eye = _mode_annihilation(n_max + 1), np.eye(n_max + 1)
+    a_h, a_v = np.kron(a, eye), np.kron(eye, a)
     hd, vd = a_h.conj().T, a_v.conj().T
     s1 = (hd @ a_h - vd @ a_v) / 2
     s2 = (hd @ a_v + vd @ a_h) / 2
@@ -173,52 +135,87 @@ def log_factorial(n: np.ndarray) -> np.ndarray:
     return table[np.asarray(n, dtype=int)]
 
 
-def coherent_grid(alpha_h: float, alpha_v: float, tr: FockTruncation) -> Array:
-    """Two-mode coherent state |alpha_h, alpha_v> as a grid psi[n_H, n_V]."""
-    tr.check_alpha(math.hypot(alpha_h, alpha_v))
-    return np.outer(_coherent_mode(alpha_h, tr.mode_dim), _coherent_mode(alpha_v, tr.mode_dim))
+def coherent_grid(alpha_h: float, alpha_v: float, n_max: int) -> Array:
+    """Two-mode coherent state |alpha_h, alpha_v> as a grid psi[n_H, n_V],
+    truncated at n_max photons per mode (at least the amplitude's cutoff)."""
+    need = required_cutoff(math.hypot(alpha_h, alpha_v))
+    if n_max < need:
+        raise TruncationError(
+            f"n_max={n_max} too small for alpha_h={alpha_h}, alpha_v={alpha_v} (need >= {need})"
+        )
+    return np.outer(_coherent_mode(alpha_h, n_max + 1), _coherent_mode(alpha_v, n_max + 1))
 
 
-def coherent_state(alpha: float, tr: FockTruncation) -> Array:
+def coherent_state(alpha: float, n_max: int) -> Array:
     """H-polarized coherent pulse |alpha, H> as a flat vector."""
-    return coherent_grid(alpha, 0.0, tr).ravel()
+    return coherent_grid(alpha, 0.0, n_max).ravel()
 
 
-# -- matrix-free applications on psi[n_H, n_V] grids -------------------------
-
-def _aH(psi: Array) -> Array:
-    a = _mode_annihilation(psi.shape[0])
-    return a @ psi
-
-
-def _aH_dag(psi: Array) -> Array:
-    a = _mode_annihilation(psi.shape[0])
-    return a.conj().T @ psi
-
-
-def _aV(psi: Array) -> Array:
-    a = _mode_annihilation(psi.shape[1])
-    return psi @ a.T
-
-
-def _aV_dag(psi: Array) -> Array:
-    a = _mode_annihilation(psi.shape[1])
-    return psi @ a.conj()
+def _exchanges(psi: Array) -> tuple[Array, Array]:
+    """(a_H^dag a_V psi, a_V^dag a_H psi), matrix-free on a grid psi[n_H, n_V]."""
+    a_h, a_v = _mode_annihilation(psi.shape[0]), _mode_annihilation(psi.shape[1])
+    return a_h.conj().T @ (psi @ a_v.T), (a_h @ psi) @ a_v.conj()
 
 
 def apply_s2(psi: Array) -> Array:
-    return (_aH_dag(_aV(psi)) + _aV_dag(_aH(psi))) / 2
+    to_h, to_v = _exchanges(psi)
+    return (to_h + to_v) / 2
 
 
 def apply_s3(psi: Array) -> Array:
-    return -0.5j * (_aH_dag(_aV(psi)) - _aV_dag(_aH(psi)))
+    to_h, to_v = _exchanges(psi)
+    return -0.5j * (to_h - to_v)
 
 
-def _record_apply(basis: MeasurementBasis, psi: Array) -> Array:
-    """Apply the recorded observable: S2, or 2*S3 for the raw R/L count."""
-    if basis is MeasurementBasis.S2:
-        return apply_s2(psi)
-    return 2.0 * apply_s3(psi)
+# -- photon-number sectors ---------------------------------------------------
+
+@lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
+def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
+    """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
+    the components of |N, 0> = |j, j> on its eigenvectors, and S2 = Jx in
+    that eigenbasis (spin j = N/2, basis index n_V, ``spin_operators(N)``).
+    The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds;
+    they cost sum (N+1)^3 ~ n_max^4/4 to compute, against (n_max+1)^6 for
+    the dense two-mode space."""
+    # 16 sum (N+1)^2 in closed form, so that a huge n_max is refused at once
+    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
+    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
+    sectors = []
+    for n in range(n_max + 1):
+        jx, jy, _ = spin_operators(n)
+        s, u = np.linalg.eigh(jy)
+        sector = (s, u[0].conj(), u.conj().T @ jx @ u)
+        for a in sector:
+            a.setflags(write=False)  # shared by every later call at this n_max
+        sectors.append(sector)
+    return tuple(sectors)
+
+
+def _pulse_sectors(alpha: float):
+    """(|c_N|^2, sector eigendata) per photon-number sector N <= n_max of
+    the pulse |alpha, H>, which has weight |c_N|^2 in sector N at |j, j>;
+    n_max = ``required_cutoff(alpha)``."""
+    n_max = required_cutoff(alpha)
+    sectors = _sector_eigendata(n_max)  # its memory guard runs before any n_max-sized array
+    return zip(np.abs(_coherent_mode(alpha, n_max + 1)) ** 2, sectors)
+
+
+def _sector_record(basis: MeasurementBasis, s: Array, jx: Array, phi: Array) -> Array:
+    """The recorded observable on the columns of ``phi``, sector amplitudes in
+    the S3 eigenbasis: S2 = Jx, or 2*S3 = 2s for the raw R/L count."""
+    return jx @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
+
+
+def fock_record(alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis) -> Array:
+    """Truncated-Fock cross-check of ``ShotTable.record``: m[i,k] =
+    <chi_k| Lambda |chi_i> between the pulses rotated by exp(-i S3 tau b)
+    for the coupling eigenvalues b, summed exactly over the sectors."""
+    tb = tau * np.asarray(eigvals, dtype=float)
+    m = np.zeros((tb.size, tb.size), dtype=complex)
+    for weight, (s, v0, jx) in _pulse_sectors(alpha):
+        phi = np.exp(-1j * np.outer(s, tb)) * v0[:, None]  # |chi_b> per column
+        m += weight * (phi.conj().T @ _sector_record(basis, s, jx, phi))
+    return m.T
 
 
 @dataclass(frozen=True)
@@ -235,18 +232,18 @@ class SelectionTraces:
     t_minus: float
 
 
-def selection_traces(alpha: float, tr: FockTruncation, basis: MeasurementBasis) -> SelectionTraces:
-    """Numerically evaluate the selection traces on the truncated space.
+def selection_traces(alpha: float, basis: MeasurementBasis) -> SelectionTraces:
+    """The selection traces of the pulse |alpha, H> on the truncated space.
 
-    Computed matrix-free: for the pure pulse |v>, with u = Lambda|v> and
-    w = S3|v>, one has t_plus = Re<u|w> and t_minus = 2 Im<u|w>.
+    For the pure pulse |v>, with u = Lambda|v> and w = S3|v>, one has
+    t0 = <v|u>, t_plus = Re<u|w> and t_minus = 2 Im<u|w>: each a weighted
+    sum over the photon-number sectors.
     """
-    tr.check_alpha(alpha)
-    v = coherent_grid(alpha, 0.0, tr)
-    u = _record_apply(basis, v)
-    w = apply_s3(v)
-    z = complex(np.vdot(u, w))
-    t0 = complex(np.vdot(v, u))
+    t0 = z = 0.0
+    for weight, (s, v0, jx) in _pulse_sectors(alpha):
+        u = _sector_record(basis, s, jx, v0[:, None])[:, 0]
+        t0 += weight * np.vdot(v0, u)
+        z += weight * np.vdot(u, s * v0)
     return SelectionTraces(t0=float(t0.real), t_plus=float(z.real), t_minus=float(2 * z.imag))
 
 

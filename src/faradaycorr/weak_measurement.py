@@ -14,19 +14,11 @@ run the record chain of ``correlations`` and differ only in that matrix:
   coherent and S3 generates a passive polarization rotation, the joint
   unitary maps the pulse to a rotated coherent state conditioned on each
   eigenvalue of B(t_j); the record holds the recorded observable's matrix
-  elements between those rotated pulses. Without a ``FockTruncation`` it
-  takes them from the shot instrument, ``sensor_optics.ShotTable.record``
-  (exact, no truncation), whose amplitudes the Kraus trajectories sample
-  too; given one, it re-derives them numerically on that truncated two-mode
-  Fock space as an independent cross-check. The Stokes operators are
-  Schwinger bosons: S3 and the recorded observable conserve the photon
-  number N, and in sector N they are the spin-N/2 matrices Jy and Jx (or
-  2 Jy). The Fock engine sums the record over the sectors N <= n_max with one
-  (N+1)-dimensional eigh of Jy each, which is exactly the truncated
-  two-mode result. That costs sum (N+1)^3 ~ n_max^4/4 once per n_max
-  (cached), and the cached eigendata, sum (N+1)^2 complex numbers (48 MiB
-  at alpha = 10), is checked against the memory guard before any sector is
-  diagonalized.
+  elements between those rotated pulses. It takes them from the shot
+  instrument, ``sensor_optics.ShotTable.record`` (exact, no truncation),
+  whose amplitudes the Kraus trajectories sample too; with ``fock=True`` it
+  re-derives them on the truncated two-mode Fock space instead
+  (``sensor_optics.fock_record``), as an independent cross-check.
 
 A record depends only on the pulse, the eigenvalues of B and the basis, so
 it is built once per basis. The ``*_grid`` functions take one protocol and
@@ -41,14 +33,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .correlations import CorrelationQuery, _record_chain, branch_record, correlation
-from .errors import check_memory
-from .quantum_core import Array, TargetModel, spin_operators
-from .sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, ShotTable, _coherent_mode
+from .quantum_core import Array, TargetModel
+from .sensor_optics import MeasurementBasis, SensorConfig, ShotTable, fock_record
 
 
 class ProtocolWarning(UserWarning):
@@ -140,69 +130,24 @@ def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
 
 
-@lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
-def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
-    """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
-    the components of |N, 0> = |j, j> on its eigenvectors, and S2 = Jx in
-    that eigenbasis (spin j = N/2, basis index n_V, ``spin_operators(N)``).
-    The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds."""
-    # 16 sum (N+1)^2 in closed form, so that a huge n_max is refused at once
-    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
-    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
-    sectors = []
-    for n in range(n_max + 1):
-        jx, jy, _ = spin_operators(n)
-        s, u = np.linalg.eigh(jy)
-        sector = (s, u[0].conj(), u.conj().T @ jx @ u)
-        for a in sector:
-            a.setflags(write=False)  # shared by every later call at this n_max
-        sectors.append(sector)
-    return tuple(sectors)
-
-
-def _fock_record_matrix(
-    alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis, tr: FockTruncation
-) -> Array:
-    """Truncated-Fock cross-check of ``ShotTable.record``.
-
-    S3 and the recorded observable conserve the photon number N, and the
-    pulse |alpha, H> has weight |c_N|^2 in sector N at |j, j>. On the
-    truncated grid the record is therefore an exact sum over sectors
-    N <= n_max of (N+1)-dimensional spin-N/2 matrix elements.
-    """
-    tr.check_alpha(alpha)
-    sectors = _sector_eigendata(tr.n_max)  # its memory guard runs before any n_max-sized array
-    weights = np.abs(_coherent_mode(alpha, tr.mode_dim)) ** 2
-    tb = tau * np.asarray(eigvals, dtype=float)
-    m = np.zeros((tb.size, tb.size), dtype=complex)
-    for weight, (s, v0, jx) in zip(weights, sectors):
-        phi = np.exp(-1j * np.outer(s, tb)) * v0[:, None]  # |chi_b> per column
-        lam_phi = jx @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
-        m += weight * (phi.conj().T @ lam_phi)
-    return m.T
-
-
-def gk_exact_unitary_grid(
-    model: TargetModel, proto: ProtocolSpec, finals, fock: FockTruncation | None = None
-) -> Array:
+def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock: bool = False) -> Array:
     """All-orders count correlations of ``proto`` with its last shot at each
     of ``finals``: the record chain with each shot's instrument record, or
-    with its cross-check on the truncated Fock space ``fock`` when one is
-    given. B is frozen at each shot's start time.
+    with its truncated-Fock cross-check when ``fock`` is set. B is frozen at
+    each shot's start time.
     """
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
-    w = model.spectral.coupling_eigvals
+    sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
-    if fock is None:
-        records = {b: ShotTable.of(w, proto.sensor, b).record() for b in set(keys)}
+    if fock:
+        records = {b: fock_record(sensor.alpha, sensor.tau, w, b) for b in set(keys)}
     else:
-        records = {b: _fock_record_matrix(alpha, tau, w, b, fock) for b in set(keys)}
+        records = {b: ShotTable.of(w, sensor, b).record() for b in set(keys)}
     times = [s.time for s in proto.shots[:-1]]
     scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
     return _record_chain(model, records, keys, times, finals, scale, "exact count correlation")
 
 
-def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: FockTruncation | None = None) -> GkResult:
+def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> GkResult:
     """All-orders K-shot count correlation with a fresh pulse per shot:
     ``gk_exact_unitary_grid`` at the protocol's own last time.
 

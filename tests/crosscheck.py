@@ -28,18 +28,18 @@ from faradaycorr.quantum_core import (
     require_hermitian,
 )
 from faradaycorr.sensor_optics import (
-    FockTruncation,
     MeasurementBasis,
     SensorConfig,
     ShotTable,
     apply_s2,
     apply_s3,
     coherent_state,
+    fock_record,
     log_factorial,
     stokes_operators,
 )
 from faradaycorr.trajectory_mc import _branch_probabilities
-from faradaycorr.weak_measurement import ProtocolSpec, _fock_record_matrix
+from faradaycorr.weak_measurement import ProtocolSpec
 
 
 def identity(dim: int) -> Array:
@@ -120,15 +120,15 @@ def coherent_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
     return -1j * alpha**2 * np.sin(diff) * overlap
 
 
-def dense_fock_records(alpha, tau, eigvals, tr: FockTruncation) -> dict:
+def dense_fock_records(alpha, tau, eigvals, n_max: int) -> dict:
     """Reference records of both bases on the whole (n_max+1)^2 two-mode
     space: dense Stokes operators, one eigh of S3, and the pulse rotated by
     each eigenvalue."""
-    _, _, s3 = stokes_operators(tr)
+    _, _, s3 = stokes_operators(n_max)
     s, f = np.linalg.eigh(s3)
-    v0 = f.conj().T @ coherent_state(alpha, tr)
+    v0 = f.conj().T @ coherent_state(alpha, n_max)
     chis = [f @ (np.exp(-1j * s * tau * b) * v0) for b in eigvals]
-    shape = (tr.mode_dim, tr.mode_dim)
+    shape = (n_max + 1, n_max + 1)
     records = {}
     for basis in MeasurementBasis:
         applied = []
@@ -145,17 +145,17 @@ def dense_fock_records(alpha, tau, eigvals, tr: FockTruncation) -> dict:
     return records
 
 
-def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: FockTruncation | None = None) -> float:
+def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> float:
     """All-orders count correlation with a fresh eigendecomposition of B(t)
-    per shot; the closed-form record, or the sector Fock record on ``fock``."""
+    per shot; the closed-form record, or the sector Fock record with ``fock``."""
     alpha, tau = proto.sensor.alpha, proto.sensor.tau
     rho = model.initial_state.matrix
     for shot in proto.shots:
         w, v = np.linalg.eigh(expm_coupling(model, shot.time))
-        if fock is None:
-            m = coherent_record(alpha, tau, w, shot.basis)
+        if fock:
+            m = fock_record(alpha, tau, w, shot.basis)
         else:
-            m = _fock_record_matrix(alpha, tau, w, shot.basis, fock)
+            m = coherent_record(alpha, tau, w, shot.basis)
         rho = v @ (m * (v.conj().T @ rho @ v)) @ v.conj().T
     return np.trace(rho).real
 

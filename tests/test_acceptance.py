@@ -7,7 +7,6 @@ import pytest
 from faradaycorr.correlations import correlation
 from faradaycorr.quantum_core import TargetModel, pure_state
 from faradaycorr.sensor_optics import (
-    FockTruncation,
     MeasurementBasis,
     SensorConfig,
     selection_traces,
@@ -66,7 +65,6 @@ def test_criterion_2_convergence_order():
     """Exact-vs-leading residual of the truncated-Fock engine shrinks with a
     fitted exponent >= K + 0.8 for K in {1, 2}."""
     taus = np.array([0.2, 0.1, 0.05, 0.025])
-    tr = FockTruncation(40)
     model_x = TargetModel(hamiltonian=SZ / 2, coupling=SX, initial_state=pure_state([1, 1]))
     cases = {
         1: (model_x, [(0.3, S2)]),
@@ -78,7 +76,7 @@ def test_criterion_2_convergence_order():
         residuals = []
         for tau in taus:
             p = proto(shots, alpha=2.0, tau=float(tau))
-            exact = gk_exact_unitary(model, p, tr).value
+            exact = gk_exact_unitary(model, p, fock=True).value
             residuals.append(abs(exact - gk_leading(model, p).value))
         slope = np.polyfit(np.log(taus), np.log(residuals), 1)[0]
         details.append(f"K={k}: exponent {slope:.2f} (need >= {k + 0.8})")
@@ -114,11 +112,10 @@ def test_criterion_4_basis_selection_traces():
     ok = True
     details = []
     for alpha in (1.0, 2.0, 4.0):
-        tr = FockTruncation.for_alpha(alpha)
         tol = 1e-8 * alpha**2
         half = alpha**2 / 2
-        t2 = selection_traces(alpha, tr, S2)
-        t3 = selection_traces(alpha, tr, S3)
+        t2 = selection_traces(alpha, S2)
+        t3 = selection_traces(alpha, S3)
         err = max(
             abs(t2.t0),
             abs(t2.t_plus),
@@ -203,24 +200,24 @@ def test_criterion_8_stokes_algebra():
     """On the truncated sensor space the Stokes operators satisfy the su(2)
     commutators and both anomalous anticommutator identities exactly
     (1e-12) on the photon-number subspaces unaffected by the cutoff."""
-    tr = FockTruncation(8)
-    s1, s2, s3 = stokes_operators(tr)
-    n_h = np.arange(tr.mode_dim)[:, None]
-    n_v = np.arange(tr.mode_dim)[None, :]
+    n_max = 8
+    s1, s2, s3 = stokes_operators(n_max)
+    n_h = np.arange(n_max + 1)[:, None]
+    n_v = np.arange(n_max + 1)[None, :]
 
     def projector(max_total):
         keep = ((n_h + n_v) <= max_total).ravel()
         return np.diag(keep.astype(float)).astype(complex)
 
-    p1 = projector(tr.n_max - 1)
-    p2 = projector(tr.n_max - 2)
+    p1 = projector(n_max - 1)
+    p2 = projector(n_max - 2)
     errs = []
     for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
         errs.append(np.max(np.abs(p1 @ (a @ b - b @ a - 1j * c) @ p1)))
-    a = np.zeros((tr.mode_dim, tr.mode_dim), dtype=complex)
-    n = np.arange(1, tr.mode_dim)
+    a = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    n = np.arange(1, n_max + 1)
     a[n - 1, n] = np.sqrt(n)
-    eye = np.eye(tr.mode_dim)
+    eye = np.eye(n_max + 1)
     a_h, a_v = np.kron(a, eye), np.kron(eye, a)
     term = 0.5j * (a_v.conj().T @ a_v.conj().T @ a_h @ a_h)
     errs.append(np.max(np.abs(p2 @ (s2 @ s3 + s3 @ s2 - term - term.conj().T) @ p2)))

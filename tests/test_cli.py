@@ -17,7 +17,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
-from faradaycorr import errors, quantum_core, trajectory_mc, weak_measurement
+from faradaycorr import errors, quantum_core, sensor_optics, trajectory_mc, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -229,7 +229,7 @@ class TestCliExact:
         def unreachable(*args):
             raise AssertionError("_coherent_mode ran before the memory guard")
 
-        monkeypatch.setattr(weak_measurement, "_coherent_mode", unreachable)
+        monkeypatch.setattr(sensor_optics, "_coherent_mode", unreachable)
         doc = _doc(EXACT_DOC, exact__engine="fock", protocol__alpha=1.0e5)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
@@ -570,10 +570,26 @@ INVALID_CONFIGS = [
         lambda tmp: _doc(EXACT_DOC, model__initial_state="thermal", model__beta=-1),
         "model: beta",
     ),
+    (
+        "infinite-beta",
+        lambda tmp: _doc(EXACT_DOC, model__initial_state="thermal", model__beta=math.inf),
+        "model: beta must be >= 0 and finite, got inf",
+    ),
+    (
+        "nan-beta",
+        lambda tmp: _doc(EXACT_DOC, model__initial_state="thermal", model__beta=math.nan),
+        "model: beta must be >= 0 and finite, got nan",
+    ),
     ("nan-coefficient", lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.nan}), "model:"),
     ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
     ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
     # the Fock cutoff comes from alpha; a config that still sets one is refused
+    # a Fock run computes only the all-orders column, so it must ask for it
+    (
+        "fock-without-exact-unitary",
+        lambda tmp: _doc(EXACT_DOC, exact__include_exact_unitary=False, exact__engine="fock"),
+        "exact.engine: fock computes the all-orders column only, so it needs exact.include_exact_unitary: true",
+    ),
     ("n-max-is-unknown", lambda tmp: _doc(EXACT_DOC, exact__n_max=210), "unknown keys in exact: ['n_max']"),
     ("scenario-not-mapping", lambda tmp: {"command": "snr", "snr": {"scenario": 5}}, "snr.scenario"),
     (
@@ -645,7 +661,10 @@ INVALID_CONFIGS = [
         "snr.scenario",
     ),
     ("text-seed", lambda tmp: _doc(SIM_DOC, seed="abc"), "seed"),
-    ("negative-seed", lambda tmp: _doc(SIM_DOC, seed=-1), "mc: seed must be >= 0"),
+    # the top-level seed is checked once, whatever the command
+    ("negative-seed", lambda tmp: _doc(SIM_DOC, seed=-1), "seed must be >= 0, got -1"),
+    ("negative-seed-exact", lambda tmp: dict(EXACT_DOC, seed=-1), "seed must be >= 0, got -1"),
+    ("negative-seed-snr", lambda tmp: dict(SNR_DOC, seed=-1), "seed must be >= 0, got -1"),
     ("sweep-value-negative-alpha", lambda tmp: SWEEP_DOC, "sweep value -1.0"),
     # values that were silently coerced into another run
     ("fractional-two-j", lambda tmp: _doc(EXACT_DOC, model__two_j=1.5), "model.two_j"),

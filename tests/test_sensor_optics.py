@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from faradaycorr.correlations import BranchSign
 from faradaycorr.errors import TruncationError
 from faradaycorr.sensor_optics import (
-    FockTruncation,
     MeasurementBasis,
     SensorConfig,
     apply_s2,
@@ -25,10 +24,10 @@ from faradaycorr.sensor_optics import (
 )
 
 
-def number_projector(tr: FockTruncation, max_total: int) -> np.ndarray:
+def number_projector(n_max: int, max_total: int) -> np.ndarray:
     """Projector onto total photon number <= max_total (safe subspace)."""
-    n_h = np.arange(tr.mode_dim)[:, None]
-    n_v = np.arange(tr.mode_dim)[None, :]
+    n_h = np.arange(n_max + 1)[:, None]
+    n_v = np.arange(n_max + 1)[None, :]
     keep = ((n_h + n_v) <= max_total).ravel()
     return np.diag(keep.astype(float)).astype(complex)
 
@@ -39,61 +38,61 @@ def number_difference(mode_dim: int) -> np.ndarray:
     return (n[:, None] - n[None, :]) / 2
 
 
-def expectation(apply_op, alpha_h: float, alpha_v: float, tr: FockTruncation) -> complex:
+def expectation(apply_op, alpha_h: float, alpha_v: float, n_max: int) -> complex:
     """<op> in the truncated two-mode coherent state (alpha_h, alpha_v)."""
-    psi = coherent_grid(alpha_h, alpha_v, tr)
+    psi = coherent_grid(alpha_h, alpha_v, n_max)
     return complex(np.vdot(psi, apply_op(psi)))
 
 
 class TestStokesAlgebra:
-    TR = FockTruncation(6)
+    N_MAX = 6
 
     def test_hermitian(self):
-        for s in stokes_operators(self.TR):
+        for s in stokes_operators(self.N_MAX):
             assert np.max(np.abs(s - s.conj().T)) == 0.0
 
     def test_su2_commutators_on_safe_subspace(self):
         # ladder terms leak one photon across the cutoff, so test on n <= n_max - 1
-        s1, s2, s3 = stokes_operators(self.TR)
-        p = number_projector(self.TR, self.TR.n_max - 1)
+        s1, s2, s3 = stokes_operators(self.N_MAX)
+        p = number_projector(self.N_MAX, self.N_MAX - 1)
         for a, b, c in ((s1, s2, s3), (s2, s3, s1), (s3, s1, s2)):
             err = p @ (a @ b - b @ a - 1j * c) @ p
             assert np.max(np.abs(err)) < 1e-12
 
     def test_anomalous_anticommutator_s2_s3(self):
         # {S2, S3} = (i/2)(aV+^2 aH^2) + h.c., a pure two-photon exchange term
-        s1, s2, s3 = stokes_operators(self.TR)
-        a = np.zeros((self.TR.mode_dim, self.TR.mode_dim), dtype=complex)
-        n = np.arange(1, self.TR.mode_dim)
+        s1, s2, s3 = stokes_operators(self.N_MAX)
+        a = np.zeros((self.N_MAX + 1, self.N_MAX + 1), dtype=complex)
+        n = np.arange(1, self.N_MAX + 1)
         a[n - 1, n] = np.sqrt(n)
-        eye = np.eye(self.TR.mode_dim)
+        eye = np.eye(self.N_MAX + 1)
         a_h, a_v = np.kron(a, eye), np.kron(eye, a)
         term = 0.5j * (a_v.conj().T @ a_v.conj().T @ a_h @ a_h)
         rhs = term + term.conj().T
-        p = number_projector(self.TR, self.TR.n_max - 2)
+        p = number_projector(self.N_MAX, self.N_MAX - 2)
         err = p @ (s2 @ s3 + s3 @ s2 - rhs) @ p
         assert np.max(np.abs(err)) < 1e-12
 
     def test_anomalous_square_s3(self):
         # 2 S3^2 = nH nV + (nH + nV)/2 - ((aH+ aV)^2 + h.c.)/2
-        s1, s2, s3 = stokes_operators(self.TR)
-        a = np.zeros((self.TR.mode_dim, self.TR.mode_dim), dtype=complex)
-        n = np.arange(1, self.TR.mode_dim)
+        s1, s2, s3 = stokes_operators(self.N_MAX)
+        a = np.zeros((self.N_MAX + 1, self.N_MAX + 1), dtype=complex)
+        n = np.arange(1, self.N_MAX + 1)
         a[n - 1, n] = np.sqrt(n)
-        eye = np.eye(self.TR.mode_dim)
+        eye = np.eye(self.N_MAX + 1)
         a_h, a_v = np.kron(a, eye), np.kron(eye, a)
         n_h, n_v = a_h.conj().T @ a_h, a_v.conj().T @ a_v
         cross = a_h.conj().T @ a_v
         rhs = n_h @ n_v + (n_h + n_v) / 2 - (cross @ cross + (cross @ cross).conj().T) / 2
-        p = number_projector(self.TR, self.TR.n_max - 2)
+        p = number_projector(self.N_MAX, self.N_MAX - 2)
         err = p @ (2 * s3 @ s3 - rhs) @ p
         assert np.max(np.abs(err)) < 1e-12
 
     def test_matrix_free_matches_dense(self):
         rng = np.random.default_rng(31)
         psi = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        s1, s2, s3 = stokes_operators(self.TR)
-        assert np.max(np.abs(s1 - np.diag(number_difference(self.TR.mode_dim).ravel()))) < 1e-12
+        s1, s2, s3 = stokes_operators(self.N_MAX)
+        assert np.max(np.abs(s1 - np.diag(number_difference(self.N_MAX + 1).ravel()))) < 1e-12
         for apply_op, dense in ((apply_s2, s2), (apply_s3, s3)):
             got = apply_op(psi).ravel()
             assert np.max(np.abs(got - dense @ psi.ravel())) < 1e-12
@@ -108,44 +107,52 @@ class TestStokesAlgebra:
 class TestCoherentStates:
     def test_normalization_and_mean_count(self):
         alpha = 2.0
-        tr = FockTruncation.for_alpha(alpha)
-        psi = coherent_grid(alpha, 0.0, tr)
+        n_max = required_cutoff(alpha)
+        psi = coherent_grid(alpha, 0.0, n_max)
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
-        n_h = np.arange(tr.mode_dim)
+        n_h = np.arange(n_max + 1)
         mean = float(np.sum(n_h[:, None] * np.abs(psi) ** 2))
         assert mean == pytest.approx(alpha**2, rel=1e-10)
 
     def test_h_pulse_stokes_vector(self):
         alpha = 1.5
-        tr = FockTruncation.for_alpha(alpha)
-        psi = coherent_grid(alpha, 0.0, tr)
-        s1 = float(np.sum(number_difference(tr.mode_dim) * np.abs(psi) ** 2))
+        n_max = required_cutoff(alpha)
+        psi = coherent_grid(alpha, 0.0, n_max)
+        s1 = float(np.sum(number_difference(n_max + 1) * np.abs(psi) ** 2))
         assert s1 == pytest.approx(alpha**2 / 2, rel=1e-10)
-        assert abs(expectation(apply_s2, alpha, 0.0, tr)) < 1e-12
-        assert abs(expectation(apply_s3, alpha, 0.0, tr)) < 1e-12
+        assert abs(expectation(apply_s2, alpha, 0.0, n_max)) < 1e-12
+        assert abs(expectation(apply_s3, alpha, 0.0, n_max)) < 1e-12
 
     def test_rotated_pulse_s2(self):
         # <S2> of (alpha cos t, alpha sin t) is (alpha^2/2) sin 2t
         alpha, theta = 1.5, 0.23
-        tr = FockTruncation.for_alpha(alpha)
-        val = expectation(apply_s2, alpha * math.cos(theta), alpha * math.sin(theta), tr)
+        n_max = required_cutoff(alpha)
+        val = expectation(apply_s2, alpha * math.cos(theta), alpha * math.sin(theta), n_max)
         assert val.real == pytest.approx(alpha**2 / 2 * math.sin(2 * theta), rel=1e-10)
 
     def test_negative_amplitude_sign(self):
-        tr = FockTruncation.for_alpha(1.0)
-        psi = coherent_grid(-1.0, 0.0, tr)
+        n_max = required_cutoff(1.0)
+        psi = coherent_grid(-1.0, 0.0, n_max)
         assert psi[1, 0].real < 0  # odd components flip sign
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
-            coherent_state(5.0, FockTruncation(10))
+            coherent_state(5.0, 10)
+
+    def test_cutoff_is_that_of_the_total_amplitude(self):
+        # |3, 4> holds the photons of an amplitude-5 pulse, whatever the split
+        n_max = required_cutoff(5.0)
+        assert coherent_grid(3.0, 4.0, n_max).shape == (n_max + 1, n_max + 1)
+        with pytest.raises(TruncationError, match="need >= "):
+            coherent_grid(3.0, 4.0, n_max - 1)
+        assert required_cutoff(3.0) < n_max
 
     def test_required_cutoff_tail(self):
         # tail population above the cutoff stays below the tolerance budget
         for alpha in (0.5, 2.0, 4.0):
-            tr = FockTruncation.for_alpha(alpha)
-            psi = coherent_grid(alpha, 0.0, tr)
+            n_max = required_cutoff(alpha)
+            psi = coherent_grid(alpha, 0.0, n_max)
             top = np.abs(psi[-1, 0]) ** 2
             assert top < 1e-12
             assert 1.0 - np.vdot(psi, psi).real < 1e-12
@@ -164,9 +171,9 @@ class TestMeasurementBasis:
     def test_selection_traces(self, alpha):
         # S2 basis selects the anticommutator branch with weight alpha^2/2,
         # S3 basis the commutator branch with the same weight; no standing signal.
-        tr = FockTruncation.for_alpha(alpha)
-        s2 = selection_traces(alpha, tr, MeasurementBasis.S2)
-        s3 = selection_traces(alpha, tr, MeasurementBasis.S3)
+        n_max = required_cutoff(alpha)
+        s2 = selection_traces(alpha, MeasurementBasis.S2)
+        s3 = selection_traces(alpha, MeasurementBasis.S3)
         half = alpha**2 / 2
         tol = 1e-10 * alpha**2
         assert abs(s2.t0) < tol and abs(s3.t0) < tol
@@ -174,6 +181,21 @@ class TestMeasurementBasis:
         assert abs(s2.t_plus) < tol
         assert s3.t_plus == pytest.approx(half, abs=tol)
         assert abs(s3.t_minus) < tol
+
+    @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+    def test_selection_traces_match_the_dense_pulse(self, alpha, basis):
+        # the photon-number sector sums against the dense two-mode pulse |v> at
+        # the same cutoff: with u = Lambda|v> (S2, or 2*S3 for the raw R/L
+        # count) and w = S3|v>, t0 = <v|u>, t_plus = Re<u|w>, t_minus = 2 Im<u|w>
+        n_max = required_cutoff(alpha)
+        v = coherent_state(alpha, n_max).reshape(n_max + 1, n_max + 1)
+        u = apply_s2(v) if basis is MeasurementBasis.S2 else 2.0 * apply_s3(v)
+        z = complex(np.vdot(u, apply_s3(v)))
+        dense = (complex(np.vdot(v, u)).real, z.real, 2 * z.imag)
+        t = selection_traces(alpha, basis)
+        gaps = [abs(a - b) for a, b in zip((t.t0, t.t_plus, t.t_minus), dense)]
+        assert max(gaps) <= 1e-12 * alpha**2
 
 
 def test_log_factorial_matches_lgamma():
@@ -204,12 +226,12 @@ class TestInterferometer:
         # the network's n_d - n_c equals 2<S2> (S2 basis) or 2<S3> (S3 basis)
         # of the rotated pulse, evaluated independently on the truncated space
         alpha = self.ALPHA
-        tr = FockTruncation.for_alpha(alpha)
+        n_max = required_cutoff(alpha)
         for theta in (-0.3, -0.05, 0.12, 0.3):
             ah, av = alpha * math.cos(theta), alpha * math.sin(theta)
             for basis, apply_op in ((MeasurementBasis.S2, apply_s2), (MeasurementBasis.S3, apply_s3)):
                 beta_c, beta_d = detector_amplitudes(alpha, theta, basis.phase)
-                stokes = expectation(apply_op, ah, av, tr).real
+                stokes = expectation(apply_op, ah, av, n_max).real
                 assert abs(beta_d) ** 2 - abs(beta_c) ** 2 == pytest.approx(2 * stokes, abs=1e-8 * alpha**2)
 
     def test_linear_response_coefficient(self):
@@ -270,12 +292,3 @@ class TestConfigValidation:
             SensorConfig(alpha=0.0, tau=0.1)
         with pytest.raises(ValueError):
             SensorConfig(alpha=1.0, tau=0.0)
-
-    def test_truncation_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            FockTruncation(0)
-
-    def test_for_alpha_roundtrip(self):
-        tr = FockTruncation.for_alpha(2.0)
-        assert tr.n_max == required_cutoff(2.0)
-        tr.check_alpha(2.0)  # no raise

@@ -15,7 +15,7 @@ import yaml
 from faradaycorr import cli
 from faradaycorr.correlations import correlation, correlation_grid, heisenberg_coupling
 from faradaycorr.quantum_core import TargetModel, pure_state, spin_operators
-from faradaycorr.sensor_optics import FockTruncation, MeasurementBasis, SensorConfig, ShotTable
+from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable
 from faradaycorr.trajectory_mc import _quantum_plan
 from faradaycorr.weak_measurement import (
     ProtocolSpec,
@@ -142,7 +142,7 @@ class TestFinalTimeGrid:
         model, protos, bound = self._setup(last_basis)
         if time_convention == "midpoint":
             protos = [shift_protocol(p, 0.5 * self.SENSOR.tau) for p in protos]
-        fock = FockTruncation.for_alpha(self.SENSOR.alpha) if engine == "fock" else None
+        fock = engine == "fock"
         grid = gk_exact_unitary_grid(model, protos[0], [p.shots[-1].time for p in protos], fock)
         ref = [reference_exact(model, p, fock) for p in protos]
         assert_grid_close(grid, ref, bound)

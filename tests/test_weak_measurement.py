@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from faradaycorr import errors, weak_measurement
+from faradaycorr import errors, sensor_optics
 from faradaycorr.correlations import BranchSign, branch_record
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import (
-    FockTruncation,
     MeasurementBasis,
     SensorConfig,
     ShotTable,
+    fock_record,
     log_factorial,
     required_cutoff,
 )
@@ -20,7 +20,6 @@ from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
-    _fock_record_matrix,
     gk_exact_unitary,
     gk_exact_unitary_grid,
     gk_leading,
@@ -186,9 +185,8 @@ class TestExactUnitary:
         rng = np.random.default_rng(42)
         model = random_model(rng, 3)
         p = proto([(0.1, S3), (0.9, S2)], alpha=2.0, tau=0.15)
-        tr = FockTruncation(40)
         a = gk_exact_unitary(model, p).value
-        b = gk_exact_unitary(model, p, tr).value
+        b = gk_exact_unitary(model, p, fock=True).value
         assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_large_alpha_is_cheap(self):
@@ -201,39 +199,39 @@ class TestExactUnitary:
 
     @pytest.mark.parametrize("alpha, n_max", [(2.0, 34), (1.0, 30)])
     def test_sector_record_matches_dense_reference(self, alpha, n_max):
+        # the dense space at the cutoff (34 at alpha = 2) or above it (30 > 21 at alpha = 1)
         w = np.array([-1.3, -0.2, 0.4, 1.1, 2.0])
-        tr = FockTruncation(n_max)
-        for basis, ref in dense_fock_records(alpha, 0.15, w, tr).items():
-            m = _fock_record_matrix(alpha, 0.15, w, basis, tr)
+        for basis, ref in dense_fock_records(alpha, 0.15, w, n_max).items():
+            m = fock_record(alpha, 0.15, w, basis)
             assert np.max(np.abs(m - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_fock_engine_at_alpha_10(self):
         # n_max = 210: a dense two-mode space would have 44521 dimensions
         model = precession_model()
         p, finals = proto([(0.0, S3), (0.5, S2)], alpha=10.0, tau=0.02), [0.5, 1.0, 1.5, 2.0]
-        tr = FockTruncation.for_alpha(10.0)
-        assert tr.n_max == 210
-        fock = gk_exact_unitary_grid(model, p, finals, tr)
+        assert required_cutoff(10.0) == 210
+        fock = gk_exact_unitary_grid(model, p, finals, fock=True)
         coherent = gk_exact_unitary_grid(model, p, finals)
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
     def test_fock_memory_guard(self):
+        # alpha = 50 sets the cutoff 3010, whose sector eigendata would take 136 GiB
         model = precession_model()
-        p = proto([(0.0, S2)], alpha=2.0, tau=0.1)
+        p = proto([(0.0, S2)], alpha=50.0, tau=0.1)
         with pytest.raises(ResourceGuardError):
-            gk_exact_unitary(model, p, FockTruncation(3000))
+            gk_exact_unitary(model, p, fock=True)
 
     def test_fock_memory_guard_runs_before_any_allocation(self, monkeypatch):
-        # the sector eigendata at n_max = 40 need 372 KiB, above a 64 KiB
-        # guard; the pulse weights (n_max + 1 entries) must not be built first
+        # the sector eigendata at the cutoff 34 of alpha = 2 need 233 KiB, above
+        # a 64 KiB guard; the pulse weights (n_max + 1 entries) must not be built first
         def unreachable(*args):
             raise AssertionError("_coherent_mode ran before the memory guard")
 
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 64 * 1024)
-        monkeypatch.setattr(weak_measurement, "_coherent_mode", unreachable)
-        weak_measurement._sector_eigendata.cache_clear()
+        monkeypatch.setattr(sensor_optics, "_coherent_mode", unreachable)
+        sensor_optics._sector_eigendata.cache_clear()
         with pytest.raises(ResourceGuardError):
-            _fock_record_matrix(2.0, 0.1, np.array([-1.0, 1.0]), S2, FockTruncation(40))
+            fock_record(2.0, 0.1, np.array([-1.0, 1.0]), S2)
 
 
 class TestShotInstrument:
