@@ -86,17 +86,16 @@ def cmd_exact(run: ExactRun) -> list[dict]:
     head, finals = protocols[0], _final_times(protocols)
     query = head.query()
     corr = correlation_grid(model, query, finals)
-    leading = gk_leading_grid(model, head, finals)
+    leading = prediction_factor(head) * corr  # gk_leading_grid, from the C already computed
     exact = None
     if run.include_exact_unitary:
         exact = gk_exact_unitary_grid(model, head, finals, run.fock)
-    factor = prediction_factor(head)
     return [
         {
             **_protocol_row_base(proto, sign_type=query.label()),
             "correlation_C[(rad/s)^K]": float(corr[i]),
             "gk_leading[counts^K]": float(leading[i]),
-            "gk_predicted_from_C[counts^K]": factor * float(corr[i]),
+            "gk_predicted_from_C[counts^K]": float(leading[i]),
             "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
             "warning": run.protocol_warning,
         }

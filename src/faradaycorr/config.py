@@ -20,7 +20,7 @@ import yaml
 
 from .errors import ConfigError, FaradaycorrError, ResourceGuardError, check_memory
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
-from .sensor_optics import MeasurementBasis, SensorConfig
+from .sensor_optics import MeasurementBasis, SensorConfig, check_fock_memory, required_cutoff
 from .snr import SnrScenario, lihof4_scenario
 from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig
 from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
@@ -312,6 +312,8 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     if engine == "fock" and not include:
         raise ConfigError("exact.engine: fock computes the all-orders column only, so it needs "
                           "exact.include_exact_unitary: true")
+    if engine == "fock":  # exit 4 before any run of a sweep computes
+        check_fock_memory(required_cutoff(protocols[0].sensor.alpha))
     return ExactRun(seed, model, protocols, warning, include, engine == "fock")
 
 

@@ -12,9 +12,9 @@ the interaction picture at time t_k.
 In the eigenbasis of B(t_j), with eigenvalues w, B^{+} multiplies rho
 elementwise by (w_i + w_k)/2 and B^{-} by (w_i - w_k)/i (``branch_record``).
 A weak-measurement shot acts the same way with another d x d "record matrix"
-(``weak_measurement``), so one chain, ``_record_chain``, evaluates C and both
-count correlations: it holds rho in the current B(t_j) eigenbasis, multiplies
-by each shot's record matrix and moves to the next shot's eigenbasis with
+(``weak_measurement``), so one chain, ``_record_chain``, evaluates C and the
+all-orders count correlation: it holds rho in the current B(t_j) eigenbasis,
+multiplies by each shot's record matrix and moves to the next eigenbasis with
 W_j = V_B† diag(exp(-iE (t_j - t_{j-1}))) V_B, with H = V diag(E) V† and
 B = V_B diag(w_B) V_B† (``SpectralData.walk``), so no shot computes an
 exponential or an eigendecomposition. Only the diagonal m_ii

@@ -169,6 +169,14 @@ def apply_s3(psi: Array) -> Array:
 
 # -- photon-number sectors ---------------------------------------------------
 
+def check_fock_memory(n_max: int) -> None:
+    """The memory guard of the sector eigendata at cutoff ``n_max``: the Jx
+    blocks take 16 sum (N+1)^2 bytes, here in closed form, so that a huge
+    n_max is refused at once."""
+    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
+    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
+
+
 @lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
 def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
     """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
@@ -177,9 +185,7 @@ def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
     The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds;
     they cost sum (N+1)^3 ~ n_max^4/4 to compute, against (n_max+1)^6 for
     the dense two-mode space."""
-    # 16 sum (N+1)^2 in closed form, so that a huge n_max is refused at once
-    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
-    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
+    check_fock_memory(n_max)
     sectors = []
     for n in range(n_max + 1):
         jx, jy, _ = spin_operators(n)

@@ -3,13 +3,13 @@
 Each shot couples a fresh coherent pulse to the target through
 exp(-i (S3 ⊗ B(t_j)) tau) and reads out the count difference in a chosen
 polarization basis. In the eigenbasis of B(t_j) the shot multiplies the
-target state elementwise by a d x d record matrix, so both evaluation paths
-run the record chain of ``correlations`` and differ only in that matrix:
+target state elementwise by a d x d record matrix, which the record chain of
+``correlations`` runs on:
 
-* ``gk_leading`` keeps the leading order in tau: the record is
-  (tau*alpha^2/2) times the branch record selected by the basis
-  (``branch_record``), so the K-shot correlation is exactly
-  2^-K tau^K alpha^2K times the matching target correlation.
+* ``gk_leading`` keeps the leading order in tau, where the record is
+  (tau alpha^2 / 2) times the branch record the basis selects. The chain is
+  linear in each record, so this is ``prediction_factor`` (2^-K tau^K alpha^2K)
+  times the chain for the matching target correlation C, computed as such.
 * ``gk_exact_unitary`` keeps all orders in tau. Because the pulse is
   coherent and S3 generates a passive polarization rotation, the joint
   unitary maps the pulse to a rotated coherent state conditioned on each
@@ -20,12 +20,12 @@ run the record chain of ``correlations`` and differ only in that matrix:
   re-derives them on the truncated two-mode Fock space instead
   (``sensor_optics.fock_record``), as an independent cross-check.
 
-A record depends only on the pulse, the eigenvalues of B and the basis, so
-it is built once per basis. The ``*_grid`` functions take one protocol and
-the final times to evaluate it at, each replacing the time of its last shot:
-the state after the first K-1 shots is built once and each final time costs
-one O(d^2) trace. The single-protocol functions are those grids at the
-protocol's own last time.
+An all-orders record depends only on the pulse, the eigenvalues of B and
+the basis, so it is built once per basis. The ``*_grid`` functions take one
+protocol and the final times to evaluate it at, each replacing the time of
+its last shot: the state after the first K-1 shots is built once and each
+final time costs one O(d^2) trace. The single-protocol functions are those
+grids at the protocol's own last time.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationQuery, _record_chain, branch_record, correlation
+from .correlations import CorrelationQuery, _record_chain, correlation_grid
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SensorConfig, ShotTable, fock_record
 
@@ -61,14 +61,9 @@ class ProtocolSpec:
     sensor: SensorConfig
 
     def __post_init__(self):
-        shots = tuple(self.shots)
-        object.__setattr__(self, "shots", shots)
-        if len(shots) < 1:
-            raise ValueError("protocol needs at least one shot")
-        times = [s.time for s in shots]
-        if not all(map(math.isfinite, times)) or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("shot times must be finite and non-decreasing")
-        if shots[-1].basis is not MeasurementBasis.S2:
+        object.__setattr__(self, "shots", tuple(self.shots))
+        self.query()  # the shot times and count follow CorrelationQuery's rules
+        if self.shots[-1].basis is not MeasurementBasis.S2:
             warnings.warn(
                 "last shot is an S3 (commutator) readout: the expected signal "
                 "vanishes identically",
@@ -89,45 +84,27 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class GkResult:
-    """K-shot count correlation (counts^K) and its leading-order prediction."""
+    """K-shot count correlation (counts^K)."""
 
     value: float
-    order: int
-    predicted_from_C: float
-
-
-def _leading_coefficient(sensor: SensorConfig) -> float:
-    """tau alpha^2 / 2, the linear response of every shot's record to tau*b."""
-    return 0.5 * sensor.tau * sensor.alpha**2
 
 
 def prediction_factor(proto: ProtocolSpec) -> float:
-    """2^-K tau^K alpha^2K: the leading-order count correlation per unit C."""
-    return _leading_coefficient(proto.sensor) ** proto.order
-
-
-def _predicted_from_c(model: TargetModel, proto: ProtocolSpec) -> float:
-    return prediction_factor(proto) * correlation(model, proto.query())
+    """2^-K tau^K alpha^2K: the leading-order count correlation per unit C,
+    (tau alpha^2 / 2) per shot."""
+    return (0.5 * proto.sensor.tau * proto.sensor.alpha**2) ** proto.order
 
 
 def gk_leading_grid(model: TargetModel, proto: ProtocolSpec, finals) -> Array:
     """Leading-order count correlations of ``proto`` with its last shot at
-    each of ``finals``: the record chain with (tau alpha^2 / 2) times each
-    shot's branch record."""
-    spec = model.spectral
-    coeff = _leading_coefficient(proto.sensor)
-    keys = [s.basis for s in proto.shots]
-    records = {b: coeff * branch_record(spec.coupling_eigvals, b.eta) for b in set(keys)}
-    scale = (coeff * spec.coupling_norm) ** proto.order
-    times = [s.time for s in proto.shots[:-1]]
-    return _record_chain(model, records, keys, times, finals, scale, "leading-order count correlation")
+    each of ``finals``: ``prediction_factor`` times C of its query."""
+    return prediction_factor(proto) * correlation_grid(model, proto.query(), finals)
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     """Leading-order K-shot count correlation: ``gk_leading_grid`` at the
     protocol's own last time."""
-    value = float(gk_leading_grid(model, proto, [proto.shots[-1].time])[0])
-    return GkResult(value=value, order=proto.order, predicted_from_C=_predicted_from_c(model, proto))
+    return GkResult(value=float(gk_leading_grid(model, proto, [proto.shots[-1].time])[0]))
 
 
 def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock: bool = False) -> Array:
@@ -154,7 +131,4 @@ def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False
     Sensor-target entanglement is discarded between shots (each shot uses a
     new pulse), and B is frozen at each shot's nominal start time.
     """
-    values = gk_exact_unitary_grid(model, proto, [proto.shots[-1].time], fock)
-    return GkResult(
-        value=float(values[0]), order=proto.order, predicted_from_C=_predicted_from_c(model, proto)
-    )
+    return GkResult(value=float(gk_exact_unitary_grid(model, proto, [proto.shots[-1].time], fock)[0]))

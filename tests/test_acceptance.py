@@ -20,9 +20,11 @@ from faradaycorr.weak_measurement import (
     ShotSpec,
     gk_exact_unitary,
     gk_leading,
+    prediction_factor,
 )
 
 from conftest import SX, SZ, precession_model, random_model
+from crosscheck import reference_correlation
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -39,7 +41,8 @@ def proto(bases_times, alpha, tau):
 
 def test_criterion_1_leading_order_factorization():
     """K-shot count correlation factorizes as 2^-K tau^K alpha^2K times the
-    matching target correlation, to 1e-10 relative, over random models."""
+    matching target correlation, to 1e-10 relative, over random models: C
+    from the package's chain and from the independent expm/apply_branch one."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for trial in range(50):
@@ -54,6 +57,8 @@ def test_criterion_1_leading_order_factorization():
         predicted = 2.0**-k * 0.03**k * 1.7 ** (2 * k) * c
         scale = max(abs(predicted), 1e-15)
         worst = max(worst, abs(res.value - predicted) / scale)
+        reference = prediction_factor(p) * reference_correlation(model, p)
+        worst = max(worst, abs(res.value - reference) / max(abs(reference), 1e-15))
     _report(
         "criterion 1 (leading-order factorization)",
         worst < 1e-10,

@@ -17,7 +17,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
-from faradaycorr import errors, quantum_core, sensor_optics, trajectory_mc, weak_measurement
+from faradaycorr import correlations, errors, quantum_core, sensor_optics, trajectory_mc, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -161,8 +161,8 @@ class TestCliExact:
         # H = Jz, B = 2 Jx on spin-1/2 is the sx coupling precessing at rate 1:
         # C^{+-}(1, 0) = 2 sin 1
         assert float(row["correlation_C[(rad/s)^K]"]) == pytest.approx(2 * math.sin(1.0), rel=1e-10)
+        assert row["gk_leading[counts^K]"] == row["gk_predicted_from_C[counts^K]"]  # one C, one factor
         lead = float(row["gk_leading[counts^K]"])
-        assert lead == pytest.approx(float(row["gk_predicted_from_C[counts^K]"]), rel=1e-12)
         assert float(row["gk_exact_unitary[counts^K]"]) == pytest.approx(lead, rel=1e-2)
 
     def test_manifest_contents(self, tmp_path):
@@ -214,6 +214,30 @@ class TestCliExact:
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
         assert "Fock sector eigendata (n_max=3010)" in capsys.readouterr().err
 
+
+    def test_fock_guard_runs_for_every_sweep_value_before_computing(self, tmp_path, monkeypatch, capsys):
+        # alpha = 2 would run, but alpha = 50 needs the cutoff 3010: the sweep
+        # exits 4 when the config is parsed, before the first run computes
+        calls = []
+        real = cli.correlation_grid
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "correlation_grid", counting)
+        doc = {
+            "command": "sweep",
+            "model": EXACT_DOC["model"],
+            "protocol": EXACT_DOC["protocol"],
+            "exact": {"include_exact_unitary": True, "engine": "fock"},
+            "sweep": {"command": "exact", "path": "protocol.alpha", "values": [2.0, 50.0]},
+        }
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+        assert "Fock sector eigendata (n_max=3010)" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        assert calls == []
 
     def test_spin_resource_guard_exit_code(self, tmp_path, capsys):
         # spin-100000 operators would need hundreds of GiB: refused before allocating
@@ -370,22 +394,26 @@ class TestCliSimulate:
         row = read_rows(out)[0]
         assert (row["mc_std_error[counts^K]"], row["empirical_snr"], row["sigma_distance"]) == ("0.0", "0.0", "")
 
-    def test_simulate_computes_no_correlation(self, tmp_path, monkeypatch):
-        # simulate reports gk_leading and gk_exact_unitary only; C is never needed
-        calls = []
-        real = weak_measurement.correlation
+    def test_simulate_computes_c_once_over_the_grid(self, tmp_path, monkeypatch):
+        # simulate's gk_leading column is prediction_factor times one C chain
+        # over the whole grid, with no one-point C per protocol
+        calls = {"correlation_grid": 0, "correlation": 0}
+        for name in calls:
+            real = getattr(correlations, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(weak_measurement, "correlation", counting)
+            for module in (correlations, weak_measurement, cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
         protocol = dict(SIM_DOC["protocol"], final_time_grid=[0.5 + 0.25 * i for i in range(8)])
         doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 500, "mode": "kraus_quantum"})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
         assert len(read_rows(out)) == 8
-        assert calls == []
+        assert calls == {"correlation_grid": 1, "correlation": 0}
 
     def test_simulate_evaluates_each_column_once_over_the_grid(self, tmp_path, monkeypatch):
         calls = {"leading": 0, "exact": 0}
@@ -702,7 +730,7 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, make_doc, names):
 
 def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "gk_leading_grid", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "correlation_grid", lambda *args: calls.append(args))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
     assert calls == []
