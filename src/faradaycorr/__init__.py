@@ -9,16 +9,13 @@ __version__ = "0.1.0"
 from .correlations import (  # noqa: F401
     BranchSign,
     CorrelationQuery,
-    apply_branch,
     correlation,
     correlation_grid,
-    heisenberg_coupling,
 )
 from .quantum_core import (  # noqa: F401
     DensityMatrix,
     SpectralData,
     TargetModel,
-    hermitian_expm,
     pure_state,
     spin_operators,
     thermal_state,
@@ -26,9 +23,7 @@ from .quantum_core import (  # noqa: F401
 from .sensor_optics import (  # noqa: F401
     MeasurementBasis,
     SensorConfig,
-    coherent_state,
     selection_traces,
-    stokes_operators,
 )
 from .snr import (  # noqa: F401
     FeasibilityReport,

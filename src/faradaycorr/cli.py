@@ -3,15 +3,17 @@
     faradaycorr exact    --config run.yaml --out results/
     faradaycorr simulate --config run.yaml --out results/ [--threads N]
     faradaycorr snr      --config run.yaml --out results/
-    faradaycorr sweep    --config run.yaml --out results/
+    faradaycorr sweep    --config run.yaml --out results/ [--threads N]
 
 Writes ``results.csv`` (long format, deterministic for a fixed seed) and
 ``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
 Monte Carlo runs the worker and chunk layout) to the output directory. The
 columns of ``results.csv`` are the keys of each command's rows, in order.
-Without ``--threads``, Monte Carlo runs one worker per usable core, within the
-memory guard; the count never changes the results. Exit codes: 0 success,
-2 config error, 3 numerical guard, 4 resource guard.
+``--threads`` exists only on the commands that run Monte Carlo workers, and
+sets how many threads run each protocol's chunks; without it, one per usable
+core, within the memory guard. The count never changes the results. Exit
+codes: 0 success, 2 config error (and usage errors), 3 numerical guard,
+4 resource guard.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .config import NON_FINITE, ExactRun, Run, SimulateRun, SnrRun, SweepRun, lo
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
-from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, prediction_factor
+from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, leading_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,7 +88,7 @@ def cmd_exact(run: ExactRun) -> list[dict]:
     head, finals = protocols[0], _final_times(protocols)
     query = head.query()
     corr = correlation_grid(model, query, finals)
-    leading = prediction_factor(head) * corr  # gk_leading_grid, from the C already computed
+    leading = leading_order(head, corr)  # gk_leading_grid, from the C already computed
     exact = None
     if run.include_exact_unitary:
         exact = gk_exact_unitary_grid(model, head, finals, run.fock)
@@ -228,16 +230,17 @@ def _write_outputs(out_dir: Path, rows, layout, stored: dict, config_sha256: str
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="faradaycorr", description=__doc__)
+    parser.set_defaults(threads=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("exact", "simulate", "snr", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--threads", type=int, default=None)
+        if name in ("simulate", "sweep"):  # the commands that run Monte Carlo workers
+            p.add_argument("--threads", type=int)
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is not None and threads < 1:
-        parser.error(f"--threads must be at least 1, got {threads}")
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         raw = load_config(args.config)
         run = parse_config(raw)
@@ -247,7 +250,7 @@ def main(argv=None) -> int:
             )
         stored = _stored_config(raw)
         config_sha256 = _config_sha256(stored)
-        rows, layout = _dispatch(run, threads)
+        rows, layout = _dispatch(run, args.threads)
         _write_outputs(Path(args.out), rows, layout, stored, config_sha256, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .errors import ConfigError, FaradaycorrError, ResourceGuardError, check_mem
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from .sensor_optics import MeasurementBasis, SensorConfig, check_fock_memory, required_cutoff
 from .snr import SnrScenario, lihof4_scenario
-from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig
+from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig, check_mc_memory
 from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
 
 COMMANDS = ("exact", "simulate", "snr", "sweep")
@@ -332,6 +332,7 @@ def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
         target = build_field(_require(mc, "field", "mc"))
     with _constructing("mc"):
         cfg = TrajectoryConfig(sequences, seed, mode, protocols[0], target)
+    check_mc_memory(cfg)  # at one worker, the layout default_workers falls back to
     return SimulateRun(seed, protocols, warning, cfg)
 
 

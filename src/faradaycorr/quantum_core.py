@@ -32,15 +32,15 @@ def as_operator(entries) -> Array:
     return a
 
 
-def is_hermitian(a: Array, tol: float = TOL.structural) -> bool:
+def is_hermitian(a: Array) -> bool:
     a = as_operator(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= TOL.structural
 
 
-def require_hermitian(a: Array, what: str = "operator", tol: float = TOL.structural) -> Array:
+def require_hermitian(a: Array, what: str = "operator") -> Array:
     a = as_operator(a)
-    if not is_hermitian(a, tol):
-        raise NonHermitianError(f"{what} is not Hermitian within {tol}")
+    if not is_hermitian(a):
+        raise NonHermitianError(f"{what} is not Hermitian within {TOL.structural}")
     return a
 
 
@@ -96,7 +96,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = as_operator(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, TOL.structural):
+        if not is_hermitian(m):
             raise NonHermitianError("density matrix is not Hermitian within tolerance")
         tr = np.trace(m)
         if abs(tr - 1.0) > TOL.structural:
@@ -145,15 +145,15 @@ class TargetModel:
         return SpectralData.of(self)
 
 
-def cluster_eigenvalues(w: Array, tol: float = TOL.eigen_cluster) -> Array:
+def cluster_eigenvalues(w: Array) -> Array:
     """Snap near-degenerate (sorted) eigenvalues to their cluster means.
 
-    Neighbours closer than ``tol`` times the largest |w| form one cluster, so
-    the width scales with the spectrum.
+    Neighbours closer than ``TOL.eigen_cluster`` times the largest |w| form
+    one cluster, so the width scales with the spectrum.
     """
     w = np.asarray(w, dtype=float)
     out = w.copy()
-    width = tol * np.max(np.abs(w), initial=0.0)
+    width = TOL.eigen_cluster * np.max(np.abs(w), initial=0.0)
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > width:

@@ -81,8 +81,12 @@ class SensorConfig:
 
 
 def required_cutoff(alpha: float) -> int:
-    """Per-mode cutoff keeping coherent tail population below tolerance."""
-    return int(math.ceil(alpha * alpha + 10 * alpha + 10))
+    """Per-mode cutoff keeping coherent tail population below tolerance. A
+    cutoff beyond the float range fails the Fock memory guard."""
+    need = alpha * alpha + 10 * alpha + 10
+    if need == math.inf:
+        check_fock_memory(need)
+    return int(math.ceil(need))
 
 
 def plane_rotation_angle(b: float, tau: float) -> float:
@@ -169,11 +173,12 @@ def apply_s3(psi: Array) -> Array:
 
 # -- photon-number sectors ---------------------------------------------------
 
-def check_fock_memory(n_max: int) -> None:
+def check_fock_memory(n_max: float) -> None:
     """The memory guard of the sector eigendata at cutoff ``n_max``: the Jx
-    blocks take 16 sum (N+1)^2 bytes, here in closed form, so that a huge
-    n_max is refused at once."""
-    nbytes = 16 * (n_max + 1) * (n_max + 2) * (2 * n_max + 3) // 6
+    blocks take 16 sum (N+1)^2 bytes, here in closed form and in floats, so
+    that a huge n_max is refused at once."""
+    n = float(n_max)
+    nbytes = 16 * (n + 1) * (n + 2) * (2 * n + 3) / 6
     check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
 
 

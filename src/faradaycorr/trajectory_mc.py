@@ -26,8 +26,9 @@ Two modes:
   survives in this mode.
 
 Reproducibility: the master seed is split into fixed-size chunks of
-sequences via ``numpy.random.SeedSequence.spawn``; results are combined in
-chunk-index order, so they do not depend on the worker count
+sequences via ``numpy.random.SeedSequence.spawn``; every run's chunks go
+through one thread pool of min(workers, chunks) threads, and results are
+combined in chunk-index order, so they do not depend on the worker count
 (``default_workers`` picks one per usable core, within the memory guard). A
 chunk draws its shots from its own stream and its initial states from a
 child of that stream, so the shot draws do not depend on how rho0 is
@@ -60,6 +61,9 @@ CHUNK_SIZE = 16384
 AMPLITUDE_BYTES = 80
 SEQUENCE_BYTES = 160
 CHUNK_BYTES = 640
+# numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max).
+# A shot's two means sum to alpha^2, so alpha^2 at or below this fits any shot.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max) - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class FieldKind(Enum):
@@ -107,6 +111,12 @@ class TrajectoryConfig:
             raise ValueError("kraus_quantum mode requires a TargetModel")
         if self.mode == "semiclassical_field" and not isinstance(self.model, ClassicalFieldModel):
             raise ValueError("semiclassical_field mode requires a ClassicalFieldModel")
+        photons = self.proto.sensor.alpha * self.proto.sensor.alpha
+        if photons > POISSON_MEAN_MAX:
+            raise ValueError(
+                f"alpha^2 = {photons:.4g} photons per pulse exceeds the largest Poisson mean "
+                f"numpy draws, {POISSON_MEAN_MAX:.10g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -271,15 +281,16 @@ def chunk_count(sequences: int) -> int:
 
 
 def _pool_size(cfg: TrajectoryConfig, n_chunks: int) -> int:
-    """Workers that run ``n_chunks`` chunks of ``cfg`` at once: the requested
-    count, but no more than there are chunks. One runs them inline."""
+    """Threads in the pool that runs ``n_chunks`` chunks of ``cfg``: the
+    requested count, but no more than there are chunks."""
     return min(cfg.workers, n_chunks)
 
 
-def _memory_bytes(cfg: TrajectoryConfig, n_chunks: int) -> int:
+def _memory_bytes(cfg: TrajectoryConfig) -> int:
     """Bytes ``run_sequences`` holds at once: the bookkeeping of every chunk,
     the chunks in flight with their temporaries, and the shared per-shot tables."""
     n = min(CHUNK_SIZE, cfg.sequences)
+    n_chunks = chunk_count(cfg.sequences)
     in_flight = _pool_size(cfg, n_chunks)
     k = cfg.proto.order
     bookkeeping = n_chunks * CHUNK_BYTES
@@ -318,40 +329,37 @@ def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
     )
 
 
+def check_mc_memory(cfg: TrajectoryConfig) -> None:
+    """Raise ``ResourceGuardError`` if the chunks' bookkeeping and the chunks
+    in flight of ``cfg`` would exceed the memory guard."""
+    check_memory(_memory_bytes(cfg), f"{cfg.mode} Monte Carlo")
+
+
 def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
     """Estimate the K-shot count correlation over L independent sequences.
 
-    Raises ``ResourceGuardError`` before allocating if the chunks' bookkeeping
-    and the chunks in flight would exceed the memory guard.
+    Runs ``check_mc_memory`` before allocating.
     """
     L = cfg.sequences
     n_chunks = chunk_count(L)
-    check_memory(_memory_bytes(cfg, n_chunks), f"{cfg.mode} Monte Carlo")
+    check_mc_memory(cfg)
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     sizes = [min(CHUNK_SIZE, L - i * CHUNK_SIZE) for i in range(n_chunks)]
 
     if cfg.mode == "kraus_quantum":
         plan = _quantum_plan(cfg.model, cfg.proto)
 
-        def job(args):
-            size, seed = args
+        def job(size, seed):
             init_rng = np.random.default_rng(seed.spawn(1)[0])
             return _run_quantum_chunk(size, np.random.default_rng(seed), init_rng, plan)
 
     else:
 
-        def job(args):
-            size, seed = args
+        def job(size, seed):
             return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
 
-    work = list(zip(sizes, seeds))
-    in_flight = _pool_size(cfg, n_chunks)
-    if in_flight > 1:
-        with ThreadPoolExecutor(max_workers=in_flight) as pool:
-            results = list(pool.map(job, work))
-    else:
-        results = [job(w) for w in work]
-    return _estimate(results, cfg)
+    with ThreadPoolExecutor(max_workers=_pool_size(cfg, n_chunks)) as pool:
+        return _estimate(list(pool.map(job, sizes, seeds)), cfg)
 
 
 def usable_cores() -> int:
@@ -373,7 +381,7 @@ def default_workers(cfg: TrajectoryConfig) -> int:
     """
     n_chunks = chunk_count(cfg.sequences)
     workers = max(1, min(usable_cores(), n_chunks))
-    while workers > 1 and not fits_memory(_memory_bytes(replace(cfg, workers=workers), n_chunks)):
+    while workers > 1 and not fits_memory(_memory_bytes(replace(cfg, workers=workers))):
         workers -= 1
     return workers
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationQuery, _record_chain, correlation_grid
+from .errors import NumericalGuardError
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SensorConfig, ShotTable, fock_record
 
@@ -91,14 +92,32 @@ class GkResult:
 
 def prediction_factor(proto: ProtocolSpec) -> float:
     """2^-K tau^K alpha^2K: the leading-order count correlation per unit C,
-    (tau alpha^2 / 2) per shot."""
-    return (0.5 * proto.sensor.tau * proto.sensor.alpha**2) ** proto.order
+    (tau alpha^2 / 2) per shot. Raises ``NumericalGuardError`` if it
+    overflows the float range."""
+    try:
+        return (0.5 * proto.sensor.tau * proto.sensor.alpha**2) ** proto.order
+    except OverflowError:
+        raise NumericalGuardError(
+            f"2^-K tau^K alpha^2K overflows the float range at K={proto.order}, "
+            f"tau={proto.sensor.tau!r}, alpha={proto.sensor.alpha!r}"
+        ) from None
+
+
+def leading_order(proto: ProtocolSpec, corr: Array) -> Array:
+    """``prediction_factor`` times each correlation C of ``proto``'s query:
+    the leading-order count correlations. Raises ``NumericalGuardError`` if
+    one overflows the float range."""
+    with np.errstate(over="ignore"):
+        leading = prediction_factor(proto) * corr
+    if not np.all(np.isfinite(leading)):
+        raise NumericalGuardError("leading-order count correlation overflows the float range")
+    return leading
 
 
 def gk_leading_grid(model: TargetModel, proto: ProtocolSpec, finals) -> Array:
     """Leading-order count correlations of ``proto`` with its last shot at
-    each of ``finals``: ``prediction_factor`` times C of its query."""
-    return prediction_factor(proto) * correlation_grid(model, proto.query(), finals)
+    each of ``finals``: ``leading_order`` of C of its query."""
+    return leading_order(proto, correlation_grid(model, proto.query(), finals))
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:

@@ -702,6 +702,9 @@ INVALID_CONFIGS = [
         "exact.include_exact_unitary",
     ),
     ("boolean-sequences", lambda tmp: _doc(SIM_DOC, mc__sequences=True), "mc.sequences"),
+    # alpha^2 = 1e20 photons: numpy's Poisson draws refuse the means, after the gk_* grids ran
+    ("kraus-pulse-beyond-poisson", lambda tmp: _doc(SIM_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
+    ("semiclassical-pulse-beyond-poisson", lambda tmp: _doc(OU_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
     # a run with no rows, which would leave results.csv without a header
     (
         "preset-file-empty",
@@ -748,6 +751,67 @@ def test_snr_out_of_float_range_is_a_numerical_guard(tmp_path, capsys, snr):
     assert code == EXIT_NUMERIC
     assert err.startswith("numerical guard:") and "Traceback" not in err
     assert not (out / "results.csv").exists()
+
+
+# (id, document, exit code, text the message must contain): pulses whose
+# numbers leave the float range, each of which exited 1 with a traceback
+PULSES_OUT_OF_RANGE = [
+    # the Fock cutoff alpha^2 + 10 alpha + 10 is beyond the float range, or its sector bytes are
+    ("fock-cutoff-overflows", _doc(EXACT_DOC, protocol__alpha=1.0e200, exact__engine="fock"), EXIT_RESOURCE,
+     "Fock sector eigendata (n_max=inf)"),
+    ("fock-bytes-overflow", _doc(EXACT_DOC, protocol__alpha=1.0e120, exact__engine="fock"), EXIT_RESOURCE,
+     "Fock sector eigendata"),
+    # 2^-K tau^K alpha^2K overflows
+    ("exact-alpha-factor-overflows", _doc(EXACT_DOC, protocol__alpha=1.0e200), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
+    ("exact-tau-factor-overflows", _doc(EXACT_DOC, protocol__tau=1.0e300), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
+    ("simulate-tau-factor-overflows", _doc(SIM_DOC, protocol__tau=1.0e300), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
+    # the factor, 1.27e308, fits, but times C = 1.68 it does not
+    ("exact-leading-overflows", _doc(EXACT_DOC, protocol__tau=1.0e154), EXIT_NUMERIC,
+     "leading-order count correlation overflows"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, code, text", [case[1:] for case in PULSES_OUT_OF_RANGE], ids=[case[0] for case in PULSES_OUT_OF_RANGE]
+)
+def test_pulse_out_of_float_range_exits_with_its_code(tmp_path, capsys, doc, code, text):
+    out = tmp_path / "out"
+    assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert text in err and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [EXACT_DOC, SNR_DOC], ids=["exact", "snr"])
+def test_threads_is_a_usage_error_where_no_workers_run(tmp_path, capsys, doc):
+    args = [doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--threads", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mc_guard_runs_for_every_sweep_value_before_computing(tmp_path, monkeypatch, capsys):
+    # 4000 sequences: a spin-1/2 chunk needs ~1.3 MiB and fits an 8 MiB guard,
+    # a spin-63/2 one ~21 MiB does not. The sweep exits 4 when the config is
+    # parsed, before the two_j = 1 run computes
+    monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
+    calls = []
+    for name in ("run_sequences", "gk_exact_unitary_grid"):
+        real = getattr(cli, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    doc = dict(SIM_DOC, command="sweep", sweep={"command": "simulate", "path": "model.two_j", "values": [1, 63]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+    assert "kraus_quantum Monte Carlo would need" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert calls == []
 
 
 def _reject_constant(token):

@@ -260,11 +260,11 @@ class TestQuantumSequences:
         monkeypatch.setattr(trajectory_mc, "ThreadPoolExecutor", recording)
         p = proto([(0.0, S3), (1.0, S2)], alpha=2.0, tau=0.05)
         base = dict(seed=8, mode="kraus_quantum", proto=p, model=precession_model(), workers=4)
-        inline = run_sequences(TrajectoryConfig(sequences=CHUNK_SIZE, **base))  # one chunk runs inline
-        pooled = run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
-        assert sizes == [2]
+        one = run_sequences(TrajectoryConfig(sequences=CHUNK_SIZE, **base))  # one chunk, a one-thread pool
+        two = run_sequences(TrajectoryConfig(sequences=2 * CHUNK_SIZE, **base))
+        assert sizes == [1, 2]
         # the estimate reports the pool that ran, not the workers asked for
-        assert (inline.workers, pooled.workers) == (1, sizes[0])
+        assert [one.workers, two.workers] == sizes
 
     def test_estimate_records_the_pool_that_ran(self):
         # three workers asked for, one chunk to run: the estimate says one ran it
@@ -573,6 +573,40 @@ class TestConfigAndSnr:
             TrajectoryConfig(sequences=0, seed=0, mode="kraus_quantum", proto=p, model=precession_model())
         with pytest.raises(ValueError):
             TrajectoryConfig(sequences=10, seed=0, mode="exact", proto=p, model=precession_model())
+
+    def test_pulse_photons_stay_within_numpy_poisson_range(self):
+        # the largest mean Generator.poisson draws from, bisected over the bit
+        # patterns of positive floats, which are ordered like the floats
+        rng = np.random.default_rng(0)
+
+        def as_float(bits):
+            return float(np.array([bits], dtype=np.int64).view(np.float64)[0])
+
+        def draws(lam):
+            try:
+                rng.poisson(lam)
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = (int(b) for b in np.array([1e18, 1e19]).view(np.int64))
+        assert draws(as_float(lo)) and not draws(as_float(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if draws(as_float(mid)) else (lo, mid)
+        limit = as_float(lo)
+        # a shot's two means sum to alpha^2: the largest alpha whose square
+        # is within the limit is accepted in both modes, the next one refused
+        alpha = math.sqrt(limit)
+        while alpha * alpha > limit:
+            alpha = math.nextafter(alpha, 0.0)
+        above = math.nextafter(alpha, math.inf)
+        assert above * above > limit
+        field = ClassicalFieldModel(kind=FieldKind.CONSTANT, amplitude=1.0)
+        for mode, model in (("kraus_quantum", precession_model()), ("semiclassical_field", field)):
+            TrajectoryConfig(sequences=10, seed=0, mode=mode, proto=proto([(0.0, S2)], alpha, 0.1), model=model)
+            with pytest.raises(ValueError, match="largest Poisson mean"):
+                TrajectoryConfig(sequences=10, seed=0, mode=mode, proto=proto([(0.0, S2)], above, 0.1), model=model)
 
     def test_empirical_snr_arithmetic(self):
         est = McEstimate(
