@@ -23,7 +23,6 @@ from .quantum_core import (  # noqa: F401
 from .sensor_optics import (  # noqa: F401
     MeasurementBasis,
     SensorConfig,
-    selection_traces,
 )
 from .snr import (  # noqa: F401
     FeasibilityReport,

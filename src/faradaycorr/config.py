@@ -223,7 +223,12 @@ def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
     grid = proto_cfg.get("final_time_grid")
     if grid is not None:
         grid = _nonempty_list(grid, "protocol.final_time_grid")
-        grid = [_number(t, "protocol.final_time_grid entry") for t in grid]
+        grid = [_number(t, f"protocol.final_time_grid[{i}]") for i, t in enumerate(grid)]
+        prev = len(shots) - 2  # the shot each final time follows
+        follows = f" and not before protocol.shots[{prev}].time = {shots[prev].time:g}" if prev >= 0 else ""
+        for i, t in enumerate(grid):
+            if not math.isfinite(t) or (prev >= 0 and t < shots[prev].time):
+                raise ConfigError(f"protocol.final_time_grid[{i}] = {t:g} must be finite{follows}")
     with _constructing("protocol"):
         sensor = SensorConfig(alpha=alpha, tau=tau)
     with _constructing("protocol.shots"):

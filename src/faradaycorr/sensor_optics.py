@@ -22,10 +22,11 @@ Conventions fixed here, once, for the whole package:
   count correlation exactly proportional to a single target correlation.
   (A uniform half-count convention would make the R/L coefficient alpha^2/4
   and break that proportionality; see the README.)
-* One shot is one instrument, ``ShotTable``: per eigenvalue of the coupling
-  it holds the detector amplitudes, and from them alone the Poisson means and
-  Kraus elements that the trajectories sample and the record matrix (their
-  first moment) that the exact chain multiplies by.
+* One shot is one instrument, ``ShotTable``: alpha, the plane rotation theta
+  of each coupling value and the readout basis. From these alone it gives the
+  Poisson means that both Monte Carlo modes draw, the Kraus elements that the
+  quantum trajectories apply, and the record matrix (their first moment) that
+  the exact chain multiplies by.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ def required_cutoff(alpha: float) -> int:
     if need == math.inf:
         check_fock_memory(need)
     return int(math.ceil(need))
-
-
-def plane_rotation_angle(b: float, tau: float) -> float:
-    """Polarization-plane rotation produced by field eigenvalue b over tau."""
-    return 0.5 * tau * b
 
 
 @lru_cache(maxsize=16)
@@ -179,7 +175,7 @@ def check_fock_memory(n_max: float) -> None:
     that a huge n_max is refused at once."""
     n = float(n_max)
     nbytes = 16 * (n + 1) * (n + 2) * (2 * n + 3) / 6
-    check_memory(nbytes, f"Fock sector eigendata (n_max={n_max})")
+    check_memory(nbytes, f"Fock sector eigendata (n_max={n:.4g})")
 
 
 @lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
@@ -229,68 +225,6 @@ def fock_record(alpha: float, tau: float, eigvals: Array, basis: MeasurementBasi
     return m.T
 
 
-@dataclass(frozen=True)
-class SelectionTraces:
-    """The three sensor traces determining what a measurement basis selects.
-
-    t0      = Tr[Lambda rho_s]            (must vanish: no standing signal)
-    t_plus  = Tr[Lambda S3+ rho_s]        (coefficient of the commutator branch)
-    t_minus = Tr[Lambda S3- rho_s]        (coefficient of the anticommutator branch)
-    """
-
-    t0: float
-    t_plus: float
-    t_minus: float
-
-
-def selection_traces(alpha: float, basis: MeasurementBasis) -> SelectionTraces:
-    """The selection traces of the pulse |alpha, H> on the truncated space.
-
-    For the pure pulse |v>, with u = Lambda|v> and w = S3|v>, one has
-    t0 = <v|u>, t_plus = Re<u|w> and t_minus = 2 Im<u|w>: each a weighted
-    sum over the photon-number sectors.
-    """
-    t0 = z = 0.0
-    for weight, (s, v0, jx) in _pulse_sectors(alpha):
-        u = _sector_record(basis, s, jx, v0[:, None])[:, 0]
-        t0 += weight * np.vdot(v0, u)
-        z += weight * np.vdot(u, s * v0)
-    return SelectionTraces(t0=float(t0.real), t_plus=float(z.real), t_minus=float(2 * z.imag))
-
-
-def detector_amplitudes(alpha: float, theta, phase: float) -> tuple[Array, Array]:
-    """Coherent amplitudes (beta_c, beta_d) at the two detectors, elementwise
-    over plane rotations ``theta`` of any shape.
-
-    The input (alpha, 0) is rotated in the polarization plane by theta; the
-    PBS splits H (reflected) from V (transmitted); the phase exp(i*phase) is
-    applied to the transmitted arm; the 1:1 BS mixes
-    (a, b) -> ((a + i b)/sqrt2, (i a + b)/sqrt2).
-    """
-    theta = np.asarray(theta, dtype=float)
-    beta_h = alpha * np.cos(theta)
-    beta_v = alpha * np.sin(theta)
-    b = beta_v * np.exp(1j * phase)
-    beta_c = (beta_h + 1j * b) / math.sqrt(2)
-    beta_d = (1j * beta_h + b) / math.sqrt(2)
-    return beta_c, beta_d
-
-
-def detector_means(alpha: float, theta, phase: float) -> tuple[Array, Array]:
-    """Mean counts (|beta_c|^2, |beta_d|^2) at the two detectors, elementwise
-    over plane rotations ``theta`` of any shape, in real arithmetic.
-
-    Expanding the moduli of ``detector_amplitudes`` gives
-    (alpha^2/2)(1 -/+ sin(2 theta) sin(phase)): the two means always sum to
-    alpha^2, and the circular basis (phase 0) sees alpha^2/2 at both
-    detectors whatever the rotation. This is the one source of the Poisson
-    means of the counting Monte Carlo.
-    """
-    half = 0.5 * alpha * alpha
-    shift = half * math.sin(phase) * np.sin(2.0 * np.asarray(theta, dtype=float))
-    return half - shift, half + shift
-
-
 def _count_log_modulus(beta: Array, counts: Array) -> Array:
     """n log|beta| per (count, branch), with 0^0 = 1 and 0^n = 0 (-inf) for n > 0."""
     counts = np.asarray(counts, dtype=float)[:, None]
@@ -302,47 +236,66 @@ def _count_log_modulus(beta: Array, counts: Array) -> Array:
 
 @dataclass(frozen=True)
 class ShotTable:
-    """The instrument of one shot, per eigenvalue branch b of its coupling.
+    """The instrument of one shot: a pulse of amplitude ``alpha`` whose plane
+    is rotated by ``theta`` = tau b / 2 for each coupling value b (an
+    eigenvalue branch of the target, or a classical field value), read out in
+    ``basis``.
 
-    The pulse leaves the interferometer in the coherent state
-    |beta_c(b), beta_d(b)>, so the counts are independent Poisson with means
-    |beta|^2 (from ``detector_means``), and the Kraus element of an outcome
-    (n_c, n_d) is diagonal in the coupling's eigenbasis with entries
-    beta_c^n_c beta_d^n_d up to a branch-independent factor
-    (|beta_c|^2 + |beta_d|^2 = alpha^2). The Monte Carlo samples these
-    elements (``kraus_diagonal``); the exact chain multiplies by their first
-    moment (``record``). ``scale`` is the basis's ``record_scale``.
+    The polarizing beam splitter leaves the arms (a, b) = (alpha cos theta,
+    alpha sin theta e^{i phase}), the phase on the transmitted arm, and the
+    1:1 beam splitter mixes them into the detector amplitudes
+    (beta_c, beta_d) = ((a + i b)/sqrt2, (i a + b)/sqrt2). The counts are
+    independent Poisson with means |beta|^2, and the Kraus element of an
+    outcome (n_c, n_d) is diagonal in the coupling's eigenbasis with entries
+    beta_c^n_c beta_d^n_d up to a branch-independent factor.
     """
 
-    beta_c: Array
-    beta_d: Array
-    means_c: Array
-    means_d: Array
-    scale: float
+    alpha: float
+    theta: Array
+    basis: MeasurementBasis
 
     @classmethod
-    def of(cls, eigvals: Array, sensor: SensorConfig, basis: MeasurementBasis) -> "ShotTable":
-        theta = plane_rotation_angle(np.asarray(eigvals, dtype=float), sensor.tau)
-        beta_c, beta_d = detector_amplitudes(sensor.alpha, theta, basis.phase)
-        means_c, means_d = detector_means(sensor.alpha, theta, basis.phase)
-        return cls(beta_c, beta_d, means_c, means_d, basis.record_scale)
+    def of(cls, values, sensor: SensorConfig, basis: MeasurementBasis) -> "ShotTable":
+        """The shot of ``sensor`` in ``basis`` for coupling values of any shape."""
+        return cls(sensor.alpha, 0.5 * sensor.tau * np.asarray(values, dtype=float), basis)
+
+    @property
+    def scale(self) -> float:
+        """The basis's ``record_scale``."""
+        return self.basis.record_scale
+
+    def _arms(self) -> tuple[Array, Array]:
+        return self.alpha * np.cos(self.theta), self.alpha * np.sin(self.theta) * np.exp(1j * self.basis.phase)
+
+    def amplitudes(self) -> tuple[Array, Array]:
+        """The coherent amplitudes (beta_c, beta_d) at the two detectors."""
+        a, b = self._arms()
+        return (a + 1j * b) / math.sqrt(2), (1j * a + b) / math.sqrt(2)
+
+    def means(self) -> tuple[Array, Array]:
+        """Mean counts (|beta_c|^2, |beta_d|^2), expanded in real arithmetic to
+        (alpha^2/2)(1 -/+ sin(phase) sin(2 theta)): they always sum to alpha^2,
+        and the circular basis (phase 0) sees alpha^2/2 at both detectors
+        whatever the rotation."""
+        half = 0.5 * self.alpha * self.alpha
+        shift = half * math.sin(self.basis.phase) * np.sin(2.0 * self.theta)
+        return half - shift, half + shift
 
     def record(self) -> Array:
         """m[i,k] = <chi_k| Lambda |chi_i>, the recorded observable
         Lambda = scale (n_d - n_c) between the output pulses of branches i, k.
 
         With x = beta_i beta_k^* per detector, m = scale (x_d - x_c) times the
-        overlap exp(-(|beta_c,i - beta_c,k|^2 + |beta_d,i - beta_d,k|^2)/2),
-        which is real because the interferometer is passive and the input
-        amplitudes are real. The diagonal is scale (mu_d - mu_c) from the
-        real means, so an R/L record has an exactly zero diagonal.
+        overlap exp(-(|a_i - a_k|^2 + |b_i - b_k|^2)/2), which is real because
+        the interferometer is passive and the input amplitudes are real. The
+        difference x_d - x_c = i (a_i b_k^* - b_i a_k^*) is taken from the arms,
+        so no alpha^2/2-sized terms cancel; its diagonal,
+        2 alpha^2 cos(theta) sin(theta) sin(phase), is exactly 0 for R/L.
         """
-        c, d = self.beta_c, self.beta_d
-        x = np.outer(d, d.conj()) - np.outer(c, c.conj())
-        gap = np.abs(np.subtract.outer(c, c)) ** 2 + np.abs(np.subtract.outer(d, d)) ** 2
-        m = self.scale * x * np.exp(-0.5 * gap)
-        np.fill_diagonal(m, self.scale * (self.means_d - self.means_c))
-        return m
+        a, b = self._arms()
+        x = 1j * (np.outer(a, b.conj()) - np.outer(b, a))
+        gap = np.subtract.outer(a, a) ** 2 + np.abs(np.subtract.outer(b, b)) ** 2
+        return self.scale * x * np.exp(-0.5 * gap)
 
     def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
         """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row
@@ -351,10 +304,11 @@ class ShotTable:
         The product is formed in log space: with n ~ alpha^2/2 counts the plain
         powers underflow for alpha above about 33.
         """
+        beta_c, beta_d = self.amplitudes()
         n_c = np.asarray(n_c, dtype=float)
         n_d = np.asarray(n_d, dtype=float)
-        log_mod = _count_log_modulus(self.beta_c, n_c) + _count_log_modulus(self.beta_d, n_d)
-        phase = n_c[:, None] * np.angle(self.beta_c)[None, :] + n_d[:, None] * np.angle(self.beta_d)[None, :]
+        log_mod = _count_log_modulus(beta_c, n_c) + _count_log_modulus(beta_d, n_d)
+        phase = n_c[:, None] * np.angle(beta_c)[None, :] + n_d[:, None] * np.angle(beta_d)[None, :]
         top = np.max(log_mod, axis=1, keepdims=True)
         top = np.where(np.isfinite(top), top, 0.0)  # an outcome no branch can produce
         return np.exp(log_mod - top + 1j * phase)

@@ -21,9 +21,9 @@ Two modes:
   diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences holds n x d
   amplitudes and costs O(n d^2) per shot.
 * ``semiclassical_field``: the target is a classical stochastic field; each
-  shot draws Poisson counts around the same ``detector_means``, evaluated at
-  each sequence's field value. Only the all-anticommutator correlation
-  survives in this mode.
+  shot draws Poisson counts from the same instrument, a ``ShotTable`` over
+  the sequences' field values, whose means it reads. Only the
+  all-anticommutator correlation survives in this mode.
 
 Reproducibility: the master seed is split into fixed-size chunks of
 sequences via ``numpy.random.SeedSequence.spawn``; every run's chunks go
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import check_memory, fits_memory
 from .quantum_core import Array, TargetModel
-from .sensor_optics import MeasurementBasis, ShotTable, detector_means, plane_rotation_angle
+from .sensor_optics import MeasurementBasis, ShotTable
 from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
@@ -231,7 +231,8 @@ def _run_quantum_chunk(
         p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        n_c, n_d = record.shot(rng, table.means_c[idx], table.means_d[idx], table.scale)
+        means_c, means_d = table.means()
+        n_c, n_d = record.shot(rng, means_c[idx], means_d[idx], table.scale)
         if j < len(plan.rotations):  # the state after the last shot is never read
             states = _kraus_update(states, table, n_c, n_d) @ plan.rotations[j]
     return record.sums()
@@ -264,14 +265,12 @@ def _sample_field_paths(
 def _run_semiclassical_chunk(
     n: int, rng: np.random.Generator, field: ClassicalFieldModel, proto: ProtocolSpec
 ) -> tuple:
-    alpha, tau = proto.sensor.alpha, proto.sensor.tau
     times = np.array([s.time for s in proto.shots])
     paths = _sample_field_paths(field, times, n, rng)
     record = _Record(n)
     for j, shot in enumerate(proto.shots):
-        theta = plane_rotation_angle(paths[:, j], tau)
-        means_c, means_d = detector_means(alpha, theta, shot.basis.phase)
-        record.shot(rng, means_c, means_d, shot.basis.record_scale)
+        table = ShotTable.of(paths[:, j], proto.sensor, shot.basis)
+        record.shot(rng, *table.means(), table.scale)
     return record.sums()
 
 

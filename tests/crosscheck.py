@@ -8,11 +8,14 @@ against. None of them is runtime code.
   package walks from shot to shot on ``TargetModel.spectral``.
 * The records are the closed form of ``ShotTable.record`` and the dense
   (n_max+1)^2 two-mode Fock computation that the sector engine replaces.
+* The selection traces show which branch each readout basis picks out, from
+  the photon-number sectors of the pulse.
 * The Kraus references act on one density matrix per shot, or on n x d x d
   density matrices per chunk, where the Monte Carlo carries state vectors.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from faradaycorr.sensor_optics import (
     MeasurementBasis,
     SensorConfig,
     ShotTable,
+    _pulse_sectors,
+    _sector_record,
     apply_s2,
     apply_s3,
     coherent_state,
@@ -160,6 +165,38 @@ def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: bool = False)
     return np.trace(rho).real
 
 
+# -- selection traces ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SelectionTraces:
+    """The three sensor traces determining what a measurement basis selects.
+
+    t0      = Tr[Lambda rho_s]            (must vanish: no standing signal)
+    t_plus  = Tr[Lambda S3+ rho_s]        (coefficient of the commutator branch)
+    t_minus = Tr[Lambda S3- rho_s]        (coefficient of the anticommutator branch)
+    """
+
+    t0: float
+    t_plus: float
+    t_minus: float
+
+
+def selection_traces(alpha: float, basis: MeasurementBasis) -> SelectionTraces:
+    """The selection traces of the pulse |alpha, H> on the truncated space.
+
+    For the pure pulse |v>, with u = Lambda|v> and w = S3|v>, one has
+    t0 = <v|u>, t_plus = Re<u|w> and t_minus = 2 Im<u|w>: each a weighted
+    sum over the photon-number sectors.
+    """
+    t0 = z = 0.0
+    for weight, (s, v0, jx) in _pulse_sectors(alpha):
+        u = _sector_record(basis, s, jx, v0[:, None])[:, 0]
+        t0 += weight * np.vdot(v0, u)
+        z += weight * np.vdot(u, s * v0)
+    return SelectionTraces(t0=float(t0.real), t_plus=float(z.real), t_minus=float(2 * z.imag))
+
+
 # -- Kraus references ------------------------------------------------------------------
 
 
@@ -185,7 +222,7 @@ class KrausOutcomeSampler:
         self.eigvecs = v
         self.rho_eig = v.conj().T @ rho.matrix @ v
         self.branch_probs = _branch_probabilities(np.real(np.diag(self.rho_eig)))
-        self.means_c, self.means_d = self.table.means_c, self.table.means_d
+        self.means_c, self.means_d = self.table.means()
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         i = rng.choice(len(self.branch_probs), p=self.branch_probs)
@@ -222,8 +259,9 @@ def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p
         probs = probs / probs.sum(axis=1, keepdims=True)
         u = rng.random(n)
         idx = (np.cumsum(probs, axis=1) > u[:, None]).argmax(axis=1)
-        n_c = rng.poisson(table.means_c[idx]).astype(float)
-        n_d = rng.poisson(table.means_d[idx]).astype(float)
+        means_c, means_d = table.means()
+        n_c = rng.poisson(means_c[idx]).astype(float)
+        n_d = rng.poisson(means_d[idx]).astype(float)
         half = (n_d - n_c) / 2
         prod = prod * (2.0 * shot.basis.record_scale) * half
         s_half += half.sum()

@@ -9,7 +9,6 @@ from faradaycorr.quantum_core import TargetModel, pure_state
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
     SensorConfig,
-    selection_traces,
     stokes_operators,
 )
 from faradaycorr.snr import lihof4_scenario, snr_material
@@ -24,7 +23,7 @@ from faradaycorr.weak_measurement import (
 )
 
 from conftest import SX, SZ, precession_model, random_model
-from crosscheck import reference_correlation
+from crosscheck import reference_correlation, selection_traces
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 

@@ -702,6 +702,17 @@ INVALID_CONFIGS = [
         "exact.include_exact_unitary",
     ),
     ("boolean-sequences", lambda tmp: _doc(SIM_DOC, mc__sequences=True), "mc.sequences"),
+    # a final time that precedes the shot it follows, with valid shots
+    (
+        "final-time-before-its-shot",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[0.5, -1.0]),
+        "protocol.final_time_grid[1] = -1 must be finite and not before protocol.shots[0].time = 0",
+    ),
+    (
+        "nan-final-time",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[math.nan]),
+        "protocol.final_time_grid[0] = nan must be finite",
+    ),
     # alpha^2 = 1e20 photons: numpy's Poisson draws refuse the means, after the gk_* grids ran
     ("kraus-pulse-beyond-poisson", lambda tmp: _doc(SIM_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
     ("semiclassical-pulse-beyond-poisson", lambda tmp: _doc(OU_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
@@ -753,14 +764,15 @@ def test_snr_out_of_float_range_is_a_numerical_guard(tmp_path, capsys, snr):
     assert not (out / "results.csv").exists()
 
 
-# (id, document, exit code, text the message must contain): pulses whose
-# numbers leave the float range, each of which exited 1 with a traceback
+# (id, document, exit code, text the short message must contain): pulses
+# whose numbers leave the float range, each of which exited 1 with a traceback
 PULSES_OUT_OF_RANGE = [
     # the Fock cutoff alpha^2 + 10 alpha + 10 is beyond the float range, or its sector bytes are
     ("fock-cutoff-overflows", _doc(EXACT_DOC, protocol__alpha=1.0e200, exact__engine="fock"), EXIT_RESOURCE,
      "Fock sector eigendata (n_max=inf)"),
+    # (a 241-digit cutoff, given to four significant digits)
     ("fock-bytes-overflow", _doc(EXACT_DOC, protocol__alpha=1.0e120, exact__engine="fock"), EXIT_RESOURCE,
-     "Fock sector eigendata"),
+     "Fock sector eigendata (n_max=1e+240)"),
     # 2^-K tau^K alpha^2K overflows
     ("exact-alpha-factor-overflows", _doc(EXACT_DOC, protocol__alpha=1.0e200), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
     ("exact-tau-factor-overflows", _doc(EXACT_DOC, protocol__tau=1.0e300), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
@@ -778,8 +790,20 @@ def test_pulse_out_of_float_range_exits_with_its_code(tmp_path, capsys, doc, cod
     out = tmp_path / "out"
     assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert text in err and "Traceback" not in err
+    assert text in err and "Traceback" not in err and len(err) < 200
     assert not (out / "results.csv").exists()
+
+
+def test_exact_column_of_a_huge_pulse(tmp_path):
+    # alpha^2 tau = 1 at alpha = 1e100: the detectors' means are 5e199 each,
+    # their difference is of order 1, and the all-orders column keeps it
+    doc = _doc(EXACT_DOC, protocol__alpha=1.0e100, protocol__tau=1.0e-200)
+    out = tmp_path / "out"
+    assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    (row,) = read_rows(out)
+    leading = float(row["gk_leading[counts^K]"])
+    assert leading != 0.0
+    assert float(row["gk_exact_unitary[counts^K]"]) == pytest.approx(leading, rel=1e-12)
 
 
 @pytest.mark.parametrize("doc", [EXACT_DOC, SNR_DOC], ids=["exact", "snr"])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,18 +11,17 @@ from faradaycorr.errors import TruncationError
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
     SensorConfig,
+    ShotTable,
     apply_s2,
     apply_s3,
     coherent_grid,
     coherent_state,
-    detector_amplitudes,
-    detector_means,
     log_factorial,
-    plane_rotation_angle,
     required_cutoff,
-    selection_traces,
     stokes_operators,
 )
+
+from crosscheck import selection_traces
 
 
 def number_projector(n_max: int, max_total: int) -> np.ndarray:
@@ -36,6 +36,17 @@ def number_difference(mode_dim: int) -> np.ndarray:
     """(n_H - n_V)/2 on a psi[n_H, n_V] grid: S1, diagonal in the Fock basis."""
     n = np.arange(mode_dim)
     return (n[:, None] - n[None, :]) / 2
+
+
+def shot(alpha: float, theta, basis) -> ShotTable:
+    """The instrument at the plane rotations ``theta`` themselves."""
+    return ShotTable(alpha, np.asarray(theta, dtype=float), basis)
+
+
+def readout(phase: float) -> SimpleNamespace:
+    """A readout of any interferometer phase: the instrument reads only the
+    phase and the record scale of its basis."""
+    return SimpleNamespace(phase=phase, record_scale=1.0)
 
 
 def expectation(apply_op, alpha_h: float, alpha_v: float, n_max: int) -> complex:
@@ -206,7 +217,7 @@ def test_log_factorial_matches_lgamma():
 
 class TestInterferometer:
     ALPHA = 1.3
-    PHASES = (MeasurementBasis.S2.phase, MeasurementBasis.S3.phase)
+    BASES = (MeasurementBasis.S2, MeasurementBasis.S3)
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
@@ -214,12 +225,12 @@ class TestInterferometer:
     )
     @settings(max_examples=60, deadline=None)
     def test_photon_conservation(self, theta, phase):
-        beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, phase)
+        beta_c, beta_d = shot(self.ALPHA, theta, readout(phase)).amplitudes()
         assert abs(beta_c) ** 2 + abs(beta_d) ** 2 == pytest.approx(self.ALPHA**2, rel=1e-12)
 
     def test_balanced_at_zero_rotation(self):
-        for phase in self.PHASES:
-            beta_c, beta_d = detector_amplitudes(self.ALPHA, 0.0, phase)
+        for basis in self.BASES:
+            beta_c, beta_d = shot(self.ALPHA, 0.0, basis).amplitudes()
             assert abs(beta_d) ** 2 - abs(beta_c) ** 2 == pytest.approx(0.0, abs=1e-12)
 
     def test_raw_difference_matches_stokes_expectations(self):
@@ -230,7 +241,7 @@ class TestInterferometer:
         for theta in (-0.3, -0.05, 0.12, 0.3):
             ah, av = alpha * math.cos(theta), alpha * math.sin(theta)
             for basis, apply_op in ((MeasurementBasis.S2, apply_s2), (MeasurementBasis.S3, apply_s3)):
-                beta_c, beta_d = detector_amplitudes(alpha, theta, basis.phase)
+                beta_c, beta_d = shot(alpha, theta, basis).amplitudes()
                 stokes = expectation(apply_op, ah, av, n_max).real
                 assert abs(beta_d) ** 2 - abs(beta_c) ** 2 == pytest.approx(2 * stokes, abs=1e-8 * alpha**2)
 
@@ -238,24 +249,25 @@ class TestInterferometer:
         # the recorded S2 half difference is alpha^2 tau b / 2 for a weak field b
         tau = 0.05
         for b in (2e-3, 2e-4):
-            theta = plane_rotation_angle(b, tau)
-            beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, MeasurementBasis.S2.phase)
+            table = ShotTable.of(b, SensorConfig(self.ALPHA, tau), MeasurementBasis.S2)
+            beta_c, beta_d = table.amplitudes()
             half = (abs(beta_d) ** 2 - abs(beta_c) ** 2) / 2
             assert half / (self.ALPHA**2 * tau * b / 2) == pytest.approx(1.0, rel=1e-6)
 
     def test_rotation_angle_convention(self):
-        assert plane_rotation_angle(3.0, 0.5) == pytest.approx(0.75)
+        table = ShotTable.of(3.0, SensorConfig(self.ALPHA, 0.5), MeasurementBasis.S2)
+        assert table.theta == pytest.approx(0.75)
 
     def test_vectorized_amplitudes_match_scalar(self):
         theta = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
-        for phase in self.PHASES:
-            beta_c, beta_d = detector_amplitudes(self.ALPHA, theta, phase)
+        for basis in self.BASES:
+            beta_c, beta_d = shot(self.ALPHA, theta, basis).amplitudes()
             assert beta_c.shape == beta_d.shape == theta.shape
             for i, t in np.ndenumerate(theta):
-                assert (beta_c[i], beta_d[i]) == detector_amplitudes(self.ALPHA, float(t), phase)
+                assert (beta_c[i], beta_d[i]) == shot(self.ALPHA, float(t), basis).amplitudes()
             # |beta_d|^2 - |beta_c|^2 = alpha^2 sin(2 theta) sin(phase)
             diff = np.abs(beta_d) ** 2 - np.abs(beta_c) ** 2
-            assert np.allclose(diff, self.ALPHA**2 * np.sin(2 * theta) * math.sin(phase), atol=1e-12)
+            assert np.allclose(diff, self.ALPHA**2 * np.sin(2 * theta) * math.sin(basis.phase), atol=1e-12)
 
 
 class TestDetectorMeans:
@@ -266,8 +278,9 @@ class TestDetectorMeans:
     )
     @settings(max_examples=200, deadline=None)
     def test_means_are_the_squared_amplitudes(self, alpha, theta, phase):
-        means_c, means_d = detector_means(alpha, theta, phase)
-        beta_c, beta_d = detector_amplitudes(alpha, theta, phase)
+        table = shot(alpha, theta, readout(phase))
+        means_c, means_d = table.means()
+        beta_c, beta_d = table.amplitudes()
         assert abs(means_c - abs(beta_c) ** 2) <= 1e-14 * alpha**2
         assert abs(means_d - abs(beta_d) ** 2) <= 1e-14 * alpha**2
 
@@ -275,15 +288,24 @@ class TestDetectorMeans:
     @example(44.93345302461281, 0.3)  # libm pow gives alpha**2 one ulp above alpha * alpha
     @settings(max_examples=60, deadline=None)
     def test_circular_basis_is_balanced_exactly(self, alpha, theta):
-        means_c, means_d = detector_means(alpha, theta, MeasurementBasis.S3.phase)
+        means_c, means_d = shot(alpha, theta, MeasurementBasis.S3).means()
         assert means_c == means_d == alpha * alpha / 2
 
     def test_elementwise_over_any_shape(self):
         theta = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
-        means_c, means_d = detector_means(1.3, theta, MeasurementBasis.S2.phase)
+        means_c, means_d = shot(1.3, theta, MeasurementBasis.S2).means()
         assert means_c.shape == means_d.shape == theta.shape
         for i, t in np.ndenumerate(theta):
-            assert (means_c[i], means_d[i]) == detector_means(1.3, float(t), MeasurementBasis.S2.phase)
+            assert (means_c[i], means_d[i]) == shot(1.3, float(t), MeasurementBasis.S2).means()
+
+    @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
+    def test_record_diagonal_is_the_scaled_mean_difference(self, basis):
+        # the record's diagonal, formed from the arms, is scale (mu_d - mu_c)
+        for alpha in (0.5, 3.0, 40.0):
+            table = shot(alpha, np.linspace(-0.7, 0.9, 7), basis)
+            means_c, means_d = table.means()
+            gap = np.diag(table.record()) - table.scale * (means_d - means_c)
+            assert np.max(np.abs(gap)) <= 1e-14 * alpha**2
 
 
 class TestConfigValidation:

@@ -256,14 +256,26 @@ class TestShotInstrument:
         n = np.arange(required_cutoff(alpha) + 1)
         n_c, n_d = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
         log_norm = -0.5 * alpha**2 - 0.5 * (log_factorial(n_c) + log_factorial(n_d))
+        beta_c, beta_d = table.amplitudes()
         kraus = np.exp(
             log_norm[:, None]
-            + n_c[:, None] * np.log(table.beta_c.astype(complex))[None, :]
-            + n_d[:, None] * np.log(table.beta_d.astype(complex))[None, :]
+            + n_c[:, None] * np.log(beta_c.astype(complex))[None, :]
+            + n_d[:, None] * np.log(beta_d.astype(complex))[None, :]
         )
         moment = table.scale * ((n_d - n_c)[:, None] * kraus).T @ kraus.conj()
         m = table.record()
         assert np.max(np.abs(moment - m)) <= 1e-12 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e12])
+    def test_large_alpha_keeps_the_count_difference(self, alpha):
+        # alpha^2 tau = 1: each detector sees ~alpha^2/2 counts while their
+        # difference, and with it the all-orders correlation, stays of order 1
+        jx, _, jz = spin_operators(1)
+        model = TargetModel(hamiltonian=jz, coupling=2 * jx, initial_state=pure_state([math.cos(0.3), math.sin(0.3)]))
+        p = proto([(0.0, S3), (0.4, S2)], alpha=alpha, tau=1 / alpha**2)
+        lead = gk_leading(model, p).value
+        assert lead != 0.0
+        assert gk_exact_unitary(model, p).value == pytest.approx(lead, rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [2.0, 45.0])
     def test_closing_circular_shot_is_exactly_zero(self, alpha):
