@@ -11,9 +11,10 @@ Monte Carlo runs the worker and chunk layout) to the output directory. The
 columns of ``results.csv`` are the keys of each command's rows, in order.
 ``--threads`` exists only on the commands that run Monte Carlo workers, and
 sets how many threads run each protocol's chunks; without it, one per usable
-core, within the memory guard. The count never changes the results. Exit
-codes: 0 success, 2 config error (and usage errors), 3 numerical guard,
-4 resource guard.
+core, within the memory guard. The count never changes the results. An
+``--out`` that is, or lies below, an existing path other than a directory
+is a usage error, found before the config is read. Exit codes: 0 success,
+2 config error (and usage errors), 3 numerical guard, 4 resource guard.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ EXIT_RESOURCE = 4
 PROVENANCE = {
     "correlation_C[(rad/s)^K]": "correlations",
     "gk_leading[counts^K]": "weak_measurement",
-    "gk_predicted_from_C[counts^K]": "weak_measurement",
     "gk_exact_unitary[counts^K]": "weak_measurement",
     "mc_mean[counts^K]": "trajectory_mc",
     "mc_std_error[counts^K]": "trajectory_mc",
@@ -90,14 +90,13 @@ def cmd_exact(run: ExactRun) -> list[dict]:
     corr = correlation_grid(model, query, finals)
     leading = leading_order(head, corr)  # gk_leading_grid, from the C already computed
     exact = None
-    if run.include_exact_unitary:
-        exact = gk_exact_unitary_grid(model, head, finals, run.fock)
+    if run.engine is not None:
+        exact = gk_exact_unitary_grid(model, head, finals, run.engine == "fock")
     return [
         {
             **_protocol_row_base(proto, sign_type=query.label()),
             "correlation_C[(rad/s)^K]": float(corr[i]),
             "gk_leading[counts^K]": float(leading[i]),
-            "gk_predicted_from_C[counts^K]": float(leading[i]),
             "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
             "warning": run.protocol_warning,
         }
@@ -241,6 +240,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
+    out = Path(args.out)
+    blocker = next(path for path in (out, *out.parents) if path.exists())  # out, or its nearest existing parent
+    if not blocker.is_dir():
+        parser.error(f"--out {args.out}: {blocker} exists and is not a directory")
     try:
         raw = load_config(args.config)
         run = parse_config(raw)
@@ -251,7 +254,7 @@ def main(argv=None) -> int:
         stored = _stored_config(raw)
         config_sha256 = _config_sha256(stored)
         rows, layout = _dispatch(run, args.threads)
-        _write_outputs(Path(args.out), rows, layout, stored, config_sha256, args.command, run.seed)
+        _write_outputs(out, rows, layout, stored, config_sha256, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

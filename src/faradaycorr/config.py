@@ -53,8 +53,7 @@ class ExactRun(Run):
     model: TargetModel
     protocols: list[ProtocolSpec]
     protocol_warning: str
-    include_exact_unitary: bool
-    fock: bool  # exact.engine == "fock": the all-orders column from the truncated-Fock cross-check
+    engine: str | None  # the all-orders column's engine, "coherent" or "fock"; None: no such column
 
 
 @dataclass(frozen=True)
@@ -263,10 +262,20 @@ def _scenario(params, where: str, L: float, orders) -> list[tuple[int, SnrScenar
 
 
 def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
-    """Parse the ``snr`` section into (K, scenario) pairs."""
+    """Parse the ``snr`` section into (K, scenario) pairs. It names one
+    source: a preset at ``orders`` with its ``xi``, an inline scenario (at
+    ``orders`` when given), or a preset file whose scenarios keep their own K."""
     _check_keys(snr_cfg, {"preset", "preset_file", "scenario", "orders", "L", "xi"}, "snr")
+    sources = [key for key in ("preset", "preset_file", "scenario") if key in snr_cfg]
+    if len(sources) != 1:
+        raise ConfigError(f"snr needs exactly one of preset, preset_file and scenario, got {sources}")
+    if "orders" in snr_cfg and "preset_file" in snr_cfg:
+        raise ConfigError("snr.orders applies to a preset or a scenario, not to snr.preset_file, "
+                          "whose scenarios keep their own K")
+    if "xi" in snr_cfg and "preset" not in snr_cfg:
+        raise ConfigError(f"snr.xi applies to a preset only, not to snr.{sources[0]}, "
+                          "whose scenarios set their own xi")
     L = _number(snr_cfg.get("L", 1.0), "snr.L")
-    xi = None if snr_cfg.get("xi") is None else _number(snr_cfg["xi"], "snr.xi")
     orders = snr_cfg.get("orders")
     if orders is not None:
         orders = _nonempty_list(orders, "snr.orders")
@@ -286,12 +295,11 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
         # each entry is parsed as an inline scenario at its own K
         return [pair for name, params in entries.items()
                 for pair in _scenario(params, f"snr.preset_file.{name}", L, None)]
-    if "preset" not in snr_cfg:
-        raise ConfigError("snr needs a preset, preset_file, or inline scenario")
     if snr_cfg["preset"] != "lihof4":
         raise ConfigError(f"unknown preset {snr_cfg['preset']!r}")
     if orders is None:
         raise ConfigError("snr.orders is required with a preset")
+    xi = None if snr_cfg.get("xi") is None else _number(snr_cfg["xi"], "snr.xi")
     with _constructing("snr.orders"):
         return [(k, lihof4_scenario(K=k, L=L, xi=xi)) for k in orders]
 
@@ -319,7 +327,7 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
                           "exact.include_exact_unitary: true")
     if engine == "fock":  # exit 4 before any run of a sweep computes
         check_fock_memory(required_cutoff(protocols[0].sensor.alpha))
-    return ExactRun(seed, model, protocols, warning, include, engine == "fock")
+    return ExactRun(seed, model, protocols, warning, engine if include else None)
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:

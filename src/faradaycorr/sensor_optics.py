@@ -259,11 +259,6 @@ class ShotTable:
         """The shot of ``sensor`` in ``basis`` for coupling values of any shape."""
         return cls(sensor.alpha, 0.5 * sensor.tau * np.asarray(values, dtype=float), basis)
 
-    @property
-    def scale(self) -> float:
-        """The basis's ``record_scale``."""
-        return self.basis.record_scale
-
     def _arms(self) -> tuple[Array, Array]:
         return self.alpha * np.cos(self.theta), self.alpha * np.sin(self.theta) * np.exp(1j * self.basis.phase)
 
@@ -283,9 +278,9 @@ class ShotTable:
 
     def record(self) -> Array:
         """m[i,k] = <chi_k| Lambda |chi_i>, the recorded observable
-        Lambda = scale (n_d - n_c) between the output pulses of branches i, k.
+        Lambda = record_scale (n_d - n_c) between the output pulses of branches i, k.
 
-        With x = beta_i beta_k^* per detector, m = scale (x_d - x_c) times the
+        With x = beta_i beta_k^* per detector, m = record_scale (x_d - x_c) times the
         overlap exp(-(|a_i - a_k|^2 + |b_i - b_k|^2)/2), which is real because
         the interferometer is passive and the input amplitudes are real. The
         difference x_d - x_c = i (a_i b_k^* - b_i a_k^*) is taken from the arms,
@@ -295,7 +290,7 @@ class ShotTable:
         a, b = self._arms()
         x = 1j * (np.outer(a, b.conj()) - np.outer(b, a))
         gap = np.subtract.outer(a, a) ** 2 + np.abs(np.subtract.outer(b, b)) ** 2
-        return self.scale * x * np.exp(-0.5 * gap)
+        return self.basis.record_scale * x * np.exp(-0.5 * gap)
 
     def kraus_diagonal(self, n_c: Array, n_d: Array) -> Array:
         """Kraus diagonals beta_c^n_c beta_d^n_d per (outcome, branch), each row

@@ -208,12 +208,14 @@ class _Record:
         self.s_half = 0.0
         self.s_half2 = 0.0
 
-    def shot(self, rng: np.random.Generator, means_c: Array, means_d: Array, scale: float):
-        """Draw the counts (n_c, n_d) from their Poisson means and record them."""
-        n_c = rng.poisson(means_c).astype(float)
-        n_d = rng.poisson(means_d).astype(float)
+    def shot(self, rng: np.random.Generator, table: ShotTable, rows=slice(None)):
+        """Draw the counts (n_c, n_d) from the Poisson means of ``table``'s
+        coupling values ``rows``, one per sequence, and record them."""
+        means_c, means_d = table.means()
+        n_c = rng.poisson(means_c[rows]).astype(float)
+        n_d = rng.poisson(means_d[rows]).astype(float)
         half = (n_d - n_c) / 2
-        self.prod = self.prod * (2.0 * scale) * half
+        self.prod = self.prod * (2.0 * table.basis.record_scale) * half
         self.s_half += half.sum()
         self.s_half2 += (half * half).sum()
         return n_c, n_d
@@ -231,8 +233,7 @@ def _run_quantum_chunk(
         p = _branch_probabilities(states.real**2 + states.imag**2)
         u = rng.random(n)
         idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
-        means_c, means_d = table.means()
-        n_c, n_d = record.shot(rng, means_c[idx], means_d[idx], table.scale)
+        n_c, n_d = record.shot(rng, table, idx)
         if j < len(plan.rotations):  # the state after the last shot is never read
             states = _kraus_update(states, table, n_c, n_d) @ plan.rotations[j]
     return record.sums()
@@ -270,7 +271,7 @@ def _run_semiclassical_chunk(
     record = _Record(n)
     for j, shot in enumerate(proto.shots):
         table = ShotTable.of(paths[:, j], proto.sensor, shot.basis)
-        record.shot(rng, *table.means(), table.scale)
+        record.shot(rng, table)
     return record.sums()
 
 

@@ -3,6 +3,7 @@ import csv
 import datetime
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +162,10 @@ class TestCliExact:
         # H = Jz, B = 2 Jx on spin-1/2 is the sx coupling precessing at rate 1:
         # C^{+-}(1, 0) = 2 sin 1
         assert float(row["correlation_C[(rad/s)^K]"]) == pytest.approx(2 * math.sin(1.0), rel=1e-10)
-        assert row["gk_leading[counts^K]"] == row["gk_predicted_from_C[counts^K]"]  # one C, one factor
+        # one C, one factor: 2^-K tau^K alpha^2K times C, bit for bit
+        tau, alpha = EXACT_DOC["protocol"]["tau"], EXACT_DOC["protocol"]["alpha"]
+        corr = float(row["correlation_C[(rad/s)^K]"])
+        assert row["gk_leading[counts^K]"] == repr((0.5 * tau * alpha**2) ** 2 * corr)
         lead = float(row["gk_leading[counts^K]"])
         assert float(row["gk_exact_unitary[counts^K]"]) == pytest.approx(lead, rel=1e-2)
 
@@ -574,6 +578,9 @@ SWEEP_DOC = {
 }
 
 
+MATERIALS = str(Path(cli.__file__).parent / "presets" / "materials.yaml")
+
+
 def _write_preset(tmp_path, text):
     path = tmp_path / "scenarios.yaml"
     path.write_text(text)
@@ -722,6 +729,30 @@ INVALID_CONFIGS = [
         lambda tmp: {"command": "snr", "snr": {"preset_file": _write_preset(tmp, "{}\n")}},
         "snr.preset_file has no scenarios",
     ),
+    # snr keys that the named source does not read, and more than one source;
+    # each of these ran something else than asked
+    (
+        "preset-file-with-orders",
+        lambda tmp: {"command": "snr", "snr": {"preset_file": MATERIALS, "orders": [1, 4]}},
+        "snr.orders applies to a preset or a scenario, not to snr.preset_file",
+    ),
+    (
+        "preset-file-with-xi",
+        lambda tmp: {"command": "snr", "snr": {"preset_file": MATERIALS, "xi": 1.0e-6}},
+        "snr.xi applies to a preset only, not to snr.preset_file",
+    ),
+    (
+        "scenario-with-xi",
+        lambda tmp: {"command": "snr", "snr": {"scenario": SCENARIO, "xi": 1.0e-3}},
+        "snr.xi applies to a preset only, not to snr.scenario",
+    ),
+    (
+        "preset-and-scenario",
+        lambda tmp: _doc(SNR_DOC, snr__orders=[2], snr__scenario=SCENARIO),
+        "snr needs exactly one of preset, preset_file and scenario, got ['preset', 'scenario']",
+    ),
+    # and no source at all
+    ("no-snr-source", lambda tmp: {"command": "snr", "snr": {"orders": [2]}}, "got []"),
     # sections snr never reads, holding what manifest.json cannot store
     ("unread-section-date", lambda tmp: dict(SNR_DOC, mc=datetime.date(2024, 1, 1)), "manifest.json"),
     ("unread-section-mixed-keys", lambda tmp: dict(SNR_DOC, mc={1: "a", "b": "c"}), "manifest.json"),
@@ -748,6 +779,32 @@ def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
     assert calls == []
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below-a-file"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, under):
+    # --out names a regular file, or a path below one: refused before the
+    # config is read, so no grid function runs
+    calls = []
+    monkeypatch.setattr(cli, "correlation_grid", lambda *args: calls.append(args))
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / under
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--config", str(write_config(tmp_path, EXACT_DOC)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG
+    assert f"--out {out}" in err and "Traceback" not in err
+    assert calls == []
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_out_is_made_below_existing_directories(tmp_path):
+    # an existing directory, or one to make below directories, is written as before
+    cfg = str(write_config(tmp_path, EXACT_DOC))
+    (tmp_path / "here").mkdir()
+    for out in (tmp_path / "here", tmp_path / "a" / "b"):
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(read_rows(out)) == 1
 
 
 @pytest.mark.parametrize(
@@ -865,7 +922,7 @@ def test_manifest_is_strict_json(tmp_path, doc, path, stored):
 
 EXACT_HEADER = (
     "order_K,shot_times[s],bases,sign_type,alpha,tau[s],correlation_C[(rad/s)^K],gk_leading[counts^K],"
-    "gk_predicted_from_C[counts^K],gk_exact_unitary[counts^K],warning"
+    "gk_exact_unitary[counts^K],warning"
 )
 SIMULATE_HEADER = (
     "order_K,shot_times[s],bases,alpha,tau[s],mode,sequences,seed,mc_mean[counts^K],mc_std_error[counts^K],"
@@ -895,3 +952,16 @@ def test_results_header(tmp_path, doc, header):
     out = tmp_path / "out"
     assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
     assert (out / "results.csv").read_text().splitlines()[0] == header
+
+
+def test_provenance_names_the_columns_written(tmp_path):
+    # each run's manifest gives the provenance of exactly its columns, and
+    # every column with a named provenance is written by some command
+    written = set()
+    for i, (_, doc, _) in enumerate(HEADERS):
+        out = tmp_path / str(i)
+        assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        columns = (out / "results.csv").read_text().splitlines()[0].split(",")
+        assert list(json.loads((out / "manifest.json").read_text())["provenance"]) == sorted(columns)
+        written.update(columns)
+    assert set(cli.PROVENANCE) <= written, f"stale provenance: {sorted(set(cli.PROVENANCE) - written)}"

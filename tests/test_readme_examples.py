@@ -1,7 +1,7 @@
 """Every README example runs clean through the CLI: finite cells, a strict-JSON
-manifest that replays it, `exact`'s leading order equal to its prediction from
-C and, with include_exact_unitary, the all-orders column filled; `simulate`
-with default workers against one."""
+manifest that replays it, `exact`'s leading order equal to 2^-K tau^K alpha^2K
+times its C bit for bit and, with include_exact_unitary, the all-orders column
+filled; `simulate` with default workers against one."""
 
 import csv
 import json
@@ -49,10 +49,16 @@ def test_readme_example(tmp_path, block, command):
     bad = sorted({cell for row in rows[1:] for cell in row if non_finite(cell)})
     assert not bad, f"non-finite cells {bad}"
     if command == "exact":
-        lead, pred = (rows[0].index(f"gk_{name}[counts^K]") for name in ("leading", "predicted_from_C"))
-        differ = [n for n, row in enumerate(rows[1:], 1) if row[lead] != row[pred]]
-        assert not differ, f"gk_leading is not gk_predicted_from_C in rows {differ}"
-        if yaml.safe_load(block).get("exact", {}).get("include_exact_unitary"):
+        doc = yaml.safe_load(block)
+        tau, alpha = doc["protocol"]["tau"], doc["protocol"]["alpha"]
+        columns = ("gk_leading[counts^K]", "correlation_C[(rad/s)^K]", "order_K")
+        lead, corr, order = (rows[0].index(name) for name in columns)
+        differ = [
+            n for n, row in enumerate(rows[1:], 1)
+            if row[lead] != repr((0.5 * tau * alpha**2) ** int(row[order]) * float(row[corr]))
+        ]
+        assert not differ, f"gk_leading is not 2^-K tau^K alpha^2K C in rows {differ}"
+        if doc.get("exact", {}).get("include_exact_unitary"):
             column = rows[0].index("gk_exact_unitary[counts^K]")
             empty = [n for n, row in enumerate(rows[1:], 1) if not row[column]]
             assert not empty, f"no gk_exact_unitary in rows {empty}"

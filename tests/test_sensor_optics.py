@@ -300,11 +300,11 @@ class TestDetectorMeans:
 
     @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
     def test_record_diagonal_is_the_scaled_mean_difference(self, basis):
-        # the record's diagonal, formed from the arms, is scale (mu_d - mu_c)
+        # the record's diagonal, formed from the arms, is record_scale (mu_d - mu_c)
         for alpha in (0.5, 3.0, 40.0):
             table = shot(alpha, np.linspace(-0.7, 0.9, 7), basis)
             means_c, means_d = table.means()
-            gap = np.diag(table.record()) - table.scale * (means_d - means_c)
+            gap = np.diag(table.record()) - table.basis.record_scale * (means_d - means_c)
             assert np.max(np.abs(gap)) <= 1e-14 * alpha**2
 
 

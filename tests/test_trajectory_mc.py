@@ -158,14 +158,17 @@ class TestKrausSampler:
 class TestShotRecord:
     def test_per_basis_record(self):
         # S2 records the half difference (n_d - n_c)/2, S3 the raw difference n_d - n_c;
-        # the half-difference sums do not depend on the basis
-        means_c, means_d = np.array([2.0, 5.0, 0.5]), np.array([4.0, 1.0, 3.0])
+        # the half-difference sums do not depend on the basis. Each sequence draws
+        # at the means of its row of the shot's table, every row by default
+        sensor, values = SensorConfig(alpha=2.0, tau=0.5), np.array([-3.0, 1.0, 4.0])
         rng, ref = np.random.default_rng(4), np.random.default_rng(4)
         record = _Record(3)
         expect = np.ones(3)
         halves = []
-        for basis, factor in ((S2, 0.5), (S3, 1.0), (S2, 0.5)):
-            n_c, n_d = record.shot(rng, means_c, means_d, basis.record_scale)
+        for basis, factor, rows in ((S2, 0.5, np.array([2, 0, 2])), (S3, 1.0, None), (S2, 0.5, None)):
+            table = ShotTable.of(values, sensor, basis)
+            means_c, means_d = (m if rows is None else m[rows] for m in table.means())
+            n_c, n_d = record.shot(rng, table) if rows is None else record.shot(rng, table, rows)
             assert np.array_equal(n_c, ref.poisson(means_c)) and np.array_equal(n_d, ref.poisson(means_d))
             expect = expect * (factor * (n_d - n_c))
             halves.append((n_d - n_c) / 2)

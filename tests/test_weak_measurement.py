@@ -262,7 +262,7 @@ class TestShotInstrument:
             + n_c[:, None] * np.log(beta_c.astype(complex))[None, :]
             + n_d[:, None] * np.log(beta_d.astype(complex))[None, :]
         )
-        moment = table.scale * ((n_d - n_c)[:, None] * kraus).T @ kraus.conj()
+        moment = table.basis.record_scale * ((n_d - n_c)[:, None] * kraus).T @ kraus.conj()
         m = table.record()
         assert np.max(np.abs(moment - m)) <= 1e-12 * np.max(np.abs(m))
 
