@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .config import NON_FINITE, ExactRun, Run, SimulateRun, SnrRun, SweepRun, lo
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
-from .weak_measurement import gk_exact_unitary_grid, gk_leading_grid, leading_order
+from .weak_measurement import ProtocolWarning, gk_exact_unitary_grid, gk_leading_grid, leading_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,57 +66,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _protocol_row_base(proto, **after_bases) -> dict:
-    return {
-        "order_K": proto.order,
-        "shot_times[s]": ";".join(repr(s.time) for s in proto.shots),
+def _protocol_columns(proto, finals, **after_bases) -> list[dict]:
+    """The protocol columns of each final time's row: those of ``proto``
+    with its last shot at that time. All but that time are formed once."""
+    first = "".join(f"{s.time!r};" for s in proto.shots[:-1])
+    fixed = {
         "bases": ";".join(s.basis.value for s in proto.shots),
         **after_bases,
         "alpha": proto.sensor.alpha,
         "tau[s]": proto.sensor.tau,
     }
-
-
-def _final_times(protocols) -> list[float]:
-    """The last shot's time of each protocol. build_protocols varies only that
-    time, so each column is one grid evaluation of the first protocol: its
-    first K-1 shots are applied once per chain."""
-    return [proto.shots[-1].time for proto in protocols]
+    return [{"order_K": proto.order, "shot_times[s]": first + repr(t), **fixed} for t in finals]
 
 
 def cmd_exact(run: ExactRun) -> list[dict]:
-    model, protocols = run.model, run.protocols
-    head, finals = protocols[0], _final_times(protocols)
-    query = head.query()
+    """One row per final time; each column is one grid evaluation of the
+    protocol, whose first K-1 shots are applied once per chain."""
+    model, proto, finals = run.model, run.protocol, run.finals
+    query = proto.query()
     corr = correlation_grid(model, query, finals)
-    leading = leading_order(head, corr)  # gk_leading_grid, from the C already computed
+    leading = leading_order(proto, corr)  # gk_leading_grid, from the C already computed
     exact = None
     if run.engine is not None:
-        exact = gk_exact_unitary_grid(model, head, finals, run.engine == "fock")
+        exact = gk_exact_unitary_grid(model, proto, finals, run.engine == "fock")
     return [
         {
-            **_protocol_row_base(proto, sign_type=query.label()),
+            **columns,
             "correlation_C[(rad/s)^K]": float(corr[i]),
             "gk_leading[counts^K]": float(leading[i]),
             "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
             "warning": run.protocol_warning,
         }
-        for i, proto in enumerate(protocols)
+        for i, columns in enumerate(_protocol_columns(proto, finals, sign_type=query.label()))
     ]
 
 
 def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], list[dict]]:
     """The simulate rows, plus the worker and chunk layout of each
     protocol's Monte Carlo; ``threads`` None takes ``default_workers``."""
-    mc = run.mc
-    leading = exact = [None] * len(run.protocols)
+    mc, finals = run.mc, run.finals
+    leading = exact = [None] * len(finals)
     if mc.mode == "kraus_quantum":
-        head, finals = run.protocols[0], _final_times(run.protocols)
-        leading = gk_leading_grid(mc.model, head, finals).tolist()
-        exact = gk_exact_unitary_grid(mc.model, head, finals).tolist()
+        leading = gk_leading_grid(mc.model, run.protocol, finals).tolist()
+        exact = gk_exact_unitary_grid(mc.model, run.protocol, finals).tolist()
     rows, layout = [], []
-    for proto, lead, ex in zip(run.protocols, leading, exact):
-        cfg = replace(mc, proto=proto)
+    for t, columns, lead, ex in zip(finals, _protocol_columns(run.protocol, finals), leading, exact):
+        with warnings.catch_warnings():  # its text is in the run's warning column already
+            warnings.simplefilter("ignore", ProtocolWarning)
+            cfg = replace(mc, proto=run.protocol.at(t))
         cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
         est = run_sequences(cfg)
         layout.append({"workers": est.workers, "chunks": est.chunks})
@@ -123,7 +121,7 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], lis
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
         rows.append(
             {
-                **_protocol_row_base(proto),
+                **columns,
                 "mode": mc.mode,
                 "sequences": est.n_sequences,
                 "seed": mc.seed,

@@ -35,6 +35,7 @@ _MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
 # TargetModel.spectral (10.2 measured as peak RSS at two_j = 1400).
 _SPIN_MODEL_PEAK_MATRICES = 11
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
+_DEFAULT_L = 1.0  # snr.L when neither the section nor the scenario sets it
 # YAML's spellings of the non-finite floats. manifest.json stores a non-finite
 # config value as its spelling (``cli._stored_config``), and a number or sweep
 # value reads the spelling back, so a stored config replays as it stands.
@@ -51,16 +52,18 @@ class Run:
 @dataclass(frozen=True)
 class ExactRun(Run):
     model: TargetModel
-    protocols: list[ProtocolSpec]
+    protocol: ProtocolSpec  # the protocol at finals[0]
+    finals: tuple[float, ...]  # its last shot's times, one row each
     protocol_warning: str
     engine: str | None  # the all-orders column's engine, "coherent" or "fock"; None: no such column
 
 
 @dataclass(frozen=True)
 class SimulateRun(Run):
-    protocols: list[ProtocolSpec]
+    protocol: ProtocolSpec  # the protocol at finals[0]
+    finals: tuple[float, ...]  # its last shot's times, one Monte Carlo each
     protocol_warning: str
-    mc: TrajectoryConfig  # for the first protocol, one worker
+    mc: TrajectoryConfig  # for ``protocol``, one worker
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,13 @@ class SweepRun(Run):
 
 
 def load_config(path) -> dict:
+    """The YAML document at ``path``. libyaml's safe loader reads it when
+    PyYAML was built with libyaml, else PyYAML's own: the same constructor
+    and resolver, so both give the same document, but libyaml's scanner
+    takes a fraction of the time on a long final-time grid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -204,9 +211,11 @@ def build_model(model_cfg: dict) -> TargetModel:
         return TargetModel(hamiltonian=h, coupling=b, initial_state=rho)
 
 
-def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
-    """Parse the ``protocol`` section: one ProtocolSpec per final-time grid
-    point (or a single one)."""
+def _protocol_grid(proto_cfg: dict) -> tuple[ProtocolSpec, tuple[float, ...]]:
+    """Parse the ``protocol`` section into the protocol at the first final
+    time and the final times: the grid's, or the last shot's own time. The
+    grid checks make every final time one the protocol can hold, so only the
+    first protocol is built."""
     _check_keys(proto_cfg, {"alpha", "tau", "shots", "final_time_grid"}, "protocol")
     alpha = _number(_require(proto_cfg, "alpha", "protocol"), "protocol.alpha")
     tau = _number(_require(proto_cfg, "tau", "protocol"), "protocol.tau")
@@ -232,9 +241,15 @@ def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
         sensor = SensorConfig(alpha=alpha, tau=tau)
     with _constructing("protocol.shots"):
         if grid is None:
-            return [ProtocolSpec(shots=tuple(shots), sensor=sensor)]
-        head, last = tuple(shots[:-1]), shots[-1].basis
-        return [ProtocolSpec((*head, ShotSpec(t, last)), sensor) for t in grid]
+            return ProtocolSpec(shots=tuple(shots), sensor=sensor), (shots[-1].time,)
+        return ProtocolSpec((*shots[:-1], ShotSpec(grid[0], shots[-1].basis)), sensor), tuple(grid)
+
+
+def build_protocols(proto_cfg: dict) -> list[ProtocolSpec]:
+    """Parse the ``protocol`` section: one ProtocolSpec per final-time grid
+    point (or a single one)."""
+    protocol, finals = _protocol_grid(proto_cfg)
+    return [protocol, *map(protocol.at, finals[1:])]
 
 
 def build_field(field_cfg: dict) -> ClassicalFieldModel:
@@ -247,11 +262,17 @@ def build_field(field_cfg: dict) -> ClassicalFieldModel:
         return ClassicalFieldModel(kind=FieldKind(kind), amplitude=amplitude, correlation_time=tc)
 
 
-def _scenario(params, where: str, L: float, orders) -> list[tuple[int, SnrScenario]]:
-    """A scenario mapping at its own K, or at each of ``orders`` when given."""
+def _scenario(params, where: str, L: float | None, orders) -> list[tuple[int, SnrScenario]]:
+    """A scenario mapping at its own K, or at each of ``orders`` when given;
+    ``L`` is snr.L, None when the section does not set it."""
     _check_keys(params, {*_SCENARIO_KEYS, "L", "K", "xi"}, where)
+    if "L" in params:
+        if L is not None:
+            raise ConfigError(f"snr.L applies to a preset or to scenarios without their own L, "
+                              f"not to {where}, which sets {where}.L")
+        L = _number(params["L"], f"{where}.L")
     values = {k: _number(_require(params, k, where), f"{where}.{k}") for k in _SCENARIO_KEYS}
-    values["L"] = _number(params.get("L", L), f"{where}.L")
+    values["L"] = _DEFAULT_L if L is None else L
     own_xi = params.get("xi")
     values["xi"] = None if own_xi is None else _number(own_xi, f"{where}.xi")
     if "K" in params or orders is None:
@@ -275,7 +296,7 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
     if "xi" in snr_cfg and "preset" not in snr_cfg:
         raise ConfigError(f"snr.xi applies to a preset only, not to snr.{sources[0]}, "
                           "whose scenarios set their own xi")
-    L = _number(snr_cfg.get("L", 1.0), "snr.L")
+    L = _number(snr_cfg["L"], "snr.L") if "L" in snr_cfg else None
     orders = snr_cfg.get("orders")
     if orders is not None:
         orders = _nonempty_list(orders, "snr.orders")
@@ -301,21 +322,21 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
         raise ConfigError("snr.orders is required with a preset")
     xi = None if snr_cfg.get("xi") is None else _number(snr_cfg["xi"], "snr.xi")
     with _constructing("snr.orders"):
-        return [(k, lihof4_scenario(K=k, L=L, xi=xi)) for k in orders]
+        return [(k, lihof4_scenario(K=k, L=_DEFAULT_L if L is None else L, xi=xi)) for k in orders]
 
 
-def _protocols(proto_cfg: dict) -> tuple[list[ProtocolSpec], str]:
-    """The protocols, and the text of the ProtocolWarnings building them raised."""
+def _protocol(proto_cfg: dict) -> tuple[ProtocolSpec, tuple[float, ...], str]:
+    """``_protocol_grid``, and the text of the ProtocolWarnings building it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ProtocolWarning)
-        protocols = build_protocols(proto_cfg)
+        protocol, finals = _protocol_grid(proto_cfg)
     text = "; ".join(sorted({str(w.message) for w in caught if w.category is ProtocolWarning}))
-    return protocols, text
+    return protocol, finals, text
 
 
 def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     model = build_model(_require(raw, "model", "top level"))
-    protocols, warning = _protocols(_require(raw, "protocol", "top level"))
+    protocol, finals, warning = _protocol(_require(raw, "protocol", "top level"))
     section = raw.get("exact", {})
     _check_keys(section, {"include_exact_unitary", "engine"}, "exact")
     include = section.get("include_exact_unitary", False)
@@ -326,14 +347,14 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
         raise ConfigError("exact.engine: fock computes the all-orders column only, so it needs "
                           "exact.include_exact_unitary: true")
     if engine == "fock":  # exit 4 before any run of a sweep computes
-        check_fock_memory(required_cutoff(protocols[0].sensor.alpha))
-    return ExactRun(seed, model, protocols, warning, engine if include else None)
+        check_fock_memory(required_cutoff(protocol.sensor.alpha))
+    return ExactRun(seed, model, protocol, finals, warning, engine if include else None)
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     if seed is None:
         raise ConfigError("simulate requires an explicit top-level seed")
-    protocols, warning = _protocols(_require(raw, "protocol", "top level"))
+    protocol, finals, warning = _protocol(_require(raw, "protocol", "top level"))
     mc = _require(raw, "mc", "top level")
     _check_keys(mc, {"sequences", "mode", "field"}, "mc")
     sequences = _integer(_require(mc, "sequences", "mc"), "mc.sequences")
@@ -344,9 +365,9 @@ def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     else:
         target = build_field(_require(mc, "field", "mc"))
     with _constructing("mc"):
-        cfg = TrajectoryConfig(sequences, seed, mode, protocols[0], target)
+        cfg = TrajectoryConfig(sequences, seed, mode, protocol, target)
     check_mc_memory(cfg)  # at one worker, the layout default_workers falls back to
-    return SimulateRun(seed, protocols, warning, cfg)
+    return SimulateRun(seed, protocol, finals, warning, cfg)
 
 
 def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:

@@ -76,6 +76,11 @@ class ProtocolSpec:
     def order(self) -> int:
         return len(self.shots)
 
+    def at(self, final: float) -> ProtocolSpec:
+        """This protocol with its last shot at ``final``: one point of the
+        final-time grids below."""
+        return ProtocolSpec((*self.shots[:-1], ShotSpec(final, self.shots[-1].basis)), self.sensor)
+
     def query(self) -> CorrelationQuery:
         return CorrelationQuery(
             times=tuple(s.time for s in self.shots),

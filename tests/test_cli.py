@@ -18,7 +18,7 @@ from faradaycorr.config import (
     set_config_path,
     validate_config,
 )
-from faradaycorr import correlations, errors, quantum_core, sensor_optics, trajectory_mc, weak_measurement
+from faradaycorr import config, correlations, errors, quantum_core, sensor_optics, trajectory_mc, weak_measurement
 from faradaycorr.errors import ConfigError
 
 
@@ -147,6 +147,24 @@ class TestBuilders:
         protos = build_protocols(proto_cfg)
         assert [p.shots[-1].time for p in protos] == [0.5, 1.0, 1.5]
         assert all(p.shots[0].time == 0.0 for p in protos)
+
+    @pytest.mark.parametrize("grid", [None, [0.5, 1.0 / 3.0, 1.5, 2.0]], ids=["own-time", "grid"])
+    def test_build_protocols_expands_the_parsed_pair(self, grid):
+        shots = [{"time": 0.0, "basis": "S3"}, {"time": 0.25, "basis": "S2"}, {"time": 1.0, "basis": "S2"}]
+        proto_cfg = dict(EXACT_DOC["protocol"], shots=shots)
+        if grid is not None:
+            proto_cfg["final_time_grid"] = grid
+        run = config.parse_config(dict(EXACT_DOC, protocol=proto_cfg))
+        protocol, finals = run.protocol, run.finals
+        assert finals == ((1.0,) if grid is None else tuple(grid))
+        expanded = [
+            weak_measurement.ProtocolSpec(
+                (*protocol.shots[:-1], weak_measurement.ShotSpec(t, protocol.shots[-1].basis)), protocol.sensor
+            )
+            for t in finals
+        ]
+        assert build_protocols(proto_cfg) == expanded
+        assert expanded[0] == protocol
 
 
 class TestCliExact:
@@ -280,6 +298,45 @@ class TestCliExact:
         assert main([*args, str(tmp_path / "blocked")]) == EXIT_OK
         blocked = (tmp_path / "blocked" / "results.csv").read_bytes()
         assert blocked == (tmp_path / "whole" / "results.csv").read_bytes()
+
+
+class TestCliExactGrid:
+    """A final-time grid is one protocol and its finals from the parse to results.csv."""
+
+    HEAD = [{"time": 0.0, "basis": "S3"}, {"time": 0.1, "basis": "S2"}]
+    FINALS = [0.1 + i / 7.0 for i in range(64)]
+    COMPUTED = ("correlation_C[(rad/s)^K]", "gk_leading[counts^K]", "gk_exact_unitary[counts^K]")
+
+    def grid_doc(self, last_time, last_basis="S2"):
+        shots = [*self.HEAD, {"time": last_time, "basis": last_basis}]
+        return _doc(EXACT_DOC, protocol__shots=shots, protocol__final_time_grid=self.FINALS)
+
+    def run_rows(self, tmp_path, doc, name):
+        out = tmp_path / name
+        assert main(["exact", "--config", str(write_config(tmp_path, doc, f"{name}.yaml")), "--out", str(out)]) == EXIT_OK
+        return read_rows(out)
+
+    def test_rows_match_the_run_at_each_final_time(self, tmp_path):
+        rows = self.run_rows(tmp_path, self.grid_doc(1.0), "grid")
+        assert len(rows) == len(self.FINALS)
+        for row, final in zip(rows, self.FINALS):
+            assert row["shot_times[s]"] == ";".join(repr(t) for t in [0.0, 0.1, final])
+        for i in (0, 1, 37, 63):  # the no-grid run at that final time
+            doc = _doc(EXACT_DOC, protocol__shots=[*self.HEAD, {"time": self.FINALS[i], "basis": "S2"}])
+            (single,) = self.run_rows(tmp_path, doc, f"point{i}")
+            fixed = {key: value for key, value in single.items() if key not in self.COMPUTED}
+            assert {key: rows[i][key] for key in fixed} == fixed
+
+    def test_own_last_time_before_its_shot_is_not_read(self, tmp_path):
+        # the grid replaces the last shot's own time, which is parsed as a number but never ordered
+        early = self.run_rows(tmp_path, self.grid_doc(-5.0), "early")
+        assert early == self.run_rows(tmp_path, self.grid_doc(self.FINALS[0]), "valid")
+
+    def test_closing_s3_grid_warns_in_every_row(self, tmp_path):
+        rows = self.run_rows(tmp_path, self.grid_doc(1.0, "S3"), "closing-s3")
+        text = "last shot is an S3 (commutator) readout: the expected signal vanishes identically"
+        assert {row["warning"] for row in rows} == {text}
+        assert {row["bases"] for row in rows} == {"S3;S2;S3"}
 
 
 class TestCliSimulate:
@@ -753,6 +810,18 @@ INVALID_CONFIGS = [
     ),
     # and no source at all
     ("no-snr-source", lambda tmp: {"command": "snr", "snr": {"orders": [2]}}, "got []"),
+    # snr.L beside a scenario that sets its own L, which it overrode without a word
+    (
+        "scenario-own-L-with-snr-L",
+        lambda tmp: {"command": "snr", "snr": {"scenario": SCENARIO, "L": 100.0}},
+        "snr.L applies to a preset or to scenarios without their own L, "
+        "not to snr.scenario, which sets snr.scenario.L",
+    ),
+    (
+        "preset-file-own-L-with-snr-L",
+        lambda tmp: {"command": "snr", "snr": {"preset_file": MATERIALS, "L": 100.0}},
+        "not to snr.preset_file.lihof4_k2, which sets snr.preset_file.lihof4_k2.L",
+    ),
     # sections snr never reads, holding what manifest.json cannot store
     ("unread-section-date", lambda tmp: dict(SNR_DOC, mc=datetime.date(2024, 1, 1)), "manifest.json"),
     ("unread-section-mixed-keys", lambda tmp: dict(SNR_DOC, mc={1: "a", "b": "c"}), "manifest.json"),
