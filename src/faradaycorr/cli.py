@@ -58,14 +58,6 @@ PROVENANCE = {
 }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _protocol_columns(proto, finals, **after_bases) -> list[dict]:
     """The protocol columns of each final time's row: those of ``proto``
     with its last shot at that time. All but that time are formed once."""
@@ -206,9 +198,9 @@ def _write_outputs(out_dir: Path, rows, layout, stored: dict, config_sha256: str
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = list(rows[0])
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")  # None as "", floats by repr, the rest by str
         writer.writerow(columns)
-        writer.writerows([_fmt(value) for value in row.values()] for row in rows)
+        writer.writerows(row.values() for row in rows)
     manifest = {
         "tool_version": __version__,
         "command": command,

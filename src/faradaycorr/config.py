@@ -347,7 +347,7 @@ def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
         raise ConfigError("exact.engine: fock computes the all-orders column only, so it needs "
                           "exact.include_exact_unitary: true")
     if engine == "fock":  # exit 4 before any run of a sweep computes
-        check_fock_memory(required_cutoff(protocol.sensor.alpha))
+        check_fock_memory(required_cutoff(protocol.sensor.alpha), model.dim)
     return ExactRun(seed, model, protocol, finals, warning, engine if include else None)
 
 

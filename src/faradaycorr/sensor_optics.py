@@ -5,9 +5,10 @@ Conventions fixed here, once, for the whole package:
 
 * The sensor space keeps n_max = ``required_cutoff(alpha)`` photons per mode.
   S3 and the recorded observables conserve the photon number N, and sector
-  N is a spin N/2 with basis index n_V (|N, 0> = |j, j>): the runtime sums
-  over these sectors. The dense helpers order the two-mode space H ⊗ V and
-  store a state as a flat vector or a grid psi[n_H, n_V].
+  N is a spin N/2 with basis index n_V (|N, 0> = |j, j>): the Fock engine
+  sums over these sectors, one row per S3 eigenvector (``SectorRows``). The
+  dense helpers order the two-mode space H ⊗ V and store a state as a flat
+  vector or a grid psi[n_H, n_V].
 * A magnetization eigenvalue b acting for a pulse of duration tau rotates the
   polarization plane by theta = b*tau/2 (the generator is exp(-i S3 b tau),
   and S3 is defined with a 1/2 prefactor).
@@ -40,7 +41,7 @@ import numpy as np
 
 from .correlations import BranchSign
 from .errors import TruncationError, check_memory
-from .quantum_core import Array, spin_operators
+from .quantum_core import Array
 
 
 class MeasurementBasis(Enum):
@@ -86,7 +87,7 @@ def required_cutoff(alpha: float) -> int:
     cutoff beyond the float range fails the Fock memory guard."""
     need = alpha * alpha + 10 * alpha + 10
     if need == math.inf:
-        check_fock_memory(need)
+        check_fock_memory(need, 1)  # refused whatever the coupling
     return int(math.ceil(need))
 
 
@@ -169,60 +170,90 @@ def apply_s3(psi: Array) -> Array:
 
 # -- photon-number sectors ---------------------------------------------------
 
-def check_fock_memory(n_max: float) -> None:
-    """The memory guard of the sector eigendata at cutoff ``n_max``: the Jx
-    blocks take 16 sum (N+1)^2 bytes, here in closed form and in floats, so
-    that a huge n_max is refused at once."""
+# Peak bytes of ``fock_record``: ROW_BYTES per row plus ROW_COLUMN_BYTES per
+# row and coupling value bound its tracemalloc peaks at n_max = 34..1210 and
+# 1..64 values. From n_max = 210 on the peaks were 40 bytes per row plus 48
+# per row and value; at n_max = 34 fixed costs bring them up to 91% of the bound.
+ROW_BYTES = 96
+ROW_COLUMN_BYTES = 64
+
+
+def check_fock_memory(n_max: float, columns: int) -> None:
+    """The memory guard of the sector rows at cutoff ``n_max`` for
+    ``columns`` coupling values (at most the model dimension): the
+    (n_max+1)(n_max+2)/2 rows, here in floats so that a huge n_max is
+    refused at once."""
     n = float(n_max)
-    nbytes = 16 * (n + 1) * (n + 2) * (2 * n + 3) / 6
+    nbytes = (n + 1) * (n + 2) / 2 * (ROW_BYTES + columns * ROW_COLUMN_BYTES)
     check_memory(nbytes, f"Fock sector eigendata (n_max={n:.4g})")
 
 
-@lru_cache(maxsize=1)  # one entry, so the cache never holds more than one guarded size
-def _sector_eigendata(n_max: int) -> tuple[tuple[Array, Array, Array], ...]:
-    """Per photon-number sector N <= n_max: the eigenvalues s of S3 = Jy,
-    the components of |N, 0> = |j, j> on its eigenvectors, and S2 = Jx in
-    that eigenbasis (spin j = N/2, basis index n_V, ``spin_operators(N)``).
-    The Jx blocks, sum (N+1)^2 complex numbers, are what the cache holds;
-    they cost sum (N+1)^3 ~ n_max^4/4 to compute, against (n_max+1)^6 for
-    the dense two-mode space."""
-    check_fock_memory(n_max)
-    sectors = []
-    for n in range(n_max + 1):
-        jx, jy, _ = spin_operators(n)
-        s, u = np.linalg.eigh(jy)
-        sector = (s, u[0].conj(), u.conj().T @ jx @ u)
-        for a in sector:
-            a.setflags(write=False)  # shared by every later call at this n_max
-        sectors.append(sector)
-    return tuple(sectors)
+@dataclass(frozen=True)
+class SectorRows:
+    """The photon-number sectors N <= n_max = ``required_cutoff(alpha)`` of
+    the pulse |alpha, H>, one row per (N, k), k = 0..N, on the eigenvectors
+    of S3.
 
+    Sector N is a spin j = N/2 with basis index n_V (|N, 0> = |j, j>), and
+    S3 = Jy there. Jy is Jz rotated by pi/2 about x, and that rotation leaves
+    Jx as it is. So the k-th eigenvector of Jy has the eigenvalue s = N/2 - k,
+    |j, j> has on it the component (-i)^k sqrt(C(N, k)) / 2^(N/2) (the Wigner
+    d-matrix at pi/2), and Jx on the eigenvectors is the tridiagonal Jx of the
+    Jz basis. A row holds s, that component, the pulse weight |c_N|^2 of its
+    sector, and the Jx element sqrt((k+1)(N-k))/2 to the next row, which is
+    0 on each sector's last row, so that no product reaches the next sector.
+    """
 
-def _pulse_sectors(alpha: float):
-    """(|c_N|^2, sector eigendata) per photon-number sector N <= n_max of
-    the pulse |alpha, H>, which has weight |c_N|^2 in sector N at |j, j>;
-    n_max = ``required_cutoff(alpha)``."""
-    n_max = required_cutoff(alpha)
-    sectors = _sector_eigendata(n_max)  # its memory guard runs before any n_max-sized array
-    return zip(np.abs(_coherent_mode(alpha, n_max + 1)) ** 2, sectors)
+    s: Array
+    component: Array
+    weight: Array
+    jx: Array
 
+    @classmethod
+    def of(cls, alpha: float, columns: int) -> "SectorRows":
+        """The rows of the pulse, for a record of ``columns`` coupling values."""
+        n_max = required_cutoff(alpha)
+        check_fock_memory(n_max, columns)  # before any n_max-sized array
+        sector = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+        k = np.arange(sector.size) - sector * (sector + 1) // 2
+        lf = log_factorial(np.arange(n_max + 1))
+        log_component = 0.5 * (lf[sector] - lf[k] - lf[sector - k]) - 0.5 * math.log(2.0) * sector
+        return cls(
+            s=sector / 2 - k,
+            component=np.exp(log_component) * np.array([1, -1j, -1, 1j])[k % 4],
+            weight=(np.abs(_coherent_mode(alpha, n_max + 1)) ** 2)[sector],
+            jx=0.5 * np.sqrt((k + 1) * (sector - k)),
+        )
 
-def _sector_record(basis: MeasurementBasis, s: Array, jx: Array, phi: Array) -> Array:
-    """The recorded observable on the columns of ``phi``, sector amplitudes in
-    the S3 eigenbasis: S2 = Jx, or 2*S3 = 2s for the raw R/L count."""
-    return jx @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
+    def apply(self, basis: MeasurementBasis, phi: Array) -> Array:
+        """The recorded observable on the columns of ``phi``, amplitudes on
+        the rows: S2 = Jx as two shifted products, or 2*S3 = 2s for the raw
+        R/L count."""
+        if basis is MeasurementBasis.S3:
+            return 2.0 * self.s[:, None] * phi
+        c = self.jx[:-1, None]
+        out = np.zeros_like(phi)
+        np.multiply(c, phi[1:], out=out[:-1])
+        out[1:] += c * phi[:-1]
+        return out
+
+    def record(self, tb: Array, basis: MeasurementBasis) -> Array:
+        """m[i,k] = <chi_k| Lambda |chi_i> between the pulses rotated by
+        exp(-i S3 tb) for the entries of ``tb``: one weighted
+        phi^H Lambda phi over all rows."""
+        phi = np.exp(-1j * np.outer(self.s, tb))  # |chi_b> per column
+        phi *= self.component[:, None]
+        applied = self.apply(basis, phi)
+        applied *= self.weight[:, None]
+        return (phi.conj().T @ applied).T
 
 
 def fock_record(alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis) -> Array:
     """Truncated-Fock cross-check of ``ShotTable.record``: m[i,k] =
     <chi_k| Lambda |chi_i> between the pulses rotated by exp(-i S3 tau b)
-    for the coupling eigenvalues b, summed exactly over the sectors."""
+    for the coupling eigenvalues b, summed exactly over the sector rows."""
     tb = tau * np.asarray(eigvals, dtype=float)
-    m = np.zeros((tb.size, tb.size), dtype=complex)
-    for weight, (s, v0, jx) in _pulse_sectors(alpha):
-        phi = np.exp(-1j * np.outer(s, tb)) * v0[:, None]  # |chi_b> per column
-        m += weight * (phi.conj().T @ _sector_record(basis, s, jx, phi))
-    return m.T
+    return SectorRows.of(alpha, tb.size).record(tb, basis)
 
 
 def _count_log_modulus(beta: Array, counts: Array) -> Array:

@@ -146,6 +146,18 @@ def _branch_probabilities(p: Array) -> Array:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _draw_branches(p: Array, u: Array) -> Array:
+    """The branch of each row of probabilities ``p`` that its uniform draw u
+    in [0, 1) falls in: the first whose cumulative sum exceeds u. When
+    roundoff leaves a row's total at or below u, no sum exceeds it, and the
+    row draws its last branch with nonzero probability rather than branch 0."""
+    cum = np.cumsum(p, axis=1)
+    idx = (cum > u[:, None]).argmax(axis=1)
+    short = np.flatnonzero(cum[:, -1] <= u)
+    idx[short] = p.shape[1] - 1 - (p[short, ::-1] > 0).argmax(axis=1)
+    return idx
+
+
 def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Array:
     """Apply the Kraus element of each outcome to the state vector in the same
     row (amplitudes in the shot's eigenbasis) and renormalize.
@@ -231,8 +243,7 @@ def _run_quantum_chunk(
     record = _Record(n)
     for j, table in enumerate(plan.tables):
         p = _branch_probabilities(states.real**2 + states.imag**2)
-        u = rng.random(n)
-        idx = (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
+        idx = _draw_branches(p, rng.random(n))
         n_c, n_d = record.shot(rng, table, idx)
         if j < len(plan.rotations):  # the state after the last shot is never read
             states = _kraus_update(states, table, n_c, n_d) @ plan.rotations[j]

@@ -6,10 +6,12 @@ against. None of them is runtime code.
 * The per-shot chains take a fresh matrix exponential for every B(t) and a
   fresh eigendecomposition of B(t) for every all-orders shot, where the
   package walks from shot to shot on ``TargetModel.spectral``.
-* The records are the closed form of ``ShotTable.record`` and the dense
-  (n_max+1)^2 two-mode Fock computation that the sector engine replaces.
+* The records are the closed form of ``ShotTable.record``, the dense
+  (n_max+1)^2 two-mode Fock computation, and a per-sector one with a
+  numerical eigendecomposition of S3 = Jy in each photon-number sector,
+  where the package has the sector rows in closed form.
 * The selection traces show which branch each readout basis picks out, from
-  the photon-number sectors of the pulse.
+  the photon-number sector rows of the pulse.
 * The Kraus references act on one density matrix per shot, or on n x d x d
   density matrices per chunk, where the Monte Carlo carries state vectors.
 """
@@ -29,21 +31,22 @@ from faradaycorr.quantum_core import (
     cluster_eigenvalues,
     hermitian_expm,
     require_hermitian,
+    spin_operators,
 )
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
+    SectorRows,
     SensorConfig,
     ShotTable,
-    _pulse_sectors,
-    _sector_record,
+    _coherent_mode,
     apply_s2,
     apply_s3,
     coherent_state,
-    fock_record,
     log_factorial,
+    required_cutoff,
     stokes_operators,
 )
-from faradaycorr.trajectory_mc import _branch_probabilities
+from faradaycorr.trajectory_mc import _branch_probabilities, _draw_branches
 from faradaycorr.weak_measurement import ProtocolSpec
 
 
@@ -150,15 +153,36 @@ def dense_fock_records(alpha, tau, eigvals, n_max: int) -> dict:
     return records
 
 
+def eigh_sector_record(n: int, tb, basis: MeasurementBasis) -> Array:
+    """Reference record of photon-number sector N = ``n`` alone, from the
+    pulse's |N, 0> = |j, j> rotated by exp(-i S3 tb): the eigenvalues s of
+    S3 = Jy from ``eigh`` of ``spin_operators(n)``, the components of |j, j>
+    on its eigenvectors, and S2 = Jx in that eigenbasis."""
+    jx, jy, _ = spin_operators(n)
+    s, u = np.linalg.eigh(jy)
+    phi = np.exp(-1j * np.outer(s, tb)) * u[0].conj()[:, None]  # |chi_b> per column
+    applied = (u.conj().T @ jx @ u) @ phi if basis is MeasurementBasis.S2 else 2.0 * s[:, None] * phi
+    return (phi.conj().T @ applied).T
+
+
+def eigh_fock_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
+    """Reference for ``fock_record``: the sector records N <= n_max =
+    ``required_cutoff(alpha)`` weighted by the pulse's |c_N|^2, one ``eigh``
+    per sector."""
+    tb = tau * np.asarray(eigvals, dtype=float)
+    weights = np.abs(_coherent_mode(alpha, required_cutoff(alpha) + 1)) ** 2
+    return sum(weight * eigh_sector_record(n, tb, basis) for n, weight in enumerate(weights))
+
+
 def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> float:
     """All-orders count correlation with a fresh eigendecomposition of B(t)
-    per shot; the closed-form record, or the sector Fock record with ``fock``."""
+    per shot; the closed-form record, or the per-sector eigh Fock record with ``fock``."""
     alpha, tau = proto.sensor.alpha, proto.sensor.tau
     rho = model.initial_state.matrix
     for shot in proto.shots:
         w, v = np.linalg.eigh(expm_coupling(model, shot.time))
         if fock:
-            m = fock_record(alpha, tau, w, shot.basis)
+            m = eigh_fock_record(alpha, tau, w, shot.basis)
         else:
             m = coherent_record(alpha, tau, w, shot.basis)
         rho = v @ (m * (v.conj().T @ rho @ v)) @ v.conj().T
@@ -186,14 +210,14 @@ def selection_traces(alpha: float, basis: MeasurementBasis) -> SelectionTraces:
     """The selection traces of the pulse |alpha, H> on the truncated space.
 
     For the pure pulse |v>, with u = Lambda|v> and w = S3|v>, one has
-    t0 = <v|u>, t_plus = Re<u|w> and t_minus = 2 Im<u|w>: each a weighted
-    sum over the photon-number sectors.
+    t0 = <v|u>, t_plus = Re<u|w> and t_minus = 2 Im<u|w>: each a sum over
+    the photon-number sector rows, on which S3 is diagonal.
     """
-    t0 = z = 0.0
-    for weight, (s, v0, jx) in _pulse_sectors(alpha):
-        u = _sector_record(basis, s, jx, v0[:, None])[:, 0]
-        t0 += weight * np.vdot(v0, u)
-        z += weight * np.vdot(u, s * v0)
+    rows = SectorRows.of(alpha, 1)
+    v = rows.component[:, None]
+    u = rows.apply(basis, v)
+    t0 = np.vdot(v, rows.weight[:, None] * u)
+    z = np.vdot(u, (rows.weight * rows.s)[:, None] * v)
     return SelectionTraces(t0=float(t0.real), t_plus=float(z.real), t_minus=float(2 * z.imag))
 
 
@@ -257,8 +281,7 @@ def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p
         rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
         probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
         probs = probs / probs.sum(axis=1, keepdims=True)
-        u = rng.random(n)
-        idx = (np.cumsum(probs, axis=1) > u[:, None]).argmax(axis=1)
+        idx = _draw_branches(probs, rng.random(n))
         means_c, means_d = table.means()
         n_c = rng.poisson(means_c[idx]).astype(float)
         n_d = rng.poisson(means_d[idx]).astype(float)

@@ -229,16 +229,16 @@ class TestCliExact:
         assert code == EXIT_CONFIG
 
     def test_resource_guard_exit_code(self, tmp_path, capsys):
-        # alpha = 50 needs the cutoff 3010, whose sector eigendata would take 136 GiB
-        doc = _doc(EXACT_DOC, protocol__alpha=50.0, exact__engine="fock")
+        # alpha = 70 needs the cutoff 5610, whose 15.7 million sector rows would take 3.3 GiB
+        doc = _doc(EXACT_DOC, protocol__alpha=70.0, exact__engine="fock")
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == EXIT_RESOURCE
-        assert "Fock sector eigendata (n_max=3010)" in capsys.readouterr().err
+        assert "Fock sector eigendata (n_max=5610)" in capsys.readouterr().err
 
 
     def test_fock_guard_runs_for_every_sweep_value_before_computing(self, tmp_path, monkeypatch, capsys):
-        # alpha = 2 would run, but alpha = 50 needs the cutoff 3010: the sweep
+        # alpha = 2 would run, but alpha = 70 needs the cutoff 5610: the sweep
         # exits 4 when the config is parsed, before the first run computes
         calls = []
         real = cli.correlation_grid
@@ -253,11 +253,11 @@ class TestCliExact:
             "model": EXACT_DOC["model"],
             "protocol": EXACT_DOC["protocol"],
             "exact": {"include_exact_unitary": True, "engine": "fock"},
-            "sweep": {"command": "exact", "path": "protocol.alpha", "values": [2.0, 50.0]},
+            "sweep": {"command": "exact", "path": "protocol.alpha", "values": [2.0, 70.0]},
         }
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
-        assert "Fock sector eigendata (n_max=3010)" in capsys.readouterr().err
+        assert "Fock sector eigendata (n_max=5610)" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
         assert calls == []
 
@@ -1034,3 +1034,15 @@ def test_provenance_names_the_columns_written(tmp_path):
         assert list(json.loads((out / "manifest.json").read_text())["provenance"]) == sorted(columns)
         written.update(columns)
     assert set(cli.PROVENANCE) <= written, f"stale provenance: {sorted(set(cli.PROVENANCE) - written)}"
+
+
+def test_results_cells_are_written_exactly(tmp_path):
+    # None is an empty cell, a float its repr (the shortest string that reads
+    # back to it), and anything else its str
+    row = {"none": None, "int": 7, "bool": True, "str": "S3;S2", "tenth": 0.1,
+           "negative_zero": -0.0, "tiny": 1e-300, "inf": math.inf}
+    cli._write_outputs(tmp_path, [row], None, {}, "0" * 64, "exact", None)
+    assert (tmp_path / "results.csv").read_bytes() == (
+        b"none,int,bool,str,tenth,negative_zero,tiny,inf\n"
+        b",7,True,S3;S2,0.1,-0.0,1e-300,inf\n"
+    )

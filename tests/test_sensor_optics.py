@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,22 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from faradaycorr import errors
 from faradaycorr.correlations import BranchSign
-from faradaycorr.errors import TruncationError
+from faradaycorr.errors import ResourceGuardError, TruncationError
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
+    SectorRows,
     SensorConfig,
     ShotTable,
     apply_s2,
     apply_s3,
+    check_fock_memory,
     coherent_grid,
     coherent_state,
+    fock_record,
     log_factorial,
     required_cutoff,
     stokes_operators,
 )
 
-from crosscheck import selection_traces
+from crosscheck import eigh_sector_record, selection_traces
 
 
 def number_projector(n_max: int, max_total: int) -> np.ndarray:
@@ -207,6 +212,53 @@ class TestMeasurementBasis:
         t = selection_traces(alpha, basis)
         gaps = [abs(a - b) for a, b in zip((t.t0, t.t_plus, t.t_minus), dense)]
         assert max(gaps) <= 1e-12 * alpha**2
+
+
+class TestSectorRows:
+    W = np.array([-1.3, -0.2, 0.4, 1.1, 2.0])
+
+    @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
+    def test_each_sector_matches_the_eigh_reference(self, basis):
+        # every sector N <= 40 alone, at unit weight: the closed-form rows against
+        # one eigh of Jy per sector. The record does not depend on the phases
+        # of the eigenvectors, which the two routes choose differently.
+        rows = SectorRows.of(3.0, self.W.size)
+        assert required_cutoff(3.0) >= 40
+        tb = 0.15 * self.W
+        for n in range(41):
+            sector = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+            alone = SectorRows(rows.s[sector], rows.component[sector], np.ones(n + 1), rows.jx[sector])
+            gap = alone.record(tb, basis) - eigh_sector_record(n, tb, basis)
+            assert np.max(np.abs(gap)) <= 1e-13 * (n + 1)
+
+    def test_rows_of_each_sector(self):
+        # sector N has N + 1 rows: s from N/2 down to -N/2, a unit component
+        # vector, one pulse weight, and no Jx element out of its last row
+        n_max = required_cutoff(2.0)
+        rows = SectorRows.of(2.0, 1)
+        assert rows.s.size == (n_max + 1) * (n_max + 2) // 2
+        weights = np.abs(coherent_grid(2.0, 0.0, n_max)[:, 0]) ** 2  # |c_N|^2 of |alpha, H> = sum c_N |N, 0>
+        for n in range(n_max + 1):
+            sector = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+            assert np.array_equal(rows.s[sector], n / 2 - np.arange(n + 1))
+            assert np.vdot(rows.component[sector], rows.component[sector]).real == pytest.approx(1.0, abs=1e-13)
+            assert np.allclose(rows.weight[sector], weights[n], rtol=1e-13, atol=0)
+            assert rows.jx[sector][-1] == 0.0
+
+    @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
+    @pytest.mark.parametrize("alpha, columns", [(2.0, 1), (2.0, 8), (5.0, 2), (5.0, 64)])
+    def test_guard_bounds_the_peak(self, monkeypatch, alpha, columns, basis):
+        # a guard just below the traced peak of a record refuses its rows
+        eigvals = np.linspace(-1.0, 1.0, columns)
+        tracemalloc.start()
+        try:
+            fock_record(alpha, 0.1, eigvals, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", peak - 1)
+        with pytest.raises(ResourceGuardError):
+            check_fock_memory(required_cutoff(alpha), columns)
 
 
 def test_log_factorial_matches_lgamma():

@@ -25,6 +25,7 @@ from faradaycorr.trajectory_mc import (
     McEstimate,
     TrajectoryConfig,
     _Record,
+    _draw_branches,
     _estimate,
     _kraus_update,
     _quantum_plan,
@@ -459,6 +460,39 @@ class TestKrausUpdate:
         out = self.check(table, n_c, n_d)
         impossible = (n_c > 0) & (n_d > 0)
         assert np.all(np.isnan(out[impossible])) and np.all(np.isfinite(out[~impossible]))
+
+
+class TestDrawBranches:
+    """``_draw_branches`` picks the branch whose cumulative probability first
+    exceeds the row's uniform draw."""
+
+    @staticmethod
+    def plain(p, u):
+        return (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
+
+    def test_ordinary_draws_are_the_first_sum_above_u(self):
+        rng = np.random.default_rng(11)
+        p = rng.random((20000, 16))
+        p /= p.sum(axis=1, keepdims=True)
+        u = rng.random(20000)
+        assert np.array_equal(_draw_branches(p, u), self.plain(p, u))
+
+    def test_a_total_below_u_draws_the_last_possible_branch(self):
+        # u just below 1: roundoff leaves many totals at or below it, where no
+        # sum exceeds u and a plain argmax returns branch 0, whose probability is 0
+        rng = np.random.default_rng(12)
+        p = rng.random((20000, 16))
+        p[:, 0] = 0.0
+        p[:, -3:] = np.where(rng.random((20000, 3)) < 0.5, 0.0, p[:, -3:])
+        p /= p.sum(axis=1, keepdims=True)
+        u = np.full(20000, np.nextafter(1.0, 0.0))
+        short = np.cumsum(p, axis=1)[:, -1] <= u
+        assert short.sum() > 1000 and np.all(self.plain(p, u)[short] == 0)
+        idx = _draw_branches(p, u)
+        assert np.all(p[np.arange(20000), idx] > 0)
+        last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
+        assert np.array_equal(idx[short], last[short])
+        assert np.array_equal(idx[~short], self.plain(p, u)[~short])
 
 
 class TestMemoryGuard:

@@ -213,22 +213,32 @@ class TestExactUnitary:
         coherent = gk_exact_unitary_grid(model, p, finals)
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
-    def test_fock_memory_guard(self):
-        # alpha = 50 sets the cutoff 3010, whose sector eigendata would take 136 GiB
+    def test_fock_engine_at_alpha_30(self):
+        # n_max = 1210: 733866 sector rows, which the guard of the per-sector
+        # eigendata (16 sum (N+1)^2 bytes) refused above alpha = 22.4
         model = precession_model()
-        p = proto([(0.0, S2)], alpha=50.0, tau=0.1)
+        p, finals = proto([(0.0, S3), (0.5, S2)], alpha=30.0, tau=0.002), [0.5, 1.0, 1.5, 2.0]
+        assert required_cutoff(30.0) == 1210
+        fock = gk_exact_unitary_grid(model, p, finals, fock=True)
+        coherent = gk_exact_unitary_grid(model, p, finals)
+        assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
+
+    def test_fock_memory_guard(self):
+        # alpha = 70 sets the cutoff 5610, whose 15.7 million sector rows would take 3.3 GiB
+        model = precession_model()
+        p = proto([(0.0, S2)], alpha=70.0, tau=0.1)
         with pytest.raises(ResourceGuardError):
             gk_exact_unitary(model, p, fock=True)
 
     def test_fock_memory_guard_runs_before_any_allocation(self, monkeypatch):
-        # the sector eigendata at the cutoff 34 of alpha = 2 need 233 KiB, above
-        # a 64 KiB guard; the pulse weights (n_max + 1 entries) must not be built first
+        # the 630 sector rows at the cutoff 34 of alpha = 2 need 138 KiB for two
+        # coupling values, above a 64 KiB guard; the pulse weights (n_max + 1
+        # entries) must not be built first
         def unreachable(*args):
             raise AssertionError("_coherent_mode ran before the memory guard")
 
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 64 * 1024)
         monkeypatch.setattr(sensor_optics, "_coherent_mode", unreachable)
-        sensor_optics._sector_eigendata.cache_clear()
         with pytest.raises(ResourceGuardError):
             fock_record(2.0, 0.1, np.array([-1.0, 1.0]), S2)
 
