@@ -246,7 +246,7 @@ class TestSectorRows:
             assert rows.jx[sector][-1] == 0.0
 
     @pytest.mark.parametrize("basis", [MeasurementBasis.S2, MeasurementBasis.S3])
-    @pytest.mark.parametrize("alpha, columns", [(2.0, 1), (2.0, 8), (5.0, 2), (5.0, 64)])
+    @pytest.mark.parametrize("alpha, columns", [(2.0, 1), (5.0, 8), (10.0, 2), (10.0, 64)])
     def test_guard_bounds_the_peak(self, monkeypatch, alpha, columns, basis):
         # a guard just below the traced peak of a record refuses its rows
         eigvals = np.linspace(-1.0, 1.0, columns)
