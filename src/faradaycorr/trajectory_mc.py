@@ -18,8 +18,14 @@ Two modes:
   (n_c, n_d) than sequences: each shot evaluates one Kraus diagonal per
   distinct outcome and gathers it to the rows that saw it. Moving to the
   next shot's eigenbasis is one d x d rotation, W_j = V_B^dag
-  diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences holds n x d
-  amplitudes and costs O(n d^2) per shot.
+  diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences costs
+  O(n d^2) per shot. The chunk holds its n x d amplitudes and, per sequence,
+  its counts, draws and record; the per-row arithmetic (Kraus product,
+  renormalization, rotation, and the next shot's branch probabilities and
+  draw) runs over row blocks of ``BLOCK_AMPLITUDES`` amplitudes in buffers
+  that every block reuses, so no other temporary grows with the chunk. Every
+  sequence starts in one of d eigenvectors, so the first shot's
+  probabilities are formed once per eigenvector.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts from the same instrument, a ``ShotTable`` over
   the sequences' field values, whose means it reads. Only the
@@ -52,11 +58,20 @@ from .sensor_optics import MeasurementBasis, ShotTable
 from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
+# Amplitudes in one row block of a Kraus chunk, whose per-row arithmetic runs
+# block by block in two complex and two real buffers of this many entries:
+# 768 KiB, inside a 2 MiB L2. On a 2-vCPU Xeon (AVX-512, one BLAS thread), a
+# K = 4 chunk took medians of 57, 188 and 1148 ms at d = 16, 64 and 256 with
+# this size, within 10% of 8192 and 32768 entries; 2048 entries lost 30-90%,
+# and 65536 lost 5-11% at d = 16 and 64. Two workers gain more from larger
+# blocks (fewer numpy calls under the GIL), but the buffers grow with them.
+BLOCK_AMPLITUDES = 16384
 # Peak bytes a chunk holds per state amplitude and per sequence (counts,
 # products, draws), upper bounds on tracemalloc peaks of single 16384-sequence
-# chunks (K = 4, alpha = 5: 57-66 bytes per amplitude at d = 8..64 with the
-# whole peak charged to the amplitudes, 48-55 beyond 144 per sequence),
-# and per chunk for the bookkeeping held for every chunk (seed, size, result;
+# chunks (K = 4, alpha = 5: 21-35 bytes per amplitude at d = 8..64 with the
+# whole peak charged to the amplitudes, 17-19 beyond 144 per sequence, where
+# the whole-chunk loop before the row blocks took 57-66 and 48-55), and per
+# chunk for the bookkeeping held for every chunk (seed, size, result;
 # 610-635 bytes).
 AMPLITUDE_BYTES = 80
 SEQUENCE_BYTES = 160
@@ -140,42 +155,78 @@ class McEstimate:
     chunks: int = field(default=1, compare=False)
 
 
-def _branch_probabilities(p: Array) -> Array:
-    """Clip roundoff negatives and normalize along the last axis."""
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(axis=-1, keepdims=True)
+def _branch_probabilities(p: Array, out: Array | None = None) -> Array:
+    """Clip roundoff negatives and normalize along the last axis, into ``out``
+    if given."""
+    p = np.maximum(p, 0.0, out=out)
+    return np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
 
 
-def _draw_branches(p: Array, u: Array) -> Array:
+def _draw_branches(p: Array, u: Array, cum: Array | None = None) -> Array:
     """The branch of each row of probabilities ``p`` that its uniform draw u
     in [0, 1) falls in: the first whose cumulative sum exceeds u. When
     roundoff leaves a row's total at or below u, no sum exceeds it, and the
-    row draws its last branch with nonzero probability rather than branch 0."""
-    cum = np.cumsum(p, axis=1)
+    row draws its last branch with nonzero probability rather than branch 0.
+    The cumulative sums go to ``cum`` if given."""
+    cum = np.cumsum(p, axis=1, out=cum)
     idx = (cum > u[:, None]).argmax(axis=1)
     short = np.flatnonzero(cum[:, -1] <= u)
     idx[short] = p.shape[1] - 1 - (p[short, ::-1] > 0).argmax(axis=1)
     return idx
 
 
-def _kraus_update(states: Array, table: ShotTable, n_c: Array, n_d: Array) -> Array:
-    """Apply the Kraus element of each outcome to the state vector in the same
-    row (amplitudes in the shot's eigenbasis) and renormalize.
+def _outcome_kraus(table: ShotTable, n_c: Array, n_d: Array) -> tuple[Array, Array]:
+    """The Kraus diagonal of each distinct outcome (n_c, n_d) of a batch, and
+    the index of each row's outcome among them.
 
     The counts are Poisson around alpha^2/2, so a batch repeats few outcomes
-    many times: each distinct (n_c, n_d) gets one Kraus diagonal, gathered
+    many times: each distinct outcome gets one Kraus diagonal, to be gathered
     back to its rows. A row of ``kraus_diagonal`` depends on its own outcome
-    only, so this is the per-row product bit for bit. Outcomes are keyed by
+    only, so the gathered rows are the per-row diagonals bit for bit.
+
+    When the outcomes span at most four cells per row of the box between
+    their smallest and largest counts, each is keyed by its cell in that box
+    and found in a table of the cells, with no sort. Otherwise the keys are
     the ranks of n_c and n_d among the batch's values, which stay below n^2;
-    a key built from the counts themselves overflows int64 once alpha^2
-    nears 1e10, and the materials preset's pulses carry 1e14 photons.
+    a key built from the counts themselves overflows int64 once alpha^2 nears
+    1e10, and the materials preset's pulses carry 1e14 photons. Either way
+    the diagonals are taken at the batch's own count values: a cell offset
+    is an exact difference of two of them.
     """
-    c_values, c_rank = np.unique(np.asarray(n_c, dtype=float), return_inverse=True)
-    d_values, d_rank = np.unique(np.asarray(n_d, dtype=float), return_inverse=True)
+    n_c, n_d = np.asarray(n_c, dtype=float), np.asarray(n_d, dtype=float)
+    c_low, d_low = n_c.min(), n_d.min()
+    width = n_d.max() - d_low + 1
+    cells = (n_c.max() - c_low + 1) * width
+    if cells <= 4 * n_c.size:
+        width = int(width)
+        key = ((n_c - c_low) * width + (n_d - d_low)).astype(np.intp)
+        seen = np.zeros(int(cells), dtype=bool)
+        seen[key] = True
+        keys = np.flatnonzero(seen)
+        rows = (np.cumsum(seen) - 1)[key]
+        return table.kraus_diagonal(c_low + keys // width, d_low + keys % width), rows
+    c_values, c_rank = np.unique(n_c, return_inverse=True)
+    d_values, d_rank = np.unique(n_d, return_inverse=True)
     width = len(d_values)
     keys, rows = np.unique(c_rank * width + d_rank, return_inverse=True)
-    states = states * table.kraus_diagonal(c_values[keys // width], d_values[keys % width])[rows]
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+    return table.kraus_diagonal(c_values[keys // width], d_values[keys % width]), rows
+
+
+def _kraus_update(states: Array, kraus: Array, out: Array) -> Array:
+    """Multiply each row of ``states`` (amplitudes in the shot's eigenbasis)
+    by the Kraus diagonal in the same row of ``kraus`` and renormalize, into
+    ``out``. ``kraus`` is overwritten: it holds the squared moduli, formed as
+    ``np.linalg.norm`` forms them.
+
+    The product takes the diagonal as its first operand, as the whole-chunk
+    update did on full chunks: numpy's complex product fuses a multiply-add,
+    so swapping the operands can move the last bit of an imaginary part, and
+    numpy ran that update's ``states * diagonals[rows]`` into its temporary
+    right operand once it reached 256 KiB.
+    """
+    np.multiply(kraus, states, out=out)
+    np.multiply(np.conjugate(out, out=kraus), out, out=kraus)
+    return np.divide(out, np.sqrt(np.add.reduce(kraus.real, axis=1, keepdims=True)), out=out)
 
 
 # -- batched sequence simulation ---------------------------------------------
@@ -203,7 +254,8 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     tables = {b: ShotTable.of(spec.coupling_eigvals, proto.sensor, b) for b in {s.basis for s in proto.shots}}
     lam, u = np.linalg.eigh(spec.initial_state)
     steps = tuple(tables[shot.basis] for shot in proto.shots)
-    return _QuantumPlan(_branch_probabilities(lam), (into_first @ u).T, steps, tuple(w.T for w in rotations))
+    kets = np.ascontiguousarray((into_first @ u).T)  # laid out as the chunk's rows
+    return _QuantumPlan(_branch_probabilities(lam), kets, steps, tuple(w.T for w in rotations))
 
 
 class _Record:
@@ -236,17 +288,65 @@ class _Record:
         return self.prod.sum(), (self.prod * self.prod).sum(), self.s_half, self.s_half2
 
 
+class _Blocks:
+    """The row blocks of a chunk of n x d amplitudes, and the work buffers
+    that every block reuses.
+
+    A block holds about ``BLOCK_AMPLITUDES`` amplitudes, but at least three
+    rows, and the blocks are as even as possible, so no block of a chunk of
+    two or more rows has one row: numpy hands a one-row product to gemv,
+    whose sums can round apart from gemm's.
+    """
+
+    def __init__(self, n: int, d: int):
+        count = -(-n // max(3, BLOCK_AMPLITUDES // d))
+        bounds = [n * i // count for i in range(count + 1)]
+        self.rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        size = -(-n // count)
+        self.amplitudes = np.empty((size, d), dtype=complex)
+        self.kraus = np.empty((size, d), dtype=complex)
+        self.p = np.empty((size, d))
+        self.cum = np.empty((size, d))
+
+    def __iter__(self):
+        """Each block's rows, with the buffers cut to its size:
+        (rows, amplitudes, kraus, p, cum)."""
+        for rows in self.rows:
+            m = rows.stop - rows.start
+            yield rows, self.amplitudes[:m], self.kraus[:m], self.p[:m], self.cum[:m]
+
+
+def _probabilities(states: Array, out: Array | None = None, scratch: Array | None = None) -> Array:
+    """The branch probabilities |psi_b|^2 of each row of ``states``, into
+    ``out`` if given; ``scratch`` takes the squared imaginary parts."""
+    p = np.square(states.real, out=out)
+    p += np.square(states.imag, out=scratch)
+    return _branch_probabilities(p, out=p)
+
+
 def _run_quantum_chunk(
     n: int, rng: np.random.Generator, init_rng: np.random.Generator, plan: _QuantumPlan
 ) -> tuple:
-    states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
+    starts = init_rng.choice(len(plan.weights), size=n, p=plan.weights)
+    states = plan.kets[starts]
+    blocks = _Blocks(n, states.shape[1])
     record = _Record(n)
+    idx = np.empty(n, dtype=np.intp)
+    first = _probabilities(plan.kets)  # every row starts as one of the kets
+    u = rng.random(n)
+    for rows, _, _, p, cum in blocks:
+        idx[rows] = _draw_branches(first.take(starts[rows], axis=0, out=p, mode="clip"), u[rows], cum)
     for j, table in enumerate(plan.tables):
-        p = _branch_probabilities(states.real**2 + states.imag**2)
-        idx = _draw_branches(p, rng.random(n))
         n_c, n_d = record.shot(rng, table, idx)
-        if j < len(plan.rotations):  # the state after the last shot is never read
-            states = _kraus_update(states, table, n_c, n_d) @ plan.rotations[j]
+        if j == len(plan.rotations):  # the state after the last shot is never read
+            break
+        u = rng.random(n)  # the next shot's draws; the Kraus update draws nothing
+        diagonals, outcome = _outcome_kraus(table, n_c, n_d)
+        for rows, amplitudes, kraus, p, cum in blocks:
+            kraus = diagonals.take(outcome[rows], axis=0, out=kraus, mode="clip")
+            psi = _kraus_update(states[rows], kraus, out=amplitudes)
+            psi = np.matmul(psi, plan.rotations[j], out=states[rows])
+            idx[rows] = _draw_branches(_probabilities(psi, out=p, scratch=cum), u[rows], cum)
     return record.sums()
 
 

@@ -17,8 +17,9 @@ target state elementwise by a d x d record matrix, which the record chain of
   elements between those rotated pulses. It takes them from the shot
   instrument, ``sensor_optics.ShotTable.record`` (exact, no truncation),
   whose amplitudes the Kraus trajectories sample too; with ``fock=True`` it
-  re-derives them on the truncated two-mode Fock space instead
-  (``sensor_optics.fock_record``), as an independent cross-check.
+  re-derives them on the truncated two-mode Fock space instead, from the
+  photon-number sector rows of the pulse (``sensor_optics.SectorRows``,
+  built once per protocol), as an independent cross-check.
 
 An all-orders record depends only on the pulse, the eigenvalues of B and
 the basis, so it is built once per basis. The ``*_grid`` functions take one
@@ -39,7 +40,7 @@ import numpy as np
 from .correlations import CorrelationQuery, _record_chain, correlation_grid
 from .errors import NumericalGuardError
 from .quantum_core import Array, TargetModel
-from .sensor_optics import MeasurementBasis, SensorConfig, ShotTable, fock_record
+from .sensor_optics import MeasurementBasis, SectorRows, SensorConfig, ShotTable
 
 
 class ProtocolWarning(UserWarning):
@@ -140,7 +141,8 @@ def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock:
     sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
     if fock:
-        records = {b: fock_record(sensor.alpha, sensor.tau, w, b) for b in set(keys)}
+        rows = SectorRows.of(sensor.alpha, w.size)  # one row build for both bases
+        records = {b: rows.record(sensor.tau * w, b) for b in set(keys)}
     else:
         records = {b: ShotTable.of(w, sensor, b).record() for b in set(keys)}
     times = [s.time for s in proto.shots[:-1]]

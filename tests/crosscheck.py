@@ -13,7 +13,9 @@ against. None of them is runtime code.
 * The selection traces show which branch each readout basis picks out, from
   the photon-number sector rows of the pulse.
 * The Kraus references act on one density matrix per shot, or on n x d x d
-  density matrices per chunk, where the Monte Carlo carries state vectors.
+  density matrices per chunk, where the Monte Carlo carries state vectors;
+  or on the chunk's n x d state vectors at once, with whole-chunk
+  temporaries at every step, where the Monte Carlo works in row blocks.
 """
 
 import math
@@ -46,7 +48,7 @@ from faradaycorr.sensor_optics import (
     required_cutoff,
     stokes_operators,
 )
-from faradaycorr.trajectory_mc import _branch_probabilities, _draw_branches
+from faradaycorr.trajectory_mc import _branch_probabilities, _draw_branches, _Record
 from faradaycorr.weak_measurement import ProtocolSpec
 
 
@@ -294,3 +296,28 @@ def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p
         rp = rp / np.real(np.einsum("nii->n", rp))[:, None, None]
         states = np.einsum("ab,nbc,cd->nad", v, rp, v.conj().T, optimize=True)
     return prod.sum(), (prod * prod).sum(), s_half, s_half2
+
+
+def vector_chunk(n: int, rng: np.random.Generator, init_rng: np.random.Generator, plan) -> tuple:
+    """Reference Kraus chunk for a plan of ``trajectory_mc._quantum_plan``:
+    the loop the Monte Carlo ran before its row blocks, on the whole n x d
+    array of state vectors at each step, with the same draws in the same
+    order. From 256 KiB of amplitudes on, numpy runs ``states * diagonals``
+    into the temporary diagonals, and the states match the blocked chunk's
+    bit for bit; below, the complex product's operands swap, which can move
+    the last bit of an amplitude but, short of a draw landing on that bit,
+    no count."""
+    states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
+    record = _Record(n)
+    for j, table in enumerate(plan.tables):
+        p = np.clip(states.real**2 + states.imag**2, 0.0, None)
+        idx = _draw_branches(p / p.sum(axis=-1, keepdims=True), rng.random(n))
+        n_c, n_d = record.shot(rng, table, idx)
+        if j < len(plan.rotations):
+            c_values, c_rank = np.unique(n_c, return_inverse=True)
+            d_values, d_rank = np.unique(n_d, return_inverse=True)
+            width = len(d_values)
+            keys, rows = np.unique(c_rank * width + d_rank, return_inverse=True)
+            states = states * table.kraus_diagonal(c_values[keys // width], d_values[keys % width])[rows]
+            states = (states / np.linalg.norm(states, axis=1, keepdims=True)) @ plan.rotations[j]
+    return record.sums()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,16 +20,23 @@ from faradaycorr.quantum_core import (
 )
 from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable
 from faradaycorr.trajectory_mc import (
+    AMPLITUDE_BYTES,
+    BLOCK_AMPLITUDES,
     CHUNK_SIZE,
+    POISSON_MEAN_MAX,
+    SEQUENCE_BYTES,
     ClassicalFieldModel,
     FieldKind,
     McEstimate,
     TrajectoryConfig,
+    _Blocks,
     _Record,
     _draw_branches,
     _estimate,
     _kraus_update,
+    _outcome_kraus,
     _quantum_plan,
+    _run_quantum_chunk,
     default_workers,
     empirical_snr,
     snr_convention_factor,
@@ -37,7 +45,7 @@ from faradaycorr.trajectory_mc import (
 from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitary
 
 from conftest import SX, SZ, UP, precession_model, random_hermitian
-from crosscheck import KrausOutcomeSampler, density_matrix_chunk, expm_coupling, spectral_eigvecs
+from crosscheck import KrausOutcomeSampler, density_matrix_chunk, expm_coupling, spectral_eigvecs, vector_chunk
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -45,6 +53,13 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 def proto(bases_times, alpha, tau):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
     return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
+
+
+def kraus_update(states, table, n_c, n_d):
+    """The chunk's Kraus update of whole rows: one diagonal per distinct
+    outcome, gathered back to its rows and applied by ``_kraus_update``."""
+    diagonals, outcome = _outcome_kraus(table, n_c, n_d)
+    return _kraus_update(states, diagonals[outcome], out=np.empty_like(states))
 
 
 class TestClusterEigenvalues:
@@ -330,6 +345,62 @@ def _pure_spin_model(two_j: int = 15):
     return TargetModel(hamiltonian=jz + 0.3 * jx, coupling=jx, initial_state=pure_state(ket))
 
 
+def _thermal_spin_model(d: int):
+    jx, _, jz = spin_operators(d - 1)
+    h = jz + 0.3 * jx
+    return TargetModel(hamiltonian=h, coupling=jx, initial_state=thermal_state(h, 0.1))
+
+
+def _chunk_rngs(seed: int):
+    """A chunk's shot and initial-state generators, as ``run_sequences`` seeds them."""
+    seq = np.random.SeedSequence(seed)
+    init_rng = np.random.default_rng(seq.spawn(1)[0])
+    return np.random.default_rng(seq), init_rng
+
+
+class TestBlockedChunk:
+    """``_run_quantum_chunk`` works in row blocks of ``BLOCK_AMPLITUDES``
+    amplitudes; ``crosscheck.vector_chunk`` is the loop over the whole chunk
+    at every step that it replaced."""
+
+    K4 = [(0.0, S3), (0.3, S2), (0.6, S3), (0.9, S2)]
+
+    @pytest.mark.parametrize("alpha, tau", [(5.0, 0.05), (45.0, 0.02)], ids=["alpha_5", "alpha_45"])
+    @pytest.mark.parametrize("make_model", [_thermal_spin_model, lambda d: _pure_spin_model(d - 1)], ids=["thermal", "pure"])
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_sums_match_the_whole_chunk_loop(self, d, make_model, alpha, tau):
+        plan = _quantum_plan(make_model(d), proto(self.K4, alpha=alpha, tau=tau))
+        rows = BLOCK_AMPLITUDES // d
+        for seed, n in enumerate((1, rows - 1, rows + 1, 3000, CHUNK_SIZE)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _run_quantum_chunk(n, *_chunk_rngs(seed), plan)
+            assert got == vector_chunk(n, *_chunk_rngs(seed), plan), n
+
+    @pytest.mark.parametrize("d", [2, 16, 64, 16384])
+    def test_blocks_are_even_and_never_one_row(self, d):
+        # numpy hands a one-row product to gemv, whose sums round apart from gemm's
+        rows = max(3, BLOCK_AMPLITUDES // d)
+        for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1, CHUNK_SIZE):
+            sizes = [block.stop - block.start for block in _Blocks(n, d).rows]
+            assert sum(sizes) == n and max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+            assert n == 1 or min(sizes) >= 2
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_peak_memory_of_a_chunk(self, d):
+        # the whole-chunk loop peaked at 3.6-3.8 times the state array
+        plan = _quantum_plan(_thermal_spin_model(d), proto(self.K4, alpha=5.0, tau=0.05))
+        rngs = _chunk_rngs(0)
+        tracemalloc.start()
+        try:
+            _run_quantum_chunk(CHUNK_SIZE, *rngs, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK_SIZE * d * 16
+        assert peak < CHUNK_SIZE * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES)  # its share of the memory guard
+
+
 class TestVectorTrajectories:
     def test_vector_update_matches_density_matrix_update(self):
         model = _pure_four_level_model()
@@ -339,7 +410,7 @@ class TestVectorTrajectories:
         rho = model.initial_state
         rotations = (*plan.rotations, None)  # the state after the last shot is never rotated
         for shot, table, rotation, (n_c, n_d) in zip(p.shots, plan.tables, rotations, [(3, 1), (0, 4), (2, 2)]):
-            psi = _kraus_update(psi[None, :], table, [n_c], [n_d])[0]
+            psi = kraus_update(psi[None, :], table, [n_c], [n_d])[0]
             b_t = expm_coupling(model, shot.time)
             rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis).post_state(n_c, n_d)
             ket = spectral_eigvecs(model, shot.time) @ psi
@@ -390,15 +461,18 @@ class _ExactZeros(ShotTable):
 
 
 class TestKrausUpdate:
-    """``_kraus_update`` evaluates one Kraus diagonal per distinct outcome; it
-    must give the per-row product and renormalization bit for bit."""
+    """``_outcome_kraus`` evaluates one Kraus diagonal per distinct outcome
+    and ``_kraus_update`` applies them; together they must give the per-row
+    product and renormalization bit for bit."""
 
     TAU = 0.1
     QUARTER = math.pi / (2 * TAU)  # b tau / 2 = pi/4: an S2 branch with beta_c = 0
 
     @staticmethod
     def per_row(states, table, n_c, n_d):
-        states = states * table.kraus_diagonal(n_c, n_d)
+        # diagonal first, whatever the size: numpy may swap the operands of
+        # ``states * temporary`` to write into the temporary
+        states = np.multiply(table.kraus_diagonal(n_c, n_d), states)
         return states / np.linalg.norm(states, axis=1, keepdims=True)
 
     def table(self, eigvals, alpha=5.0, exact_zeros=False):
@@ -411,7 +485,7 @@ class TestKrausUpdate:
         states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         n_c, n_d = np.asarray(n_c, dtype=float), np.asarray(n_d, dtype=float)
         with np.errstate(invalid="ignore"):  # a row no branch can produce is 0/0
-            got = _kraus_update(states, table, n_c, n_d)
+            got = kraus_update(states, table, n_c, n_d)
             want = self.per_row(states, table, n_c, n_d)
         assert np.array_equal(got, want, equal_nan=True)
         return got
@@ -437,6 +511,19 @@ class TestKrausUpdate:
         n_c, n_d = np.tile(n_c, 3), np.tile(n_d, 3)
         assert float(n_c.max()) * float(n_d.max()) > np.iinfo(np.int64).max
         self.check(self.table([-2.0, 0.3, 1.0], alpha=1e7), n_c, n_d)
+
+    def test_repeated_counts_near_the_largest_poisson_mean(self):
+        # few outcomes over many rows key by their cell in the box of counts;
+        # up here neighbouring floats are 1024 apart, and each cell offset is
+        # an exact difference of two of them
+        top = POISSON_MEAN_MAX
+        step = top - np.nextafter(top, 0.0)
+        assert step == 1024
+        rng = np.random.default_rng(5)
+        n_c = top - step * rng.integers(0, 3, size=600)
+        n_d = np.full(600, top / 2)
+        assert (n_c.max() - n_c.min() + 1) * (n_d.max() - n_d.min() + 1) <= 4 * n_c.size
+        self.check(self.table([-2.0, 0.3, 1.0], alpha=math.sqrt(POISSON_MEAN_MAX)), n_c, n_d)
 
     @pytest.mark.parametrize("exact_zeros", [False, True], ids=["roundoff", "exact-zero"])
     def test_zero_modulus_branch(self, exact_zeros):
