@@ -108,7 +108,7 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], lis
             cfg = replace(mc, proto=run.protocol.at(t))
         cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
         est = run_sequences(cfg)
-        layout.append({"workers": est.workers, "chunks": est.chunks})
+        layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
         rows.append(

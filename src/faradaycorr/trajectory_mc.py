@@ -18,14 +18,24 @@ Two modes:
   (n_c, n_d) than sequences: each shot evaluates one Kraus diagonal per
   distinct outcome and gathers it to the rows that saw it. Moving to the
   next shot's eigenbasis is one d x d rotation, W_j = V_B^dag
-  diag(exp(-iE (t_j - t_{j-1}))) V_B, so a chunk of n sequences costs
-  O(n d^2) per shot. The chunk holds its n x d amplitudes and, per sequence,
-  its counts, draws and record; the per-row arithmetic (Kraus product,
-  renormalization, rotation, and the next shot's branch probabilities and
-  draw) runs over row blocks of ``BLOCK_AMPLITUDES`` amplitudes in buffers
-  that every block reuses, so no other temporary grows with the chunk. Every
-  sequence starts in one of d eigenvectors, so the first shot's
-  probabilities are formed once per eigenvector.
+  diag(exp(-iE (t_j - t_{j-1}))) V_B. The chunk holds its n x d amplitudes
+  and, per sequence, its counts, draws and record; the per-row arithmetic
+  runs over row blocks of ``BLOCK_AMPLITUDES`` amplitudes in buffers that
+  every block reuses, so no other temporary grows with the chunk. Per shot
+  and block: the Kraus product, the rotation by W_j^T, the next shot's
+  weights |psi_b|^2 and their prefix sums along each row, whose last column
+  is the row's total, then each row's branch for the next shot, the first
+  whose prefix sum exceeds u times the total, and the renormalization by
+  that total (W_j is unitary, so rotating first changes no norm). The
+  rotation costs O(d^2) per sequence and the prefix sums O(d) (tiles of
+  ``TILE_BRANCHES`` branches, each one product with a triangle of ones),
+  so a chunk of n sequences costs O(n d^2) per shot. A shot whose Poisson
+  means are the same on every branch (R/L, whose means are alpha^2/2 at
+  both detectors) is branch-blind: its counts do not depend on the branch,
+  so no branch is drawn before it, though its uniform draws are still
+  taken, so the random stream is that of a draw before every shot. Every
+  sequence starts in one of d eigenvectors, so the first shot's weights are
+  formed once per eigenvector.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts from the same instrument, a ``ShotTable`` over
   the sequences' field values, whose means it reads. Only the
@@ -59,22 +69,30 @@ from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
 # Amplitudes in one row block of a Kraus chunk, whose per-row arithmetic runs
-# block by block in two complex and two real buffers of this many entries:
-# 768 KiB, inside a 2 MiB L2. On a 2-vCPU Xeon (AVX-512, one BLAS thread), a
-# K = 4 chunk took medians of 57, 188 and 1148 ms at d = 16, 64 and 256 with
-# this size, within 10% of 8192 and 32768 entries; 2048 entries lost 30-90%,
-# and 65536 lost 5-11% at d = 16 and 64. Two workers gain more from larger
-# blocks (fewer numpy calls under the GIL), but the buffers grow with them.
+# block by block in one complex and two real buffers of this many entries:
+# 512 KiB, inside a 2 MiB L2. On a 2-vCPU Xeon (AVX-512, one BLAS thread), a
+# K = 4 chunk took medians of 35, 94 and 764 ms at d = 16, 64 and 256 with
+# this size; 8192 entries lost 6-12%, 4096 lost 16-47%, and 32768 and 65536
+# were within 8% (32768 gained 6% at d = 256). Two workers gain more from
+# larger blocks (fewer numpy calls under the GIL), but the buffers grow with
+# them.
 BLOCK_AMPLITUDES = 16384
-# Peak bytes a chunk holds per state amplitude and per sequence (counts,
-# products, draws), upper bounds on tracemalloc peaks of single 16384-sequence
-# chunks (K = 4, alpha = 5: 21-35 bytes per amplitude at d = 8..64 with the
-# whole peak charged to the amplitudes, 17-19 beyond 144 per sequence, where
-# the whole-chunk loop before the row blocks took 57-66 and 48-55), and per
-# chunk for the bookkeeping held for every chunk (seed, size, result;
-# 610-635 bytes).
-AMPLITUDE_BYTES = 80
+# Branches per tile of the prefix sums that draw a shot's branches: each tile
+# is one product with a triangle of ones, O(TILE_BRANCHES) per entry.
+TILE_BRANCHES = 16
+# Peak bytes a Kraus chunk holds per state amplitude, per sequence (counts,
+# record, draws, outcome keys) and per amplitude of a row block (the block
+# buffers and the Kraus diagonals' batch temporaries). They bound tracemalloc
+# peaks of single chunks (K = 4, d = 2..256, 4096-16384 sequences) in the
+# worst case, every count outcome distinct (alpha = 1e4): 32.0 bytes per
+# amplitude, the states and one shot's diagonals; 108-138 per sequence; and
+# 1.10-1.15 MB per chunk of 16384-amplitude blocks. At alpha = 5, where a
+# shot sees a few hundred outcomes, a chunk peaks at 17-19 bytes per
+# amplitude from d = 64 on, about half of its charge. Also per chunk, the
+# bookkeeping held for every chunk (seed, size, result; 610-635 bytes).
+AMPLITUDE_BYTES = 32
 SEQUENCE_BYTES = 160
+BLOCK_BYTES = 96
 CHUNK_BYTES = 640
 # numpy's Generator.poisson refuses a mean above int64 max - 10 sqrt(int64 max).
 # A shot's two means sum to alpha^2, so alpha^2 at or below this fits any shot.
@@ -142,8 +160,12 @@ class McEstimate:
     (n_d - n_c)/2, independent of the per-basis record normalization;
     ``per_shot_variance_raw`` is the variance of the unhalved difference.
     ``chunks`` is the number of seeded chunks and ``workers`` the pool size
-    that ran them, min(requested workers, chunks); neither changes the
-    estimate, so neither takes part in comparisons.
+    that ran them, min(requested workers, chunks). ``smallest_norm2`` is a
+    health counter of the Kraus mode: the smallest squared norm that a Kraus
+    update left a state with before renormalizing (at most 1, since each
+    Kraus diagonal's largest modulus is 1), None where no state was
+    renormalized (one shot, or the semiclassical mode). None of the three
+    changes the estimate, so none takes part in comparisons.
     """
 
     mean: float
@@ -153,26 +175,42 @@ class McEstimate:
     n_sequences: int
     workers: int = field(default=1, compare=False)
     chunks: int = field(default=1, compare=False)
+    smallest_norm2: float | None = field(default=None, compare=False)
 
 
-def _branch_probabilities(p: Array, out: Array | None = None) -> Array:
-    """Clip roundoff negatives and normalize along the last axis, into ``out``
-    if given."""
-    p = np.maximum(p, 0.0, out=out)
-    return np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+def _branch_probabilities(p: Array) -> Array:
+    """Clip roundoff negatives and normalize along the last axis."""
+    p = np.maximum(p, 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def _draw_branches(p: Array, u: Array, cum: Array | None = None) -> Array:
-    """The branch of each row of probabilities ``p`` that its uniform draw u
-    in [0, 1) falls in: the first whose cumulative sum exceeds u. When
-    roundoff leaves a row's total at or below u, no sum exceeds it, and the
-    row draws its last branch with nonzero probability rather than branch 0.
-    The cumulative sums go to ``cum`` if given."""
-    cum = np.cumsum(p, axis=1, out=cum)
-    idx = (cum > u[:, None]).argmax(axis=1)
-    short = np.flatnonzero(cum[:, -1] <= u)
-    idx[short] = p.shape[1] - 1 - (p[short, ::-1] > 0).argmax(axis=1)
+def _draw_branches(p: Array, cum: Array, u: Array) -> Array:
+    """The branch of each row of weights ``p``, whose prefix sums along the
+    row are ``cum``, that its uniform draw u in [0, 1) falls in: the first
+    whose prefix sum exceeds u times the row's total, its last prefix sum, so
+    the weights need not be normalized. When roundoff leaves a total at or
+    below u times itself (a subnormal total), no sum exceeds it, and the row
+    draws its last branch of nonzero weight rather than branch 0."""
+    bound = u * cum[:, -1]
+    idx = (cum > bound[:, None]).argmax(axis=1)
+    short = np.flatnonzero(cum[:, -1] <= bound)
+    if short.size:
+        idx[short] = p.shape[1] - 1 - (p[short, ::-1] > 0).argmax(axis=1)
     return idx
+
+
+def _prefix_sums(p: Array, tile: Array, out: Array) -> Array:
+    """The prefix sums along each row of ``p`` into ``out``, both of m x (t w)
+    entries for the w x w upper triangle of ones ``tile``. Each tile of w
+    columns takes its own prefix sums in one product, p @ tile over all m t
+    tiles at once, and is then offset by the totals of the tiles before it.
+    The product costs O(w) per entry, and w is at most ``TILE_BRANCHES``."""
+    w = len(tile)
+    np.matmul(p.reshape(-1, w), tile, out=out.reshape(-1, w))
+    if out.shape[1] > w:
+        tiles = out.reshape(len(out), -1, w)
+        tiles[:, 1:] += np.cumsum(tiles[:, :-1, -1], axis=1)[:, :, None]
+    return out
 
 
 def _outcome_kraus(table: ShotTable, n_c: Array, n_d: Array) -> tuple[Array, Array]:
@@ -204,29 +242,24 @@ def _outcome_kraus(table: ShotTable, n_c: Array, n_d: Array) -> tuple[Array, Arr
         seen[key] = True
         keys = np.flatnonzero(seen)
         rows = (np.cumsum(seen) - 1)[key]
-        return table.kraus_diagonal(c_low + keys // width, d_low + keys % width), rows
+        return _kraus_diagonals(table, c_low + keys // width, d_low + keys % width), rows
     c_values, c_rank = np.unique(n_c, return_inverse=True)
     d_values, d_rank = np.unique(n_d, return_inverse=True)
     width = len(d_values)
     keys, rows = np.unique(c_rank * width + d_rank, return_inverse=True)
-    return table.kraus_diagonal(c_values[keys // width], d_values[keys % width]), rows
+    return _kraus_diagonals(table, c_values[keys // width], d_values[keys % width]), rows
 
 
-def _kraus_update(states: Array, kraus: Array, out: Array) -> Array:
-    """Multiply each row of ``states`` (amplitudes in the shot's eigenbasis)
-    by the Kraus diagonal in the same row of ``kraus`` and renormalize, into
-    ``out``. ``kraus`` is overwritten: it holds the squared moduli, formed as
-    ``np.linalg.norm`` forms them.
-
-    The product takes the diagonal as its first operand, as the whole-chunk
-    update did on full chunks: numpy's complex product fuses a multiply-add,
-    so swapping the operands can move the last bit of an imaginary part, and
-    numpy ran that update's ``states * diagonals[rows]`` into its temporary
-    right operand once it reached 256 KiB.
-    """
-    np.multiply(kraus, states, out=out)
-    np.multiply(np.conjugate(out, out=kraus), out, out=kraus)
-    return np.divide(out, np.sqrt(np.add.reduce(kraus.real, axis=1, keepdims=True)), out=out)
+def _kraus_diagonals(table: ShotTable, n_c: Array, n_d: Array) -> Array:
+    """``table.kraus_diagonal`` of the outcomes (n_c, n_d), evaluated in
+    batches of about ``BLOCK_AMPLITUDES`` entries, so that its temporaries
+    (several per entry) stay block-sized however many outcomes there are. A
+    row depends on its own outcome only, so the batches change no bit."""
+    out = np.empty((len(n_c), len(table.theta)), dtype=complex)
+    step = max(1, BLOCK_AMPLITUDES // out.shape[1])
+    for a in range(0, len(out), step):
+        out[a : a + step] = table.kraus_diagonal(n_c[a : a + step], n_d[a : a + step])
+    return out
 
 
 # -- batched sequence simulation ---------------------------------------------
@@ -239,7 +272,15 @@ class _QuantumPlan:
     weights: Array                # lambda_k, eigenvalues of rho0
     kets: Array                   # row k: eigenvector u_k of rho0 in the first shot's eigenbasis
     tables: tuple[ShotTable, ...]  # one per shot
+    blind: tuple[bool, ...]       # per shot: its Poisson means are the same on every branch
     rotations: tuple[Array, ...]  # W_j^T, into the eigenbasis of shot j = 2..K
+
+
+def _branch_blind(table: ShotTable) -> bool:
+    """Whether every branch of ``table`` has the same Poisson means, so that a
+    shot's counts do not depend on the branch it is drawn on (R/L, whose
+    means are alpha^2/2 at both detectors whatever the rotation)."""
+    return all(bool(np.all(means == means[0])) for means in table.means())
 
 
 def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
@@ -255,7 +296,8 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     lam, u = np.linalg.eigh(spec.initial_state)
     steps = tuple(tables[shot.basis] for shot in proto.shots)
     kets = np.ascontiguousarray((into_first @ u).T)  # laid out as the chunk's rows
-    return _QuantumPlan(_branch_probabilities(lam), kets, steps, tuple(w.T for w in rotations))
+    blind = tuple(_branch_blind(table) for table in steps)
+    return _QuantumPlan(_branch_probabilities(lam), kets, steps, blind, tuple(w.T for w in rotations))
 
 
 class _Record:
@@ -290,7 +332,10 @@ class _Record:
 
 class _Blocks:
     """The row blocks of a chunk of n x d amplitudes, and the work buffers
-    that every block reuses.
+    that every block reuses: the gathered Kraus diagonals, and the branch
+    weights |psi_b|^2 and their prefix sums, t w >= d columns wide for
+    ``_prefix_sums`` over t tiles of w <= ``TILE_BRANCHES`` branches (the
+    columns past d hold weight 0).
 
     A block holds about ``BLOCK_AMPLITUDES`` amplitudes, but at least three
     rows, and the blocks are as even as possible, so no block of a chunk of
@@ -302,52 +347,105 @@ class _Blocks:
         count = -(-n // max(3, BLOCK_AMPLITUDES // d))
         bounds = [n * i // count for i in range(count + 1)]
         self.rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        tiles = -(-d // TILE_BRANCHES)
+        self.tile = np.triu(np.ones((-(-d // tiles),) * 2))
         size = -(-n // count)
-        self.amplitudes = np.empty((size, d), dtype=complex)
         self.kraus = np.empty((size, d), dtype=complex)
-        self.p = np.empty((size, d))
-        self.cum = np.empty((size, d))
+        self.p = np.zeros((size, tiles * len(self.tile)))
+        self.cum = np.empty_like(self.p)
 
     def __iter__(self):
         """Each block's rows, with the buffers cut to its size:
-        (rows, amplitudes, kraus, p, cum)."""
+        (rows, kraus, p, cum)."""
         for rows in self.rows:
             m = rows.stop - rows.start
-            yield rows, self.amplitudes[:m], self.kraus[:m], self.p[:m], self.cum[:m]
+            yield rows, self.kraus[:m], self.p[:m], self.cum[:m]
+
+    def draw_first(self, kets: Array, starts: Array, u: Array, idx: Array):
+        """Draw into ``idx`` the first shot's branch of each row, which starts
+        as the ket ``kets[starts[i]]``, with its u: the kets' weights and
+        prefix sums are formed once and gathered to each block's rows."""
+        d = kets.shape[1]
+        weights = np.zeros((len(kets), self.p.shape[1]))
+        sums = np.empty_like(weights)
+        _weights(kets, weights, scratch=sums)
+        _prefix_sums(weights, self.tile, out=sums)
+        for rows, _, p, cum in self:
+            p = weights.take(starts[rows], axis=0, out=p, mode="clip")
+            cum = sums.take(starts[rows], axis=0, out=cum, mode="clip")
+            idx[rows] = _draw_branches(p[:, :d], cum[:, :d], u[rows])
+
+    def advance(
+        self, states: Array, diagonals: Array, outcome: Array, rotation: Array, u: Array | None, idx: Array
+    ) -> float:
+        """``step`` every block of ``states`` from one shot to the next, with
+        row i's Kraus diagonal ``diagonals[outcome[i]]``; where u is given,
+        the drawn branches go to ``idx``. Returns the smallest row total."""
+        smallest = math.inf
+        for rows, kraus, p, cum in self:
+            kraus = diagonals.take(outcome[rows], axis=0, out=kraus, mode="clip")
+            total, drawn = self.step(states[rows], kraus, rotation, p, cum, None if u is None else u[rows])
+            smallest = min(smallest, total.min())
+            if drawn is not None:
+                idx[rows] = drawn
+        return smallest
+
+    def step(self, psi: Array, kraus: Array, rotation: Array, p: Array, cum: Array, u: Array | None):
+        """One block's step from one shot to the next. ``kraus`` holds the
+        Kraus diagonals gathered to the block's rows and is left holding
+        their product with the amplitudes ``psi``, which takes the diagonal
+        as its first operand, as the whole-chunk update did: numpy's complex
+        product fuses a multiply-add, so swapping the operands can move the
+        last bit of an imaginary part. ``psi`` is overwritten with that
+        product rotated into the next shot's eigenbasis, then renormalized by
+        its row totals, the last prefix sums of its weights. Where u is
+        given, each row's branch for the next shot is drawn with its u; None
+        marks a branch-blind next shot, which draws none. Returns the
+        totals, the squared norms before renormalizing, and the branches
+        (None where u is None)."""
+        np.matmul(np.multiply(kraus, psi, out=kraus), rotation, out=psi)
+        q = _weights(psi, p, scratch=cum)
+        cum = _prefix_sums(p, self.tile, out=cum)[:, : q.shape[1]]
+        total = cum[:, -1]
+        flat = psi.view(float)
+        np.multiply(flat, np.reciprocal(np.sqrt(total))[:, None], out=flat)
+        return total, None if u is None else _draw_branches(q, cum, u)
 
 
-def _probabilities(states: Array, out: Array | None = None, scratch: Array | None = None) -> Array:
-    """The branch probabilities |psi_b|^2 of each row of ``states``, into
-    ``out`` if given; ``scratch`` takes the squared imaginary parts."""
-    p = np.square(states.real, out=out)
-    p += np.square(states.imag, out=scratch)
-    return _branch_probabilities(p, out=p)
+def _weights(states: Array, p: Array, scratch: Array) -> Array:
+    """The branch weights |psi_b|^2 of each row of ``states``, formed as two
+    real squares into the first d columns of ``p``; the squared imaginary
+    parts go to ``scratch``, as wide as ``p``. Returns the d-column view."""
+    d = states.shape[1]
+    q = np.square(states.real, out=p[:, :d])
+    q += np.square(states.imag, out=scratch[:, :d])
+    return q
 
 
 def _run_quantum_chunk(
     n: int, rng: np.random.Generator, init_rng: np.random.Generator, plan: _QuantumPlan
 ) -> tuple:
+    """The record sums of a chunk of n sequences, and the smallest row total
+    that a Kraus update renormalized by (inf where none did)."""
     starts = init_rng.choice(len(plan.weights), size=n, p=plan.weights)
     states = plan.kets[starts]
     blocks = _Blocks(n, states.shape[1])
     record = _Record(n)
-    idx = np.empty(n, dtype=np.intp)
-    first = _probabilities(plan.kets)  # every row starts as one of the kets
+    idx = np.zeros(n, dtype=np.intp)  # a branch-blind shot reads its means at any branch
+    smallest = math.inf
     u = rng.random(n)
-    for rows, _, _, p, cum in blocks:
-        idx[rows] = _draw_branches(first.take(starts[rows], axis=0, out=p, mode="clip"), u[rows], cum)
+    if not plan.blind[0]:
+        blocks.draw_first(plan.kets, starts, u, idx)
     for j, table in enumerate(plan.tables):
         n_c, n_d = record.shot(rng, table, idx)
         if j == len(plan.rotations):  # the state after the last shot is never read
             break
-        u = rng.random(n)  # the next shot's draws; the Kraus update draws nothing
-        diagonals, outcome = _outcome_kraus(table, n_c, n_d)
-        for rows, amplitudes, kraus, p, cum in blocks:
-            kraus = diagonals.take(outcome[rows], axis=0, out=kraus, mode="clip")
-            psi = _kraus_update(states[rows], kraus, out=amplitudes)
-            psi = np.matmul(psi, plan.rotations[j], out=states[rows])
-            idx[rows] = _draw_branches(_probabilities(psi, out=p, scratch=cum), u[rows], cum)
-    return record.sums()
+        u = rng.random(n)  # the next shot's draws, read unless it is branch-blind
+        draws = None if plan.blind[j + 1] else u
+        # the diagonals die with the call, before the next shot's are formed
+        total = blocks.advance(states, *_outcome_kraus(table, n_c, n_d), plan.rotations[j], draws, idx)
+        smallest = min(smallest, total)
+    return record.sums(), smallest
 
 
 def _sample_field_paths(
@@ -397,23 +495,28 @@ def _pool_size(cfg: TrajectoryConfig, n_chunks: int) -> int:
     return min(cfg.workers, n_chunks)
 
 
+def _chunk_bytes(cfg: TrajectoryConfig) -> int:
+    """Bytes one chunk of ``cfg`` in flight holds, with its temporaries."""
+    n = min(CHUNK_SIZE, cfg.sequences)
+    if cfg.mode == "kraus_quantum":
+        d = cfg.model.dim
+        block = min(n, max(3, BLOCK_AMPLITUDES // d)) * d
+        return n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + block * BLOCK_BYTES
+    return n * (8 * cfg.proto.order + SEQUENCE_BYTES)
+
+
 def _memory_bytes(cfg: TrajectoryConfig) -> int:
     """Bytes ``run_sequences`` holds at once: the bookkeeping of every chunk,
     the chunks in flight with their temporaries, and the shared per-shot tables."""
-    n = min(CHUNK_SIZE, cfg.sequences)
     n_chunks = chunk_count(cfg.sequences)
-    in_flight = _pool_size(cfg, n_chunks)
-    k = cfg.proto.order
-    bookkeeping = n_chunks * CHUNK_BYTES
-    if cfg.mode == "kraus_quantum":
-        d = cfg.model.dim
-        return bookkeeping + in_flight * n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + 2 * k * d * d * 16
-    return bookkeeping + in_flight * n * (8 * k + SEQUENCE_BYTES)
+    shared = 2 * cfg.proto.order * cfg.model.dim**2 * 16 if cfg.mode == "kraus_quantum" else 0
+    return n_chunks * CHUNK_BYTES + _pool_size(cfg, n_chunks) * _chunk_bytes(cfg) + shared
 
 
-def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
+def _estimate(results, cfg: TrajectoryConfig, smallest_norm2: float = math.inf) -> McEstimate:
     """Combine per-chunk sums, in chunk order, into the estimate; every one of
-    the L sequences records K shots."""
+    the L sequences records K shots. ``smallest_norm2`` is the chunks'
+    smallest renormalization total, inf where none renormalized."""
     L = cfg.sequences
     s1 = sum(r[0] for r in results)
     s2 = sum(r[1] for r in results)
@@ -437,6 +540,7 @@ def _estimate(results, cfg: TrajectoryConfig) -> McEstimate:
         n_sequences=L,
         workers=_pool_size(cfg, len(results)),
         chunks=len(results),
+        smallest_norm2=float(smallest_norm2) if math.isfinite(smallest_norm2) else None,
     )
 
 
@@ -467,10 +571,11 @@ def run_sequences(cfg: TrajectoryConfig) -> McEstimate:
     else:
 
         def job(size, seed):
-            return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto)
+            return _run_semiclassical_chunk(size, np.random.default_rng(seed), cfg.model, cfg.proto), math.inf
 
     with ThreadPoolExecutor(max_workers=_pool_size(cfg, n_chunks)) as pool:
-        return _estimate(list(pool.map(job, sizes, seeds)), cfg)
+        sums, smallest = zip(*pool.map(job, sizes, seeds))
+    return _estimate(sums, cfg, min(smallest))
 
 
 def usable_cores() -> int:

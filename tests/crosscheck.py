@@ -283,7 +283,7 @@ def density_matrix_chunk(n: int, rng: np.random.Generator, model: TargetModel, p
         rp = np.einsum("ab,nbc,cd->nad", v.conj().T, states, v, optimize=True)
         probs = np.clip(np.real(np.einsum("nii->ni", rp)), 0.0, None)
         probs = probs / probs.sum(axis=1, keepdims=True)
-        idx = _draw_branches(probs, rng.random(n))
+        idx = _draw_branches(probs, np.cumsum(probs, axis=1), rng.random(n))
         means_c, means_d = table.means()
         n_c = rng.poisson(means_c[idx]).astype(float)
         n_d = rng.poisson(means_d[idx]).astype(float)
@@ -302,16 +302,18 @@ def vector_chunk(n: int, rng: np.random.Generator, init_rng: np.random.Generator
     """Reference Kraus chunk for a plan of ``trajectory_mc._quantum_plan``:
     the loop the Monte Carlo ran before its row blocks, on the whole n x d
     array of state vectors at each step, with the same draws in the same
-    order. From 256 KiB of amplitudes on, numpy runs ``states * diagonals``
-    into the temporary diagonals, and the states match the blocked chunk's
-    bit for bit; below, the complex product's operands swap, which can move
-    the last bit of an amplitude but, short of a draw landing on that bit,
-    no count."""
+    order and a branch drawn before every shot, branch-blind or not. It
+    renormalizes before the rotation, by ``np.linalg.norm``, and draws from
+    normalized probabilities and their ``np.cumsum``, where the blocked chunk
+    renormalizes after it by the row totals of its tiled prefix sums; so the
+    amplitudes agree to roundoff, and the counts bit for bit short of a draw
+    landing within roundoff of a branch boundary."""
     states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
     record = _Record(n)
     for j, table in enumerate(plan.tables):
         p = np.clip(states.real**2 + states.imag**2, 0.0, None)
-        idx = _draw_branches(p / p.sum(axis=-1, keepdims=True), rng.random(n))
+        p = p / p.sum(axis=-1, keepdims=True)
+        idx = _draw_branches(p, np.cumsum(p, axis=1), rng.random(n))
         n_c, n_d = record.shot(rng, table, idx)
         if j < len(plan.rotations):
             c_values, c_rank = np.unique(n_c, return_inverse=True)

@@ -412,8 +412,23 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--threads", "3"]) == EXIT_OK
         run = json.loads((out / "manifest.json").read_text())["run"]
+        smallest = run["protocols"][0].pop("smallest_norm2")
         # three workers asked for, one chunk to run: one worker runs it
         assert run == {"chunk_size": trajectory_mc.CHUNK_SIZE, "protocols": [{"workers": 1, "chunks": 1}]}
+        # the Kraus health counter: the smallest squared norm a Kraus update
+        # left a state with, each Kraus diagonal's largest modulus being 1
+        assert isinstance(smallest, float) and 0 < smallest <= 1 + 1e-12
+
+    def test_manifest_has_no_norm_without_a_kraus_update(self, tmp_path):
+        # a one-shot protocol renormalizes nothing, nor does the semiclassical mode
+        one_shot = dict(SIM_DOC, protocol=dict(SIM_DOC["protocol"], shots=SIM_DOC["protocol"]["shots"][:1]))
+        field = {"kind": "ornstein_uhlenbeck", "amplitude": 1.0, "correlation_time": 1.0}
+        semiclassical = dict(SIM_DOC, mc={"sequences": 1000, "mode": "semiclassical_field", "field": field})
+        for name, doc in (("one_shot", one_shot), ("semiclassical", semiclassical)):
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+            (entry,) = json.loads((out / "manifest.json").read_text())["run"]["protocols"]
+            assert entry["smallest_norm2"] is None
 
     def test_defaulted_run_steps_down_where_explicit_threads_exit(self, tmp_path, monkeypatch):
         # two chunks of a spin-1/2 need ~5 MiB each: under an 8 MiB guard one
@@ -424,6 +439,7 @@ class TestCliSimulate:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
         run = json.loads((tmp_path / "a" / "manifest.json").read_text())["run"]
+        run["protocols"][0].pop("smallest_norm2")
         assert run["protocols"] == [{"workers": 1, "chunks": 2}]
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"]) == EXIT_RESOURCE
 

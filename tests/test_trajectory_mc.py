@@ -20,20 +20,19 @@ from faradaycorr.quantum_core import (
 )
 from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable
 from faradaycorr.trajectory_mc import (
-    AMPLITUDE_BYTES,
     BLOCK_AMPLITUDES,
     CHUNK_SIZE,
     POISSON_MEAN_MAX,
-    SEQUENCE_BYTES,
     ClassicalFieldModel,
     FieldKind,
     McEstimate,
     TrajectoryConfig,
     _Blocks,
     _Record,
+    _branch_blind,
     _draw_branches,
     _estimate,
-    _kraus_update,
+    _chunk_bytes,
     _outcome_kraus,
     _quantum_plan,
     _run_quantum_chunk,
@@ -42,7 +41,7 @@ from faradaycorr.trajectory_mc import (
     snr_convention_factor,
     run_sequences,
 )
-from faradaycorr.weak_measurement import ProtocolSpec, ShotSpec, gk_exact_unitary
+from faradaycorr.weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec, gk_exact_unitary
 
 from conftest import SX, SZ, UP, precession_model, random_hermitian
 from crosscheck import KrausOutcomeSampler, density_matrix_chunk, expm_coupling, spectral_eigvecs, vector_chunk
@@ -52,14 +51,39 @@ S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
 def proto(bases_times, alpha, tau):
     shots = tuple(ShotSpec(time=t, basis=b) for t, b in bases_times)
-    return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProtocolWarning)  # a closing S3 shot is tested on purpose
+        return ProtocolSpec(shots=shots, sensor=SensorConfig(alpha=alpha, tau=tau))
+
+
+def block_steps(states, diagonals, rotation=None, u=None):
+    """The chunk's per-block step over whole rows of ``states``, block by
+    block: the Kraus diagonals (one row per state) multiplied in, the product
+    rotated (by the identity unless given) and renormalized, and, where u is
+    given, the next shot's branches drawn. Returns the products, the new
+    states, the row totals and the branches (None without u)."""
+    n, d = states.shape
+    psi = np.array(states, dtype=complex)
+    rotation = np.eye(d) if rotation is None else rotation
+    product, totals = np.empty_like(psi), np.empty(n)
+    idx = None if u is None else np.empty(n, dtype=np.intp)
+    blocks = _Blocks(n, d)
+    for rows, kraus, p, cum in blocks:
+        kraus[:] = diagonals[rows]
+        totals[rows], drawn = blocks.step(psi[rows], kraus, rotation, p, cum, None if u is None else u[rows])
+        product[rows] = kraus
+        if u is not None:
+            idx[rows] = drawn
+    return product, psi, totals, idx
 
 
 def kraus_update(states, table, n_c, n_d):
     """The chunk's Kraus update of whole rows: one diagonal per distinct
-    outcome, gathered back to its rows and applied by ``_kraus_update``."""
+    outcome, gathered back to its rows, applied by the per-block step.
+    Returns the products, the renormalized states and the row totals."""
     diagonals, outcome = _outcome_kraus(table, n_c, n_d)
-    return _kraus_update(states, diagonals[outcome], out=np.empty_like(states))
+    product, psi, totals, _ = block_steps(states, diagonals.take(outcome, axis=0))
+    return product, psi, totals
 
 
 class TestClusterEigenvalues:
@@ -360,22 +384,49 @@ def _chunk_rngs(seed: int):
 
 class TestBlockedChunk:
     """``_run_quantum_chunk`` works in row blocks of ``BLOCK_AMPLITUDES``
-    amplitudes; ``crosscheck.vector_chunk`` is the loop over the whole chunk
-    at every step that it replaced."""
+    amplitudes and draws no branch before a branch-blind (R/L) shot;
+    ``crosscheck.vector_chunk`` is the loop over the whole chunk at every
+    step, with a branch drawn before every shot, that it replaced."""
 
-    K4 = [(0.0, S3), (0.3, S2), (0.6, S3), (0.9, S2)]
+    K4 = [(0.0, S3), (0.3, S2), (0.6, S3), (0.9, S2)]  # branch-blind first and third
+    PROTOCOLS = pytest.mark.parametrize(
+        "shots",
+        [
+            K4,
+            [(0.0, S3), (0.3, S3), (0.6, S2)],  # blind first, twice in a row
+            [(0.0, S2), (0.3, S3), (0.6, S3)],  # blind last, twice in a row
+        ],
+        ids=["S3_S2_S3_S2", "S3_S3_S2", "S2_S3_S3"],
+    )
+    ALPHA_TAU = pytest.mark.parametrize("alpha, tau", [(5.0, 0.05), (45.0, 0.02)], ids=["alpha_5", "alpha_45"])
+    MODELS = pytest.mark.parametrize(
+        "make_model", [_thermal_spin_model, lambda d: _pure_spin_model(d - 1)], ids=["thermal", "pure"]
+    )
+    # d = 5 and 17: one tile of 5 branches; two of 9, the second padded
+    DIMS = pytest.mark.parametrize("d", [2, 5, 16, 17, 64])
 
-    @pytest.mark.parametrize("alpha, tau", [(5.0, 0.05), (45.0, 0.02)], ids=["alpha_5", "alpha_45"])
-    @pytest.mark.parametrize("make_model", [_thermal_spin_model, lambda d: _pure_spin_model(d - 1)], ids=["thermal", "pure"])
-    @pytest.mark.parametrize("d", [2, 16, 64])
-    def test_sums_match_the_whole_chunk_loop(self, d, make_model, alpha, tau):
-        plan = _quantum_plan(make_model(d), proto(self.K4, alpha=alpha, tau=tau))
+    @PROTOCOLS
+    @ALPHA_TAU
+    @MODELS
+    @DIMS
+    def test_sums_match_the_whole_chunk_loop(self, d, make_model, alpha, tau, shots):
+        plan = _quantum_plan(make_model(d), proto(shots, alpha=alpha, tau=tau))
+        assert plan.blind == tuple(b is S3 for _, b in shots)
         rows = BLOCK_AMPLITUDES // d
         for seed, n in enumerate((1, rows - 1, rows + 1, 3000, CHUNK_SIZE)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _run_quantum_chunk(n, *_chunk_rngs(seed), plan)
-            assert got == vector_chunk(n, *_chunk_rngs(seed), plan), n
+                sums, smallest = _run_quantum_chunk(n, *_chunk_rngs(seed), plan)
+            assert sums == vector_chunk(n, *_chunk_rngs(seed), plan), n
+            assert 0 < smallest <= 1 + 1e-12
+
+    def test_branch_blind_is_read_from_the_means(self):
+        sensor = SensorConfig(alpha=5.0, tau=0.1)
+        values = np.array([-1.5, 0.0, 2.0])
+        assert _branch_blind(ShotTable.of(values, sensor, S3))
+        assert not _branch_blind(ShotTable.of(values, sensor, S2))
+        # no rotation anywhere: every D/A branch sees alpha^2/2 too
+        assert _branch_blind(ShotTable.of(np.zeros(3), sensor, S2))
 
     @pytest.mark.parametrize("d", [2, 16, 64, 16384])
     def test_blocks_are_even_and_never_one_row(self, d):
@@ -386,19 +437,33 @@ class TestBlockedChunk:
             assert sum(sizes) == n and max(sizes) <= rows and max(sizes) - min(sizes) <= 1
             assert n == 1 or min(sizes) >= 2
 
-    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
     def test_peak_memory_of_a_chunk(self, d):
-        # the whole-chunk loop peaked at 3.6-3.8 times the state array
-        plan = _quantum_plan(_thermal_spin_model(d), proto(self.K4, alpha=5.0, tau=0.05))
-        rngs = _chunk_rngs(0)
-        tracemalloc.start()
-        try:
-            _run_quantum_chunk(CHUNK_SIZE, *rngs, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * CHUNK_SIZE * d * 16
-        assert peak < CHUNK_SIZE * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES)  # its share of the memory guard
+        # the guard charges the worst case, every count outcome distinct
+        # (alpha = 1e4), and stays within 1.5 times its peak; at alpha = 5 a
+        # shot sees a few hundred outcomes and the chunk holds less
+        cfg = TrajectoryConfig(
+            sequences=CHUNK_SIZE,
+            seed=0,
+            mode="kraus_quantum",
+            proto=proto(self.K4, alpha=1e4, tau=1e-5),
+            model=_thermal_spin_model(d),
+        )
+        charge = _chunk_bytes(cfg)
+        for alpha, tau in ((1e4, 1e-5), (5.0, 0.05)):
+            plan = _quantum_plan(cfg.model, proto(self.K4, alpha=alpha, tau=tau))
+            rngs = _chunk_rngs(0)
+            tracemalloc.start()
+            try:
+                _run_quantum_chunk(CHUNK_SIZE, *rngs, plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < charge
+            if alpha > 5:
+                assert charge < 1.5 * peak
+            elif d >= 16:  # the whole-chunk loop peaked at 3.6-3.8 times the state array
+                assert peak < 2 * CHUNK_SIZE * d * 16
 
 
 class TestVectorTrajectories:
@@ -410,7 +475,7 @@ class TestVectorTrajectories:
         rho = model.initial_state
         rotations = (*plan.rotations, None)  # the state after the last shot is never rotated
         for shot, table, rotation, (n_c, n_d) in zip(p.shots, plan.tables, rotations, [(3, 1), (0, 4), (2, 2)]):
-            psi = kraus_update(psi[None, :], table, [n_c], [n_d])[0]
+            psi = kraus_update(psi[None, :], table, [n_c], [n_d])[1][0]
             b_t = expm_coupling(model, shot.time)
             rho = KrausOutcomeSampler(rho, b_t, p.sensor, shot.basis).post_state(n_c, n_d)
             ket = spectral_eigvecs(model, shot.time) @ psi
@@ -462,8 +527,8 @@ class _ExactZeros(ShotTable):
 
 class TestKrausUpdate:
     """``_outcome_kraus`` evaluates one Kraus diagonal per distinct outcome
-    and ``_kraus_update`` applies them; together they must give the per-row
-    product and renormalization bit for bit."""
+    and the per-block step multiplies them in; together they must give the
+    per-row product bit for bit, which the step then renormalizes."""
 
     TAU = 0.1
     QUARTER = math.pi / (2 * TAU)  # b tau / 2 = pi/4: an S2 branch with beta_c = 0
@@ -472,8 +537,7 @@ class TestKrausUpdate:
     def per_row(states, table, n_c, n_d):
         # diagonal first, whatever the size: numpy may swap the operands of
         # ``states * temporary`` to write into the temporary
-        states = np.multiply(table.kraus_diagonal(n_c, n_d), states)
-        return states / np.linalg.norm(states, axis=1, keepdims=True)
+        return np.multiply(table.kraus_diagonal(n_c, n_d), states)
 
     def table(self, eigvals, alpha=5.0, exact_zeros=False):
         kind = _ExactZeros if exact_zeros else ShotTable
@@ -484,10 +548,20 @@ class TestKrausUpdate:
         shape = (len(n_c), len(table.theta))
         states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         n_c, n_d = np.asarray(n_c, dtype=float), np.asarray(n_d, dtype=float)
-        with np.errstate(invalid="ignore"):  # a row no branch can produce is 0/0
-            got = kraus_update(states, table, n_c, n_d)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a row no branch can produce is 0 * (1/0)
+            product, got, totals = kraus_update(states, table, n_c, n_d)
             want = self.per_row(states, table, n_c, n_d)
-        assert np.array_equal(got, want, equal_nan=True)
+            # the identity rotation is exact, and each row is scaled by one real factor
+            scale = np.reciprocal(np.sqrt(totals))[:, None]
+            normalized = np.empty_like(want)
+            normalized.real, normalized.imag = want.real * scale, want.imag * scale
+        assert np.array_equal(product, want)
+        assert np.array_equal(got, normalized, equal_nan=True)
+        # the totals are the squared norms: a sum of d nonnegative terms in
+        # any order is within (d - 1) eps of the exact sum, and |z|^2 of
+        # re^2 + im^2 within two more roundings
+        d = want.shape[1]
+        np.testing.assert_allclose(totals, (np.abs(want) ** 2).sum(axis=1), rtol=(d + 3) * np.finfo(float).eps, atol=0)
         return got
 
     def test_heavily_repeated_outcomes(self):
@@ -550,36 +624,76 @@ class TestKrausUpdate:
 
 
 class TestDrawBranches:
-    """``_draw_branches`` picks the branch whose cumulative probability first
-    exceeds the row's uniform draw."""
+    """Each row draws the first branch whose prefix sum of the weights exceeds
+    u times the row total, and the last branch of nonzero weight when
+    roundoff leaves no sum above that bound."""
 
     @staticmethod
     def plain(p, u):
-        return (np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)
+        """The draw, row by row."""
+        idx = []
+        for row, x in zip(p, u):
+            cum = np.cumsum(row)
+            above = np.flatnonzero(cum > x * cum[-1])
+            idx.append(above[0] if len(above) else np.flatnonzero(row)[-1])
+        return np.array(idx)
+
+    @staticmethod
+    def step_draws(states, u):
+        """The per-block step's draws from ``states``: unit Kraus diagonals and
+        no rotation leave the weights |psi_b|^2 of the states themselves."""
+        n, d = states.shape
+        return block_steps(states, np.ones((n, d), dtype=complex), u=u)[3]
+
+    @staticmethod
+    def states(rng, p):
+        """Rows with the weights p, in random phases."""
+        return np.sqrt(p) * np.exp(2j * np.pi * rng.random(p.shape))
 
     def test_ordinary_draws_are_the_first_sum_above_u(self):
         rng = np.random.default_rng(11)
-        p = rng.random((20000, 16))
-        p /= p.sum(axis=1, keepdims=True)
-        u = rng.random(20000)
-        assert np.array_equal(_draw_branches(p, u), self.plain(p, u))
+        for d in (16, 17, 64):  # one tile, two, four
+            states = self.states(rng, rng.random((20000, d)))
+            u = rng.random(20000)
+            p = states.real**2 + states.imag**2  # the weights the step forms
+            want = self.plain(p, u)
+            assert np.array_equal(self.step_draws(states, u), want)
+            assert np.array_equal(_draw_branches(p, np.cumsum(p, axis=1), u), want)
 
     def test_a_total_below_u_draws_the_last_possible_branch(self):
-        # u just below 1: roundoff leaves many totals at or below it, where no
-        # sum exceeds u and a plain argmax returns branch 0, whose probability is 0
+        for d in (16, 17):
+            self.check_last_possible_branch(d)
+
+    def check_last_possible_branch(self, d):
+        # u just below 1: for normalized weights, roundoff leaves many totals
+        # at or below u itself, where a plain argmax of the sums above u
+        # returns branch 0, whose weight is 0; the bound u times the total
+        # stays below the total, so these rows draw their last possible branch
         rng = np.random.default_rng(12)
-        p = rng.random((20000, 16))
+        p = rng.random((20000, d))
         p[:, 0] = 0.0
         p[:, -3:] = np.where(rng.random((20000, 3)) < 0.5, 0.0, p[:, -3:])
         p /= p.sum(axis=1, keepdims=True)
         u = np.full(20000, np.nextafter(1.0, 0.0))
         short = np.cumsum(p, axis=1)[:, -1] <= u
-        assert short.sum() > 1000 and np.all(self.plain(p, u)[short] == 0)
-        idx = _draw_branches(p, u)
+        assert short.sum() > 1000 and np.all((np.cumsum(p, axis=1) > u[:, None]).argmax(axis=1)[short] == 0)
+        states = self.states(rng, p)
+        p = states.real**2 + states.imag**2
+        idx = self.step_draws(states, u)
         assert np.all(p[np.arange(20000), idx] > 0)
         last = p.shape[1] - 1 - np.argmax(p[:, ::-1] > 0, axis=1)
         assert np.array_equal(idx[short], last[short])
-        assert np.array_equal(idx[~short], self.plain(p, u)[~short])
+        assert np.array_equal(idx, self.plain(p, u))
+
+    def test_a_subnormal_total_draws_the_last_possible_branch(self):
+        # u times a subnormal total rounds back to the total: no sum exceeds it
+        tiny = np.nextafter(0.0, 1.0)
+        p = np.array([[0.0, tiny, 0.0, tiny, 0.0], [tiny, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.5, 0.25]])
+        u = np.full(3, np.nextafter(1.0, 0.0))
+        cum = np.cumsum(p, axis=1)
+        assert np.all((cum[:2, -1] <= u[:2] * cum[:2, -1]))
+        assert np.array_equal(_draw_branches(p, cum, u), [3, 0, 4])
+        assert np.array_equal(_draw_branches(p, cum, u), self.plain(p, u))
 
 
 class TestMemoryGuard:
@@ -587,11 +701,15 @@ class TestMemoryGuard:
 
     def test_kraus_guard_raises_before_allocating(self, monkeypatch):
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
-        # one 16384-sequence chunk of a spin-1/2 is estimated at ~5 MiB
+        # one 16384-sequence chunk of a spin-1/2 is charged 16384 (2 * 32 +
+        # 160) bytes and 96 per amplitude of its 8192-row blocks, 5.0 MiB;
+        # 1000 sequences in one block of 1000 rows, 0.4 MiB
         big = TrajectoryConfig(sequences=CHUNK_SIZE, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        assert _chunk_bytes(big) == CHUNK_SIZE * (2 * 32 + 160) + 2 * 8192 * 96
         with pytest.raises(ResourceGuardError):
             run_sequences(big)
         small = TrajectoryConfig(sequences=1000, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
+        assert _chunk_bytes(small) == 1000 * (2 * 32 + 160) + 2 * 1000 * 96
         assert run_sequences(small).n_sequences == 1000
 
     def test_semiclassical_guard(self, monkeypatch):
@@ -602,7 +720,7 @@ class TestMemoryGuard:
             run_sequences(cfg)
 
     def test_guard_counts_chunks_in_flight(self, monkeypatch):
-        # two chunks of a spin-1/2 need ~5 MiB each: one worker fits 8 MiB, two do not
+        # two chunks of a spin-1/2 are charged 5.0 MiB each: one worker fits 8 MiB, two do not
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
         base = dict(sequences=2 * CHUNK_SIZE, seed=0, mode="kraus_quantum", proto=self.P, model=precession_model())
         assert run_sequences(TrajectoryConfig(workers=1, **base)).n_sequences == 2 * CHUNK_SIZE
