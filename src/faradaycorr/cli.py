@@ -7,8 +7,18 @@
 
 Writes ``results.csv`` (long format, deterministic for a fixed seed) and
 ``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
-Monte Carlo runs the worker and chunk layout) to the output directory. The
-columns of ``results.csv`` are the keys of each command's rows, in order.
+Monte Carlo runs the worker and chunk layout) to the output directory.
+
+Each command returns a ``Table``: the columns of ``results.csv`` in order,
+and blocks of rows. A block holds a cell that is the same on all its rows
+once, and one cell per row for every other column; ``exact`` and
+``simulate`` give one block per protocol grid, ``snr`` one block, and a
+sweep each variant's blocks with its path and value as shared cells. The
+writer formats a shared cell once per block. A cell reads as
+``csv.writer(fh, lineterminator="\\n")`` writes it: None empty, a float its
+``repr``, anything else its ``str``, quoted where the text needs it, and a
+row's lone empty cell as ``""`` (docs/output_schema.md).
+
 ``--threads`` exists only on the commands that run Monte Carlo workers, and
 sets how many threads run each protocol's chunks; without it, one per usable
 core, within the memory guard. The count never changes the results. An
@@ -23,20 +33,22 @@ import argparse
 import csv
 import datetime
 import hashlib
+import io
+import itertools
 import json
 import math
+import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .correlations import correlation_grid
 from .config import NON_FINITE, ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
-from .weak_measurement import ProtocolWarning, gk_exact_unitary_grid, gk_leading_grid, leading_order
+from .weak_measurement import ProtocolWarning, protocol_grids
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,51 +70,95 @@ PROVENANCE = {
 }
 
 
-def _protocol_columns(proto, finals, **after_bases) -> list[dict]:
-    """The protocol columns of each final time's row: those of ``proto``
-    with its last shot at that time. All but that time are formed once."""
+# The columns of results.csv per command, in order; a sweep puts
+# sweep_path and sweep_value before those of its command.
+EXACT_COLUMNS = (
+    "order_K", "shot_times[s]", "bases", "sign_type", "alpha", "tau[s]",
+    "correlation_C[(rad/s)^K]", "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "warning",
+)
+SIMULATE_COLUMNS = (
+    "order_K", "shot_times[s]", "bases", "alpha", "tau[s]", "mode", "sequences", "seed",
+    "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]",
+    "per_shot_variance_raw[counts^2]", "empirical_snr", "gk_leading[counts^K]",
+    "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance", "warning",
+)
+SNR_COLUMNS = ("order_K", "regime", "snr", "snr_per_sqrt_L", "L_for_unit_snr", "base_factor", "prefactor[spins]")
+# The simulate columns that each protocol's Monte Carlo fills, in the order cmd_simulate forms them.
+_MC_COLUMNS = (
+    "sequences", "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]",
+    "per_shot_variance_raw[counts^2]", "empirical_snr", "gk_leading[counts^K]",
+    "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance",
+)
+
+
+@dataclass(frozen=True)
+class Block:
+    """Consecutive rows of a results table: ``same`` maps each column whose
+    cell is the same on every row to that cell, ``each`` every other column
+    to a sequence of one cell per row."""
+
+    same: dict
+    each: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len({len(cells) for cells in self.each.values()}) > 1:
+            raise ValueError("the per-row columns of a block differ in length")
+
+    @property
+    def rows(self) -> int:
+        return len(next(iter(self.each.values()))) if self.each else 1
+
+
+@dataclass(frozen=True)
+class Table:
+    """A command's results: the columns of results.csv, in order, and the
+    blocks of rows; every block gives a cell or cells for each column."""
+
+    columns: tuple[str, ...]
+    blocks: list[Block]
+
+
+def _protocol_cells(proto, finals) -> tuple[dict, dict]:
+    """The protocol columns of a block with one row per final time, ``proto``
+    with its last shot at that time: the cells all rows share, and the shot
+    times of each row."""
     first = "".join(f"{s.time!r};" for s in proto.shots[:-1])
-    fixed = {
+    same = {
+        "order_K": proto.order,
         "bases": ";".join(s.basis.value for s in proto.shots),
-        **after_bases,
         "alpha": proto.sensor.alpha,
         "tau[s]": proto.sensor.tau,
     }
-    return [{"order_K": proto.order, "shot_times[s]": first + repr(t), **fixed} for t in finals]
+    return same, {"shot_times[s]": [first + repr(t) for t in finals]}
 
 
-def cmd_exact(run: ExactRun) -> list[dict]:
-    """One row per final time; each column is one grid evaluation of the
-    protocol, whose first K-1 shots are applied once per chain."""
-    model, proto, finals = run.model, run.protocol, run.finals
-    query = proto.query()
-    corr = correlation_grid(model, query, finals)
-    leading = leading_order(proto, corr)  # gk_leading_grid, from the C already computed
-    exact = None
-    if run.engine is not None:
-        exact = gk_exact_unitary_grid(model, proto, finals, run.engine == "fock")
-    return [
-        {
-            **columns,
-            "correlation_C[(rad/s)^K]": float(corr[i]),
-            "gk_leading[counts^K]": float(leading[i]),
-            "gk_exact_unitary[counts^K]": None if exact is None else float(exact[i]),
-            "warning": run.protocol_warning,
-        }
-        for i, columns in enumerate(_protocol_columns(proto, finals, sign_type=query.label()))
-    ]
+def cmd_exact(run: ExactRun) -> Table:
+    """One row per final time; the columns come from one walk of the
+    protocol's chains over the grid, whose first K-1 shots are applied once."""
+    proto = run.protocol
+    corr, leading, exact = protocol_grids(run.model, proto, run.finals, run.engine)
+    same, each = _protocol_cells(proto, run.finals)
+    same.update({"sign_type": proto.query().label(), "warning": run.protocol_warning})
+    each.update({"correlation_C[(rad/s)^K]": corr.tolist(), "gk_leading[counts^K]": leading.tolist()})
+    if exact is None:
+        same["gk_exact_unitary[counts^K]"] = None
+    else:
+        each["gk_exact_unitary[counts^K]"] = exact.tolist()
+    return Table(EXACT_COLUMNS, [Block(same, each)])
 
 
-def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], list[dict]]:
+def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dict]]:
     """The simulate rows, plus the worker and chunk layout of each
     protocol's Monte Carlo; ``threads`` None takes ``default_workers``."""
     mc, finals = run.mc, run.finals
     leading = exact = [None] * len(finals)
     if mc.mode == "kraus_quantum":
-        leading = gk_leading_grid(mc.model, run.protocol, finals).tolist()
-        exact = gk_exact_unitary_grid(mc.model, run.protocol, finals).tolist()
+        _, leading, exact = protocol_grids(mc.model, run.protocol, finals)
+        leading, exact = leading.tolist(), exact.tolist()
+    same, each = _protocol_cells(run.protocol, finals)
+    same.update({"mode": mc.mode, "seed": mc.seed, "warning": run.protocol_warning})
     rows, layout = [], []
-    for t, columns, lead, ex in zip(finals, _protocol_columns(run.protocol, finals), leading, exact):
+    for t, lead, ex in zip(finals, leading, exact):
         with warnings.catch_warnings():  # its text is in the run's warning column already
             warnings.simplefilter("ignore", ProtocolWarning)
             cfg = replace(mc, proto=run.protocol.at(t))
@@ -111,57 +167,35 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[list[dict], lis
         layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
-        rows.append(
-            {
-                **columns,
-                "mode": mc.mode,
-                "sequences": est.n_sequences,
-                "seed": mc.seed,
-                "mc_mean[counts^K]": est.mean,
-                "mc_std_error[counts^K]": est.std_error,
-                "per_shot_variance_half[counts^2]": est.per_shot_variance,
-                "per_shot_variance_raw[counts^2]": est.per_shot_variance_raw,
-                "empirical_snr": empirical_snr(est),
-                "gk_leading[counts^K]": lead,
-                "gk_exact_unitary[counts^K]": ex,
-                "abs_error[counts^K]": abs_err,
-                "sigma_distance": sigma,
-                "warning": run.protocol_warning,
-            }
-        )
-    return rows, layout
+        rows.append((est.n_sequences, est.mean, est.std_error, est.per_shot_variance, est.per_shot_variance_raw,
+                     empirical_snr(est), lead, ex, abs_err, sigma))
+    each.update(zip(_MC_COLUMNS, map(list, zip(*rows))))
+    return Table(SIMULATE_COLUMNS, [Block(same, each)]), layout
 
 
-def cmd_snr(run: SnrRun) -> list[dict]:
+def cmd_snr(run: SnrRun) -> Table:
     rows = []
     for k, scenario in run.scenarios:
         report = snr_material(scenario)
-        rows.append(
-            {
-                "order_K": k,
-                "regime": report.regime,
-                "snr": report.snr,
-                "snr_per_sqrt_L": report.snr / scenario.L**0.5,
-                "L_for_unit_snr": report.L_for_unit_snr,
-                "base_factor": report.base_factor,
-                "prefactor[spins]": report.prefactor,
-            }
-        )
-    return rows
+        rows.append((k, report.regime, report.snr, report.snr / scenario.L**0.5, report.L_for_unit_snr,
+                     report.base_factor, report.prefactor))
+    return Table(SNR_COLUMNS, [Block({}, dict(zip(SNR_COLUMNS, map(list, zip(*rows)))))])
 
 
-def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[list[dict], list[dict]]:
-    rows, layout = [], []
+def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[Table, list[dict]]:
+    """Each variant's blocks, with the sweep path and value as cells of every row."""
+    blocks, layout = [], []
     for value, variant in run.runs:
-        sub_rows, sub_layout = _dispatch(variant, threads)
-        rows.extend({"sweep_path": run.path, "sweep_value": value, **row} for row in sub_rows)
+        table, sub_layout = _dispatch(variant, threads)
+        blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each)
+                      for block in table.blocks)
         layout.extend(dict(entry, sweep_value=_stored_config(value)) for entry in sub_layout)
-    return rows, layout
+    return Table(("sweep_path", "sweep_value", *table.columns), blocks), layout
 
 
-def _dispatch(run: Run, threads: int | None) -> tuple[list[dict], list[dict]]:
-    """Rows (their keys are the columns) and the Monte Carlo layout, one
-    entry per simulated protocol."""
+def _dispatch(run: Run, threads: int | None) -> tuple[Table, list[dict]]:
+    """The results table and the Monte Carlo layout, one entry per
+    simulated protocol."""
     if isinstance(run, ExactRun):
         return cmd_exact(run), []
     if isinstance(run, SimulateRun):
@@ -194,20 +228,72 @@ def _config_sha256(stored: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _write_outputs(out_dir: Path, rows, layout, stored: dict, config_sha256: str, command: str, seed) -> None:
+# Text that csv.writer leaves as it is in any dialect with the defaults of
+# "excel": no delimiter, quote, line end or space. Other text is quoted by
+# csv.writer itself, so each cell is what it writes on every Python version.
+_PLAIN = re.compile(r"[\w.;:+\-()\[\]^/]*", re.ASCII)
+
+
+def _quoted(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+def _cell(value) -> str:
+    """A cell of results.csv as csv.writer writes it in a row of several
+    cells: None empty, a float its repr, anything else its str, quoted
+    where that text needs it."""
+    if value is None:
+        return ""
+    text = repr(value) if isinstance(value, float) else str(value)
+    return text if _PLAIN.fullmatch(text) else _quoted(text)
+
+
+def _cells(values) -> list[str]:
+    """``_cell`` of each value; a column of plain floats or of plain text is
+    checked once."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds == {str} and _PLAIN.fullmatch("".join(values)):
+        return list(values)
+    return list(map(_cell, values))
+
+
+def _lines(table: Table) -> list[str]:
+    """The lines of results.csv: the header, then each block's rows. The
+    cells a block shares are formatted once, and runs of them joined once."""
+    lines = [",".join(map(_cell, table.columns))]
+    for block in table.blocks:
+        n, parts, run = block.rows, [], []
+        for column in table.columns:
+            if column in block.same:
+                run.append(_cell(block.same[column]))
+                continue
+            if run:
+                parts.append(itertools.repeat(",".join(run), n))
+                run = []
+            parts.append(_cells(block.each[column]))
+        if run:
+            parts.append(itertools.repeat(",".join(run), n))
+        lines.extend(map(",".join, zip(*parts)))
+    if len(table.columns) == 1:  # csv.writer quotes a row's lone empty cell
+        lines = [line or '""' for line in lines]
+    return lines
+
+
+def _write_outputs(out_dir: Path, table: Table, layout, stored: dict, config_sha256: str, command: str, seed) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = list(rows[0])
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # None as "", floats by repr, the rest by str
-        writer.writerow(columns)
-        writer.writerows(row.values() for row in rows)
+        fh.write("\n".join(_lines(table)) + "\n")
     manifest = {
         "tool_version": __version__,
         "command": command,
         "config_sha256": config_sha256,
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "provenance": {c: PROVENANCE.get(c, "cli") for c in columns},
+        "provenance": {c: PROVENANCE.get(c, "cli") for c in table.columns},
         "config": stored,
     }
     if layout:
@@ -243,8 +329,8 @@ def main(argv=None) -> int:
             )
         stored = _stored_config(raw)
         config_sha256 = _config_sha256(stored)
-        rows, layout = _dispatch(run, args.threads)
-        _write_outputs(out, rows, layout, stored, config_sha256, args.command, run.seed)
+        table, layout = _dispatch(run, args.threads)
+        _write_outputs(out, table, layout, stored, config_sha256, args.command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -127,6 +127,14 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _numbers(values: list, where: str) -> list[float]:
+    """``_number`` of each of ``values``, their types checked at once; an
+    error names the first value that is not a number as ``where[i]``."""
+    if set(map(type, values)) <= {int, float}:
+        return list(map(float, values))
+    return [_number(value, f"{where}[{i}]") for i, value in enumerate(values)]
+
+
 def _integer(value, where: str) -> int:
     """An int, or a float with an integral value; never a bool or a string."""
     if isinstance(value, float) and value.is_integer():
@@ -230,13 +238,16 @@ def _protocol_grid(proto_cfg: dict) -> tuple[ProtocolSpec, tuple[float, ...]]:
             shots.append(ShotSpec(time=time, basis=MeasurementBasis(basis)))
     grid = proto_cfg.get("final_time_grid")
     if grid is not None:
-        grid = _nonempty_list(grid, "protocol.final_time_grid")
-        grid = [_number(t, f"protocol.final_time_grid[{i}]") for i, t in enumerate(grid)]
+        grid = _numbers(_nonempty_list(grid, "protocol.final_time_grid"), "protocol.final_time_grid")
         prev = len(shots) - 2  # the shot each final time follows
-        follows = f" and not before protocol.shots[{prev}].time = {shots[prev].time:g}" if prev >= 0 else ""
-        for i, t in enumerate(grid):
-            if not math.isfinite(t) or (prev >= 0 and t < shots[prev].time):
-                raise ConfigError(f"protocol.final_time_grid[{i}] = {t:g} must be finite{follows}")
+        finals = np.array(grid)
+        bad = ~np.isfinite(finals)
+        if prev >= 0:
+            bad |= finals < shots[prev].time
+        if bad.any():
+            i = int(np.argmax(bad))
+            follows = f" and not before protocol.shots[{prev}].time = {shots[prev].time:g}" if prev >= 0 else ""
+            raise ConfigError(f"protocol.final_time_grid[{i}] = {grid[i]:g} must be finite{follows}")
     with _constructing("protocol"):
         sensor = SensorConfig(alpha=alpha, tau=tau)
     with _constructing("protocol.shots"):

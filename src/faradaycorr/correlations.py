@@ -20,10 +20,11 @@ B = V_B diag(w_B) V_B† (``SpectralData.walk``), so no shot computes an
 exponential or an eigendecomposition. Only the diagonal m_ii
 of the last record reaches the trace, so the last shot is the observable
 X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
-(``SpectralData.final_traces``). A closing "-" branch has a zero diagonal, so
-its C is exactly zero. ``correlation_grid`` takes one query and the final
-times to evaluate it at; ``correlation`` is that grid at the query's own last
-time.
+(``SpectralData.final_traces``). Chains at the same shot times, such as C
+and the all-orders column of one protocol, share the walk and the phases of
+each final time. A closing "-" branch has a zero diagonal, so its C is
+exactly zero. ``correlation_grid`` takes one query and the final times to
+evaluate it at; ``correlation`` is that grid at the query's own last time.
 """
 
 from __future__ import annotations
@@ -121,38 +122,50 @@ def real_trace(values, scale: float, what: str) -> Array:
     return values.real
 
 
-def _record_chain(model: TargetModel, records: dict, keys, times, finals, scale: float, what: str) -> Array:
-    """Traces of a chain of K shots, one per final time.
+def _record_chain(model: TargetModel, columns, times, finals) -> Array:
+    """Traces of chains of K shots at the same times, one row per chain and
+    one entry per final time.
 
+    Each of ``columns`` is one chain: the record matrix of each of its shots.
     Shot j multiplies rho, held in the eigenbasis of B(t_j), elementwise by
-    ``records[keys[j]]``, the record matrix of its basis; ``times`` are the
-    t_j of the first K-1 shots. The last record closes the chain through its
-    diagonal as X = V_B diag(m_ii) V_B†, traced at each of ``finals``, which
-    must be finite and not before the last of ``times`` (else ``ValueError``).
-    ``scale`` is the a-priori size of the traces for ``real_trace``.
+    its record; ``times`` are the t_j of the first K-1 shots. The last record
+    closes the chain through its diagonal as X = V_B diag(m_ii) V_B†, traced
+    at each of ``finals``, which must be finite and not before the last of
+    ``times`` (else ``ValueError``). The chains share one walk through the
+    eigenbases and the phases of each final time. The traces are complex:
+    each row goes through ``real_trace`` with its chain's a-priori size.
     """
     finals = np.asarray(finals, dtype=float)
     if not np.all(np.isfinite(finals)) or (len(times) and np.any(finals < times[-1])):
         raise ValueError("final times must be finite and not before the shot they follow")
     spec = model.spectral
     *changes, back = spec.walk(times)  # rho0 and X are in the H eigenbasis
-    rho = spec.initial_state
-    for w, key in zip(changes, keys):
-        rho = records[key] * (w @ rho @ w.conj().T)
-    rho = back @ rho @ back.conj().T
+    changes = [(w, w.conj().T) for w in changes]
     v_b = spec.coupling_eigvecs
-    x = (v_b * np.diag(records[keys[-1]])) @ v_b.conj().T
-    return real_trace(spec.final_traces(x, rho, finals), scale, what)
+    closing = []
+    for records in columns:
+        rho = spec.initial_state
+        for (w, w_h), record in zip(changes, records):
+            rho = record * (w @ rho @ w_h)
+        closing.append(((v_b * np.diag(records[-1])) @ v_b.conj().T, back @ rho @ back.conj().T))
+    return spec.final_traces(closing, finals)
+
+
+def _correlation_records(model: TargetModel, q: CorrelationQuery) -> tuple[list[Array], float]:
+    """The branch record of each of ``q``'s shots, for ``_record_chain``, and
+    ||B||^K, the a-priori size of its C for ``real_trace``."""
+    spec = model.spectral
+    records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(q.signs)}
+    return [records[sign] for sign in q.signs], spec.coupling_norm**q.order
 
 
 def correlation_grid(model: TargetModel, q: CorrelationQuery, finals) -> Array:
     """C of ``q`` with its last shot's time replaced by each of ``finals``:
     the first K-1 branches are applied once, then each final time costs one
     O(d^2) trace."""
-    spec = model.spectral
-    records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(q.signs)}
-    scale = spec.coupling_norm**q.order
-    return _record_chain(model, records, q.signs, q.times[:-1], finals, scale, "correlation trace")
+    records, scale = _correlation_records(model, q)
+    (traces,) = _record_chain(model, [records], q.times[:-1], finals)
+    return real_trace(traces, scale, "correlation trace")
 
 
 def correlation(model: TargetModel, q: CorrelationQuery) -> float:

@@ -218,21 +218,25 @@ class SpectralData:
         into = [v.conj().T * self.phases(-gap) for gap in gaps]
         return [into[0], *(w @ v for w in into[1:]), self.phases(times[-1])[:, None] * v]
 
-    def final_traces(self, x: Array, rho: Array, times) -> Array:
-        """Tr[X(t) rho] for each t, with X(t) = exp(iHt) X exp(-iHt).
+    def final_traces(self, closing, times) -> Array:
+        """Tr[X(t) rho] for each (x, rho) pair of ``closing`` and each t, with
+        X(t) = exp(iHt) X exp(-iHt): one row of traces per pair.
 
-        ``x`` and ``rho`` are in the H eigenbasis. Each time costs O(d^2) and
-        no d x d matrix is formed per time. The times are taken in blocks of
-        ``FINAL_TIME_BLOCK``: the phases, their product with the weights,
-        their conjugate and the product of those two are four block x d
-        complex arrays held at once, which is what the memory guard sees.
+        ``x`` and ``rho`` are in the H eigenbasis. Each time costs O(d^2) per
+        pair and no d x d matrix is formed per time; the pairs share the phases
+        of each time. The times are taken in blocks of ``FINAL_TIME_BLOCK``:
+        the phases, their conjugate, a pair's product with them and that
+        product's product with the conjugate are four block x d complex
+        arrays held at once, which is what the memory guard sees.
         """
         times = np.asarray(times, dtype=float)
         d, block = self.energies.size, min(times.size, FINAL_TIME_BLOCK)
         check_memory(4 * 16 * block * d, f"final-time block of {block} times at d={d}")
-        weights = x * rho.T
-        out = np.empty(times.size, dtype=complex)
+        weights = [x * rho.T for x, rho in closing]
+        out = np.empty((len(weights), times.size), dtype=complex)
         for start in range(0, times.size, FINAL_TIME_BLOCK):
             p = np.exp(1j * np.outer(times[start:start + FINAL_TIME_BLOCK], self.energies))
-            out[start:start + FINAL_TIME_BLOCK] = np.sum((p @ weights) * p.conj(), axis=1)
+            p_conj = p.conj()
+            for row, w in zip(out, weights):
+                row[start:start + FINAL_TIME_BLOCK] = np.sum((p @ w) * p_conj, axis=1)
         return out

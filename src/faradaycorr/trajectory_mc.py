@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import check_memory, fits_memory
 from .quantum_core import Array, TargetModel
-from .sensor_optics import MeasurementBasis, ShotTable
+from .sensor_optics import ShotTable
 from .weak_measurement import ProtocolSpec
 
 CHUNK_SIZE = 16384
@@ -614,12 +614,3 @@ def empirical_snr(est: McEstimate) -> float:
     if est.std_error == 0:
         return 0.0 if est.mean == 0 else math.copysign(math.inf, est.mean)
     return est.mean / est.std_error
-
-
-def snr_convention_factor(proto: ProtocolSpec) -> float:
-    """Ratio between the empirical SNR of the per-basis records and the
-    closed-form SNR formulas (which assume mean coefficient alpha^2/2 and
-    per-shot noise alpha at every shot): one factor 2 per D/A (S2) shot.
-    """
-    n_s2 = sum(1 for s in proto.shots if s.basis is MeasurementBasis.S2)
-    return 2.0**n_s2

@@ -25,8 +25,9 @@ An all-orders record depends only on the pulse, the eigenvalues of B and
 the basis, so it is built once per basis. The ``*_grid`` functions take one
 protocol and the final times to evaluate it at, each replacing the time of
 its last shot: the state after the first K-1 shots is built once and each
-final time costs one O(d^2) trace. The single-protocol functions are those
-grids at the protocol's own last time.
+final time costs one O(d^2) trace. ``protocol_grids`` gives C and both
+count correlations of one protocol from one walk of both chains. The
+single-protocol functions are the grids at the protocol's own last time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationQuery, _record_chain, correlation_grid
+from .correlations import CorrelationQuery, _correlation_records, _record_chain, correlation_grid, real_trace
 from .errors import NumericalGuardError
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SectorRows, SensorConfig, ShotTable
@@ -132,12 +133,9 @@ def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     return GkResult(value=float(gk_leading_grid(model, proto, [proto.shots[-1].time])[0]))
 
 
-def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock: bool = False) -> Array:
-    """All-orders count correlations of ``proto`` with its last shot at each
-    of ``finals``: the record chain with each shot's instrument record, or
-    with its truncated-Fock cross-check when ``fock`` is set. B is frozen at
-    each shot's start time.
-    """
+def _exact_records(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple[list[Array], float]:
+    """The all-orders record of each of ``proto``'s shots, for ``_record_chain``,
+    and the product of their largest elements, the a-priori size of its traces."""
     sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
     if fock:
@@ -145,9 +143,39 @@ def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock:
         records = {b: rows.record(sensor.tau * w, b) for b in set(keys)}
     else:
         records = {b: ShotTable.of(w, sensor, b).record() for b in set(keys)}
-    times = [s.time for s in proto.shots[:-1]]
-    scale = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
-    return _record_chain(model, records, keys, times, finals, scale, "exact count correlation")
+    return [records[b] for b in keys], math.prod(float(np.max(np.abs(records[b]))) for b in keys)
+
+
+def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock: bool = False) -> Array:
+    """All-orders count correlations of ``proto`` with its last shot at each
+    of ``finals``: the record chain with each shot's instrument record, or
+    with its truncated-Fock cross-check when ``fock`` is set. B is frozen at
+    each shot's start time.
+    """
+    records, scale = _exact_records(model, proto, fock)
+    (traces,) = _record_chain(model, [records], [s.time for s in proto.shots[:-1]], finals)
+    return real_trace(traces, scale, "exact count correlation")
+
+
+def protocol_grids(model: TargetModel, proto: ProtocolSpec, finals, engine: str | None = "coherent"):
+    """C of ``proto``'s query, and its leading-order and all-orders count
+    correlations, with its last shot at each of ``finals``: the values of
+    ``correlation_grid``, ``gk_leading_grid`` and ``gk_exact_unitary_grid``
+    (with ``fock`` when ``engine`` is "fock"; None in place of the all-orders
+    grid when ``engine`` is None), from one walk through the eigenbases and
+    one set of final-time phases. The guards run in that order, and an
+    overflowing ``prediction_factor`` raises before any record is built.
+    """
+    prediction_factor(proto)
+    q = proto.query()
+    columns = [_correlation_records(model, q)]
+    if engine is not None:
+        columns.append(_exact_records(model, proto, engine == "fock"))
+    traces = _record_chain(model, [records for records, _ in columns], q.times[:-1], finals)
+    corr = real_trace(traces[0], columns[0][1], "correlation trace")
+    leading = leading_order(proto, corr)
+    exact = None if engine is None else real_trace(traces[1], columns[1][1], "exact count correlation")
+    return corr, leading, exact
 
 
 def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> GkResult:

@@ -16,6 +16,8 @@ against. None of them is runtime code.
   density matrices per chunk, where the Monte Carlo carries state vectors;
   or on the chunk's n x d state vectors at once, with whole-chunk
   temporaries at every step, where the Monte Carlo works in row blocks.
+* ``snr_convention_factor`` is the factor between the empirical SNR of the
+  per-basis records and the closed-form SNR formulas; only tests apply it.
 """
 
 import math
@@ -323,3 +325,12 @@ def vector_chunk(n: int, rng: np.random.Generator, init_rng: np.random.Generator
             states = states * table.kraus_diagonal(c_values[keys // width], d_values[keys % width])[rows]
             states = (states / np.linalg.norm(states, axis=1, keepdims=True)) @ plan.rotations[j]
     return record.sums()
+
+
+def snr_convention_factor(proto: ProtocolSpec) -> float:
+    """Ratio between the empirical SNR of the per-basis records and the
+    closed-form SNR formulas (which assume mean coefficient alpha^2/2 and
+    per-shot noise alpha at every shot): one factor 2 per D/A (S2) shot.
+    """
+    n_s2 = sum(1 for s in proto.shots if s.basis is MeasurementBasis.S2)
+    return 2.0**n_s2

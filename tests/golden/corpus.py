@@ -184,10 +184,14 @@ def _openblas_config() -> str | None:
 
 def build() -> dict:
     """The numpy and BLAS build whose arithmetic the golden bytes hold."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its build only
+        blas = None
     return {
         "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas": blas,
         "blas_runtime": _openblas_config(),
         "machine": platform.machine(),
     }

@@ -1,13 +1,17 @@
 import copy
 import csv
 import datetime
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
 import yaml
+from hypothesis import strategies as st
 
 from faradaycorr import cli
 from faradaycorr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, main
@@ -148,6 +152,11 @@ class TestBuilders:
         assert [p.shots[-1].time for p in protos] == [0.5, 1.0, 1.5]
         assert all(p.shots[0].time == 0.0 for p in protos)
 
+    def test_all_int_final_time_grid_parses(self):
+        proto_cfg = dict(EXACT_DOC["protocol"], final_time_grid=[1, 2, 3])
+        finals = config.parse_config(dict(EXACT_DOC, protocol=proto_cfg)).finals
+        assert finals == (1.0, 2.0, 3.0) and all(type(t) is float for t in finals)
+
     @pytest.mark.parametrize("grid", [None, [0.5, 1.0 / 3.0, 1.5, 2.0]], ids=["own-time", "grid"])
     def test_build_protocols_expands_the_parsed_pair(self, grid):
         shots = [{"time": 0.0, "basis": "S3"}, {"time": 0.25, "basis": "S2"}, {"time": 1.0, "basis": "S2"}]
@@ -241,13 +250,13 @@ class TestCliExact:
         # alpha = 2 would run, but alpha = 70 needs the cutoff 5610: the sweep
         # exits 4 when the config is parsed, before the first run computes
         calls = []
-        real = cli.correlation_grid
+        real = cli.protocol_grids
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "correlation_grid", counting)
+        monkeypatch.setattr(cli, "protocol_grids", counting)
         doc = {
             "command": "sweep",
             "model": EXACT_DOC["model"],
@@ -473,8 +482,9 @@ class TestCliSimulate:
 
     def test_simulate_computes_c_once_over_the_grid(self, tmp_path, monkeypatch):
         # simulate's gk_leading column is prediction_factor times one C chain
-        # over the whole grid, with no one-point C per protocol
-        calls = {"correlation_grid": 0, "correlation": 0}
+        # over the whole grid, with no one-point C per protocol; that chain
+        # and the all-orders one share a single walk through the eigenbases
+        calls = {"_record_chain": 0, "correlation_grid": 0, "correlation": 0}
         for name in calls:
             real = getattr(correlations, name)
 
@@ -490,26 +500,27 @@ class TestCliSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
         assert len(read_rows(out)) == 8
-        assert calls == {"correlation_grid": 1, "correlation": 0}
+        assert calls == {"_record_chain": 1, "correlation_grid": 0, "correlation": 0}
 
     def test_simulate_evaluates_each_column_once_over_the_grid(self, tmp_path, monkeypatch):
-        calls = {"leading": 0, "exact": 0}
+        # one evaluation over the whole grid gives both the leading-order and
+        # the all-orders column
+        calls = []
+        real = cli.protocol_grids
 
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("engine", args[3] if len(args) > 3 else "coherent"))
+            return real(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(cli, "gk_leading_grid", counting("leading", cli.gk_leading_grid))
-        monkeypatch.setattr(cli, "gk_exact_unitary_grid", counting("exact", cli.gk_exact_unitary_grid))
+        monkeypatch.setattr(cli, "protocol_grids", counting)
         protocol = dict(SIM_DOC["protocol"], final_time_grid=[0.5 + 0.25 * i for i in range(8)])
         doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 500, "mode": "kraus_quantum"})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
-        assert len(read_rows(out)) == 8
-        assert calls == {"leading": 1, "exact": 1}
+        rows = read_rows(out)
+        assert len(rows) == 8
+        assert calls == ["coherent"]
+        assert all(row["gk_leading[counts^K]"] and row["gk_exact_unitary[counts^K]"] for row in rows)
 
     def test_warning_column_for_closed_protocol(self, tmp_path):
         shots = [{"time": 0.0, "basis": "S2"}, {"time": 1.0, "basis": "S3"}]
@@ -793,6 +804,40 @@ INVALID_CONFIGS = [
         lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[math.nan]),
         "protocol.final_time_grid[0] = nan must be finite",
     ),
+    # each kind of bad final time, named at the first index it occurs
+    (
+        "boolean-final-time",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[0.5, True, "soon"]),
+        "config error: protocol.final_time_grid[1] must be a number, got True\n",
+    ),
+    (
+        "text-final-time",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[0.5, "soon", True]),
+        "config error: protocol.final_time_grid[1] must be a number, got 'soon'\n",
+    ),
+    (
+        "spelled-nan-final-time",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[0.5, ".nan", -1.0]),
+        "config error: protocol.final_time_grid[1] = nan must be finite "
+        "and not before protocol.shots[0].time = 0\n",
+    ),
+    (
+        "spelled-minus-inf-final-time",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=["-.inf", 0.5]),
+        "config error: protocol.final_time_grid[0] = -inf must be finite "
+        "and not before protocol.shots[0].time = 0\n",
+    ),
+    (
+        "last-of-512-final-times-before-its-shot",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[1.0 + i / 512 for i in range(511)] + [-0.25]),
+        "config error: protocol.final_time_grid[511] = -0.25 must be finite "
+        "and not before protocol.shots[0].time = 0\n",
+    ),
+    (
+        "last-of-512-final-times-text",
+        lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[-1.0] + [1.0 + i / 512 for i in range(510)] + ["x"]),
+        "config error: protocol.final_time_grid[511] must be a number, got 'x'\n",
+    ),
     # alpha^2 = 1e20 photons: numpy's Poisson draws refuse the means, after the gk_* grids ran
     ("kraus-pulse-beyond-poisson", lambda tmp: _doc(SIM_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
     ("semiclassical-pulse-beyond-poisson", lambda tmp: _doc(OU_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
@@ -860,7 +905,7 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, make_doc, names):
 
 def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "correlation_grid", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "protocol_grids", lambda *args: calls.append(args))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
     assert calls == []
@@ -871,7 +916,7 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, monkeypatch, 
     # --out names a regular file, or a path below one: refused before the
     # config is read, so no grid function runs
     calls = []
-    monkeypatch.setattr(cli, "correlation_grid", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "protocol_grids", lambda *args: calls.append(args))
     (tmp_path / "taken").write_text("")
     out = tmp_path / "taken" / under
     with pytest.raises(SystemExit) as exc:
@@ -964,7 +1009,7 @@ def test_mc_guard_runs_for_every_sweep_value_before_computing(tmp_path, monkeypa
     # parsed, before the two_j = 1 run computes
     monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 8 * 1024**2)
     calls = []
-    for name in ("run_sequences", "gk_exact_unitary_grid"):
+    for name in ("run_sequences", "protocol_grids"):
         real = getattr(cli, name)
 
         def counting(*args, _name=name, _real=real):
@@ -1054,11 +1099,57 @@ def test_provenance_names_the_columns_written(tmp_path):
 
 def test_results_cells_are_written_exactly(tmp_path):
     # None is an empty cell, a float its repr (the shortest string that reads
-    # back to it), and anything else its str
+    # back to it), and anything else its str; alike whether a block's rows
+    # share the cell or each row has its own
     row = {"none": None, "int": 7, "bool": True, "str": "S3;S2", "tenth": 0.1,
            "negative_zero": -0.0, "tiny": 1e-300, "inf": math.inf}
-    cli._write_outputs(tmp_path, [row], None, {}, "0" * 64, "exact", None)
-    assert (tmp_path / "results.csv").read_bytes() == (
-        b"none,int,bool,str,tenth,negative_zero,tiny,inf\n"
-        b",7,True,S3;S2,0.1,-0.0,1e-300,inf\n"
-    )
+    for block in (cli.Block(same=row), cli.Block(same={}, each={key: [value] for key, value in row.items()})):
+        cli._write_outputs(tmp_path, cli.Table(tuple(row), [block]), None, {}, "0" * 64, "exact", None)
+        assert (tmp_path / "results.csv").read_bytes() == (
+            b"none,int,bool,str,tenth,negative_zero,tiny,inf\n"
+            b",7,True,S3;S2,0.1,-0.0,1e-300,inf\n"
+        )
+
+
+# Cells a results table may hold: the text has each character csv.writer
+# treats apart (delimiter, quote, line ends, space) and non-ASCII ones.
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["", ",", '"', "\n", "\r", "\r\n", " ", " a ", "é", "a,b", 'say "hi"', "S3;S2", "[1, 2]"]
+)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308])
+_SCALARS = st.none() | st.integers() | st.booleans() | _FLOATS | _TEXT
+_CELLS = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(_TEXT, _SCALARS, max_size=3)
+
+
+@st.composite
+def _tables(draw):
+    columns = tuple(draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        shared = draw(st.sets(st.sampled_from(columns)))
+        rows = draw(st.integers(1, 4)) if len(shared) < len(columns) else 1
+        blocks.append(cli.Block(
+            same={c: draw(_CELLS) for c in columns if c in shared},
+            each={c: draw(st.lists(_CELLS, min_size=rows, max_size=rows)) for c in columns if c not in shared},
+        ))
+    return cli.Table(columns, blocks)
+
+
+@hypothesis.given(_tables())
+@hypothesis.example(cli.Table(("only",), [cli.Block({}, {"only": ["", None, "x"]})]))
+@hypothesis.example(cli.Table(("",), [cli.Block({"": None})]))
+@hypothesis.example(cli.Table(("sweep_path", "sweep_value", "snr"), [
+    cli.Block({"sweep_path": "snr.orders", "sweep_value": [1, 2]}, {"snr": [1.5, math.nan]}),
+    cli.Block({"sweep_path": "model", "sweep_value": {"kind": "x", "two_j": 1}}, {"snr": [-0.0]}),
+]))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_results_csv_is_what_csv_writer_writes(table):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(table.columns)
+    for block in table.blocks:
+        for i in range(block.rows):
+            writer.writerow(block.same[c] if c in block.same else block.each[c][i] for c in table.columns)
+    with tempfile.TemporaryDirectory() as out:
+        cli._write_outputs(Path(out), table, None, {}, "0" * 64, "exact", None)
+        assert (Path(out) / "results.csv").read_bytes() == expected.getvalue().encode("utf-8")

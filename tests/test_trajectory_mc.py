@@ -38,13 +38,19 @@ from faradaycorr.trajectory_mc import (
     _run_quantum_chunk,
     default_workers,
     empirical_snr,
-    snr_convention_factor,
     run_sequences,
 )
 from faradaycorr.weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec, gk_exact_unitary
 
 from conftest import SX, SZ, UP, precession_model, random_hermitian
-from crosscheck import KrausOutcomeSampler, density_matrix_chunk, expm_coupling, spectral_eigvecs, vector_chunk
+from crosscheck import (
+    KrausOutcomeSampler,
+    density_matrix_chunk,
+    expm_coupling,
+    snr_convention_factor,
+    spectral_eigvecs,
+    vector_chunk,
+)
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
