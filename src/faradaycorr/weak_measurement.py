@@ -157,25 +157,29 @@ def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock:
     return real_trace(traces, scale, "exact count correlation")
 
 
-def protocol_grids(model: TargetModel, proto: ProtocolSpec, finals, engine: str | None = "coherent"):
+def protocol_grids(
+    model: TargetModel, proto: ProtocolSpec, finals, engine: str | None = "coherent"
+) -> tuple[Array, Array, Array | None]:
     """C of ``proto``'s query, and its leading-order and all-orders count
     correlations, with its last shot at each of ``finals``: the values of
     ``correlation_grid``, ``gk_leading_grid`` and ``gk_exact_unitary_grid``
     (with ``fock`` when ``engine`` is "fock"; None in place of the all-orders
     grid when ``engine`` is None), from one walk through the eigenbases and
-    one set of final-time phases. The guards run in that order, and an
-    overflowing ``prediction_factor`` raises before any record is built.
+    one set of final-time phases. Their guards run in that order.
     """
-    prediction_factor(proto)
+    prediction_factor(proto)  # an overflowing factor raises before any record is built
     q = proto.query()
-    columns = [_correlation_records(model, q)]
+    c_records, c_scale = _correlation_records(model, q)
+    chains = [c_records]
     if engine is not None:
-        columns.append(_exact_records(model, proto, engine == "fock"))
-    traces = _record_chain(model, [records for records, _ in columns], q.times[:-1], finals)
-    corr = real_trace(traces[0], columns[0][1], "correlation trace")
+        exact_records, exact_scale = _exact_records(model, proto, engine == "fock")
+        chains.append(exact_records)
+    traces = _record_chain(model, chains, q.times[:-1], finals)
+    corr = real_trace(traces[0], c_scale, "correlation trace")
     leading = leading_order(proto, corr)
-    exact = None if engine is None else real_trace(traces[1], columns[1][1], "exact count correlation")
-    return corr, leading, exact
+    if engine is None:
+        return corr, leading, None
+    return corr, leading, real_trace(traces[1], exact_scale, "exact count correlation")
 
 
 def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> GkResult:

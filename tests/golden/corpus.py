@@ -177,7 +177,7 @@ def _openblas_config() -> str | None:
                 getter = getattr(ctypes.CDLL(str(lib)), symbol)
             except (OSError, AttributeError):
                 continue
-            getter.restype = ctypes.c_char_p
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
             return getter().decode()
     return None
 

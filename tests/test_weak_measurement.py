@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from faradaycorr import errors, sensor_optics
-from faradaycorr.correlations import BranchSign, branch_record
+from faradaycorr.correlations import BranchSign, branch_record, correlation_grid
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import (
@@ -23,7 +23,9 @@ from faradaycorr.weak_measurement import (
     gk_exact_unitary,
     gk_exact_unitary_grid,
     gk_leading,
+    gk_leading_grid,
     prediction_factor,
+    protocol_grids,
 )
 
 from conftest import SX, SZ, UP, precession_model, random_model
@@ -241,6 +243,21 @@ class TestExactUnitary:
         monkeypatch.setattr(sensor_optics, "_coherent_mode", unreachable)
         with pytest.raises(ResourceGuardError):
             fock_record(2.0, 0.1, np.array([-1.0, 1.0]), S2)
+
+
+@pytest.mark.parametrize("engine", [None, "coherent", "fock"])
+def test_protocol_grids_are_the_separate_grids(engine):
+    # one walk for both chains gives each grid bit for bit
+    model = random_model(np.random.default_rng(11), 4)
+    p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
+    finals = np.linspace(0.9, 3.0, 9)
+    corr, leading, exact = protocol_grids(model, p, finals, engine)
+    assert np.array_equal(corr, correlation_grid(model, p.query(), finals))
+    assert np.array_equal(leading, gk_leading_grid(model, p, finals))
+    if engine is None:
+        assert exact is None
+    else:
+        assert np.array_equal(exact, gk_exact_unitary_grid(model, p, finals, engine == "fock"))
 
 
 class TestShotInstrument:
