@@ -299,8 +299,7 @@ def _write_outputs(out_dir: Path, table: Table, layout, stored: dict, config_sha
     if layout:
         manifest["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")  # one write, not one per token
 
 
 def main(argv=None) -> int:
