@@ -22,14 +22,15 @@ row's lone empty cell as ``""`` (docs/output_schema.md).
 ``--threads`` exists only on the commands that run Monte Carlo workers, and
 sets how many threads run each protocol's chunks; without it, one per usable
 core, within the memory guard. The count never changes the results. An
-``--out`` that is, or lies below, an existing path other than a directory
-is a usage error, found before the config is read. Exit codes: 0 success,
-2 config error (and usage errors), 3 numerical guard, 4 resource guard.
+option is given as ``--opt value`` or ``--opt=value``, and a unique prefix
+of its name will do. An empty ``--out``, or one that is, or lies below, an
+existing path other than a directory is a usage error, found before the
+config is read. Exit codes: 0 success, 2 config error (and usage errors),
+3 numerical guard, 4 resource guard.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import datetime
 import hashlib
@@ -302,34 +303,84 @@ def _write_outputs(out_dir: Path, table: Table, layout, stored: dict, config_sha
         fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")  # one write, not one per token
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="faradaycorr", description=__doc__)
+# Each command's own long options; --threads only where Monte Carlo workers run.
+_COMMAND_OPTIONS = {
+    "exact": ("--config", "--out"),
+    "simulate": ("--config", "--out", "--threads"),
+    "snr": ("--config", "--out"),
+    "sweep": ("--config", "--out", "--threads"),
+}
+
+
+def _parser():
+    """The argparse parser: the reader of every command line that
+    ``_plain_args`` does not take, and the only source of help and usage
+    errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="faradaycorr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.set_defaults(threads=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("exact", "simulate", "snr", "sweep"):
+    for name, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        if name in ("simulate", "sweep"):  # the commands that run Monte Carlo workers
+        if "--threads" in options:
             p.add_argument("--threads", type=int)
-    args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error(f"--threads must be at least 1, got {args.threads}")
-    out = Path(args.out)
+    return parser
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """``vars(_parser().parse_args(argv))`` for a well-formed command line,
+    read without argparse: a command, then each of its own options once, in
+    full, as ``--opt value`` or ``--opt=value``, no value starting with "-",
+    and --threads a text ``int`` takes. None for any other command line,
+    which the parser reads or refuses."""
+    if not argv or argv[0] not in _COMMAND_OPTIONS:
+        return None
+    options, given = _COMMAND_OPTIONS[argv[0]], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+        if name not in options or name in given or value is None or value.startswith("-"):
+            return None
+        given[name] = value
+    if "--config" not in given or "--out" not in given:
+        return None
+    threads = given.get("--threads")
+    if threads is not None:
+        try:
+            threads = int(threads)  # as argparse's type=int
+        except ValueError:
+            return None
+    return {"command": argv[0], "config": given["--config"], "out": given["--out"], "threads": threads}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or vars(_parser().parse_args(argv))
+    command, threads = args["command"], args["threads"]
+    if threads is not None and threads < 1:
+        _parser().error(f"--threads must be at least 1, got {threads}")
+    if not args["out"]:  # Path("") is the current directory
+        _parser().error("--out is empty; it names the output directory")
+    out = Path(args["out"])
     blocker = next(path for path in (out, *out.parents) if path.exists())  # out, or its nearest existing parent
     if not blocker.is_dir():
-        parser.error(f"--out {args.out}: {blocker} exists and is not a directory")
+        _parser().error(f"--out {args['out']}: {blocker} exists and is not a directory")
     try:
-        raw = load_config(args.config)
+        raw = load_config(args["config"])
         run = parse_config(raw)
-        if raw["command"] != args.command:
-            raise ConfigError(
-                f"config command {raw['command']!r} does not match CLI command {args.command!r}"
-            )
+        if raw["command"] != command:
+            raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
         stored = _stored_config(raw)
         config_sha256 = _config_sha256(stored)
-        table, layout = _dispatch(run, args.threads)
-        _write_outputs(out, table, layout, stored, config_sha256, args.command, run.seed)
+        table, layout = _dispatch(run, threads)
+        _write_outputs(out, table, layout, stored, config_sha256, command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -911,21 +911,33 @@ def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "below-a-file"])
-def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, under):
-    # --out names a regular file, or a path below one: refused before the
-    # config is read, so no grid function runs
+@pytest.mark.parametrize(
+    "out_args, text",
+    [
+        (["--out", "{tmp}/taken"], "--out {tmp}/taken: {tmp}/taken exists and is not a directory"),
+        (["--out", "{tmp}/taken/sub"], "--out {tmp}/taken/sub: {tmp}/taken exists and is not a directory"),
+        (["--out", ""], "--out is empty"),
+        (["--out="], "--out is empty"),
+    ],
+    ids=["file", "below-a-file", "empty", "empty-after-equals"],
+)
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, out_args, text):
+    # --out names a regular file, a path below one, or nothing, which Path
+    # reads as the current directory: refused before the config is read, so
+    # nothing is written, here or anywhere
     calls = []
-    monkeypatch.setattr(cli, "protocol_grids", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_config", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")
-    out = tmp_path / "taken" / under
+    config = str(write_config(tmp_path, EXACT_DOC))
     with pytest.raises(SystemExit) as exc:
-        main(["exact", "--config", str(write_config(tmp_path, EXACT_DOC)), "--out", str(out)])
+        main(["exact", "--config", config, *(arg.format(tmp=tmp_path) for arg in out_args)])
     err = capsys.readouterr().err
     assert exc.value.code == EXIT_CONFIG
-    assert f"--out {out}" in err and "Traceback" not in err
+    assert text.format(tmp=tmp_path) in err and "Traceback" not in err
     assert calls == []
     assert (tmp_path / "taken").read_text() == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.yaml", "taken"]
 
 
 def test_out_is_made_below_existing_directories(tmp_path):
@@ -1001,6 +1013,85 @@ def test_threads_is_a_usage_error_where_no_workers_run(tmp_path, capsys, doc):
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Command lines for the plain reader against argparse, each with the exit code
+# of main and a text its stderr holds; main runs in a directory holding
+# <command>.yaml for each command. None: exit and text as the parser gives
+# them, which differ between Python versions for "--".
+PARITY_ARGV = [
+    ("exact-spaced", ["exact", "--config", "exact.yaml", "--out", "out"], EXIT_OK, ""),
+    ("exact-out-first", ["exact", "--out", "out", "--config", "exact.yaml"], EXIT_OK, ""),
+    ("exact-equals", ["exact", "--config=exact.yaml", "--out=out"], EXIT_OK, ""),
+    ("exact-mixed", ["exact", "--out=out", "--config", "exact.yaml"], EXIT_OK, ""),
+    ("snr", ["snr", "--out", "out", "--config=snr.yaml"], EXIT_OK, ""),
+    ("simulate-threads-first", ["simulate", "--threads", "2", "--config", "simulate.yaml", "--out", "out"], EXIT_OK, ""),
+    ("simulate-threads-between", ["simulate", "--config", "simulate.yaml", "--threads=1", "--out", "out"], EXIT_OK, ""),
+    ("sweep-threads-last", ["sweep", "--config", "sweep.yaml", "--out", "out", "--threads", "2"], EXIT_OK, ""),
+    ("sweep-no-threads", ["sweep", "--config=sweep.yaml", "--out=out"], EXIT_OK, ""),
+    ("repeated-option", ["exact", "--config", "snr.yaml", "--config", "exact.yaml", "--out", "out"], EXIT_OK, ""),
+    ("prefix", ["exact", "--conf", "exact.yaml", "--out", "out"], EXIT_OK, ""),
+    ("threads-plus", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads=+1"], EXIT_OK, ""),
+    ("threads-space", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads", " 2"], EXIT_OK, ""),
+    ("threads-underscore", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads", "1_0"], EXIT_OK, ""),
+    ("threads-zero", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads", "0"], EXIT_CONFIG,
+     "faradaycorr: error: --threads must be at least 1, got 0"),
+    ("threads-negative", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads", "-1"], EXIT_CONFIG,
+     "faradaycorr: error: --threads must be at least 1, got -1"),
+    ("threads-not-int", ["simulate", "--config", "simulate.yaml", "--out", "out", "--threads", "x"], EXIT_CONFIG,
+     "argument --threads: invalid int value: 'x'"),
+    ("out-starts-with-dash", ["exact", "--config", "exact.yaml", "--out", "-o"], EXIT_CONFIG,
+     "argument --out: expected one argument"),
+    ("double-dash-first", ["--", "exact", "--config", "exact.yaml", "--out", "out"], None, None),
+    ("double-dash-last", ["exact", "--config", "exact.yaml", "--out", "out", "--"], None, None),
+    ("help", ["-h"], EXIT_OK, ""),
+    ("command-help", ["exact", "-h"], EXIT_OK, ""),
+    ("empty", [], EXIT_CONFIG, "the following arguments are required: command"),
+    ("unknown-command", ["exect", "--config", "exact.yaml", "--out", "out"], EXIT_CONFIG, "invalid choice: 'exect'"),
+    ("missing-out", ["exact", "--config", "exact.yaml"], EXIT_CONFIG, "the following arguments are required: --out"),
+    ("positional-left", ["exact", "--config", "exact.yaml", "--out", "out", "x"], EXIT_CONFIG,
+     "unrecognized arguments: x"),
+    ("threads-on-exact", ["exact", "--config", "exact.yaml", "--out", "out", "--threads", "2"], EXIT_CONFIG,
+     "unrecognized arguments: --threads 2"),
+    ("threads-on-snr", ["snr", "--threads=2", "--config", "snr.yaml", "--out", "out"], EXIT_CONFIG,
+     "unrecognized arguments: --threads=2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text", [case[1:] for case in PARITY_ARGV], ids=[case[0] for case in PARITY_ARGV]
+)
+def test_plain_reader_matches_argparse(tmp_path, monkeypatch, capsys, argv, code, text):
+    # the plain reader gives argparse's namespace or nothing, and main exits
+    # with the code and text it has always given
+    monkeypatch.chdir(tmp_path)
+    for doc in (EXACT_DOC, OU_DOC, SNR_DOC, _doc(SWEEP_DOC, sweep__values=[1.0, 2.0])):
+        write_config(tmp_path, doc, name=f"{doc['command']}.yaml")
+    try:
+        namespace, refused = vars(cli._parser().parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, refused = None, (exc.code, capsys.readouterr())
+    plain = cli._plain_args(argv)
+    assert plain is None or plain == namespace
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:
+        exit_code = exc.code
+    printed = capsys.readouterr()
+    if refused is not None:  # main refuses it as the parser does, word for word
+        assert (exit_code, printed) == refused
+    if code is not None:
+        assert exit_code == code and text in printed.err
+    assert (tmp_path / "out" / "results.csv").exists() == (refused is None and exit_code == EXIT_OK)
+
+
+def test_help_prints_the_usage_block_as_written(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    usage = [line for line in cli.__doc__.splitlines() if line.lstrip().startswith("faradaycorr ")]
+    assert len(usage) == 4 and all(line in lines for line in usage)
 
 
 def test_mc_guard_runs_for_every_sweep_value_before_computing(tmp_path, monkeypatch, capsys):

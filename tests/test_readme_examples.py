@@ -6,12 +6,16 @@ filled; `simulate` with default workers against one."""
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import faradaycorr
 from faradaycorr.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,3 +73,24 @@ def test_readme_example(tmp_path, block, command):
     assert run(command, replay, tmp_path / "replay") == results, "the manifest's config changed results.csv"
     if command == "simulate":
         assert run(command, config, tmp_path / "one", "--threads", "1") == results, "--threads 1 changed results.csv"
+
+
+def test_plain_run_imports_no_argparse(tmp_path):
+    # a well-formed command line is read without argparse, whose help and
+    # error text (looked up with gettext, which imports locale) a run that
+    # succeeds never prints; in a fresh interpreter, as the console script runs
+    config = tmp_path / "run.yaml"
+    config.write_text(next(block for block, command in EXAMPLES if command == "exact"), encoding="utf-8")
+    script = (
+        "import sys\nfrom faradaycorr.cli import main\nassert main(sys.argv[1:]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    src = str(Path(faradaycorr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "exact", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "results.csv").exists()
