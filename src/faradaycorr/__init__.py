@@ -45,7 +45,6 @@ from .weak_measurement import (  # noqa: F401
     ProtocolSpec,
     ShotSpec,
     gk_exact_unitary,
-    gk_exact_unitary_grid,
     gk_leading,
-    gk_leading_grid,
+    protocol_grids,
 )

@@ -9,16 +9,6 @@ Writes ``results.csv`` (long format, deterministic for a fixed seed) and
 ``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
 Monte Carlo runs the worker and chunk layout) to the output directory.
 
-Each command returns a ``Table``: the columns of ``results.csv`` in order,
-and blocks of rows. A block holds a cell that is the same on all its rows
-once, and one cell per row for every other column; ``exact`` and
-``simulate`` give one block per protocol grid, ``snr`` one block, and a
-sweep each variant's blocks with its path and value as shared cells. The
-writer formats a shared cell once per block. A cell reads as
-``csv.writer(fh, lineterminator="\\n")`` writes it: None empty, a float its
-``repr``, anything else its ``str``, quoted where the text needs it, and a
-row's lone empty cell as ``""`` (docs/output_schema.md).
-
 ``--threads`` exists only on the commands that run Monte Carlo workers, and
 sets how many threads run each protocol's chunks; without it, one per usable
 core, within the memory guard. The count never changes the results. An
@@ -63,7 +53,6 @@ PROVENANCE = {
     "mc_mean[counts^K]": "trajectory_mc",
     "mc_std_error[counts^K]": "trajectory_mc",
     "per_shot_variance_half[counts^2]": "trajectory_mc",
-    "per_shot_variance_raw[counts^2]": "trajectory_mc",
     "empirical_snr": "trajectory_mc",
     "snr": "snr",
     "snr_per_sqrt_L": "snr",
@@ -79,16 +68,14 @@ EXACT_COLUMNS = (
 )
 SIMULATE_COLUMNS = (
     "order_K", "shot_times[s]", "bases", "alpha", "tau[s]", "mode", "sequences", "seed",
-    "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]",
-    "per_shot_variance_raw[counts^2]", "empirical_snr", "gk_leading[counts^K]",
-    "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance", "warning",
+    "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]", "empirical_snr",
+    "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance", "warning",
 )
 SNR_COLUMNS = ("order_K", "regime", "snr", "snr_per_sqrt_L", "L_for_unit_snr", "base_factor", "prefactor[spins]")
 # The simulate columns that each protocol's Monte Carlo fills, in the order cmd_simulate forms them.
 _MC_COLUMNS = (
     "sequences", "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]",
-    "per_shot_variance_raw[counts^2]", "empirical_snr", "gk_leading[counts^K]",
-    "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance",
+    "empirical_snr", "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance",
 )
 
 
@@ -113,7 +100,11 @@ class Block:
 @dataclass(frozen=True)
 class Table:
     """A command's results: the columns of results.csv, in order, and the
-    blocks of rows; every block gives a cell or cells for each column."""
+    blocks of rows; every block gives a cell or cells for each column.
+    ``exact`` and ``simulate`` give one block per protocol grid, ``snr`` one
+    block, and a sweep each variant's blocks with its path and value as
+    shared cells. The cells read as ``csv.writer`` writes them (``_cell``,
+    docs/output_schema.md)."""
 
     columns: tuple[str, ...]
     blocks: list[Block]
@@ -168,8 +159,8 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dic
         layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
         sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
-        rows.append((est.n_sequences, est.mean, est.std_error, est.per_shot_variance, est.per_shot_variance_raw,
-                     empirical_snr(est), lead, ex, abs_err, sigma))
+        rows.append((est.n_sequences, est.mean, est.std_error, est.per_shot_variance, empirical_snr(est),
+                     lead, ex, abs_err, sigma))
     each.update(zip(_MC_COLUMNS, map(list, zip(*rows))))
     return Table(SIMULATE_COLUMNS, [Block(same, each)]), layout
 
@@ -315,7 +306,7 @@ _COMMAND_OPTIONS = {
 def _parser():
     """The argparse parser: the reader of every command line that
     ``_plain_args`` does not take, and the only source of help and usage
-    errors."""
+    errors. The module docstring is the help text, printed as written."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -325,10 +316,15 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
+        p.add_argument("--config", required=True, help="the YAML run config")
+        p.add_argument("--out", required=True, help="the output directory")
         if "--threads" in options:
-            p.add_argument("--threads", type=int)
+            p.add_argument(
+                "--threads",
+                type=int,
+                help="threads that run each protocol's chunks (default: one per usable core, within "
+                "the memory guard); the count never changes the results",
+            )
     return parser
 
 

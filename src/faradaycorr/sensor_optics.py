@@ -170,10 +170,11 @@ def apply_s3(psi: Array) -> Array:
 
 # -- photon-number sectors ---------------------------------------------------
 
-# Peak bytes of ``fock_record``: ROW_BYTES per row plus ROW_COLUMN_BYTES per
-# row and coupling value bound its tracemalloc peaks at n_max = 34..1210 and
-# 1..64 values. From n_max = 210 on the peaks were 40 bytes per row plus 48
-# per row and value; at n_max = 34 fixed costs bring them up to 91% of the bound.
+# Peak bytes of ``SectorRows.of`` and ``SectorRows.record``: ROW_BYTES per
+# row plus ROW_COLUMN_BYTES per row and coupling value bound their tracemalloc
+# peaks at n_max = 34..1210 and 1..64 values. From n_max = 210 on the peaks
+# were 40 bytes per row plus 48 per row and value; at n_max = 34 fixed costs
+# bring them up to 91% of the bound.
 ROW_BYTES = 96
 ROW_COLUMN_BYTES = 64
 
@@ -246,14 +247,6 @@ class SectorRows:
         applied = self.apply(basis, phi)
         applied *= self.weight[:, None]
         return (phi.conj().T @ applied).T
-
-
-def fock_record(alpha: float, tau: float, eigvals: Array, basis: MeasurementBasis) -> Array:
-    """Truncated-Fock cross-check of ``ShotTable.record``: m[i,k] =
-    <chi_k| Lambda |chi_i> between the pulses rotated by exp(-i S3 tau b)
-    for the coupling eigenvalues b, summed exactly over the sector rows."""
-    tb = tau * np.asarray(eigvals, dtype=float)
-    return SectorRows.of(alpha, tb.size).record(tb, basis)
 
 
 def _count_log_modulus(beta: Array, counts: Array) -> Array:

@@ -157,8 +157,8 @@ class McEstimate:
     """Monte Carlo estimate of the K-shot count correlation.
 
     ``per_shot_variance`` is the variance of the half count difference
-    (n_d - n_c)/2, independent of the per-basis record normalization;
-    ``per_shot_variance_raw`` is the variance of the unhalved difference.
+    (n_d - n_c)/2, independent of the per-basis record normalization; the
+    unhalved difference has 4 times that variance.
     ``chunks`` is the number of seeded chunks and ``workers`` the pool size
     that ran them, min(requested workers, chunks). ``smallest_norm2`` is a
     health counter of the Kraus mode: the smallest squared norm that a Kraus
@@ -171,7 +171,6 @@ class McEstimate:
     mean: float
     std_error: float
     per_shot_variance: float
-    per_shot_variance_raw: float
     n_sequences: int
     workers: int = field(default=1, compare=False)
     chunks: int = field(default=1, compare=False)
@@ -536,7 +535,6 @@ def _estimate(results, cfg: TrajectoryConfig, smallest_norm2: float = math.inf) 
         mean=float(mean),
         std_error=float(std_error),
         per_shot_variance=float(half_var),
-        per_shot_variance_raw=float(4.0 * half_var),
         n_sequences=L,
         workers=_pool_size(cfg, len(results)),
         chunks=len(results),

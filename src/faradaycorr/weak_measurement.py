@@ -22,12 +22,12 @@ target state elementwise by a d x d record matrix, which the record chain of
   built once per protocol), as an independent cross-check.
 
 An all-orders record depends only on the pulse, the eigenvalues of B and
-the basis, so it is built once per basis. The ``*_grid`` functions take one
+the basis, so it is built once per basis. ``protocol_grids`` takes one
 protocol and the final times to evaluate it at, each replacing the time of
-its last shot: the state after the first K-1 shots is built once and each
-final time costs one O(d^2) trace. ``protocol_grids`` gives C and both
-count correlations of one protocol from one walk of both chains. The
-single-protocol functions are the grids at the protocol's own last time.
+its last shot, and gives C and both count correlations from one walk of
+both chains: the state after the first K-1 shots is built once and each
+final time costs one O(d^2) trace. ``gk_leading`` and ``gk_exact_unitary``
+are its grids at the protocol's own last time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationQuery, _correlation_records, _record_chain, correlation_grid, real_trace
+from .correlations import CorrelationQuery, _correlation_records, _record_chain, real_trace
 from .errors import NumericalGuardError
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SectorRows, SensorConfig, ShotTable
@@ -110,29 +110,6 @@ def prediction_factor(proto: ProtocolSpec) -> float:
         ) from None
 
 
-def leading_order(proto: ProtocolSpec, corr: Array) -> Array:
-    """``prediction_factor`` times each correlation C of ``proto``'s query:
-    the leading-order count correlations. Raises ``NumericalGuardError`` if
-    one overflows the float range."""
-    with np.errstate(over="ignore"):
-        leading = prediction_factor(proto) * corr
-    if not np.all(np.isfinite(leading)):
-        raise NumericalGuardError("leading-order count correlation overflows the float range")
-    return leading
-
-
-def gk_leading_grid(model: TargetModel, proto: ProtocolSpec, finals) -> Array:
-    """Leading-order count correlations of ``proto`` with its last shot at
-    each of ``finals``: ``leading_order`` of C of its query."""
-    return leading_order(proto, correlation_grid(model, proto.query(), finals))
-
-
-def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
-    """Leading-order K-shot count correlation: ``gk_leading_grid`` at the
-    protocol's own last time."""
-    return GkResult(value=float(gk_leading_grid(model, proto, [proto.shots[-1].time])[0]))
-
-
 def _exact_records(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple[list[Array], float]:
     """The all-orders record of each of ``proto``'s shots, for ``_record_chain``,
     and the product of their largest elements, the a-priori size of its traces."""
@@ -146,28 +123,23 @@ def _exact_records(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple
     return [records[b] for b in keys], math.prod(float(np.max(np.abs(records[b]))) for b in keys)
 
 
-def gk_exact_unitary_grid(model: TargetModel, proto: ProtocolSpec, finals, fock: bool = False) -> Array:
-    """All-orders count correlations of ``proto`` with its last shot at each
-    of ``finals``: the record chain with each shot's instrument record, or
-    with its truncated-Fock cross-check when ``fock`` is set. B is frozen at
-    each shot's start time.
-    """
-    records, scale = _exact_records(model, proto, fock)
-    (traces,) = _record_chain(model, [records], [s.time for s in proto.shots[:-1]], finals)
-    return real_trace(traces, scale, "exact count correlation")
-
-
 def protocol_grids(
     model: TargetModel, proto: ProtocolSpec, finals, engine: str | None = "coherent"
 ) -> tuple[Array, Array, Array | None]:
     """C of ``proto``'s query, and its leading-order and all-orders count
-    correlations, with its last shot at each of ``finals``: the values of
-    ``correlation_grid``, ``gk_leading_grid`` and ``gk_exact_unitary_grid``
-    (with ``fock`` when ``engine`` is "fock"; None in place of the all-orders
-    grid when ``engine`` is None), from one walk through the eigenbases and
-    one set of final-time phases. Their guards run in that order.
+    correlations, with its last shot at each of ``finals``, from one walk
+    through the eigenbases and one set of final-time phases.
+
+    C is ``correlation_grid``'s, and the leading order is
+    ``prediction_factor`` times C. The all-orders grid is the record chain
+    with each shot's instrument record, or with its truncated-Fock
+    cross-check when ``engine`` is "fock"; None when ``engine`` is None. B
+    is frozen at each shot's start time. ``NumericalGuardError`` is raised,
+    in this order, if the factor overflows (before any record is built), if
+    C's trace is not real, if a leading-order value overflows, or if an
+    all-orders trace is not real.
     """
-    prediction_factor(proto)  # an overflowing factor raises before any record is built
+    factor = prediction_factor(proto)
     q = proto.query()
     c_records, c_scale = _correlation_records(model, q)
     chains = [c_records]
@@ -176,17 +148,29 @@ def protocol_grids(
         chains.append(exact_records)
     traces = _record_chain(model, chains, q.times[:-1], finals)
     corr = real_trace(traces[0], c_scale, "correlation trace")
-    leading = leading_order(proto, corr)
+    with np.errstate(over="ignore"):
+        leading = factor * corr
+    if not np.all(np.isfinite(leading)):
+        raise NumericalGuardError("leading-order count correlation overflows the float range")
     if engine is None:
         return corr, leading, None
     return corr, leading, real_trace(traces[1], exact_scale, "exact count correlation")
 
 
+def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
+    """Leading-order K-shot count correlation: ``protocol_grids`` at the
+    protocol's own last time."""
+    _, leading, _ = protocol_grids(model, proto, [proto.shots[-1].time], None)
+    return GkResult(value=float(leading[0]))
+
+
 def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> GkResult:
     """All-orders K-shot count correlation with a fresh pulse per shot:
-    ``gk_exact_unitary_grid`` at the protocol's own last time.
+    ``protocol_grids`` at the protocol's own last time, on the Fock engine
+    when ``fock`` is set.
 
     Sensor-target entanglement is discarded between shots (each shot uses a
     new pulse), and B is frozen at each shot's nominal start time.
     """
-    return GkResult(value=float(gk_exact_unitary_grid(model, proto, [proto.shots[-1].time], fock)[0]))
+    _, _, exact = protocol_grids(model, proto, [proto.shots[-1].time], "fock" if fock else "coherent")
+    return GkResult(value=float(exact[0]))

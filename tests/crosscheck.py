@@ -9,7 +9,8 @@ against. None of them is runtime code.
 * The records are the closed form of ``ShotTable.record``, the dense
   (n_max+1)^2 two-mode Fock computation, and a per-sector one with a
   numerical eigendecomposition of S3 = Jy in each photon-number sector,
-  where the package has the sector rows in closed form.
+  where the package has the sector rows in closed form. ``fock_record`` is
+  the package's own sector-row record of one shot, in the form these take.
 * The selection traces show which branch each readout basis picks out, from
   the photon-number sector rows of the pulse.
 * The Kraus references act on one density matrix per shot, or on n x d x d
@@ -130,6 +131,14 @@ def coherent_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
     if basis is MeasurementBasis.S2:
         return 0.5 * alpha**2 * np.sin(theta[:, None] + theta[None, :]) * overlap
     return -1j * alpha**2 * np.sin(diff) * overlap
+
+
+def fock_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
+    """The Fock engine's record of one shot, as the references below give
+    theirs: m[i,k] = <chi_k| Lambda |chi_i> between the pulses rotated by
+    exp(-i S3 tau b) for the coupling eigenvalues b, from ``SectorRows``."""
+    tb = tau * np.asarray(eigvals, dtype=float)
+    return SectorRows.of(alpha, tb.size).record(tb, basis)
 
 
 def dense_fock_records(alpha, tau, eigvals, n_max: int) -> dict:

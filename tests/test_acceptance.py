@@ -141,7 +141,7 @@ def test_criterion_5_shot_noise_floor():
     est = run_sequences(
         TrajectoryConfig(sequences=100000, seed=55, mode="kraus_quantum", proto=p, model=model)
     )
-    ratio = est.per_shot_variance_raw / 100.0
+    ratio = 4.0 * est.per_shot_variance / 100.0
     _report(
         "criterion 5 (shot-noise variance floor)",
         0.95 <= ratio <= 1.05,

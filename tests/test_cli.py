@@ -1092,6 +1092,21 @@ def test_help_prints_the_usage_block_as_written(capsys):
     lines = capsys.readouterr().out.splitlines()
     usage = [line for line in cli.__doc__.splitlines() if line.lstrip().startswith("faradaycorr ")]
     assert len(usage) == 4 and all(line in lines for line in usage)
+    # the developers' notes on the results table are not part of the help
+    text = " ".join(lines)
+    assert not any(note in text for note in ("Table", "Block", "csv.writer", "repr", "lone empty cell"))
+
+
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+def test_command_help_says_what_each_option_is(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())  # as one line, whatever the terminal width
+    assert "--config CONFIG the YAML run config" in text
+    assert "--out OUT the output directory" in text
+    threads = "one per usable core, within the memory guard); the count never changes the results"
+    assert (threads in text) == (command == "simulate")
 
 
 def test_mc_guard_runs_for_every_sweep_value_before_computing(tmp_path, monkeypatch, capsys):
@@ -1147,8 +1162,8 @@ EXACT_HEADER = (
 )
 SIMULATE_HEADER = (
     "order_K,shot_times[s],bases,alpha,tau[s],mode,sequences,seed,mc_mean[counts^K],mc_std_error[counts^K],"
-    "per_shot_variance_half[counts^2],per_shot_variance_raw[counts^2],empirical_snr,gk_leading[counts^K],"
-    "gk_exact_unitary[counts^K],abs_error[counts^K],sigma_distance,warning"
+    "per_shot_variance_half[counts^2],empirical_snr,gk_leading[counts^K],gk_exact_unitary[counts^K],"
+    "abs_error[counts^K],sigma_distance,warning"
 )
 SNR_HEADER = "order_K,regime,snr,snr_per_sqrt_L,L_for_unit_snr,base_factor,prefactor[spins]"
 SWEEP_OU_DOC = dict(

@@ -20,13 +20,12 @@ from faradaycorr.sensor_optics import (
     check_fock_memory,
     coherent_grid,
     coherent_state,
-    fock_record,
     log_factorial,
     required_cutoff,
     stokes_operators,
 )
 
-from crosscheck import eigh_sector_record, selection_traces
+from crosscheck import eigh_sector_record, fock_record, selection_traces
 
 
 def number_projector(n_max: int, max_total: int) -> np.ndarray:

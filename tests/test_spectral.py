@@ -22,9 +22,8 @@ from faradaycorr.weak_measurement import (
     ProtocolWarning,
     ShotSpec,
     gk_exact_unitary,
-    gk_exact_unitary_grid,
     gk_leading,
-    gk_leading_grid,
+    protocol_grids,
 )
 
 from conftest import random_model
@@ -129,7 +128,7 @@ class TestFinalTimeGrid:
         assert_grid_close(c, ref_c, model.spectral.coupling_norm**4)
         assert_grid_close(c, [correlation(model, p.query()) for p in protos], 0.0)
         coeff = 2.0**-4 * self.SENSOR.tau**4 * self.SENSOR.alpha**8
-        leading = gk_leading_grid(model, protos[0], self.FINALS)
+        _, leading, _ = protocol_grids(model, protos[0], self.FINALS, None)
         assert_grid_close(leading, coeff * np.array(ref_c), bound)
         assert_grid_close(leading, [gk_leading(model, p).value for p in protos], 0.0)
 
@@ -143,7 +142,7 @@ class TestFinalTimeGrid:
         if time_convention == "midpoint":
             protos = [shift_protocol(p, 0.5 * self.SENSOR.tau) for p in protos]
         fock = engine == "fock"
-        grid = gk_exact_unitary_grid(model, protos[0], [p.shots[-1].time for p in protos], fock)
+        _, _, grid = protocol_grids(model, protos[0], [p.shots[-1].time for p in protos], engine)
         ref = [reference_exact(model, p, fock) for p in protos]
         assert_grid_close(grid, ref, bound)
         single = [gk_exact_unitary(model, p, fock).value for p in protos]
@@ -157,10 +156,9 @@ class TestFinalTimeGrid:
         finals = [1.0, bad]
         with pytest.raises(ValueError):
             correlation_grid(model, protos[0].query(), finals)
-        with pytest.raises(ValueError):
-            gk_leading_grid(model, protos[0], finals)
-        with pytest.raises(ValueError):
-            gk_exact_unitary_grid(model, protos[0], finals)
+        for engine in (None, "coherent", "fock"):
+            with pytest.raises(ValueError):
+                protocol_grids(model, protos[0], finals, engine)
 
 
 def _exact_config(grid_points: int) -> dict:

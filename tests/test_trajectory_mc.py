@@ -229,7 +229,7 @@ class TestShotRecord:
         cfg = TrajectoryConfig(sequences=4, seed=0, mode="kraus_quantum", proto=p, model=precession_model())
         est = _estimate([(0.0, 0.0, 6.0, 30.0), (0.0, 0.0, 2.0, 10.0)], cfg)
         assert est.per_shot_variance == 4.0
-        assert est.per_shot_variance_raw == 16.0
+        assert 4.0 * est.per_shot_variance == 16.0  # the raw difference's
 
     def test_quantum_and_classical_paths_share_the_record(self):
         # d = 1: the coupling is the number b, so the Kraus path and a constant
@@ -280,8 +280,7 @@ class TestQuantumSequences:
         est = run_sequences(
             TrajectoryConfig(sequences=30000, seed=103, mode="kraus_quantum", proto=p, model=model)
         )
-        assert est.per_shot_variance_raw / 36.0 == pytest.approx(1.0, abs=0.05)
-        assert est.per_shot_variance == pytest.approx(est.per_shot_variance_raw / 4)
+        assert 4.0 * est.per_shot_variance / 36.0 == pytest.approx(1.0, abs=0.05)
 
     def test_seed_determinism(self):
         model = precession_model()
@@ -863,9 +862,7 @@ class TestConfigAndSnr:
                 TrajectoryConfig(sequences=10, seed=0, mode=mode, proto=proto([(0.0, S2)], above, 0.1), model=model)
 
     def test_empirical_snr_arithmetic(self):
-        est = McEstimate(
-            mean=0.01, std_error=0.005, per_shot_variance=1.0, per_shot_variance_raw=4.0, n_sequences=10
-        )
+        est = McEstimate(mean=0.01, std_error=0.005, per_shot_variance=1.0, n_sequences=10)
         assert empirical_snr(est) == pytest.approx(2.0)
         # every sequence recorded the same value: never NaN, never a ZeroDivisionError
         assert empirical_snr(replace(est, mean=0.0, std_error=0.0)) == 0.0

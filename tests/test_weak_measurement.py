@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from faradaycorr import errors, sensor_optics
-from faradaycorr.correlations import BranchSign, branch_record, correlation_grid
+from faradaycorr.correlations import BranchSign, _record_chain, branch_record, correlation_grid, real_trace
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
     SensorConfig,
     ShotTable,
-    fock_record,
     log_factorial,
     required_cutoff,
 )
@@ -20,16 +19,15 @@ from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
+    _exact_records,
     gk_exact_unitary,
-    gk_exact_unitary_grid,
     gk_leading,
-    gk_leading_grid,
     prediction_factor,
     protocol_grids,
 )
 
 from conftest import SX, SZ, UP, precession_model, random_model
-from crosscheck import coherent_record, dense_fock_records, reference_correlation
+from crosscheck import coherent_record, dense_fock_records, fock_record, reference_correlation
 
 S2, S3 = MeasurementBasis.S2, MeasurementBasis.S3
 
@@ -211,8 +209,8 @@ class TestExactUnitary:
         model = precession_model()
         p, finals = proto([(0.0, S3), (0.5, S2)], alpha=10.0, tau=0.02), [0.5, 1.0, 1.5, 2.0]
         assert required_cutoff(10.0) == 210
-        fock = gk_exact_unitary_grid(model, p, finals, fock=True)
-        coherent = gk_exact_unitary_grid(model, p, finals)
+        fock = protocol_grids(model, p, finals, "fock")[2]
+        coherent = protocol_grids(model, p, finals)[2]
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
     def test_fock_engine_at_alpha_30(self):
@@ -221,9 +219,17 @@ class TestExactUnitary:
         model = precession_model()
         p, finals = proto([(0.0, S3), (0.5, S2)], alpha=30.0, tau=0.002), [0.5, 1.0, 1.5, 2.0]
         assert required_cutoff(30.0) == 1210
-        fock = gk_exact_unitary_grid(model, p, finals, fock=True)
-        coherent = gk_exact_unitary_grid(model, p, finals)
+        fock = protocol_grids(model, p, finals, "fock")[2]
+        coherent = protocol_grids(model, p, finals)[2]
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
+
+    @pytest.mark.parametrize("fock", [False, True])
+    def test_overflowing_prediction_factor_raises(self, fock):
+        # the one-point value runs protocol_grids' guards, the first of which
+        # refuses the factor before any record is built
+        p = proto([(0.0, S3), (1.0, S2)], alpha=1.0, tau=1e300)
+        with pytest.raises(errors.NumericalGuardError, match="2\\^-K tau\\^K alpha\\^2K overflows"):
+            gk_exact_unitary(precession_model(), p, fock)
 
     def test_fock_memory_guard(self):
         # alpha = 70 sets the cutoff 5610, whose 15.7 million sector rows would take 3.3 GiB
@@ -246,18 +252,37 @@ class TestExactUnitary:
 
 
 @pytest.mark.parametrize("engine", [None, "coherent", "fock"])
-def test_protocol_grids_are_the_separate_grids(engine):
-    # one walk for both chains gives each grid bit for bit
+def test_one_point_functions_are_protocol_grids(engine):
+    # gk_leading and gk_exact_unitary are protocol_grids at the protocol's
+    # own last time, bit for bit, for each time a grid of it could hold
+    model = random_model(np.random.default_rng(11), 4)
+    p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
+    for t in (0.9, 1.7, 3.0):
+        at = p.at(t)
+        _, leading, exact = protocol_grids(model, at, [t], engine)
+        assert gk_leading(model, at).value == leading[0]
+        if engine is None:
+            assert exact is None
+        else:
+            assert gk_exact_unitary(model, at, engine == "fock").value == exact[0]
+
+
+@pytest.mark.parametrize("engine", [None, "coherent", "fock"])
+def test_shared_walk_gives_each_chain_alone(engine):
+    # one walk for both chains gives each row as a walk of its chain alone,
+    # bit for bit, and the leading order is prediction_factor times C
     model = random_model(np.random.default_rng(11), 4)
     p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
     finals = np.linspace(0.9, 3.0, 9)
     corr, leading, exact = protocol_grids(model, p, finals, engine)
     assert np.array_equal(corr, correlation_grid(model, p.query(), finals))
-    assert np.array_equal(leading, gk_leading_grid(model, p, finals))
+    assert np.array_equal(leading, prediction_factor(p) * corr)
     if engine is None:
         assert exact is None
-    else:
-        assert np.array_equal(exact, gk_exact_unitary_grid(model, p, finals, engine == "fock"))
+        return
+    records, scale = _exact_records(model, p, engine == "fock")
+    (alone,) = _record_chain(model, [records], [0.0, 0.4], finals)
+    assert np.array_equal(exact, real_trace(alone, scale, "exact count correlation"))
 
 
 class TestShotInstrument:
