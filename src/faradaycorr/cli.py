@@ -5,18 +5,18 @@
     faradaycorr snr      --config run.yaml --out results/
     faradaycorr sweep    --config run.yaml --out results/ [--threads N]
 
-Writes ``results.csv`` (long format, deterministic for a fixed seed) and
-``manifest.json`` (config hash, version, seed, timestamps, provenance, and for
+Writes results.csv (long format, deterministic for a fixed seed) and
+manifest.json (config hash, version, seed, timestamps, provenance, and for
 Monte Carlo runs the worker and chunk layout) to the output directory.
 
-``--threads`` exists only on the commands that run Monte Carlo workers, and
+--threads exists only on the commands that run Monte Carlo workers, and
 sets how many threads run each protocol's chunks; without it, one per usable
 core, within the memory guard. The count never changes the results. An
-option is given as ``--opt value`` or ``--opt=value``, and a unique prefix
-of its name will do. An empty ``--out``, or one that is, or lies below, an
-existing path other than a directory is a usage error, found before the
-config is read. Exit codes: 0 success, 2 config error (and usage errors),
-3 numerical guard, 4 resource guard.
+option is given as --opt value or --opt=value, and a unique prefix of its
+name will do. An empty --out, or one that is, or lies below, an existing
+path other than a directory is a usage error, found before the config is
+read. Exit codes: 0 success, 2 config error (and usage errors), 3 numerical
+guard, 4 resource guard.
 """
 
 from __future__ import annotations
@@ -210,14 +210,19 @@ def _stored_config(value):
     return value
 
 
-def _config_sha256(stored: dict) -> str:
-    """Hash of the stored config; a value JSON cannot hold is a config error,
-    found before anything runs or is written."""
+def _config_json(raw: dict) -> str:
+    """The config as manifest.json stores it (``_stored_config``), encoded
+    once as the text ``config_sha256`` hashes: ``json.dumps`` with sorted
+    keys. A value JSON cannot hold is a config error, found before anything
+    runs or is written."""
     try:
-        blob = json.dumps(stored, sort_keys=True, allow_nan=False).encode()
+        try:
+            return json.dumps(raw, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float, or a list or mapping that holds itself
+            json.dumps(raw, sort_keys=True)  # raises on the latter, which _stored_config would walk forever
+            return json.dumps(_stored_config(raw), sort_keys=True, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config cannot be stored in manifest.json: {exc}") from exc
-    return hashlib.sha256(blob).hexdigest()
 
 
 # Text that csv.writer leaves as it is in any dialect with the defaults of
@@ -275,23 +280,29 @@ def _lines(table: Table) -> list[str]:
     return lines
 
 
-def _write_outputs(out_dir: Path, table: Table, layout, stored: dict, config_sha256: str, command: str, seed) -> None:
+def _write_outputs(out_dir: Path, table: Table, layout, config_json: str, command: str, seed) -> None:
+    """Write results.csv, then manifest.json: strict JSON with its keys
+    sorted, one top-level key per line, each value as ``json.dumps`` writes
+    it with sorted keys. Its ``config`` is ``config_json`` as it stands, and
+    ``config_sha256`` the SHA-256 of that text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(_lines(table)) + "\n")
-    manifest = {
+    fields = {
         "tool_version": __version__,
         "command": command,
-        "config_sha256": config_sha256,
+        "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "provenance": {c: PROVENANCE.get(c, "cli") for c in table.columns},
-        "config": stored,
     }
     if layout:
-        manifest["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
+        fields["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
+    texts = {key: json.dumps(value, sort_keys=True, allow_nan=False) for key, value in fields.items()}
+    texts["config"] = config_json
+    lines = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")  # one write, not one per token
+        fh.write("{\n" + lines + "\n}\n")
 
 
 # Each command's own long options; --threads only where Monte Carlo workers run.
@@ -300,6 +311,13 @@ _COMMAND_OPTIONS = {
     "simulate": ("--config", "--out", "--threads"),
     "snr": ("--config", "--out"),
     "sweep": ("--config", "--out", "--threads"),
+}
+# Each command's line in the top-level help.
+_COMMAND_HELP = {
+    "exact": "the correlation C and its count correlations over the final times, computed exactly",
+    "simulate": "the count correlation by seeded Monte Carlo, beside its exact value",
+    "snr": "closed-form signal-to-noise ratios of a material scenario",
+    "sweep": "one of the other commands at each value of one config key",
 }
 
 
@@ -313,9 +331,9 @@ def _parser():
         prog="faradaycorr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.set_defaults(threads=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, title="commands", metavar="command")
     for name, options in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, help=_COMMAND_HELP[name])
         p.add_argument("--config", required=True, help="the YAML run config")
         p.add_argument("--out", required=True, help="the output directory")
         if "--threads" in options:
@@ -373,10 +391,9 @@ def main(argv=None) -> int:
         run = parse_config(raw)
         if raw["command"] != command:
             raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
-        stored = _stored_config(raw)
-        config_sha256 = _config_sha256(stored)
+        config_json = _config_json(raw)
         table, layout = _dispatch(run, threads)
-        _write_outputs(out, table, layout, stored, config_sha256, command, run.seed)
+        _write_outputs(out, table, layout, config_json, command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,8 +10,11 @@ every value of a sweep. Unknown keys are rejected.
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import re
 import warnings
+from collections.abc import Hashable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -77,15 +80,72 @@ class SweepRun(Run):
     runs: list[tuple[object, Run]]  # (value, parsed variant)
 
 
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+# The plain scalars that YAML 1.1 and float() read as the same float: no "_",
+# ":" or leading ".", and an exponent only after a dot and with a sign. YAML
+# 1.1 reads 1e5 and 1.0e5 as strings; float() does not.
+_PLAIN_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+
+
+class _ConfigLoading:
+    """What ``load_config`` adds to PyYAML's safe loader. A plain scalar of
+    ``_PLAIN_FLOAT`` is tagged a float without trying each implicit resolver,
+    and a list of such floats is built with one ``float`` call per item
+    instead of one constructor call each: a long final-time grid is most of
+    a config. Everything else goes to PyYAML as it is, so the document is
+    the one ``yaml.safe_load`` gives, except that a mapping giving one key
+    twice is an error rather than keeping its last value. A merge key
+    (``<<``) is not such a key: a mapping's own keys still override the
+    merged ones."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and implicit[0] and _PLAIN_FLOAT.fullmatch(value):
+            return _FLOAT_TAG
+        return super().resolve(kind, value, implicit)
+
+    def construct_sequence(self, node, deep=False):
+        children = node.value if isinstance(node, yaml.SequenceNode) else ()
+        texts = [child.value for child in children if child.tag == _FLOAT_TAG and isinstance(child, yaml.ScalarNode)]
+        if texts and len(texts) == len(children) and all(map(_PLAIN_FLOAT.fullmatch, texts)):
+            return list(map(float, texts))
+        return super().construct_sequence(node, deep=deep)
+
+    def construct_mapping(self, node, deep=False):
+        if isinstance(node, yaml.MappingNode):
+            own = [key for key, _ in node.value if key.tag != _MERGE_TAG]
+            self.flatten_mapping(node)
+            lines = {}  # (type, key) of each own key: its line; 1 and true are two keys, as in YAML
+            for key_node in own:
+                key = self.construct_object(key_node, deep=deep)
+                if not isinstance(key, Hashable):
+                    continue  # PyYAML refuses it below
+                if (type(key), key) in lines:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}, first given on line {lines[type(key), key]}",
+                        key_node.start_mark,
+                    )
+                lines[type(key), key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep=deep)
+
+
+@functools.cache
+def _loader(base: type) -> type:
+    return type(f"Config{base.__name__}", (_ConfigLoading, base), {})
+
+
 def load_config(path) -> dict:
-    """The YAML document at ``path``. libyaml's safe loader reads it when
-    PyYAML was built with libyaml, else PyYAML's own: the same constructor
-    and resolver, so both give the same document, but libyaml's scanner
-    takes a fraction of the time on a long final-time grid."""
+    """The YAML document at ``path``, as ``yaml.safe_load`` reads it. A file
+    that cannot be read, is not UTF-8 or not YAML, or has a mapping that
+    gives a key twice is a config error. The loader is ``_ConfigLoading`` on
+    libyaml's safe loader when PyYAML was built with libyaml (chosen at each
+    call), else on PyYAML's own: libyaml scans a long final-time grid in a
+    fraction of the time, and ``_ConfigLoading`` tags and builds its floats
+    without PyYAML's per-scalar Python calls."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except (OSError, yaml.YAMLError) as exc:
+            raw = yaml.load(fh, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a mapping")

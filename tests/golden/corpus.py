@@ -3,10 +3,11 @@
     python tests/golden/corpus.py
 
 writes each config to ``tests/golden/<case>/config.yaml``, runs the CLI on it
-and writes its ``results.csv`` beside it, then records the numpy and BLAS
+and writes its ``results.csv`` beside it, with the ``config_sha256`` of its
+``manifest.json`` in ``config_sha256``, then records the numpy and BLAS
 build that produced them in ``tests/golden/build.json``. ``tests/test_golden.py``
 runs the same configs and compares the bytes on that build (each column within
-1e-12 of its largest value on any other).
+1e-12 of its largest value on any other), and the config hash on any build.
 
 The cases are the shapes of the four benchmark workloads at seeds 0 and 1,
 drawn here with the same generator calls as ``bench/workloads.py`` (which this
@@ -156,8 +157,8 @@ def thread_counts(config_text: str) -> tuple[str | None, ...]:
     return ("1", "2") if kraus else (None,)
 
 
-def run(config: Path, out: Path, threads: str | None) -> bytes:
-    """The bytes of results.csv from an in-process CLI run."""
+def run(config: Path, out: Path, threads: str | None) -> tuple[bytes, str]:
+    """The bytes of results.csv and the text of manifest.json from an in-process CLI run."""
     from faradaycorr.cli import EXIT_OK, main
 
     command = yaml.safe_load(config.read_text(encoding="utf-8"))["command"]
@@ -165,7 +166,7 @@ def run(config: Path, out: Path, threads: str | None) -> bytes:
     code = main([command, "--config", str(config), "--out", str(out), *extra])
     if code != EXIT_OK:
         raise RuntimeError(f"{config} exited {code}")
-    return (out / "results.csv").read_bytes()
+    return (out / "results.csv").read_bytes(), (out / "manifest.json").read_text(encoding="utf-8")
 
 
 def _openblas_config() -> str | None:
@@ -205,11 +206,13 @@ def main() -> int:
             case.mkdir(exist_ok=True)
             config = case / "config.yaml"
             config.write_text(text, encoding="utf-8")
-            results = {t: run(config, Path(tmp) / f"{name}-{t}", t) for t in thread_counts(text)}
-            if len(set(results.values())) != 1:
+            runs = [run(config, Path(tmp) / f"{name}-{t}", t) for t in thread_counts(text)]
+            results = {data for data, _ in runs}
+            if len(results) != 1:
                 raise RuntimeError(f"{name}: results.csv depends on --threads")
-            (case / "results.csv").write_bytes(next(iter(results.values())))
-            print(f"{name}: {len(next(iter(results.values())))} bytes")
+            (case / "results.csv").write_bytes(runs[0][0])
+            (case / "config_sha256").write_text(json.loads(runs[0][1])["config_sha256"] + "\n", encoding="utf-8")
+            print(f"{name}: {len(runs[0][0])} bytes")
     (HERE / "build.json").write_text(json.dumps(build(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

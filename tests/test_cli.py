@@ -886,7 +886,15 @@ INVALID_CONFIGS = [
     # sections snr never reads, holding what manifest.json cannot store
     ("unread-section-date", lambda tmp: dict(SNR_DOC, mc=datetime.date(2024, 1, 1)), "manifest.json"),
     ("unread-section-mixed-keys", lambda tmp: dict(SNR_DOC, mc={1: "a", "b": "c"}), "manifest.json"),
+    # and a list that holds itself through a YAML alias, which no JSON text can hold
+    ("unread-section-holding-itself", lambda tmp: dict(SNR_DOC, mc=_holding_itself()), "Circular reference"),
 ]
+
+
+def _holding_itself() -> list:
+    items = [0.5]
+    items.append(items)
+    return items
 
 
 @pytest.mark.parametrize(
@@ -1095,6 +1103,11 @@ def test_help_prints_the_usage_block_as_written(capsys):
     # the developers' notes on the results table are not part of the help
     text = " ".join(lines)
     assert not any(note in text for note in ("Table", "Block", "csv.writer", "repr", "lone empty cell"))
+    # it is printed verbatim, so it holds no reST markup, and each command has its line of text
+    assert "``" not in text
+    words = " ".join(text.split())  # whatever the terminal width
+    for command, help_text in cli._COMMAND_HELP.items():
+        assert f"{command} {help_text}" in words
 
 
 @pytest.mark.parametrize("command", ["exact", "simulate"])
@@ -1210,7 +1223,7 @@ def test_results_cells_are_written_exactly(tmp_path):
     row = {"none": None, "int": 7, "bool": True, "str": "S3;S2", "tenth": 0.1,
            "negative_zero": -0.0, "tiny": 1e-300, "inf": math.inf}
     for block in (cli.Block(same=row), cli.Block(same={}, each={key: [value] for key, value in row.items()})):
-        cli._write_outputs(tmp_path, cli.Table(tuple(row), [block]), None, {}, "0" * 64, "exact", None)
+        cli._write_outputs(tmp_path, cli.Table(tuple(row), [block]), None, "{}", "exact", None)
         assert (tmp_path / "results.csv").read_bytes() == (
             b"none,int,bool,str,tenth,negative_zero,tiny,inf\n"
             b",7,True,S3;S2,0.1,-0.0,1e-300,inf\n"
@@ -1257,5 +1270,5 @@ def test_results_csv_is_what_csv_writer_writes(table):
         for i in range(block.rows):
             writer.writerow(block.same[c] if c in block.same else block.each[c][i] for c in table.columns)
     with tempfile.TemporaryDirectory() as out:
-        cli._write_outputs(Path(out), table, None, {}, "0" * 64, "exact", None)
+        cli._write_outputs(Path(out), table, None, "{}", "exact", None)
         assert (Path(out) / "results.csv").read_bytes() == expected.getvalue().encode("utf-8")

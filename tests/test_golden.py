@@ -1,5 +1,7 @@
 """Every config of the golden corpus (tests/golden, written by its corpus.py)
-gives the results.csv stored beside it.
+gives the results.csv stored beside it, and a manifest.json whose
+config_sha256 is the one stored beside it and the SHA-256 of the text the
+manifest holds as its config.
 
 On the numpy and BLAS build recorded in tests/golden/build.json the bytes
 must be equal. On any other build the floating-point arithmetic may round
@@ -9,6 +11,7 @@ test's id.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,6 +28,7 @@ CASES = [
     for threads in corpus.thread_counts((corpus.HERE / name / "config.yaml").read_text(encoding="utf-8"))
 ]
 COLUMN_RTOL = 1e-12
+CONFIG_LINE = '  "config": '  # manifest.json gives each top-level key a line of its own
 
 
 def _number(cell: str):
@@ -59,9 +63,16 @@ def _columns_agree(got: bytes, want: bytes) -> list[str]:
 )
 def test_golden_results(tmp_path, name, threads):
     case = corpus.HERE / name
-    got = corpus.run(case / "config.yaml", tmp_path / "out", threads)
+    got, manifest = corpus.run(case / "config.yaml", tmp_path / "out", threads)
     want = (case / "results.csv").read_bytes()
     if BUILD_MATCHES:
         assert got == want, f"{name}: results.csv differs from the golden bytes"
     else:
         assert not _columns_agree(got, want), f"{name}: columns differ beyond 1e-12 of their maximum"
+    # the hash does not move with the encoding, and it is the hash of the config as the manifest holds it
+    sha = json.loads(manifest)["config_sha256"]
+    assert sha == (case / "config_sha256").read_text(encoding="utf-8").strip(), f"{name}: config_sha256 moved"
+    (config,) = (line.removeprefix(CONFIG_LINE).removesuffix(",") for line in manifest.splitlines()
+                 if line.startswith(CONFIG_LINE))
+    assert hashlib.sha256(config.encode()).hexdigest() == sha
+    assert json.loads(config) == json.loads(manifest)["config"]
