@@ -33,14 +33,16 @@ def as_operator(entries) -> Array:
 
 
 def is_hermitian(a: Array) -> bool:
+    """Whether max|a - a^dag| is at most ``TOL.structural`` times max|a|, so
+    that the guard scales with the entries it checks."""
     a = as_operator(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= TOL.structural
+    return float(np.max(np.abs(a - a.conj().T))) <= TOL.structural * float(np.max(np.abs(a)))
 
 
 def require_hermitian(a: Array, what: str = "operator") -> Array:
     a = as_operator(a)
     if not is_hermitian(a):
-        raise NonHermitianError(f"{what} is not Hermitian within {TOL.structural}")
+        raise NonHermitianError(f"{what} is not Hermitian within {TOL.structural} of its largest entry")
     return a
 
 

@@ -33,9 +33,9 @@ Two modes:
   means are the same on every branch (R/L, whose means are alpha^2/2 at
   both detectors) is branch-blind: its counts do not depend on the branch,
   so no branch is drawn before it, though its uniform draws are still
-  taken, so the random stream is that of a draw before every shot. Every
-  sequence starts in one of d eigenvectors, so the first shot's weights are
-  formed once per eigenvector.
+  taken, so the random stream is that of a draw before every shot. The
+  first shot's branches are drawn from the initial states the same way,
+  block by block, with no Kraus product or rotation before them.
 * ``semiclassical_field``: the target is a classical stochastic field; each
   shot draws Poisson counts from the same instrument, a ``ShotTable`` over
   the sequences' field values, whose means it reads. Only the
@@ -138,6 +138,8 @@ class TrajectoryConfig:
             raise ValueError("need at least one sequence")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.mode not in ("kraus_quantum", "semiclassical_field"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "kraus_quantum" and not isinstance(self.model, TargetModel):
@@ -334,7 +336,9 @@ class _Blocks:
     that every block reuses: the gathered Kraus diagonals, and the branch
     weights |psi_b|^2 and their prefix sums, t w >= d columns wide for
     ``_prefix_sums`` over t tiles of w <= ``TILE_BRANCHES`` branches (the
-    columns past d hold weight 0).
+    columns past d hold weight 0). ``draw`` is the one place that forms a
+    block's weights and prefix sums and draws its branches: before the first
+    shot on the initial states, and in each ``step`` after the rotation.
 
     A block holds about ``BLOCK_AMPLITUDES`` amplitudes, but at least three
     rows, and the blocks are as even as possible, so no block of a chunk of
@@ -360,20 +364,6 @@ class _Blocks:
             m = rows.stop - rows.start
             yield rows, self.kraus[:m], self.p[:m], self.cum[:m]
 
-    def draw_first(self, kets: Array, starts: Array, u: Array, idx: Array):
-        """Draw into ``idx`` the first shot's branch of each row, which starts
-        as the ket ``kets[starts[i]]``, with its u: the kets' weights and
-        prefix sums are formed once and gathered to each block's rows."""
-        d = kets.shape[1]
-        weights = np.zeros((len(kets), self.p.shape[1]))
-        sums = np.empty_like(weights)
-        _weights(kets, weights, scratch=sums)
-        _prefix_sums(weights, self.tile, out=sums)
-        for rows, _, p, cum in self:
-            p = weights.take(starts[rows], axis=0, out=p, mode="clip")
-            cum = sums.take(starts[rows], axis=0, out=cum, mode="clip")
-            idx[rows] = _draw_branches(p[:, :d], cum[:, :d], u[rows])
-
     def advance(
         self, states: Array, diagonals: Array, outcome: Array, rotation: Array, u: Array | None, idx: Array
     ) -> float:
@@ -396,29 +386,28 @@ class _Blocks:
         as its first operand, as the whole-chunk update did: numpy's complex
         product fuses a multiply-add, so swapping the operands can move the
         last bit of an imaginary part. ``psi`` is overwritten with that
-        product rotated into the next shot's eigenbasis, then renormalized by
-        its row totals, the last prefix sums of its weights. Where u is
-        given, each row's branch for the next shot is drawn with its u; None
-        marks a branch-blind next shot, which draws none. Returns the
-        totals, the squared norms before renormalizing, and the branches
+        product rotated into the next shot's eigenbasis, whose branches are
+        then drawn by ``draw``, and renormalized by the row totals. Returns
+        the totals, the squared norms before renormalizing, and the branches
         (None where u is None)."""
         np.matmul(np.multiply(kraus, psi, out=kraus), rotation, out=psi)
-        q = _weights(psi, p, scratch=cum)
-        cum = _prefix_sums(p, self.tile, out=cum)[:, : q.shape[1]]
-        total = cum[:, -1]
+        total, drawn = self.draw(psi, p, cum, u)
         flat = psi.view(float)
         np.multiply(flat, np.reciprocal(np.sqrt(total))[:, None], out=flat)
-        return total, None if u is None else _draw_branches(q, cum, u)
+        return total, drawn
 
-
-def _weights(states: Array, p: Array, scratch: Array) -> Array:
-    """The branch weights |psi_b|^2 of each row of ``states``, formed as two
-    real squares into the first d columns of ``p``; the squared imaginary
-    parts go to ``scratch``, as wide as ``p``. Returns the d-column view."""
-    d = states.shape[1]
-    q = np.square(states.real, out=p[:, :d])
-    q += np.square(states.imag, out=scratch[:, :d])
-    return q
+    def draw(self, psi: Array, p: Array, cum: Array, u: Array | None):
+        """The branch weights |psi_b|^2 of a block's amplitudes ``psi``, formed
+        as two real squares into the first d columns of ``p`` (the squared
+        imaginary parts go to ``cum``), and their prefix sums along each row
+        into ``cum``; where u is given, each row's branch is drawn with its u,
+        and None marks a branch-blind shot, which draws none. Returns the row
+        totals, the last prefix sums, and the branches (None without u)."""
+        d = psi.shape[1]
+        q = np.square(psi.real, out=p[:, :d])
+        q += np.square(psi.imag, out=cum[:, :d])
+        cum = _prefix_sums(p, self.tile, out=cum)[:, :d]
+        return cum[:, -1], None if u is None else _draw_branches(q, cum, u)
 
 
 def _run_quantum_chunk(
@@ -426,15 +415,15 @@ def _run_quantum_chunk(
 ) -> tuple:
     """The record sums of a chunk of n sequences, and the smallest row total
     that a Kraus update renormalized by (inf where none did)."""
-    starts = init_rng.choice(len(plan.weights), size=n, p=plan.weights)
-    states = plan.kets[starts]
+    states = plan.kets[init_rng.choice(len(plan.weights), size=n, p=plan.weights)]
     blocks = _Blocks(n, states.shape[1])
     record = _Record(n)
     idx = np.zeros(n, dtype=np.intp)  # a branch-blind shot reads its means at any branch
     smallest = math.inf
     u = rng.random(n)
     if not plan.blind[0]:
-        blocks.draw_first(plan.kets, starts, u, idx)
+        for rows, _, p, cum in blocks:
+            idx[rows] = blocks.draw(states[rows], p, cum, u[rows])[1]
     for j, table in enumerate(plan.tables):
         n_c, n_d = record.shot(rng, table, idx)
         if j == len(plan.rotations):  # the state after the last shot is never read

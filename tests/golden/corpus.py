@@ -13,9 +13,13 @@ The cases are the shapes of the four benchmark workloads at seeds 0 and 1,
 drawn here with the same generator calls as ``bench/workloads.py`` (which this
 file does not import), and the README's examples. The semiclassical configs
 draw ``SEMI_SEQUENCES`` sequences per field kind instead of the benchmark's
-10^6, so that the whole corpus runs in a few seconds. Kraus configs are
-checked at one and two worker threads; the goldens are written at one, after
-checking that two give the same bytes.
+10^6, so that the whole corpus runs in a few seconds. Two more Kraus cases
+open on S2, so that a branch is drawn before the first shot, which the
+benchmark's R/L opening skips: the ``kraus_mc`` shape at seed 0
+(``kraus_s2_first``), and a spin 47/2 at seed 1 over ``WIDE_SEQUENCES``
+sequences (``kraus_d48``), whose 48 branches span three tiles of prefix sums.
+Kraus configs are checked at one and two worker threads; the goldens are
+written at one, after checking that two give the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 SEEDS = (0, 1)
 KRAUS_SEQUENCES = 32768
+KRAUS_BASES = ("S3", "S2", "S2", "S2")
+S2_FIRST_BASES = ("S2", "S3", "S2", "S2")
+WIDE_SEQUENCES = 4096
 SEMI_SEQUENCES = 32768  # two chunks per field kind; the benchmark draws 10^6
 EXACT_GRID_POINTS = 512
 EXACT_BASES = ("S2", "S3", "S2", "S3", "S2", "S2", "S3", "S2")
@@ -50,14 +57,14 @@ def _shot_times(rng, k: int, lo: float, hi: float) -> list[float]:
     return [round(float(t), 6) for t in np.concatenate([[0.0], np.cumsum(gaps)])]
 
 
-def kraus_mc(rng) -> dict:
+def kraus_mc(rng, bases=KRAUS_BASES, two_j: int = 15, sequences: int = KRAUS_SEQUENCES) -> dict:
     times = _shot_times(rng, 4, 0.3, 0.5)
     return {
         "command": "simulate",
         "seed": int(rng.integers(2**31)),
         "model": {
             "kind": "single_spin",
-            "two_j": 15,
+            "two_j": two_j,
             "hamiltonian": {"jz": 1.0, "jx": _u(rng, 0.2, 0.4)},
             "coupling": {"jx": _u(rng, 0.7, 1.0), "jz": _u(rng, 0.0, 0.2)},
             "initial_state": "thermal",
@@ -66,9 +73,9 @@ def kraus_mc(rng) -> dict:
         "protocol": {
             "alpha": 5.0,
             "tau": 0.1,
-            "shots": [{"time": t, "basis": b} for t, b in zip(times, ("S3", "S2", "S2", "S2"))],
+            "shots": [{"time": t, "basis": b} for t, b in zip(times, bases)],
         },
-        "mc": {"sequences": KRAUS_SEQUENCES, "mode": "kraus_quantum"},
+        "mc": {"sequences": sequences, "mode": "kraus_quantum"},
     }
 
 
@@ -144,6 +151,11 @@ def configs() -> dict[str, str]:
         for seed in SEEDS:
             doc = shape(np.random.default_rng(seed))
             cases[f"{shape.__name__}_s{seed}"] = yaml.safe_dump(doc, sort_keys=False)
+    for name, doc in (
+        ("kraus_s2_first", kraus_mc(np.random.default_rng(0), S2_FIRST_BASES)),
+        ("kraus_d48", kraus_mc(np.random.default_rng(1), S2_FIRST_BASES, two_j=47, sequences=WIDE_SEQUENCES)),
+    ):
+        cases[name] = yaml.safe_dump(doc, sort_keys=False)
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     for i, (block, command) in enumerate(re.findall(r"```yaml\n(command: (\w+)\n.*?)```", readme, re.S)):
         cases[f"readme{i}_{command}"] = block

@@ -146,6 +146,21 @@ class TestBuilders:
         model = build_model(cfg)
         assert model.hamiltonian[0, 1] == -1j
 
+    def test_custom_model_of_large_entries(self):
+        # exactly Hermitian U diag(E) U^dag at |E| <= 1e8 rad/s, whose roundoff
+        # an absolute 1e-10 guard would reject
+        rng = np.random.default_rng(30)
+        u, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        h = (u * rng.uniform(-1e8, 1e8, 16)) @ u.conj().T
+        cfg = {
+            "kind": "custom",
+            "hamiltonian_matrix": [[[float(x.real), float(x.imag)] for x in row] for row in h],
+            "coupling_matrix": np.diag(np.arange(16.0)).tolist(),
+            "initial_state_matrix": (np.eye(16) / 16).tolist(),
+        }
+        model = build_model(yaml.safe_load(yaml.safe_dump(cfg)))
+        assert np.array_equal(model.hamiltonian, h)
+
     def test_final_time_grid_expands_protocols(self):
         proto_cfg = dict(EXACT_DOC["protocol"], final_time_grid=[0.5, 1.0, 1.5])
         protos = build_protocols(proto_cfg)

@@ -53,6 +53,32 @@ class TestHermitianExpm:
             hermitian_expm(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
+def unitary_diagonalized(rng: np.random.Generator, d: int, scale: float) -> np.ndarray:
+    """U diag(E) U^dag for a random unitary U and real |E| <= scale: Hermitian
+    but for the roundoff of the products, which grows with the scale."""
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (u * rng.uniform(-scale, scale, d)) @ u.conj().T
+
+
+class TestIsHermitian:
+    """The guard is relative to the matrix's largest entry: the roundoff of a
+    Hermitian matrix passes at any scale, a non-Hermitian matrix fails at any."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e8, 1e12])
+    def test_roundoff_passes_at_any_scale(self, scale):
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            assert is_hermitian(unitary_diagonalized(rng, 16, scale))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_non_hermitian_fails_at_any_scale(self, scale):
+        assert not is_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not is_hermitian(scale * np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]]))
+
+    def test_zero_matrix_is_hermitian(self):
+        assert is_hermitian(np.zeros((3, 3)))
+
+
 class TestSpinOperators:
     def test_spin_half_is_half_pauli(self):
         jx, jy, jz = spin_operators(1)

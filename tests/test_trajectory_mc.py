@@ -827,6 +827,13 @@ class TestConfigAndSnr:
         with pytest.raises(ValueError):
             TrajectoryConfig(sequences=10, seed=0, mode="exact", proto=p, model=precession_model())
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, workers):
+        p = proto([(0.0, S2)], alpha=1.0, tau=0.1)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            TrajectoryConfig(sequences=10, seed=0, mode="kraus_quantum", proto=p, model=precession_model(),
+                             workers=workers)
+
     def test_pulse_photons_stay_within_numpy_poisson_range(self):
         # the largest mean Generator.poisson draws from, bisected over the bit
         # patterns of positive floats, which are ordered like the floats
