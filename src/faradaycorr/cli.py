@@ -260,20 +260,14 @@ def _cells(values) -> list[str]:
 
 def _lines(table: Table) -> list[str]:
     """The lines of results.csv: the header, then each block's rows. The
-    cells a block shares are formatted once, and runs of them joined once."""
+    cells a block shares are formatted once."""
     lines = [",".join(map(_cell, table.columns))]
     for block in table.blocks:
-        n, parts, run = block.rows, [], []
-        for column in table.columns:
-            if column in block.same:
-                run.append(_cell(block.same[column]))
-                continue
-            if run:
-                parts.append(itertools.repeat(",".join(run), n))
-                run = []
-            parts.append(_cells(block.each[column]))
-        if run:
-            parts.append(itertools.repeat(",".join(run), n))
+        parts = [
+            itertools.repeat(_cell(block.same[column]), block.rows) if column in block.same
+            else _cells(block.each[column])
+            for column in table.columns
+        ]
         lines.extend(map(",".join, zip(*parts)))
     if len(table.columns) == 1:  # csv.writer quotes a row's lone empty cell
         lines = [line or '""' for line in lines]

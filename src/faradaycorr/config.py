@@ -226,14 +226,19 @@ def _constructing(where: str):
 
 
 def _complex_matrix(model_cfg: dict, key: str) -> np.ndarray:
-    """The matrix at model.<key>; entries are numbers or [re, im] pairs."""
+    """The matrix at model.<key>; entries are finite numbers or [re, im] pairs."""
     rows = _require(model_cfg, key, "model")
     try:
         entries = [[complex(*x) if isinstance(x, list) and len(x) == 2 else complex(x) for x in row]
                    for row in rows]
-        return np.array(entries, dtype=complex)
+        matrix = np.array(entries, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model.{key} is not a valid matrix: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"model.{key}[{i}][{j}] must be finite, got {rows[i][j]!r}")
+    return matrix
 
 
 def build_model(model_cfg: dict) -> TargetModel:
@@ -263,7 +268,10 @@ def build_model(model_cfg: dict) -> TargetModel:
         _check_keys(terms, set(_SPIN_TERMS), f"model.{section}")
         out = np.zeros((two_j + 1, two_j + 1), dtype=complex)
         for key, coeff in terms.items():
-            out = out + _number(coeff, f"model.{section}.{key}") * ops[key]
+            value = _number(coeff, f"model.{section}.{key}")
+            if not math.isfinite(value):
+                raise ConfigError(f"model.{section}.{key} must be finite, got {value!r}")
+            out = out + value * ops[key]
         return out
 
     h, b = combine("hamiltonian"), combine("coupling")

@@ -22,7 +22,9 @@ of the last record reaches the trace, so the last shot is the observable
 X = V_B diag(m_ii) V_B† and a grid of final times t_K costs O(d^2) each
 (``SpectralData.final_traces``). Chains at the same shot times, such as C
 and the all-orders column of one protocol, share the walk and the phases of
-each final time. A closing "-" branch has a zero diagonal, so its C is
+each final time. The chain returns real grids, each checked by
+``real_trace`` against its chain's a-priori size, so no caller sees a
+complex trace. A closing "-" branch has a zero diagonal, so its C is
 exactly zero. ``correlation_grid`` takes one query and the final times to
 evaluate it at; ``correlation`` is that grid at the query's own last time.
 """
@@ -37,7 +39,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalGuardError
 from .quantum_core import Array, TargetModel, as_operator
-from .tolerances import TOL
+
+# Allowed imaginary residue of a physical trace, relative to its a-priori size
+# (e.g. ||B||^K for a K-th order C).
+TRACE_IMAG_TOL = 1e-10
 
 
 class BranchSign(Enum):
@@ -107,33 +112,35 @@ def heisenberg_coupling(model: TargetModel, t: float) -> Array:
 def real_trace(values, scale: float, what: str) -> Array:
     """Real parts of traces that are real in exact arithmetic.
 
-    The imaginary roundoff residue is checked against ``TOL.trace_imag`` times
+    The imaginary roundoff residue is checked against ``TRACE_IMAG_TOL`` times
     ``scale``, the a-priori size of the traces: for a K-shot chain the product
     of the per-shot operator norms, ||B||^K for C. A residue above that, or a
     NaN, raises ``NumericalGuardError``.
     """
     values = np.asarray(values)
     residue = float(np.max(np.abs(values.imag), initial=0.0))
-    if not residue <= TOL.trace_imag * scale:
+    if not residue <= TRACE_IMAG_TOL * scale:
         raise NumericalGuardError(
             f"{what} has imaginary residue {residue:.3e}, above "
-            f"{TOL.trace_imag:.0e} of its a-priori size {scale:.3e}"
+            f"{TRACE_IMAG_TOL:.0e} of its a-priori size {scale:.3e}"
         )
     return values.real
 
 
-def _record_chain(model: TargetModel, columns, times, finals) -> Array:
-    """Traces of chains of K shots at the same times, one row per chain and
-    one entry per final time.
+def _record_chain(model: TargetModel, chains, times, finals) -> list[Array]:
+    """Real traces of chains of K shots at the same times: one grid per
+    chain, one entry per final time.
 
-    Each of ``columns`` is one chain: the record matrix of each of its shots.
-    Shot j multiplies rho, held in the eigenbasis of B(t_j), elementwise by
-    its record; ``times`` are the t_j of the first K-1 shots. The last record
-    closes the chain through its diagonal as X = V_B diag(m_ii) V_B†, traced
-    at each of ``finals``, which must be finite and not before the last of
-    ``times`` (else ``ValueError``). The chains share one walk through the
-    eigenbases and the phases of each final time. The traces are complex:
-    each row goes through ``real_trace`` with its chain's a-priori size.
+    Each of ``chains`` is (records, size, name): the record matrix of each of
+    its shots, the a-priori size of its traces, and the name its guard error
+    gives. Shot j multiplies rho, held in the eigenbasis of B(t_j),
+    elementwise by its record; ``times`` are the t_j of the first K-1 shots.
+    The last record closes the chain through its diagonal as
+    X = V_B diag(m_ii) V_B†, traced at each of ``finals``, which must be
+    finite and not before the last of ``times`` (else ``ValueError``). The
+    chains share one walk through the eigenbases and the phases of each final
+    time. Each grid is checked by ``real_trace`` against its size, in the
+    order of ``chains``.
     """
     finals = np.asarray(finals, dtype=float)
     if not np.all(np.isfinite(finals)) or (len(times) and np.any(finals < times[-1])):
@@ -143,29 +150,29 @@ def _record_chain(model: TargetModel, columns, times, finals) -> Array:
     changes = [(w, w.conj().T) for w in changes]
     v_b = spec.coupling_eigvecs
     closing = []
-    for records in columns:
+    for records, _, _ in chains:
         rho = spec.initial_state
         for (w, w_h), record in zip(changes, records):
             rho = record * (w @ rho @ w_h)
         closing.append(((v_b * np.diag(records[-1])) @ v_b.conj().T, back @ rho @ back.conj().T))
-    return spec.final_traces(closing, finals)
+    traces = spec.final_traces(closing, finals)
+    return [real_trace(row, size, name) for row, (_, size, name) in zip(traces, chains)]
 
 
-def _correlation_records(model: TargetModel, q: CorrelationQuery) -> tuple[list[Array], float]:
-    """The branch record of each of ``q``'s shots, for ``_record_chain``, and
-    ||B||^K, the a-priori size of its C for ``real_trace``."""
+def _correlation_chain(model: TargetModel, q: CorrelationQuery) -> tuple[list[Array], float, str]:
+    """``q``'s chain for ``_record_chain``: the branch record of each of its
+    shots, ||B||^K, the a-priori size of its C, and the name of its guard."""
     spec = model.spectral
     records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(q.signs)}
-    return [records[sign] for sign in q.signs], spec.coupling_norm**q.order
+    return [records[sign] for sign in q.signs], spec.coupling_norm**q.order, "correlation trace"
 
 
 def correlation_grid(model: TargetModel, q: CorrelationQuery, finals) -> Array:
     """C of ``q`` with its last shot's time replaced by each of ``finals``:
     the first K-1 branches are applied once, then each final time costs one
     O(d^2) trace."""
-    records, scale = _correlation_records(model, q)
-    (traces,) = _record_chain(model, [records], q.times[:-1], finals)
-    return real_trace(traces, scale, "correlation trace")
+    (corr,) = _record_chain(model, [_correlation_chain(model, q)], q.times[:-1], finals)
+    return corr
 
 
 def correlation(model: TargetModel, q: CorrelationQuery) -> float:

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError, check_memory
-from .tolerances import TOL
 
 Array = np.ndarray
 
@@ -32,17 +31,21 @@ def as_operator(entries) -> Array:
     return a
 
 
+# Hermiticity (relative to the largest entry), unit trace and positivity of states.
+STRUCTURAL_TOL = 1e-10
+
+
 def is_hermitian(a: Array) -> bool:
-    """Whether max|a - a^dag| is at most ``TOL.structural`` times max|a|, so
+    """Whether max|a - a^dag| is at most ``STRUCTURAL_TOL`` times max|a|, so
     that the guard scales with the entries it checks."""
     a = as_operator(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= TOL.structural * float(np.max(np.abs(a)))
+    return float(np.max(np.abs(a - a.conj().T))) <= STRUCTURAL_TOL * float(np.max(np.abs(a)))
 
 
 def require_hermitian(a: Array, what: str = "operator") -> Array:
     a = as_operator(a)
     if not is_hermitian(a):
-        raise NonHermitianError(f"{what} is not Hermitian within {TOL.structural} of its largest entry")
+        raise NonHermitianError(f"{what} is not Hermitian within {STRUCTURAL_TOL} of its largest entry")
     return a
 
 
@@ -101,9 +104,9 @@ class DensityMatrix:
         if not is_hermitian(m):
             raise NonHermitianError("density matrix is not Hermitian within tolerance")
         tr = np.trace(m)
-        if abs(tr - 1.0) > TOL.structural:
+        if abs(tr - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
-        if np.linalg.eigvalsh(m).min() < -TOL.structural:
+        if np.linalg.eigvalsh(m).min() < -STRUCTURAL_TOL:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
     @property
@@ -147,15 +150,19 @@ class TargetModel:
         return SpectralData.of(self)
 
 
+# Degenerate-eigenvalue clustering width, relative to the largest |eigenvalue|.
+EIGEN_CLUSTER_TOL = 1e-9
+
+
 def cluster_eigenvalues(w: Array) -> Array:
     """Snap near-degenerate (sorted) eigenvalues to their cluster means.
 
-    Neighbours closer than ``TOL.eigen_cluster`` times the largest |w| form
+    Neighbours closer than ``EIGEN_CLUSTER_TOL`` times the largest |w| form
     one cluster, so the width scales with the spectrum.
     """
     w = np.asarray(w, dtype=float)
     out = w.copy()
-    width = TOL.eigen_cluster * np.max(np.abs(w), initial=0.0)
+    width = EIGEN_CLUSTER_TOL * np.max(np.abs(w), initial=0.0)
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > width:

@@ -331,6 +331,12 @@ class _Record:
         return self.prod.sum(), (self.prod * self.prod).sum(), self.s_half, self.s_half2
 
 
+def _block_rows(d: int) -> int:
+    """The most rows a row block of a Kraus chunk holds at dimension d: about
+    ``BLOCK_AMPLITUDES`` amplitudes, but at least three rows."""
+    return max(3, BLOCK_AMPLITUDES // d)
+
+
 class _Blocks:
     """The row blocks of a chunk of n x d amplitudes, and the work buffers
     that every block reuses: the gathered Kraus diagonals, and the branch
@@ -340,14 +346,14 @@ class _Blocks:
     block's weights and prefix sums and draws its branches: before the first
     shot on the initial states, and in each ``step`` after the rotation.
 
-    A block holds about ``BLOCK_AMPLITUDES`` amplitudes, but at least three
-    rows, and the blocks are as even as possible, so no block of a chunk of
-    two or more rows has one row: numpy hands a one-row product to gemv,
-    whose sums can round apart from gemm's.
+    A block holds at most ``_block_rows(d)`` rows, and the blocks are as even
+    as possible, so no block of a chunk of two or more rows has one row:
+    numpy hands a one-row product to gemv, whose sums can round apart from
+    gemm's.
     """
 
     def __init__(self, n: int, d: int):
-        count = -(-n // max(3, BLOCK_AMPLITUDES // d))
+        count = -(-n // _block_rows(d))
         bounds = [n * i // count for i in range(count + 1)]
         self.rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         tiles = -(-d // TILE_BRANCHES)
@@ -488,7 +494,7 @@ def _chunk_bytes(cfg: TrajectoryConfig) -> int:
     n = min(CHUNK_SIZE, cfg.sequences)
     if cfg.mode == "kraus_quantum":
         d = cfg.model.dim
-        block = min(n, max(3, BLOCK_AMPLITUDES // d)) * d
+        block = min(n, _block_rows(d)) * d
         return n * (d * AMPLITUDE_BYTES + SEQUENCE_BYTES) + block * BLOCK_BYTES
     return n * (8 * cfg.proto.order + SEQUENCE_BYTES)
 

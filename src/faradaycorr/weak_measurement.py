@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationQuery, _correlation_records, _record_chain, real_trace
+from .correlations import CorrelationQuery, _correlation_chain, _record_chain
 from .errors import NumericalGuardError
 from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SectorRows, SensorConfig, ShotTable
@@ -110,9 +110,10 @@ def prediction_factor(proto: ProtocolSpec) -> float:
         ) from None
 
 
-def _exact_records(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple[list[Array], float]:
-    """The all-orders record of each of ``proto``'s shots, for ``_record_chain``,
-    and the product of their largest elements, the a-priori size of its traces."""
+def _exact_chain(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple[list[Array], float, str]:
+    """``proto``'s all-orders chain for ``_record_chain``: the record of each
+    of its shots, the product of their largest elements, the a-priori size
+    of its traces, and the name of its guard."""
     sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
     if fock:
@@ -120,7 +121,8 @@ def _exact_records(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple
         records = {b: rows.record(sensor.tau * w, b) for b in set(keys)}
     else:
         records = {b: ShotTable.of(w, sensor, b).record() for b in set(keys)}
-    return [records[b] for b in keys], math.prod(float(np.max(np.abs(records[b]))) for b in keys)
+    size = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
+    return [records[b] for b in keys], size, "exact count correlation"
 
 
 def protocol_grids(
@@ -136,25 +138,20 @@ def protocol_grids(
     cross-check when ``engine`` is "fock"; None when ``engine`` is None. B
     is frozen at each shot's start time. ``NumericalGuardError`` is raised,
     in this order, if the factor overflows (before any record is built), if
-    C's trace is not real, if a leading-order value overflows, or if an
-    all-orders trace is not real.
+    C's trace is not real, if an all-orders trace is not real, or if a
+    leading-order value overflows.
     """
     factor = prediction_factor(proto)
     q = proto.query()
-    c_records, c_scale = _correlation_records(model, q)
-    chains = [c_records]
+    chains = [_correlation_chain(model, q)]
     if engine is not None:
-        exact_records, exact_scale = _exact_records(model, proto, engine == "fock")
-        chains.append(exact_records)
-    traces = _record_chain(model, chains, q.times[:-1], finals)
-    corr = real_trace(traces[0], c_scale, "correlation trace")
+        chains.append(_exact_chain(model, proto, engine == "fock"))
+    corr, *exact = _record_chain(model, chains, q.times[:-1], finals)
     with np.errstate(over="ignore"):
         leading = factor * corr
     if not np.all(np.isfinite(leading)):
         raise NumericalGuardError("leading-order count correlation overflows the float range")
-    if engine is None:
-        return corr, leading, None
-    return corr, leading, real_trace(traces[1], exact_scale, "exact count correlation")
+    return corr, leading, exact[0] if exact else None
 
 
 def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:

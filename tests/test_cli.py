@@ -714,7 +714,30 @@ INVALID_CONFIGS = [
         lambda tmp: _doc(EXACT_DOC, model__initial_state="thermal", model__beta=math.nan),
         "model: beta must be >= 0 and finite, got nan",
     ),
-    ("nan-coefficient", lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.nan}), "model:"),
+    # a non-finite model value is named before any arithmetic runs on it
+    (
+        "nan-coefficient",
+        lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.nan}),
+        "config error: model.hamiltonian.jz must be finite, got nan\n",
+    ),
+    (
+        "infinite-coefficient",
+        lambda tmp: _doc(EXACT_DOC, model__hamiltonian={"jz": math.inf}),
+        "config error: model.hamiltonian.jz must be finite, got inf\n",
+    ),
+    (
+        "nan-matrix-entry",
+        lambda tmp: dict(
+            EXACT_DOC,
+            model={
+                "kind": "custom",
+                "hamiltonian_matrix": [[0.0, math.nan], [math.nan, 0.0]],
+                "coupling_matrix": [[1.0, 0.0], [0.0, -1.0]],
+                "initial_state_matrix": [[1.0, 0.0], [0.0, 0.0]],
+            },
+        ),
+        "config error: model.hamiltonian_matrix[0][1] must be finite, got nan\n",
+    ),
     ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
     ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
     # the Fock cutoff comes from alpha; a config that still sets one is refused

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from faradaycorr.correlations import (
     BranchSign,
     CorrelationQuery,
+    _correlation_chain,
+    _record_chain,
     apply_branch,
     branch_record,
     correlation,
@@ -199,6 +201,15 @@ class TestRealTraceGuard:
     def test_nan_is_rejected(self):
         with pytest.raises(NumericalGuardError):
             real_trace(complex(np.nan, np.nan), 1.0, "C")
+
+    def test_record_chain_checks_each_grid_under_its_own_name(self):
+        # a one-shot chain that records 1j everywhere closes on X = 1j I, so
+        # its trace is 1j at every final time; C's chain beside it is real
+        model = random_model(np.random.default_rng(5), 3)
+        c_chain = _correlation_chain(model, CorrelationQuery((0.0,), (PLUS,)))
+        imaginary = ([np.full((3, 3), 1j)], 1.0, "imaginary chain")
+        with pytest.raises(NumericalGuardError, match=r"^imaginary chain has imaginary residue 1\.000e\+00"):
+            _record_chain(model, [c_chain, imaginary], [], [0.0, 1.0])
 
 
 class TestLiouvilleCrossCheck:

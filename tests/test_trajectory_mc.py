@@ -29,6 +29,7 @@ from faradaycorr.trajectory_mc import (
     TrajectoryConfig,
     _Blocks,
     _Record,
+    _block_rows,
     _branch_blind,
     _draw_branches,
     _estimate,
@@ -436,7 +437,7 @@ class TestBlockedChunk:
     @pytest.mark.parametrize("d", [2, 16, 64, 16384])
     def test_blocks_are_even_and_never_one_row(self, d):
         # numpy hands a one-row product to gemv, whose sums round apart from gemm's
-        rows = max(3, BLOCK_AMPLITUDES // d)
+        rows = _block_rows(d)
         for n in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1, CHUNK_SIZE):
             sizes = [block.stop - block.start for block in _Blocks(n, d).rows]
             assert sum(sizes) == n and max(sizes) <= rows and max(sizes) - min(sizes) <= 1

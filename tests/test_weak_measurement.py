@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from faradaycorr import errors, sensor_optics
-from faradaycorr.correlations import BranchSign, _record_chain, branch_record, correlation_grid, real_trace
+from faradaycorr.correlations import (
+    BranchSign,
+    _correlation_chain,
+    _record_chain,
+    branch_record,
+    correlation_grid,
+)
 from faradaycorr.errors import ResourceGuardError
 from faradaycorr.quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from faradaycorr.sensor_optics import (
@@ -19,7 +25,7 @@ from faradaycorr.weak_measurement import (
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
-    _exact_records,
+    _exact_chain,
     gk_exact_unitary,
     gk_leading,
     prediction_factor,
@@ -280,9 +286,19 @@ def test_shared_walk_gives_each_chain_alone(engine):
     if engine is None:
         assert exact is None
         return
-    records, scale = _exact_records(model, p, engine == "fock")
-    (alone,) = _record_chain(model, [records], [0.0, 0.4], finals)
-    assert np.array_equal(exact, real_trace(alone, scale, "exact count correlation"))
+    (alone,) = _record_chain(model, [_exact_chain(model, p, engine == "fock")], [0.0, 0.4], finals)
+    assert np.array_equal(exact, alone)
+
+
+@pytest.mark.parametrize("engine", [None, "coherent", "fock"])
+def test_record_chain_returns_real_grids(engine):
+    # C's chain and each all-orders chain come back as float grids, one per
+    # chain, already checked real
+    model = random_model(np.random.default_rng(11), 4)
+    p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
+    chain = _correlation_chain(model, p.query()) if engine is None else _exact_chain(model, p, engine == "fock")
+    grids = _record_chain(model, [chain], [0.0, 0.4], np.linspace(0.9, 3.0, 9))
+    assert [(g.dtype, g.shape) for g in grids] == [(np.dtype(float), (9,))]
 
 
 class TestShotInstrument:
