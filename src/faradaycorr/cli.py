@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .config import NON_FINITE, ExactRun, Run, SimulateRun, SnrRun, SweepRun, load_config, parse_config
+from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, config_json, load_config, parse_config, spelled
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
@@ -130,7 +130,7 @@ def cmd_exact(run: ExactRun) -> Table:
     proto = run.protocol
     corr, leading, exact = protocol_grids(run.model, proto, run.finals, run.engine)
     same, each = _protocol_cells(proto, run.finals)
-    same.update({"sign_type": proto.query().label(), "warning": run.protocol_warning})
+    same.update({"sign_type": proto.query().label(), "warning": proto.warning})
     each.update({"correlation_C[(rad/s)^K]": corr.tolist(), "gk_leading[counts^K]": leading.tolist()})
     if exact is None:
         same["gk_exact_unitary[counts^K]"] = None
@@ -145,20 +145,20 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dic
     mc, finals = run.mc, run.finals
     leading = exact = [None] * len(finals)
     if mc.mode == "kraus_quantum":
-        _, leading, exact = protocol_grids(mc.model, run.protocol, finals)
+        _, leading, exact = protocol_grids(mc.model, mc.proto, finals)
         leading, exact = leading.tolist(), exact.tolist()
-    same, each = _protocol_cells(run.protocol, finals)
-    same.update({"mode": mc.mode, "seed": mc.seed, "warning": run.protocol_warning})
+    same, each = _protocol_cells(mc.proto, finals)
+    same.update({"mode": mc.mode, "seed": mc.seed, "warning": mc.proto.warning})
     rows, layout = [], []
     for t, lead, ex in zip(finals, leading, exact):
-        with warnings.catch_warnings():  # its text is in the run's warning column already
+        with warnings.catch_warnings():  # its text is in the warning column already
             warnings.simplefilter("ignore", ProtocolWarning)
-            cfg = replace(mc, proto=run.protocol.at(t))
+            cfg = replace(mc, proto=mc.proto.at(t))
         cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
         est = run_sequences(cfg)
         layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
-        sigma = None if abs_err is None or est.std_error == 0 else abs_err / est.std_error
+        sigma = abs_err / est.std_error if abs_err is not None and 0 < est.std_error < math.inf else None
         rows.append((est.n_sequences, est.mean, est.std_error, est.per_shot_variance, empirical_snr(est),
                      lead, ex, abs_err, sigma))
     each.update(zip(_MC_COLUMNS, map(list, zip(*rows))))
@@ -167,9 +167,9 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dic
 
 def cmd_snr(run: SnrRun) -> Table:
     rows = []
-    for k, scenario in run.scenarios:
+    for scenario in run.scenarios:
         report = snr_material(scenario)
-        rows.append((k, report.regime, report.snr, report.snr / scenario.L**0.5, report.L_for_unit_snr,
+        rows.append((scenario.K, report.regime, report.snr, report.snr / scenario.L**0.5, report.L_for_unit_snr,
                      report.base_factor, report.prefactor))
     return Table(SNR_COLUMNS, [Block({}, dict(zip(SNR_COLUMNS, map(list, zip(*rows)))))])
 
@@ -181,7 +181,7 @@ def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[Table, list[dict]]:
         table, sub_layout = _dispatch(variant, threads)
         blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each)
                       for block in table.blocks)
-        layout.extend(dict(entry, sweep_value=_stored_config(value)) for entry in sub_layout)
+        layout.extend(dict(entry, sweep_value=spelled(value)) for entry in sub_layout)
     return Table(("sweep_path", "sweep_value", *table.columns), blocks), layout
 
 
@@ -195,34 +195,6 @@ def _dispatch(run: Run, threads: int | None) -> tuple[Table, list[dict]]:
     if isinstance(run, SnrRun):
         return cmd_snr(run), []
     return cmd_sweep(run, threads)
-
-
-def _stored_config(value):
-    """The config as manifest.json stores it: each non-finite float becomes
-    its YAML spelling from ``config.NON_FINITE`` as a string, since RFC 8259
-    JSON has no token for it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return next(spelling for spelling, x in NON_FINITE.items() if str(x) == str(value))
-    if isinstance(value, dict):
-        return {key: _stored_config(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_stored_config(item) for item in value]
-    return value
-
-
-def _config_json(raw: dict) -> str:
-    """The config as manifest.json stores it (``_stored_config``), encoded
-    once as the text ``config_sha256`` hashes: ``json.dumps`` with sorted
-    keys. A value JSON cannot hold is a config error, found before anything
-    runs or is written."""
-    try:
-        try:
-            return json.dumps(raw, sort_keys=True, allow_nan=False)
-        except ValueError:  # a non-finite float, or a list or mapping that holds itself
-            json.dumps(raw, sort_keys=True)  # raises on the latter, which _stored_config would walk forever
-            return json.dumps(_stored_config(raw), sort_keys=True, allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config cannot be stored in manifest.json: {exc}") from exc
 
 
 # Text that csv.writer leaves as it is in any dialect with the defaults of
@@ -274,10 +246,10 @@ def _lines(table: Table) -> list[str]:
     return lines
 
 
-def _write_outputs(out_dir: Path, table: Table, layout, config_json: str, command: str, seed) -> None:
+def _write_outputs(out_dir: Path, table: Table, layout, config_text: str, command: str, seed) -> None:
     """Write results.csv, then manifest.json: strict JSON with its keys
     sorted, one top-level key per line, each value as ``json.dumps`` writes
-    it with sorted keys. Its ``config`` is ``config_json`` as it stands, and
+    it with sorted keys. Its ``config`` is ``config_text`` as it stands, and
     ``config_sha256`` the SHA-256 of that text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
@@ -285,7 +257,7 @@ def _write_outputs(out_dir: Path, table: Table, layout, config_json: str, comman
     fields = {
         "tool_version": __version__,
         "command": command,
-        "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "provenance": {c: PROVENANCE.get(c, "cli") for c in table.columns},
@@ -293,7 +265,7 @@ def _write_outputs(out_dir: Path, table: Table, layout, config_json: str, comman
     if layout:
         fields["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
     texts = {key: json.dumps(value, sort_keys=True, allow_nan=False) for key, value in fields.items()}
-    texts["config"] = config_json
+    texts["config"] = config_text
     lines = ",\n".join(f"  {json.dumps(key)}: {texts[key]}" for key in sorted(texts))
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         fh.write("{\n" + lines + "\n}\n")
@@ -385,9 +357,9 @@ def main(argv=None) -> int:
         run = parse_config(raw)
         if raw["command"] != command:
             raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
-        config_json = _config_json(raw)
+        text = config_json(raw)
         table, layout = _dispatch(run, threads)
-        _write_outputs(out, table, layout, config_json, command, run.seed)
+        _write_outputs(out, table, layout, text, command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import json
 import math
 import re
 import warnings
@@ -26,7 +27,7 @@ from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators
 from .sensor_optics import MeasurementBasis, SensorConfig, check_fock_memory, required_cutoff
 from .snr import SnrScenario, lihof4_scenario
 from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig, check_mc_memory
-from .weak_measurement import ProtocolSpec, ProtocolWarning, ShotSpec
+from .weak_measurement import ENGINES, ProtocolSpec, ProtocolWarning, ShotSpec
 
 COMMANDS = ("exact", "simulate", "snr", "sweep")
 _SECTIONS = ("model", "protocol", "exact", "mc", "snr", "sweep")
@@ -40,8 +41,8 @@ _SPIN_MODEL_PEAK_MATRICES = 11
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
 _DEFAULT_L = 1.0  # snr.L when neither the section nor the scenario sets it
 # YAML's spellings of the non-finite floats. manifest.json stores a non-finite
-# config value as its spelling (``cli._stored_config``), and a number or sweep
-# value reads the spelling back, so a stored config replays as it stands.
+# config value as its spelling (``spelled``), and a number or sweep value
+# reads the spelling back (``_unspelled``), so a stored config replays as it stands.
 NON_FINITE = {".nan": math.nan, ".inf": math.inf, "-.inf": -math.inf}
 
 
@@ -57,21 +58,18 @@ class ExactRun(Run):
     model: TargetModel
     protocol: ProtocolSpec  # the protocol at finals[0]
     finals: tuple[float, ...]  # its last shot's times, one row each
-    protocol_warning: str
-    engine: str | None  # the all-orders column's engine, "coherent" or "fock"; None: no such column
+    engine: str | None  # the all-orders column's engine, one of ENGINES; None: no such column
 
 
 @dataclass(frozen=True)
 class SimulateRun(Run):
-    protocol: ProtocolSpec  # the protocol at finals[0]
-    finals: tuple[float, ...]  # its last shot's times, one Monte Carlo each
-    protocol_warning: str
-    mc: TrajectoryConfig  # for ``protocol``, one worker
+    finals: tuple[float, ...]  # the last shot's times of mc.proto, one Monte Carlo each
+    mc: TrajectoryConfig  # for the protocol at finals[0], one worker
 
 
 @dataclass(frozen=True)
 class SnrRun(Run):
-    scenarios: list[tuple[int, SnrScenario]]
+    scenarios: list[SnrScenario]
 
 
 @dataclass(frozen=True)
@@ -178,6 +176,34 @@ def _nonempty_list(value, where: str) -> list:
 def _unspelled(value):
     """The float that a spelling in ``NON_FINITE`` names; any other value as it is."""
     return NON_FINITE[value] if isinstance(value, str) and value in NON_FINITE else value
+
+
+def spelled(value):
+    """The config as manifest.json stores it: each non-finite float becomes
+    its spelling in ``NON_FINITE`` as a string, since RFC 8259 JSON has no
+    token for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return next(spelling for spelling, x in NON_FINITE.items() if str(x) == str(value))
+    if isinstance(value, dict):
+        return {key: spelled(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [spelled(item) for item in value]
+    return value
+
+
+def config_json(raw: dict) -> str:
+    """The config as manifest.json stores it (``spelled``), encoded once as
+    the text ``config_sha256`` hashes: ``json.dumps`` with sorted keys. A
+    value JSON cannot hold is a config error, found before anything runs or
+    is written."""
+    try:
+        try:
+            return json.dumps(raw, sort_keys=True, allow_nan=False)
+        except ValueError:  # a non-finite float, or a list or mapping that holds itself
+            json.dumps(raw, sort_keys=True)  # raises on the latter, which spelled would walk forever
+            return json.dumps(spelled(raw), sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config cannot be stored in manifest.json: {exc}") from exc
 
 
 def _number(value, where: str) -> float:
@@ -341,7 +367,7 @@ def build_field(field_cfg: dict) -> ClassicalFieldModel:
         return ClassicalFieldModel(kind=FieldKind(kind), amplitude=amplitude, correlation_time=tc)
 
 
-def _scenario(params, where: str, L: float | None, orders) -> list[tuple[int, SnrScenario]]:
+def _scenario(params, where: str, L: float | None, orders) -> list[SnrScenario]:
     """A scenario mapping at its own K, or at each of ``orders`` when given;
     ``L`` is snr.L, None when the section does not set it."""
     _check_keys(params, {*_SCENARIO_KEYS, "L", "K", "xi"}, where)
@@ -358,11 +384,11 @@ def _scenario(params, where: str, L: float | None, orders) -> list[tuple[int, Sn
         k = _integer(_require(params, "K", where), f"{where}.K")
         orders = orders or [k]
     with _constructing(where):
-        return [(k, SnrScenario(**values, K=k)) for k in orders]
+        return [SnrScenario(**values, K=k) for k in orders]
 
 
-def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
-    """Parse the ``snr`` section into (K, scenario) pairs. It names one
+def build_scenarios(snr_cfg: dict) -> list[SnrScenario]:
+    """Parse the ``snr`` section into scenarios, one per row. It names one
     source: a preset at ``orders`` with its ``xi``, an inline scenario (at
     ``orders`` when given), or a preset file whose scenarios keep their own K."""
     _check_keys(snr_cfg, {"preset", "preset_file", "scenario", "orders", "L", "xi"}, "snr")
@@ -393,47 +419,38 @@ def build_scenarios(snr_cfg: dict) -> list[tuple[int, SnrScenario]]:
         if not entries:
             raise ConfigError("snr.preset_file has no scenarios")
         # each entry is parsed as an inline scenario at its own K
-        return [pair for name, params in entries.items()
-                for pair in _scenario(params, f"snr.preset_file.{name}", L, None)]
+        return [scenario for name, params in entries.items()
+                for scenario in _scenario(params, f"snr.preset_file.{name}", L, None)]
     if snr_cfg["preset"] != "lihof4":
         raise ConfigError(f"unknown preset {snr_cfg['preset']!r}")
     if orders is None:
         raise ConfigError("snr.orders is required with a preset")
     xi = None if snr_cfg.get("xi") is None else _number(snr_cfg["xi"], "snr.xi")
     with _constructing("snr.orders"):
-        return [(k, lihof4_scenario(K=k, L=_DEFAULT_L if L is None else L, xi=xi)) for k in orders]
-
-
-def _protocol(proto_cfg: dict) -> tuple[ProtocolSpec, tuple[float, ...], str]:
-    """``_protocol_grid``, and the text of the ProtocolWarnings building it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ProtocolWarning)
-        protocol, finals = _protocol_grid(proto_cfg)
-    text = "; ".join(sorted({str(w.message) for w in caught if w.category is ProtocolWarning}))
-    return protocol, finals, text
+        return [lihof4_scenario(K=k, L=_DEFAULT_L if L is None else L, xi=xi) for k in orders]
 
 
 def _parse_exact(raw: dict, seed: int | None) -> ExactRun:
     model = build_model(_require(raw, "model", "top level"))
-    protocol, finals, warning = _protocol(_require(raw, "protocol", "top level"))
+    protocol, finals = _protocol_grid(_require(raw, "protocol", "top level"))
     section = raw.get("exact", {})
     _check_keys(section, {"include_exact_unitary", "engine"}, "exact")
     include = section.get("include_exact_unitary", False)
     if not isinstance(include, bool):
         raise ConfigError(f"exact.include_exact_unitary must be true or false, got {include!r}")
-    engine = _choice(section.get("engine", "coherent"), ("coherent", "fock"), "exact.engine")
+    engine = _choice(section.get("engine", "coherent"), ENGINES, "exact.engine")
     if engine == "fock" and not include:
         raise ConfigError("exact.engine: fock computes the all-orders column only, so it needs "
                           "exact.include_exact_unitary: true")
     if engine == "fock":  # exit 4 before any run of a sweep computes
         check_fock_memory(required_cutoff(protocol.sensor.alpha), model.dim)
-    return ExactRun(seed, model, protocol, finals, warning, engine if include else None)
+    return ExactRun(seed, model, protocol, finals, engine if include else None)
 
 
 def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     if seed is None:
         raise ConfigError("simulate requires an explicit top-level seed")
-    protocol, finals, warning = _protocol(_require(raw, "protocol", "top level"))
+    protocol, finals = _protocol_grid(_require(raw, "protocol", "top level"))
     mc = _require(raw, "mc", "top level")
     _check_keys(mc, {"sequences", "mode", "field"}, "mc")
     sequences = _integer(_require(mc, "sequences", "mc"), "mc.sequences")
@@ -446,7 +463,7 @@ def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     with _constructing("mc"):
         cfg = TrajectoryConfig(sequences, seed, mode, protocol, target)
     check_mc_memory(cfg)  # at one worker, the layout default_workers falls back to
-    return SimulateRun(seed, protocol, finals, warning, cfg)
+    return SimulateRun(seed, finals, cfg)
 
 
 def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
@@ -476,13 +493,15 @@ def parse_config(raw: dict) -> Run:
     seed = None if raw.get("seed") is None else _integer(raw["seed"], "seed")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if command == "exact":
-        return _parse_exact(raw, seed)
-    if command == "simulate":
-        return _parse_simulate(raw, seed)
-    if command == "snr":
-        return SnrRun(seed, build_scenarios(_require(raw, "snr", "top level")))
-    return _parse_sweep(raw, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ProtocolWarning)  # the CLI writes ProtocolSpec.warning to its rows
+        if command == "exact":
+            return _parse_exact(raw, seed)
+        if command == "simulate":
+            return _parse_simulate(raw, seed)
+        if command == "snr":
+            return SnrRun(seed, build_scenarios(_require(raw, "snr", "top level")))
+        return _parse_sweep(raw, seed)
 
 
 def validate_config(raw: dict) -> dict:

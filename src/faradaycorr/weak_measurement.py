@@ -16,8 +16,8 @@ target state elementwise by a d x d record matrix, which the record chain of
   eigenvalue of B(t_j); the record holds the recorded observable's matrix
   elements between those rotated pulses. It takes them from the shot
   instrument, ``sensor_optics.ShotTable.record`` (exact, no truncation),
-  whose amplitudes the Kraus trajectories sample too; with ``fock=True`` it
-  re-derives them on the truncated two-mode Fock space instead, from the
+  whose amplitudes the Kraus trajectories sample too; on the "fock" engine
+  it re-derives them on the truncated two-mode Fock space instead, from the
   photon-number sector rows of the pulse (``sensor_optics.SectorRows``,
   built once per protocol), as an independent cross-check.
 
@@ -44,6 +44,9 @@ from .quantum_core import Array, TargetModel
 from .sensor_optics import MeasurementBasis, SectorRows, SensorConfig, ShotTable
 
 
+ENGINES = ("coherent", "fock")  # the all-orders engines: the shot instrument, its truncated-Fock cross-check
+
+
 class ProtocolWarning(UserWarning):
     pass
 
@@ -66,13 +69,15 @@ class ProtocolSpec:
     def __post_init__(self):
         object.__setattr__(self, "shots", tuple(self.shots))
         self.query()  # the shot times and count follow CorrelationQuery's rules
-        if self.shots[-1].basis is not MeasurementBasis.S2:
-            warnings.warn(
-                "last shot is an S3 (commutator) readout: the expected signal "
-                "vanishes identically",
-                ProtocolWarning,
-                stacklevel=2,
-            )
+        if self.warning:
+            warnings.warn(self.warning, ProtocolWarning, stacklevel=2)
+
+    @property
+    def warning(self) -> str:
+        """The text of the ProtocolWarning the constructor raises; "" when it raises none."""
+        if self.shots[-1].basis is MeasurementBasis.S2:
+            return ""
+        return "last shot is an S3 (commutator) readout: the expected signal vanishes identically"
 
     @property
     def order(self) -> int:
@@ -110,13 +115,13 @@ def prediction_factor(proto: ProtocolSpec) -> float:
         ) from None
 
 
-def _exact_chain(model: TargetModel, proto: ProtocolSpec, fock: bool) -> tuple[list[Array], float, str]:
-    """``proto``'s all-orders chain for ``_record_chain``: the record of each
-    of its shots, the product of their largest elements, the a-priori size
-    of its traces, and the name of its guard."""
+def _exact_chain(model: TargetModel, proto: ProtocolSpec, engine: str) -> tuple[list[Array], float, str]:
+    """``proto``'s all-orders chain on ``engine`` for ``_record_chain``: the
+    record of each of its shots, the product of their largest elements, the
+    a-priori size of its traces, and the name of its guard."""
     sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
-    if fock:
+    if engine == "fock":
         rows = SectorRows.of(sensor.alpha, w.size)  # one row build for both bases
         records = {b: rows.record(sensor.tau * w, b) for b in set(keys)}
     else:
@@ -135,17 +140,19 @@ def protocol_grids(
     C is ``correlation_grid``'s, and the leading order is
     ``prediction_factor`` times C. The all-orders grid is the record chain
     with each shot's instrument record, or with its truncated-Fock
-    cross-check when ``engine`` is "fock"; None when ``engine`` is None. B
-    is frozen at each shot's start time. ``NumericalGuardError`` is raised,
-    in this order, if the factor overflows (before any record is built), if
-    C's trace is not real, if an all-orders trace is not real, or if a
-    leading-order value overflows.
+    cross-check when ``engine`` is "fock"; None when ``engine`` is None, and
+    a ValueError when it is not in ``ENGINES``. B is frozen at each shot's
+    start time. ``NumericalGuardError`` is raised, in this order, if the
+    factor overflows (before any record is built), if C's trace is not real,
+    if an all-orders trace is not real, or if a leading-order value overflows.
     """
+    if engine is not None and engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES} or None, got {engine!r}")
     factor = prediction_factor(proto)
     q = proto.query()
     chains = [_correlation_chain(model, q)]
     if engine is not None:
-        chains.append(_exact_chain(model, proto, engine == "fock"))
+        chains.append(_exact_chain(model, proto, engine))
     corr, *exact = _record_chain(model, chains, q.times[:-1], finals)
     with np.errstate(over="ignore"):
         leading = factor * corr
@@ -161,13 +168,12 @@ def gk_leading(model: TargetModel, proto: ProtocolSpec) -> GkResult:
     return GkResult(value=float(leading[0]))
 
 
-def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> GkResult:
+def gk_exact_unitary(model: TargetModel, proto: ProtocolSpec, engine: str = "coherent") -> GkResult:
     """All-orders K-shot count correlation with a fresh pulse per shot:
-    ``protocol_grids`` at the protocol's own last time, on the Fock engine
-    when ``fock`` is set.
+    ``protocol_grids`` at the protocol's own last time on ``engine``.
 
     Sensor-target entanglement is discarded between shots (each shot uses a
     new pulse), and B is frozen at each shot's nominal start time.
     """
-    _, _, exact = protocol_grids(model, proto, [proto.shots[-1].time], "fock" if fock else "coherent")
+    _, _, exact = protocol_grids(model, proto, [proto.shots[-1].time], engine)
     return GkResult(value=float(exact[0]))

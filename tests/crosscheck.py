@@ -187,14 +187,14 @@ def eigh_fock_record(alpha, tau, eigvals, basis: MeasurementBasis) -> Array:
     return sum(weight * eigh_sector_record(n, tb, basis) for n, weight in enumerate(weights))
 
 
-def reference_exact(model: TargetModel, proto: ProtocolSpec, fock: bool = False) -> float:
+def reference_exact(model: TargetModel, proto: ProtocolSpec, engine: str = "coherent") -> float:
     """All-orders count correlation with a fresh eigendecomposition of B(t)
-    per shot; the closed-form record, or the per-sector eigh Fock record with ``fock``."""
+    per shot; the closed-form record, or the per-sector eigh Fock record on the "fock" engine."""
     alpha, tau = proto.sensor.alpha, proto.sensor.tau
     rho = model.initial_state.matrix
     for shot in proto.shots:
         w, v = np.linalg.eigh(expm_coupling(model, shot.time))
-        if fock:
+        if engine == "fock":
             m = eigh_fock_record(alpha, tau, w, shot.basis)
         else:
             m = coherent_record(alpha, tau, w, shot.basis)

@@ -80,7 +80,7 @@ def test_criterion_2_convergence_order():
         residuals = []
         for tau in taus:
             p = proto(shots, alpha=2.0, tau=float(tau))
-            exact = gk_exact_unitary(model, p, fock=True).value
+            exact = gk_exact_unitary(model, p, engine="fock").value
             residuals.append(abs(exact - gk_leading(model, p).value))
         slope = np.polyfit(np.log(taus), np.log(residuals), 1)[0]
         details.append(f"K={k}: exponent {slope:.2f} (need >= {k + 0.8})")

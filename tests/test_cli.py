@@ -18,6 +18,7 @@ from faradaycorr.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_RESOURCE, m
 from faradaycorr.config import (
     build_model,
     build_protocols,
+    build_scenarios,
     load_config,
     set_config_path,
     validate_config,
@@ -66,6 +67,16 @@ SNR_DOC = {
     "command": "snr",
     "snr": {"preset": "lihof4", "orders": [1, 2, 4], "L": 1.0},
 }
+
+CLOSED_SHOTS = [{"time": 0.0, "basis": "S2"}, {"time": 1.0, "basis": "S3"}]
+
+
+def closed_protocol_warning() -> str:
+    """The text of the one ProtocolWarning that a protocol ending on an S3 shot raises."""
+    with pytest.warns(weak_measurement.ProtocolWarning) as caught:
+        build_protocols(dict(EXACT_DOC["protocol"], shots=CLOSED_SHOTS))
+    [warning] = caught
+    return str(warning.message)
 
 
 class TestValidation:
@@ -223,18 +234,12 @@ class TestCliExact:
         assert "run" not in manifest  # no Monte Carlo, no worker layout
 
     def test_warning_column_for_closed_protocol(self, tmp_path):
-        doc = dict(
-            EXACT_DOC,
-            protocol=dict(
-                EXACT_DOC["protocol"],
-                shots=[{"time": 0.0, "basis": "S2"}, {"time": 1.0, "basis": "S3"}],
-            ),
-        )
+        doc = dict(EXACT_DOC, protocol=dict(EXACT_DOC["protocol"], shots=CLOSED_SHOTS))
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["exact", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         row = read_rows(out)[0]
-        assert "S3" in row["warning"]
+        assert row["warning"] == closed_protocol_warning()
         assert float(row["gk_leading[counts^K]"]) == 0.0
 
     def test_command_mismatch(self, tmp_path):
@@ -538,11 +543,21 @@ class TestCliSimulate:
         assert all(row["gk_leading[counts^K]"] and row["gk_exact_unitary[counts^K]"] for row in rows)
 
     def test_warning_column_for_closed_protocol(self, tmp_path):
-        shots = [{"time": 0.0, "basis": "S2"}, {"time": 1.0, "basis": "S3"}]
-        doc = dict(SIM_DOC, protocol=dict(SIM_DOC["protocol"], shots=shots), mc={"sequences": 500})
+        protocol = dict(SIM_DOC["protocol"], shots=CLOSED_SHOTS, final_time_grid=[1.0, 2.0])
+        doc = dict(SIM_DOC, protocol=protocol, mc={"sequences": 500})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
-        assert "S3" in read_rows(out)[0]["warning"]
+        assert [row["warning"] for row in read_rows(out)] == [closed_protocol_warning()] * 2
+
+    def test_one_sequence_has_no_sigma_distance(self, tmp_path):
+        # one sequence has no standard error (inf): the distance from the
+        # exact value cannot be read in standard errors, so its cell is empty
+        doc = dict(SIM_DOC, mc={"sequences": 1, "mode": "kraus_quantum"})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        row = read_rows(out)[0]
+        assert row["mc_std_error[counts^K]"] == "inf" and float(row["abs_error[counts^K]"]) > 0
+        assert row["sigma_distance"] == ""
 
     def test_semiclassical_mode(self, tmp_path):
         doc = {
@@ -582,6 +597,19 @@ class TestCliSnr:
         snr2 = float(by_k["2"]["snr_per_sqrt_L"])
         assert snr2 == pytest.approx((5.755e-12) ** 2 * 1.39e20, rel=0.01)
         assert float(by_k["2"]["L_for_unit_snr"]) == pytest.approx(snr2**-2, rel=1e-10)
+
+    def test_order_column_is_each_scenarios_k(self, tmp_path):
+        # a preset file's scenarios keep their own K, in file order
+        presets = tmp_path / "scenarios.yaml"
+        params = "g: 1.0, D: 2.0, n_s: 1.0e+3, A: 0.1, N_ph: 1.0e+4, moment_k: 3.0"
+        presets.write_text(f"b: {{{params}, K: 3}}\na: {{{params}, K: 1}}\n")
+        for i, snr in enumerate((SNR_DOC["snr"], {"preset_file": str(presets)})):
+            out = tmp_path / f"out{i}"
+            doc = {"command": "snr", "snr": snr}
+            assert main(["snr", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+            orders = [row["order_K"] for row in read_rows(out)]
+            assert orders == [str(scenario.K) for scenario in build_scenarios(snr)]
+            assert orders == (["1", "2", "4"] if "preset" in snr else ["3", "1"])
 
     def test_inline_scenario(self, tmp_path):
         doc = {

@@ -110,8 +110,8 @@ class TestScenarioLoading:
             "demo:\n  g: 1.0\n  D: 2.0\n  n_s: 1.0e+3\n  A: 0.1\n"
             "  N_ph: 1.0e+4\n  L: 4.0\n  K: 2\n  moment_k: 3.0\n"
         )
-        [(k, scen)] = build_scenarios({"preset_file": str(path)})
-        assert k == scen.K == 2
+        [scen] = build_scenarios({"preset_file": str(path)})
+        assert scen.K == 2
         assert scen.n_s == pytest.approx(1e3)
 
     def test_packaged_preset_loads(self):
@@ -120,8 +120,8 @@ class TestScenarioLoading:
         with resources.as_file(
             resources.files("faradaycorr").joinpath("presets/materials.yaml")
         ) as p:
-            [(k, scen)] = build_scenarios({"preset_file": str(p)})
-        assert k == 2
+            [scen] = build_scenarios({"preset_file": str(p)})
+        assert scen.K == 2
         rep = snr_material(scen)
         assert rep.regime == "uncorrelated"
 

@@ -141,11 +141,10 @@ class TestFinalTimeGrid:
         model, protos, bound = self._setup(last_basis)
         if time_convention == "midpoint":
             protos = [shift_protocol(p, 0.5 * self.SENSOR.tau) for p in protos]
-        fock = engine == "fock"
         _, _, grid = protocol_grids(model, protos[0], [p.shots[-1].time for p in protos], engine)
-        ref = [reference_exact(model, p, fock) for p in protos]
+        ref = [reference_exact(model, p, engine) for p in protos]
         assert_grid_close(grid, ref, bound)
-        single = [gk_exact_unitary(model, p, fock).value for p in protos]
+        single = [gk_exact_unitary(model, p, engine).value for p in protos]
         assert_grid_close(grid, single, bound)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.89], ids=["nan", "inf", "before-shot-3"])

@@ -22,6 +22,7 @@ from faradaycorr.sensor_optics import (
     required_cutoff,
 )
 from faradaycorr.weak_measurement import (
+    ENGINES,
     ProtocolSpec,
     ProtocolWarning,
     ShotSpec,
@@ -67,6 +68,13 @@ class TestProtocolSpec:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             proto([(0.0, S3), (1.0, S2)])
+
+    def test_warning_text_is_the_raised_warnings(self):
+        assert proto([(0.0, S3), (1.0, S2)]).warning == ""
+        with pytest.warns(ProtocolWarning) as caught:
+            closed = proto([(0.0, S2), (1.0, S3)])
+        assert [str(w.message) for w in caught] == [closed.warning]
+        assert "S3" in closed.warning
 
 
 class TestLeadingOrder:
@@ -191,7 +199,7 @@ class TestExactUnitary:
         model = random_model(rng, 3)
         p = proto([(0.1, S3), (0.9, S2)], alpha=2.0, tau=0.15)
         a = gk_exact_unitary(model, p).value
-        b = gk_exact_unitary(model, p, fock=True).value
+        b = gk_exact_unitary(model, p, engine="fock").value
         assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_large_alpha_is_cheap(self):
@@ -229,20 +237,20 @@ class TestExactUnitary:
         coherent = protocol_grids(model, p, finals)[2]
         assert np.max(np.abs(fock - coherent)) <= 1e-10 * np.max(np.abs(coherent))
 
-    @pytest.mark.parametrize("fock", [False, True])
-    def test_overflowing_prediction_factor_raises(self, fock):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_overflowing_prediction_factor_raises(self, engine):
         # the one-point value runs protocol_grids' guards, the first of which
         # refuses the factor before any record is built
         p = proto([(0.0, S3), (1.0, S2)], alpha=1.0, tau=1e300)
         with pytest.raises(errors.NumericalGuardError, match="2\\^-K tau\\^K alpha\\^2K overflows"):
-            gk_exact_unitary(precession_model(), p, fock)
+            gk_exact_unitary(precession_model(), p, engine)
 
     def test_fock_memory_guard(self):
         # alpha = 70 sets the cutoff 5610, whose 15.7 million sector rows would take 3.3 GiB
         model = precession_model()
         p = proto([(0.0, S2)], alpha=70.0, tau=0.1)
         with pytest.raises(ResourceGuardError):
-            gk_exact_unitary(model, p, fock=True)
+            gk_exact_unitary(model, p, engine="fock")
 
     def test_fock_memory_guard_runs_before_any_allocation(self, monkeypatch):
         # the 630 sector rows at the cutoff 34 of alpha = 2 need 138 KiB for two
@@ -270,7 +278,19 @@ def test_one_point_functions_are_protocol_grids(engine):
         if engine is None:
             assert exact is None
         else:
-            assert gk_exact_unitary(model, at, engine == "fock").value == exact[0]
+            assert gk_exact_unitary(model, at, engine).value == exact[0]
+
+
+@pytest.mark.parametrize("engine", ["Fock", "bogus", ""])
+def test_unknown_engine_is_refused(engine):
+    # only the names in ENGINES (or None, no all-orders column) run; any other
+    # name once ran the coherent engine
+    model = random_model(np.random.default_rng(11), 4)
+    p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
+    with pytest.raises(ValueError, match=rf"engine must be one of \('coherent', 'fock'\) or None, got {engine!r}"):
+        protocol_grids(model, p, [0.9, 1.7], engine)
+    with pytest.raises(ValueError, match="engine must be one of"):
+        gk_exact_unitary(model, p, engine)
 
 
 @pytest.mark.parametrize("engine", [None, "coherent", "fock"])
@@ -286,7 +306,7 @@ def test_shared_walk_gives_each_chain_alone(engine):
     if engine is None:
         assert exact is None
         return
-    (alone,) = _record_chain(model, [_exact_chain(model, p, engine == "fock")], [0.0, 0.4], finals)
+    (alone,) = _record_chain(model, [_exact_chain(model, p, engine)], [0.0, 0.4], finals)
     assert np.array_equal(exact, alone)
 
 
@@ -296,7 +316,7 @@ def test_record_chain_returns_real_grids(engine):
     # chain, already checked real
     model = random_model(np.random.default_rng(11), 4)
     p = proto([(0.0, S2), (0.4, S3), (0.9, S2)], alpha=2.0, tau=0.05)
-    chain = _correlation_chain(model, p.query()) if engine is None else _exact_chain(model, p, engine == "fock")
+    chain = _correlation_chain(model, p.query()) if engine is None else _exact_chain(model, p, engine)
     grids = _record_chain(model, [chain], [0.0, 0.4], np.linspace(0.9, 3.0, 9))
     assert [(g.dtype, g.shape) for g in grids] == [(np.dtype(float), (9,))]
 
