@@ -46,47 +46,36 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
-PROVENANCE = {
-    "correlation_C[(rad/s)^K]": "correlations",
-    "gk_leading[counts^K]": "weak_measurement",
-    "gk_exact_unitary[counts^K]": "weak_measurement",
-    "mc_mean[counts^K]": "trajectory_mc",
-    "mc_std_error[counts^K]": "trajectory_mc",
-    "per_shot_variance_half[counts^2]": "trajectory_mc",
-    "empirical_snr": "trajectory_mc",
-    "snr": "snr",
-    "snr_per_sqrt_L": "snr",
-    "L_for_unit_snr": "snr",
+# Each command's columns of results.csv, in order, with the module that computes
+# each (manifest.json's provenance); a sweep prepends sweep_path and sweep_value.
+EXACT_COLUMNS = {
+    "order_K": "cli", "shot_times[s]": "cli", "bases": "cli", "sign_type": "cli", "alpha": "cli", "tau[s]": "cli",
+    "correlation_C[(rad/s)^K]": "correlations", "gk_leading[counts^K]": "weak_measurement",
+    "gk_exact_unitary[counts^K]": "weak_measurement", "warning": "cli",
 }
-
-
-# The columns of results.csv per command, in order; a sweep puts
-# sweep_path and sweep_value before those of its command.
-EXACT_COLUMNS = (
-    "order_K", "shot_times[s]", "bases", "sign_type", "alpha", "tau[s]",
-    "correlation_C[(rad/s)^K]", "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "warning",
-)
-SIMULATE_COLUMNS = (
-    "order_K", "shot_times[s]", "bases", "alpha", "tau[s]", "mode", "sequences", "seed",
-    "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]", "empirical_snr",
-    "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance", "warning",
-)
-SNR_COLUMNS = ("order_K", "regime", "snr", "snr_per_sqrt_L", "L_for_unit_snr", "base_factor", "prefactor[spins]")
-# The simulate columns that each protocol's Monte Carlo fills, in the order cmd_simulate forms them.
-_MC_COLUMNS = (
-    "sequences", "mc_mean[counts^K]", "mc_std_error[counts^K]", "per_shot_variance_half[counts^2]",
-    "empirical_snr", "gk_leading[counts^K]", "gk_exact_unitary[counts^K]", "abs_error[counts^K]", "sigma_distance",
-)
+SIMULATE_COLUMNS = {
+    "order_K": "cli", "shot_times[s]": "cli", "bases": "cli", "alpha": "cli", "tau[s]": "cli", "mode": "cli",
+    "sequences": "cli", "seed": "cli", "mc_mean[counts^K]": "trajectory_mc", "mc_std_error[counts^K]": "trajectory_mc",
+    "per_shot_variance_half[counts^2]": "trajectory_mc", "empirical_snr": "trajectory_mc",
+    "gk_leading[counts^K]": "weak_measurement", "gk_exact_unitary[counts^K]": "weak_measurement",
+    "abs_error[counts^K]": "cli", "sigma_distance": "cli", "warning": "cli",
+}
+SNR_COLUMNS = {
+    "order_K": "cli", "regime": "snr", "snr": "snr", "snr_per_sqrt_L": "snr", "L_for_unit_snr": "snr",
+    "base_factor": "snr", "prefactor[spins]": "snr",
+}
 
 
 @dataclass(frozen=True)
 class Block:
     """Consecutive rows of a results table: ``same`` maps each column whose
     cell is the same on every row to that cell, ``each`` every other column
-    to a sequence of one cell per row."""
+    to a sequence of one cell per row, and ``layout`` the manifest's
+    ``run.protocols`` entry of each Monte Carlo the rows ran."""
 
     same: dict
     each: dict = field(default_factory=dict)
+    layout: list = field(default_factory=list)
 
     def __post_init__(self):
         if len({len(cells) for cells in self.each.values()}) > 1:
@@ -99,14 +88,14 @@ class Block:
 
 @dataclass(frozen=True)
 class Table:
-    """A command's results: the columns of results.csv, in order, and the
-    blocks of rows; every block gives a cell or cells for each column.
-    ``exact`` and ``simulate`` give one block per protocol grid, ``snr`` one
-    block, and a sweep each variant's blocks with its path and value as
-    shared cells. The cells read as ``csv.writer`` writes them (``_cell``,
-    docs/output_schema.md)."""
+    """A command's results: the columns of results.csv in order, each mapped
+    to the module that computes it, and the blocks of rows, which give each
+    column a cell or cells. ``exact`` and ``simulate`` give one block per
+    protocol grid, ``snr`` one block, and a sweep each variant's blocks with
+    its path and value as shared cells. The cells read as ``csv.writer``
+    writes them (``_cell``, docs/output_schema.md)."""
 
-    columns: tuple[str, ...]
+    columns: dict[str, str]
     blocks: list[Block]
 
 
@@ -132,16 +121,13 @@ def cmd_exact(run: ExactRun) -> Table:
     same, each = _protocol_cells(proto, run.finals)
     same.update({"sign_type": proto.query().label(), "warning": proto.warning})
     each.update({"correlation_C[(rad/s)^K]": corr.tolist(), "gk_leading[counts^K]": leading.tolist()})
-    if exact is None:
-        same["gk_exact_unitary[counts^K]"] = None
-    else:
-        each["gk_exact_unitary[counts^K]"] = exact.tolist()
+    each["gk_exact_unitary[counts^K]"] = [None] * len(run.finals) if exact is None else exact.tolist()
     return Table(EXACT_COLUMNS, [Block(same, each)])
 
 
-def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dict]]:
-    """The simulate rows, plus the worker and chunk layout of each
-    protocol's Monte Carlo; ``threads`` None takes ``default_workers``."""
+def cmd_simulate(run: SimulateRun, threads: int | None) -> Table:
+    """One row per final time, each with its own Monte Carlo; ``threads``
+    None takes ``default_workers``."""
     mc, finals = run.mc, run.finals
     leading = exact = [None] * len(finals)
     if mc.mode == "kraus_quantum":
@@ -158,42 +144,46 @@ def cmd_simulate(run: SimulateRun, threads: int | None) -> tuple[Table, list[dic
         est = run_sequences(cfg)
         layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
-        sigma = abs_err / est.std_error if abs_err is not None and 0 < est.std_error < math.inf else None
-        rows.append((est.n_sequences, est.mean, est.std_error, est.per_shot_variance, empirical_snr(est),
-                     lead, ex, abs_err, sigma))
-    each.update(zip(_MC_COLUMNS, map(list, zip(*rows))))
-    return Table(SIMULATE_COLUMNS, [Block(same, each)]), layout
+        rows.append({
+            "sequences": est.n_sequences, "mc_mean[counts^K]": est.mean, "mc_std_error[counts^K]": est.std_error,
+            "per_shot_variance_half[counts^2]": est.per_shot_variance, "empirical_snr": empirical_snr(est),
+            "gk_leading[counts^K]": lead, "gk_exact_unitary[counts^K]": ex, "abs_error[counts^K]": abs_err,
+            "sigma_distance": abs_err / est.std_error if abs_err is not None and 0 < est.std_error < math.inf else None,
+        })
+    each.update({column: [row[column] for row in rows] for column in rows[0]})
+    return Table(SIMULATE_COLUMNS, [Block(same, each, layout)])
 
 
 def cmd_snr(run: SnrRun) -> Table:
     rows = []
     for scenario in run.scenarios:
         report = snr_material(scenario)
-        rows.append((scenario.K, report.regime, report.snr, report.snr / scenario.L**0.5, report.L_for_unit_snr,
-                     report.base_factor, report.prefactor))
-    return Table(SNR_COLUMNS, [Block({}, dict(zip(SNR_COLUMNS, map(list, zip(*rows)))))])
+        rows.append({
+            "order_K": scenario.K, "regime": report.regime, "snr": report.snr,
+            "snr_per_sqrt_L": report.snr / scenario.L**0.5, "L_for_unit_snr": report.L_for_unit_snr,
+            "base_factor": report.base_factor, "prefactor[spins]": report.prefactor,
+        })
+    return Table(SNR_COLUMNS, [Block({}, {column: [row[column] for row in rows] for column in SNR_COLUMNS})])
 
 
-def cmd_sweep(run: SweepRun, threads: int | None) -> tuple[Table, list[dict]]:
-    """Each variant's blocks, with the sweep path and value as cells of every row."""
-    blocks, layout = [], []
+def cmd_sweep(run: SweepRun, threads: int | None) -> Table:
+    """Each variant's blocks, with the sweep path and value in every row and the value in every layout entry."""
+    blocks = []
     for value, variant in run.runs:
-        table, sub_layout = _dispatch(variant, threads)
-        blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each)
+        table = _dispatch(variant, threads)
+        blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each,
+                            [dict(entry, sweep_value=spelled(value)) for entry in block.layout])
                       for block in table.blocks)
-        layout.extend(dict(entry, sweep_value=spelled(value)) for entry in sub_layout)
-    return Table(("sweep_path", "sweep_value", *table.columns), blocks), layout
+    return Table({"sweep_path": "cli", "sweep_value": "cli", **table.columns}, blocks)
 
 
-def _dispatch(run: Run, threads: int | None) -> tuple[Table, list[dict]]:
-    """The results table and the Monte Carlo layout, one entry per
-    simulated protocol."""
+def _dispatch(run: Run, threads: int | None) -> Table:
     if isinstance(run, ExactRun):
-        return cmd_exact(run), []
+        return cmd_exact(run)
     if isinstance(run, SimulateRun):
         return cmd_simulate(run, threads)
     if isinstance(run, SnrRun):
-        return cmd_snr(run), []
+        return cmd_snr(run)
     return cmd_sweep(run, threads)
 
 
@@ -246,7 +236,7 @@ def _lines(table: Table) -> list[str]:
     return lines
 
 
-def _write_outputs(out_dir: Path, table: Table, layout, config_text: str, command: str, seed) -> None:
+def _write_outputs(out_dir: Path, table: Table, config_text: str, command: str, seed) -> None:
     """Write results.csv, then manifest.json: strict JSON with its keys
     sorted, one top-level key per line, each value as ``json.dumps`` writes
     it with sorted keys. Its ``config`` is ``config_text`` as it stands, and
@@ -260,9 +250,9 @@ def _write_outputs(out_dir: Path, table: Table, layout, config_text: str, comman
         "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
         "seed": seed,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "provenance": {c: PROVENANCE.get(c, "cli") for c in table.columns},
+        "provenance": table.columns,
     }
-    if layout:
+    if layout := [entry for block in table.blocks for entry in block.layout]:
         fields["run"] = {"chunk_size": CHUNK_SIZE, "protocols": layout}
     texts = {key: json.dumps(value, sort_keys=True, allow_nan=False) for key, value in fields.items()}
     texts["config"] = config_text
@@ -358,8 +348,7 @@ def main(argv=None) -> int:
         if raw["command"] != command:
             raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
         text = config_json(raw)
-        table, layout = _dispatch(run, threads)
-        _write_outputs(out, table, layout, text, command, run.seed)
+        _write_outputs(out, _dispatch(run, threads), text, command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

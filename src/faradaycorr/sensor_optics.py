@@ -173,8 +173,8 @@ def apply_s3(psi: Array) -> Array:
 # Peak bytes of ``SectorRows.of`` and ``SectorRows.record``: ROW_BYTES per
 # row plus ROW_COLUMN_BYTES per row and coupling value bound their tracemalloc
 # peaks at n_max = 34..1210 and 1..64 values. From n_max = 210 on the peaks
-# were 40 bytes per row plus 48 per row and value; at n_max = 34 fixed costs
-# bring them up to 91% of the bound.
+# were at most 56 bytes per row plus 32 per row and value (S2; S3 sums half
+# the rows); at n_max = 34 fixed costs bring them up to 73% of the bound.
 ROW_BYTES = 96
 ROW_COLUMN_BYTES = 64
 
@@ -240,13 +240,22 @@ class SectorRows:
 
     def record(self, tb: Array, basis: MeasurementBasis) -> Array:
         """m[i,k] = <chi_k| Lambda |chi_i> between the pulses rotated by
-        exp(-i S3 tb) for the entries of ``tb``: one weighted
-        phi^H Lambda phi over all rows."""
-        phi = np.exp(-1j * np.outer(self.s, tb))  # |chi_b> per column
-        phi *= self.component[:, None]
-        applied = self.apply(basis, phi)
-        applied *= self.weight[:, None]
-        return (phi.conj().T @ applied).T
+        exp(-i S3 tb) for the entries of ``tb``. Each row is summed with the
+        row whose alpha^2-sized term it cancels, so an exact zero comes out
+        as 0: with d = tb_i - tb_k, 2*S3 pairs s > 0 with -s (same weight w
+        and |component| c) into -4i s w c^2 sin(s d), and S2 = Jx each row
+        with the next, whose component has one more factor -i, into
+        2 sin((tb_i + tb_k)/2) e^{i d/2} jx w c_r c_{r+1} e^{-i s_r d}."""
+        c = np.abs(self.component)
+        if basis is MeasurementBasis.S3:
+            s, coef = self.s[self.s > 0], 4.0 * (self.s * self.weight * c * c)[self.s > 0]
+        else:
+            s, coef = self.s[:-1], self.jx[:-1] * self.weight[:-1] * c[:-1] * c[1:]
+        phase = np.exp(-1j * np.outer(s, tb))
+        sums = (phase * coef[:, None]).T @ np.conjugate(phase, out=phase)  # sum_r coef_r e^{-i s_r d}
+        if basis is MeasurementBasis.S3:
+            return 1j * sums.imag
+        return 2.0 * np.sin(0.5 * np.add.outer(tb, tb)) * np.exp(0.5j * np.subtract.outer(tb, tb)) * sums
 
 
 def _count_log_modulus(beta: Array, counts: Array) -> Array:

@@ -19,7 +19,8 @@ target state elementwise by a d x d record matrix, which the record chain of
   whose amplitudes the Kraus trajectories sample too; on the "fock" engine
   it re-derives them on the truncated two-mode Fock space instead, from the
   photon-number sector rows of the pulse (``sensor_optics.SectorRows``,
-  built once per protocol), as an independent cross-check.
+  built once per protocol), as an independent cross-check. Both pair the
+  terms that cancel, so a record that vanishes (no coupling) is exactly 0.
 
 An all-orders record depends only on the pulse, the eigenvalues of B and
 the basis, so it is built once per basis. ``protocol_grids`` takes one

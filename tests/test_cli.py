@@ -311,6 +311,31 @@ class TestCliExact:
         assert "Fock sector eigendata" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @staticmethod
+    def _exact_column(tmp_path, engine: str, **paths) -> list[float]:
+        """The gk_exact_unitary column of the README Fock example on ``engine``, with ``paths`` set."""
+        doc = _doc(EXACT_DOC, protocol__alpha=2.0, protocol__final_time_grid=[0.5, 1.0, 1.5, 2.0],
+                   exact__engine=engine, **paths)
+        out = tmp_path / engine
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        return [float(row["gk_exact_unitary[counts^K]"]) for row in read_rows(out)]
+
+    @pytest.mark.parametrize("engine", ["coherent", "fock"])
+    @pytest.mark.parametrize("paths", [{"model__coupling": {"jx": 0.0}}, {"model__two_j": 0}],
+                             ids=["zero-coupling", "two_j-0"])
+    def test_no_coupling_gives_an_all_zero_exact_column(self, tmp_path, engine, paths):
+        # no pulse is rotated, so every all-orders record is exactly 0, not
+        # roundoff of the alpha^2-sized Fock terms that cancel
+        assert self._exact_column(tmp_path, engine, **paths) == [0.0] * 4
+
+    def test_engines_agree_at_a_tiny_tau(self, tmp_path):
+        # at tau = 1e-14 the records are ~1e-14 of the alpha^2-sized Fock
+        # terms that cancel, so roundoff in them would swamp the column
+        fock = self._exact_column(tmp_path, "fock", protocol__tau=1e-14)
+        coherent = self._exact_column(tmp_path, "coherent", protocol__tau=1e-14)
+        top = max(map(abs, coherent))
+        assert top > 0 and max(abs(f - c) for f, c in zip(fock, coherent)) <= 1e-12 * top
+
     def test_final_time_grid_guard_sees_one_block(self, tmp_path, monkeypatch, capsys):
         # d = 64 and 4096 final times: four 4 MiB complex arrays for the whole
         # grid, above a 2 MiB guard, but four 512 KiB arrays per 512-time block
@@ -435,6 +460,8 @@ class TestCliSimulate:
             assert (defaulted / "results.csv").read_bytes() == (single / "results.csv").read_bytes()
             layout = json.loads((defaulted / "manifest.json").read_text())["run"]["protocols"]
             assert [entry["workers"] for entry in layout] == workers
+            # a sweep names in each entry the value its protocol ran at
+            assert [entry.get("sweep_value") for entry in layout] == doc.get("sweep", {"values": [None]})["values"]
 
     def test_manifest_records_the_worker_and_chunk_layout(self, tmp_path):
         cfg = write_config(tmp_path, SIM_DOC)
@@ -1269,17 +1296,35 @@ def test_results_header(tmp_path, doc, header):
     assert (out / "results.csv").read_text().splitlines()[0] == header
 
 
+# The module each column is read from, for the columns cli does not form itself.
+COMPUTED_BY = {
+    "correlation_C[(rad/s)^K]": "correlations",
+    "gk_leading[counts^K]": "weak_measurement",
+    "gk_exact_unitary[counts^K]": "weak_measurement",
+    "mc_mean[counts^K]": "trajectory_mc",
+    "mc_std_error[counts^K]": "trajectory_mc",
+    "per_shot_variance_half[counts^2]": "trajectory_mc",
+    "empirical_snr": "trajectory_mc",
+    "regime": "snr",
+    "snr": "snr",
+    "snr_per_sqrt_L": "snr",
+    "L_for_unit_snr": "snr",
+    "base_factor": "snr",
+    "prefactor[spins]": "snr",
+}
+
+
 def test_provenance_names_the_columns_written(tmp_path):
-    # each run's manifest gives the provenance of exactly its columns, and
-    # every column with a named provenance is written by some command
-    written = set()
+    # each run's manifest gives the provenance of exactly its columns, each
+    # the module its cells are read from; the snr report's regime,
+    # base_factor and prefactor come from snr, not cli
     for i, (_, doc, _) in enumerate(HEADERS):
         out = tmp_path / str(i)
         assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
         columns = (out / "results.csv").read_text().splitlines()[0].split(",")
-        assert list(json.loads((out / "manifest.json").read_text())["provenance"]) == sorted(columns)
-        written.update(columns)
-    assert set(cli.PROVENANCE) <= written, f"stale provenance: {sorted(set(cli.PROVENANCE) - written)}"
+        provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+        assert list(provenance) == sorted(columns)
+        assert provenance == {column: COMPUTED_BY.get(column, "cli") for column in columns}
 
 
 def test_results_cells_are_written_exactly(tmp_path):
@@ -1289,7 +1334,7 @@ def test_results_cells_are_written_exactly(tmp_path):
     row = {"none": None, "int": 7, "bool": True, "str": "S3;S2", "tenth": 0.1,
            "negative_zero": -0.0, "tiny": 1e-300, "inf": math.inf}
     for block in (cli.Block(same=row), cli.Block(same={}, each={key: [value] for key, value in row.items()})):
-        cli._write_outputs(tmp_path, cli.Table(tuple(row), [block]), None, "{}", "exact", None)
+        cli._write_outputs(tmp_path, cli.Table(dict.fromkeys(row, "cli"), [block]), "{}", "exact", None)
         assert (tmp_path / "results.csv").read_bytes() == (
             b"none,int,bool,str,tenth,negative_zero,tiny,inf\n"
             b",7,True,S3;S2,0.1,-0.0,1e-300,inf\n"
@@ -1317,13 +1362,13 @@ def _tables(draw):
             same={c: draw(_CELLS) for c in columns if c in shared},
             each={c: draw(st.lists(_CELLS, min_size=rows, max_size=rows)) for c in columns if c not in shared},
         ))
-    return cli.Table(columns, blocks)
+    return cli.Table(dict.fromkeys(columns, "cli"), blocks)
 
 
 @hypothesis.given(_tables())
-@hypothesis.example(cli.Table(("only",), [cli.Block({}, {"only": ["", None, "x"]})]))
-@hypothesis.example(cli.Table(("",), [cli.Block({"": None})]))
-@hypothesis.example(cli.Table(("sweep_path", "sweep_value", "snr"), [
+@hypothesis.example(cli.Table({"only": "cli"}, [cli.Block({}, {"only": ["", None, "x"]})]))
+@hypothesis.example(cli.Table({"": "cli"}, [cli.Block({"": None})]))
+@hypothesis.example(cli.Table({"sweep_path": "cli", "sweep_value": "cli", "snr": "snr"}, [
     cli.Block({"sweep_path": "snr.orders", "sweep_value": [1, 2]}, {"snr": [1.5, math.nan]}),
     cli.Block({"sweep_path": "model", "sweep_value": {"kind": "x", "two_j": 1}}, {"snr": [-0.0]}),
 ]))
@@ -1336,5 +1381,5 @@ def test_results_csv_is_what_csv_writer_writes(table):
         for i in range(block.rows):
             writer.writerow(block.same[c] if c in block.same else block.each[c][i] for c in table.columns)
     with tempfile.TemporaryDirectory() as out:
-        cli._write_outputs(Path(out), table, None, "{}", "exact", None)
+        cli._write_outputs(Path(out), table, "{}", "exact", None)
         assert (Path(out) / "results.csv").read_bytes() == expected.getvalue().encode("utf-8")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from faradaycorr.config import build_scenarios
@@ -124,6 +126,19 @@ class TestScenarioLoading:
         assert scen.K == 2
         rep = snr_material(scen)
         assert rep.regime == "uncorrelated"
+
+    def test_presets_are_package_data(self):
+        # the test above reads the src/ tree; an installed package has only
+        # the files a [tool.setuptools.package-data] pattern matches
+        tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "faradaycorr"
+        table = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["tool"]["setuptools"]
+        patterns = table.get("package-data", {}).get("faradaycorr", [])
+        shipped = {path for pattern in patterns for path in package.glob(pattern)}
+        presets = {path for path in (package / "presets").rglob("*") if path.is_file()}
+        assert presets, "no preset files"
+        assert presets <= shipped, f"not package data: {sorted(str(p.relative_to(package)) for p in presets - shipped)}"
 
     def test_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "bad.yaml"
