@@ -30,7 +30,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .config import ExactRun, Run, SimulateRun, SnrRun, SweepRun, config_json, l
 from .errors import ConfigError, NumericalGuardError, ResourceGuardError
 from .snr import snr_material
 from .trajectory_mc import CHUNK_SIZE, default_workers, empirical_snr, run_sequences
-from .weak_measurement import ProtocolWarning, protocol_grids
+from .weak_measurement import protocol_grids
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,19 +127,16 @@ def cmd_exact(run: ExactRun) -> Table:
 def cmd_simulate(run: SimulateRun, threads: int | None) -> Table:
     """One row per final time, each with its own Monte Carlo; ``threads``
     None takes ``default_workers``."""
-    mc, finals = run.mc, run.finals
+    first, finals = run.mcs[0], [mc.proto.shots[-1].time for mc in run.mcs]
     leading = exact = [None] * len(finals)
-    if mc.mode == "kraus_quantum":
-        _, leading, exact = protocol_grids(mc.model, mc.proto, finals)
+    if first.mode == "kraus_quantum":
+        _, leading, exact = protocol_grids(first.model, first.proto, finals)
         leading, exact = leading.tolist(), exact.tolist()
-    same, each = _protocol_cells(mc.proto, finals)
-    same.update({"mode": mc.mode, "seed": mc.seed, "warning": mc.proto.warning})
+    same, each = _protocol_cells(first.proto, finals)
+    same.update({"mode": first.mode, "seed": first.seed, "warning": first.proto.warning})
     rows, layout = [], []
-    for t, lead, ex in zip(finals, leading, exact):
-        with warnings.catch_warnings():  # its text is in the warning column already
-            warnings.simplefilter("ignore", ProtocolWarning)
-            cfg = replace(mc, proto=mc.proto.at(t))
-        cfg = replace(cfg, workers=default_workers(cfg) if threads is None else threads)
+    for mc, lead, ex in zip(run.mcs, leading, exact):
+        cfg = replace(mc, workers=default_workers(mc) if threads is None else threads)
         est = run_sequences(cfg)
         layout.append({"workers": est.workers, "chunks": est.chunks, "smallest_norm2": est.smallest_norm2})
         abs_err = None if ex is None else abs(est.mean - ex)
@@ -160,31 +156,39 @@ def cmd_snr(run: SnrRun) -> Table:
         report = snr_material(scenario)
         rows.append({
             "order_K": scenario.K, "regime": report.regime, "snr": report.snr,
-            "snr_per_sqrt_L": report.snr / scenario.L**0.5, "L_for_unit_snr": report.L_for_unit_snr,
+            "snr_per_sqrt_L": report.snr_per_sqrt_L, "L_for_unit_snr": report.L_for_unit_snr,
             "base_factor": report.base_factor, "prefactor[spins]": report.prefactor,
         })
     return Table(SNR_COLUMNS, [Block({}, {column: [row[column] for row in rows] for column in SNR_COLUMNS})])
 
 
 def cmd_sweep(run: SweepRun, threads: int | None) -> Table:
-    """Each variant's blocks, with the sweep path and value in every row and the value in every layout entry."""
+    """Each variant's blocks, with the sweep path and value in every row and
+    the value in every layout entry. Each variant is taken off ``run.runs``
+    as it runs, so its model and spectral data are freed once its rows are formed."""
     blocks = []
-    for value, variant in run.runs:
-        table = _dispatch(variant, threads)
+    while run.runs:
+        value, variant = run.runs.pop(0)
+        table = _table(run.command, variant, threads)
         blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each,
                             [dict(entry, sweep_value=spelled(value)) for entry in block.layout])
                       for block in table.blocks)
     return Table({"sweep_path": "cli", "sweep_value": "cli", **table.columns}, blocks)
 
 
-def _dispatch(run: Run, threads: int | None) -> Table:
-    if isinstance(run, ExactRun):
-        return cmd_exact(run)
-    if isinstance(run, SimulateRun):
-        return cmd_simulate(run, threads)
-    if isinstance(run, SnrRun):
-        return cmd_snr(run)
-    return cmd_sweep(run, threads)
+# Each command's line in the top-level help, its runner, and whether it runs
+# Monte Carlo workers, and so takes --threads and passes the count on.
+_COMMANDS = {
+    "exact": ("the correlation C and its count correlations over the final times, computed exactly", cmd_exact, False),
+    "simulate": ("the count correlation by seeded Monte Carlo, beside its exact value", cmd_simulate, True),
+    "snr": ("closed-form signal-to-noise ratios of a material scenario", cmd_snr, False),
+    "sweep": ("one of the other commands at each value of one config key", cmd_sweep, True),
+}
+
+
+def _table(command: str, run: Run, threads: int | None) -> Table:
+    _, runner, workers = _COMMANDS[command]
+    return runner(run, threads) if workers else runner(run)
 
 
 # Text that csv.writer leaves as it is in any dialect with the defaults of
@@ -261,22 +265,6 @@ def _write_outputs(out_dir: Path, table: Table, config_text: str, command: str, 
         fh.write("{\n" + lines + "\n}\n")
 
 
-# Each command's own long options; --threads only where Monte Carlo workers run.
-_COMMAND_OPTIONS = {
-    "exact": ("--config", "--out"),
-    "simulate": ("--config", "--out", "--threads"),
-    "snr": ("--config", "--out"),
-    "sweep": ("--config", "--out", "--threads"),
-}
-# Each command's line in the top-level help.
-_COMMAND_HELP = {
-    "exact": "the correlation C and its count correlations over the final times, computed exactly",
-    "simulate": "the count correlation by seeded Monte Carlo, beside its exact value",
-    "snr": "closed-form signal-to-noise ratios of a material scenario",
-    "sweep": "one of the other commands at each value of one config key",
-}
-
-
 def _parser():
     """The argparse parser: the reader of every command line that
     ``_plain_args`` does not take, and the only source of help and usage
@@ -288,11 +276,11 @@ def _parser():
     )
     parser.set_defaults(threads=None)
     sub = parser.add_subparsers(dest="command", required=True, title="commands", metavar="command")
-    for name, options in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+    for name, (text, _, workers) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="the YAML run config")
         p.add_argument("--out", required=True, help="the output directory")
-        if "--threads" in options:
+        if workers:
             p.add_argument(
                 "--threads",
                 type=int,
@@ -308,9 +296,10 @@ def _plain_args(argv: list[str]) -> dict | None:
     full, as ``--opt value`` or ``--opt=value``, no value starting with "-",
     and --threads a text ``int`` takes. None for any other command line,
     which the parser reads or refuses."""
-    if not argv or argv[0] not in _COMMAND_OPTIONS:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    options, given = _COMMAND_OPTIONS[argv[0]], {}
+    options = ("--config", "--out", "--threads") if _COMMANDS[argv[0]][2] else ("--config", "--out")
+    given = {}
     tokens = iter(argv[1:])
     for token in tokens:
         name, eq, value = token.partition("=")
@@ -348,7 +337,7 @@ def main(argv=None) -> int:
         if raw["command"] != command:
             raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
         text = config_json(raw)
-        _write_outputs(out, _dispatch(run, threads), text, command, run.seed)
+        _write_outputs(out, _table(command, run, threads), text, command, run.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

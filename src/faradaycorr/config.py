@@ -17,7 +17,7 @@ import re
 import warnings
 from collections.abc import Hashable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -26,10 +26,9 @@ from .errors import ConfigError, FaradaycorrError, ResourceGuardError, check_mem
 from .quantum_core import DensityMatrix, TargetModel, pure_state, spin_operators, thermal_state
 from .sensor_optics import MeasurementBasis, SensorConfig, check_fock_memory, required_cutoff
 from .snr import SnrScenario, lihof4_scenario
-from .trajectory_mc import ClassicalFieldModel, FieldKind, TrajectoryConfig, check_mc_memory
+from .trajectory_mc import MODES, ClassicalFieldModel, FieldKind, TrajectoryConfig, check_mc_memory
 from .weak_measurement import ENGINES, ProtocolSpec, ProtocolWarning, ShotSpec
 
-COMMANDS = ("exact", "simulate", "snr", "sweep")
 _SECTIONS = ("model", "protocol", "exact", "mc", "snr", "sweep")
 
 _SPIN_TERMS = ("jx", "jy", "jz")
@@ -38,6 +37,7 @@ _MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
 # with their temporaries, the H and B sums, the thermal state and the eighs of
 # TargetModel.spectral (10.2 measured as peak RSS at two_j = 1400).
 _SPIN_MODEL_PEAK_MATRICES = 11
+_MODEL_MATRICES = 3  # H, B and rho0: what a parsed model holds until it runs
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
 _DEFAULT_L = 1.0  # snr.L when neither the section nor the scenario sets it
 # YAML's spellings of the non-finite floats. manifest.json stores a non-finite
@@ -63,8 +63,12 @@ class ExactRun(Run):
 
 @dataclass(frozen=True)
 class SimulateRun(Run):
-    finals: tuple[float, ...]  # the last shot's times of mc.proto, one Monte Carlo each
-    mc: TrajectoryConfig  # for the protocol at finals[0], one worker
+    mcs: tuple[TrajectoryConfig, ...]  # one per final time, in order, each at one worker
+
+    @property
+    def model(self):
+        """The target that every Monte Carlo of the run shares."""
+        return self.mcs[0].model
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,9 @@ class SnrRun(Run):
 
 @dataclass(frozen=True)
 class SweepRun(Run):
+    command: str  # the base command each variant runs
     path: str
-    runs: list[tuple[object, Run]]  # (value, parsed variant)
+    runs: list[tuple[object, Run]]  # (value, parsed variant); taken off as each runs
 
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
@@ -230,8 +235,8 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _choice(value, choices: tuple[str, ...], where: str) -> str:
-    if value not in choices:
+def _choice(value, choices, where: str) -> str:
+    if value not in tuple(choices):
         raise ConfigError(f"{where} must be {' | '.join(choices)}, got {value!r}")
     return value
 
@@ -251,12 +256,21 @@ def _constructing(where: str):
 # -- section parsers --------------------------------------------------------------
 
 
+def _entry(x, where: str):
+    """A matrix entry: a number, or an [re, im] pair of numbers."""
+    if isinstance(x, list) and len(x) == 2:
+        return complex(_number(x[0], f"{where}[0]"), _number(x[1], f"{where}[1]"))
+    return _number(x, where)
+
+
 def _complex_matrix(model_cfg: dict, key: str) -> np.ndarray:
-    """The matrix at model.<key>; entries are finite numbers or [re, im] pairs."""
+    """The matrix at model.<key>; entries are finite numbers or [re, im]
+    pairs (``_entry``). A row of plain numbers is type-checked at once."""
     rows = _require(model_cfg, key, "model")
     try:
-        entries = [[complex(*x) if isinstance(x, list) and len(x) == 2 else complex(x) for x in row]
-                   for row in rows]
+        entries = [row if isinstance(row, list) and set(map(type, row)) <= {int, float}
+                   else [_entry(x, f"model.{key}[{i}][{j}]") for j, x in enumerate(row)]
+                   for i, row in enumerate(rows)]
         matrix = np.array(entries, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model.{key} is not a valid matrix: {exc}") from exc
@@ -454,8 +468,7 @@ def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     mc = _require(raw, "mc", "top level")
     _check_keys(mc, {"sequences", "mode", "field"}, "mc")
     sequences = _integer(_require(mc, "sequences", "mc"), "mc.sequences")
-    mode = mc.get("mode", "kraus_quantum")
-    _choice(mode, ("kraus_quantum", "semiclassical_field"), "mc.mode")
+    mode = _choice(mc.get("mode", "kraus_quantum"), MODES, "mc.mode")
     if mode == "kraus_quantum":
         target = build_model(_require(raw, "model", "top level"))
     else:
@@ -463,18 +476,26 @@ def _parse_simulate(raw: dict, seed: int | None) -> SimulateRun:
     with _constructing("mc"):
         cfg = TrajectoryConfig(sequences, seed, mode, protocol, target)
     check_mc_memory(cfg)  # at one worker, the layout default_workers falls back to
-    return SimulateRun(seed, finals, cfg)
+    return SimulateRun(seed, (cfg, *(replace(cfg, proto=protocol.at(t)) for t in finals[1:])))
+
+
+def _parse_snr(raw: dict, seed: int | None) -> SnrRun:
+    return SnrRun(seed, build_scenarios(_require(raw, "snr", "top level")))
 
 
 def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
+    """Every variant, parsed before any runs. The variants' target models are
+    all held until their runs, so the memory guard charges them together:
+    each one's matrices, and the further peak of the largest one's run."""
     sweep = _require(raw, "sweep", "top level")
     _check_keys(sweep, {"command", "path", "values"}, "sweep")
-    base = _require(sweep, "command", "sweep")
-    _choice(base, ("exact", "simulate", "snr"), "sweep.command")
+    base = _choice(_require(sweep, "command", "sweep"), [c for c in COMMANDS if c != "sweep"], "sweep.command")
     path = _require(sweep, "path", "sweep")
     if not isinstance(path, str) or not path:
         raise ConfigError("sweep.path must be a non-empty dotted key path")
-    runs = []
+    if path == "command" or path.split(".")[0] == "sweep":
+        raise ConfigError(f"sweep.path must not name command or sweep, which the sweep sets itself, got {path!r}")
+    runs, held, peak = [], 0, 0
     for value in map(_unspelled, _nonempty_list(_require(sweep, "values", "sweep"), "sweep.values")):
         variant = set_config_path(raw, path, value)
         variant["command"] = base
@@ -483,7 +504,16 @@ def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
             runs.append((value, parse_config(variant)))
         except ConfigError as exc:
             raise ConfigError(f"sweep value {value!r} at {path}: {exc}") from exc
-    return SweepRun(seed, path, runs)
+        model = getattr(runs[-1][1], "model", None)
+        if isinstance(model, TargetModel):
+            held += _MODEL_MATRICES * 16 * model.dim**2
+            peak = max(peak, (_SPIN_MODEL_PEAK_MATRICES - _MODEL_MATRICES) * 16 * model.dim**2)
+            check_memory(held + peak, f"the models of {len(runs)} sweep values")
+    return SweepRun(seed, base, path, runs)
+
+
+# Each command's parser.
+COMMANDS = {"exact": _parse_exact, "simulate": _parse_simulate, "snr": _parse_snr, "sweep": _parse_sweep}
 
 
 def parse_config(raw: dict) -> Run:
@@ -495,13 +525,7 @@ def parse_config(raw: dict) -> Run:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ProtocolWarning)  # the CLI writes ProtocolSpec.warning to its rows
-        if command == "exact":
-            return _parse_exact(raw, seed)
-        if command == "simulate":
-            return _parse_simulate(raw, seed)
-        if command == "snr":
-            return SnrRun(seed, build_scenarios(_require(raw, "snr", "top level")))
-        return _parse_sweep(raw, seed)
+        return COMMANDS[command](raw, seed)
 
 
 def validate_config(raw: dict) -> dict:

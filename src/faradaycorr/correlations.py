@@ -161,10 +161,17 @@ def _record_chain(model: TargetModel, chains, times, finals) -> list[Array]:
 
 def _correlation_chain(model: TargetModel, q: CorrelationQuery) -> tuple[list[Array], float, str]:
     """``q``'s chain for ``_record_chain``: the branch record of each of its
-    shots, ||B||^K, the a-priori size of its C, and the name of its guard."""
+    shots, ||B||^K, the a-priori size of its C, and the name of its guard.
+    Raises ``NumericalGuardError`` if ||B||^K overflows the float range."""
     spec = model.spectral
+    try:
+        size = spec.coupling_norm**q.order
+    except OverflowError:
+        raise NumericalGuardError(
+            f"||B||^K overflows the float range at K={q.order}, ||B||={spec.coupling_norm!r}"
+        ) from None
     records = {sign: branch_record(spec.coupling_eigvals, sign) for sign in set(q.signs)}
-    return [records[sign] for sign in q.signs], spec.coupling_norm**q.order, "correlation trace"
+    return [records[sign] for sign in q.signs], size, "correlation trace"
 
 
 def correlation_grid(model: TargetModel, q: CorrelationQuery, finals) -> Array:

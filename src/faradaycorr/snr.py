@@ -48,6 +48,7 @@ class SnrScenario:
 @dataclass(frozen=True)
 class FeasibilityReport:
     snr: float
+    snr_per_sqrt_L: float  # the formula without its sqrt(L), so snr = sqrt(L) * this
     L_for_unit_snr: float
     regime: str  # "uncorrelated" | "critical"
     base_factor: float  # per-order gain factor (excluding the moment)
@@ -90,6 +91,7 @@ def snr_material(s: SnrScenario) -> FeasibilityReport:
         )
     return FeasibilityReport(
         snr=snr,
+        snr_per_sqrt_L=snr_per_sqrt_l,
         L_for_unit_snr=l_for_unit_snr,
         regime=regime,
         base_factor=base,

@@ -67,6 +67,7 @@ from .quantum_core import Array, TargetModel
 from .sensor_optics import ShotTable
 from .weak_measurement import ProtocolSpec
 
+MODES = ("kraus_quantum", "semiclassical_field")  # the two modes above
 CHUNK_SIZE = 16384
 # Amplitudes in one row block of a Kraus chunk, whose per-row arithmetic runs
 # block by block in one complex and two real buffers of this many entries:
@@ -128,7 +129,7 @@ class ClassicalFieldModel:
 class TrajectoryConfig:
     sequences: int
     seed: int
-    mode: str  # "kraus_quantum" | "semiclassical_field"
+    mode: str  # one of MODES
     proto: ProtocolSpec
     model: TargetModel | ClassicalFieldModel
     workers: int = 1
@@ -140,7 +141,7 @@ class TrajectoryConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.mode not in ("kraus_quantum", "semiclassical_field"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "kraus_quantum" and not isinstance(self.model, TargetModel):
             raise ValueError("kraus_quantum mode requires a TargetModel")

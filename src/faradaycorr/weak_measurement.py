@@ -119,7 +119,8 @@ def prediction_factor(proto: ProtocolSpec) -> float:
 def _exact_chain(model: TargetModel, proto: ProtocolSpec, engine: str) -> tuple[list[Array], float, str]:
     """``proto``'s all-orders chain on ``engine`` for ``_record_chain``: the
     record of each of its shots, the product of their largest elements, the
-    a-priori size of its traces, and the name of its guard."""
+    a-priori size of its traces, and the name of its guard. Raises
+    ``NumericalGuardError`` if that product overflows the float range."""
     sensor, w = proto.sensor, model.spectral.coupling_eigvals
     keys = [s.basis for s in proto.shots]
     if engine == "fock":
@@ -128,6 +129,9 @@ def _exact_chain(model: TargetModel, proto: ProtocolSpec, engine: str) -> tuple[
     else:
         records = {b: ShotTable.of(w, sensor, b).record() for b in set(keys)}
     size = math.prod(float(np.max(np.abs(records[b]))) for b in keys)
+    if size == math.inf:
+        raise NumericalGuardError(f"the product of the {proto.order} shots' largest record elements "
+                                  "overflows the float range")
     return [records[b] for b in keys], size, "exact count correlation"
 
 
@@ -144,7 +148,8 @@ def protocol_grids(
     cross-check when ``engine`` is "fock"; None when ``engine`` is None, and
     a ValueError when it is not in ``ENGINES``. B is frozen at each shot's
     start time. ``NumericalGuardError`` is raised, in this order, if the
-    factor overflows (before any record is built), if C's trace is not real,
+    factor overflows (before any record is built), if ||B||^K or the product
+    of the all-orders records' largest elements does, if C's trace is not real,
     if an all-orders trace is not real, or if a leading-order value overflows.
     """
     if engine is not None and engine not in ENGINES:

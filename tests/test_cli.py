@@ -1,10 +1,12 @@
 import copy
 import csv
 import datetime
+import gc
 import io
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import hypothesis
@@ -625,6 +627,15 @@ class TestCliSnr:
         assert snr2 == pytest.approx((5.755e-12) ** 2 * 1.39e20, rel=0.01)
         assert float(by_k["2"]["L_for_unit_snr"]) == pytest.approx(snr2**-2, rel=1e-10)
 
+    def test_snr_per_sqrt_l_is_the_formulas_own_value(self, tmp_path):
+        # at L = 3, snr / sqrt(L) differs from the formula in its last bit
+        doc = {"command": "snr", "snr": {"preset": "lihof4", "orders": [1], "L": 3.0}}
+        out = tmp_path / "out"
+        assert main(["snr", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        (row,) = read_rows(out)
+        formula = 20.0 * math.sqrt(1e14) / (2.0 * 1.39e28 * 1e-8) * (1.39e28 * 1.0 * 1e-8) * 8.0
+        assert row["snr_per_sqrt_L"] == repr(formula) == "800000000.0"
+
     def test_order_column_is_each_scenarios_k(self, tmp_path):
         # a preset file's scenarios keep their own K, in file order
         presets = tmp_path / "scenarios.yaml"
@@ -793,6 +804,13 @@ INVALID_CONFIGS = [
         ),
         "config error: model.hamiltonian_matrix[0][1] must be finite, got nan\n",
     ),
+    # a matrix entry, and each half of an [re, im] pair, follows the number rules
+    ("bool-matrix-entry", lambda tmp: _custom(hamiltonian_matrix=[[True, 0.0], [0.0, 0.0]]),
+     "config error: model.hamiltonian_matrix[0][0] must be a number, got True\n"),
+    ("text-matrix-entry", lambda tmp: _custom(coupling_matrix=[[0.0, "1"], [1.0, 0.0]]),
+     "config error: model.coupling_matrix[0][1] must be a number, got '1'\n"),
+    ("bool-matrix-pair-half", lambda tmp: _custom(hamiltonian_matrix=[[[0.0, True], 0.0], [0.0, 0.0]]),
+     "config error: model.hamiltonian_matrix[0][0][1] must be a number, got True\n"),
     ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
     ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
     # the Fock cutoff comes from alpha; a config that still sets one is refused
@@ -878,6 +896,11 @@ INVALID_CONFIGS = [
     ("negative-seed-exact", lambda tmp: dict(EXACT_DOC, seed=-1), "seed must be >= 0, got -1"),
     ("negative-seed-snr", lambda tmp: dict(SNR_DOC, seed=-1), "seed must be >= 0, got -1"),
     ("sweep-value-negative-alpha", lambda tmp: SWEEP_DOC, "sweep value -1.0"),
+    # a path the sweep itself sets would be overwritten, so each value ran the same base command
+    ("sweep-path-command", lambda tmp: _doc(SWEEP_DOC, sweep__path="command", sweep__values=["snr"]),
+     "sweep.path must not name command or sweep"),
+    ("sweep-path-under-sweep", lambda tmp: _doc(SWEEP_DOC, sweep__path="sweep.values", sweep__values=[[1.0]]),
+     "sweep.path must not name command or sweep"),
     # values that were silently coerced into another run
     ("fractional-two-j", lambda tmp: _doc(EXACT_DOC, model__two_j=1.5), "model.two_j"),
     (
@@ -984,6 +1007,17 @@ INVALID_CONFIGS = [
 ]
 
 
+def _custom(**matrices) -> dict:
+    """EXACT_DOC on a custom spin-1/2 model, with ``matrices`` in place of its own."""
+    model = {
+        "kind": "custom",
+        "hamiltonian_matrix": [[1.0, 0.0], [0.0, -1.0]],
+        "coupling_matrix": [[0.0, 1.0], [1.0, 0.0]],
+        "initial_state_matrix": [[1.0, 0.0], [0.0, 0.0]],
+    }
+    return dict(EXACT_DOC, model=dict(model, **matrices))
+
+
 def _holding_itself() -> list:
     items = [0.5]
     items.append(items)
@@ -1010,6 +1044,53 @@ def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, SWEEP_DOC)), "--out", str(out)]) == EXIT_CONFIG
     assert calls == []
+
+
+def test_sweep_guard_charges_every_values_model_together(tmp_path, monkeypatch, capsys):
+    # a spin-63/2 model peaks at 11 * 16 * 64^2 bytes, 0.69 MiB, and fits a
+    # 1 MiB guard on its own; each value's model holds 3 * 16 * 64^2 bytes
+    # until it runs, so at the third value the sweep exits 4 before computing
+    monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
+    calls = []
+    real = cli.protocol_grids
+    monkeypatch.setattr(cli, "protocol_grids", lambda *args: calls.append(args) or real(*args))
+    base = _doc(EXACT_DOC, model__two_j=63, model__initial_state="thermal", model__beta=0.1)
+    sweep = dict(base, command="sweep", sweep={"command": "exact", "path": "model.beta", "values": [0.1, 0.2, 0.3]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", str(out)]) == EXIT_RESOURCE
+    assert "resource guard: the models of 3 sweep values would need" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert calls == []
+    assert main(["exact", "--config", str(write_config(tmp_path, base)), "--out", str(out)]) == EXIT_OK
+
+
+def test_sweep_frees_each_values_model_once_its_rows_are_formed(tmp_path, monkeypatch):
+    # when each value's run starts, no earlier value's model (nor its spectral data) is still held
+    refs, alive = [], []
+    real = cli.protocol_grids
+
+    def watching(model, *args):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(model))
+        return real(model, *args)
+
+    monkeypatch.setattr(cli, "protocol_grids", watching)
+    doc = _doc(SWEEP_DOC, sweep__values=[1.0, 2.0, 3.0])
+    assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert alive == [[], [False], [False, False]]
+
+
+@pytest.mark.parametrize("command, engine", [("exact", "coherent"), ("exact", "fock"), ("simulate", None)])
+def test_coupling_whose_power_leaves_the_float_range_is_a_numerical_guard(tmp_path, capsys, command, engine):
+    # ||B||^K, the a-priori size of C, is 2.5e319 at jx = 1e160 and K = 2
+    doc = _doc(EXACT_DOC, exact__engine=engine) if command == "exact" else copy.deepcopy(SIM_DOC)
+    doc["model"]["coupling"] = {"jx": 1.0e160}
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: ||B||^K overflows the float range") and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1199,7 +1280,7 @@ def test_help_prints_the_usage_block_as_written(capsys):
     # it is printed verbatim, so it holds no reST markup, and each command has its line of text
     assert "``" not in text
     words = " ".join(text.split())  # whatever the terminal width
-    for command, help_text in cli._COMMAND_HELP.items():
+    for command, (help_text, _, _) in cli._COMMANDS.items():
         assert f"{command} {help_text}" in words
 
 

@@ -149,6 +149,6 @@ class TestScenarioLoading:
 
 def test_report_is_plain_data():
     rep = FeasibilityReport(
-        snr=1.0, L_for_unit_snr=1.0, regime="uncorrelated", base_factor=0.1, prefactor=10.0
+        snr=1.0, snr_per_sqrt_L=1.0, L_for_unit_snr=1.0, regime="uncorrelated", base_factor=0.1, prefactor=10.0
     )
     assert rep.snr == 1.0

@@ -245,6 +245,15 @@ class TestExactUnitary:
         with pytest.raises(errors.NumericalGuardError, match="2\\^-K tau\\^K alpha\\^2K overflows"):
             gk_exact_unitary(precession_model(), p, engine)
 
+    def test_overflowing_record_product_raises(self):
+        # the factor (2.5e299) and ||B||^K (4e20) fit, but the two shots'
+        # largest record elements, near alpha^2 = 1e160 each, do not: their
+        # product, the all-orders traces' a-priori size, is refused, not left inf
+        model = TargetModel(hamiltonian=SZ / 2, coupling=2e10 * SX, initial_state=UP)
+        p = proto([(0.0, S2), (1.0, S2)], alpha=1e80, tau=1e-10)
+        with pytest.raises(errors.NumericalGuardError, match="largest record elements overflows"):
+            protocol_grids(model, p, [1.0])
+
     def test_fock_memory_guard(self):
         # alpha = 70 sets the cutoff 5610, whose 15.7 million sector rows would take 3.3 GiB
         model = precession_model()
