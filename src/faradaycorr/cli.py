@@ -164,12 +164,11 @@ def cmd_snr(run: SnrRun) -> Table:
 
 def cmd_sweep(run: SweepRun, threads: int | None) -> Table:
     """Each variant's blocks, with the sweep path and value in every row and
-    the value in every layout entry. Each variant is taken off ``run.runs``
-    as it runs, so its model and spectral data are freed once its rows are formed."""
+    the value in every layout entry. Each variant is parsed as it runs, so
+    its model and spectral data are freed once its rows are formed."""
     blocks = []
-    while run.runs:
-        value, variant = run.runs.pop(0)
-        table = _table(run.command, variant, threads)
+    for value, variant in run.variants:
+        table = _table(run.command, parse_config(variant), threads)
         blocks.extend(Block({**block.same, "sweep_path": run.path, "sweep_value": value}, block.each,
                             [dict(entry, sweep_value=spelled(value)) for entry in block.layout])
                       for block in table.blocks)

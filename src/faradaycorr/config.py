@@ -37,7 +37,6 @@ _MATRIX_KEYS = ("hamiltonian_matrix", "coupling_matrix", "initial_state_matrix")
 # with their temporaries, the H and B sums, the thermal state and the eighs of
 # TargetModel.spectral (10.2 measured as peak RSS at two_j = 1400).
 _SPIN_MODEL_PEAK_MATRICES = 11
-_MODEL_MATRICES = 3  # H, B and rho0: what a parsed model holds until it runs
 _SCENARIO_KEYS = ("g", "D", "n_s", "A", "N_ph", "moment_k")  # required in an inline scenario
 _DEFAULT_L = 1.0  # snr.L when neither the section nor the scenario sets it
 # YAML's spellings of the non-finite floats. manifest.json stores a non-finite
@@ -65,11 +64,6 @@ class ExactRun(Run):
 class SimulateRun(Run):
     mcs: tuple[TrajectoryConfig, ...]  # one per final time, in order, each at one worker
 
-    @property
-    def model(self):
-        """The target that every Monte Carlo of the run shares."""
-        return self.mcs[0].model
-
 
 @dataclass(frozen=True)
 class SnrRun(Run):
@@ -80,7 +74,7 @@ class SnrRun(Run):
 class SweepRun(Run):
     command: str  # the base command each variant runs
     path: str
-    runs: list[tuple[object, Run]]  # (value, parsed variant); taken off as each runs
+    variants: tuple[tuple[object, dict], ...]  # (value, variant config), each parsed again when it runs
 
 
 _FLOAT_TAG = "tag:yaml.org,2002:float"
@@ -484,9 +478,9 @@ def _parse_snr(raw: dict, seed: int | None) -> SnrRun:
 
 
 def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
-    """Every variant, parsed before any runs. The variants' target models are
-    all held until their runs, so the memory guard charges them together:
-    each one's matrices, and the further peak of the largest one's run."""
+    """Every variant's config, each parsed before any runs so that a bad
+    value exits 2 and a value past a guard exits 4 before anything computes.
+    Only the configs are kept: one value's model is held at a time."""
     sweep = _require(raw, "sweep", "top level")
     _check_keys(sweep, {"command", "path", "values"}, "sweep")
     base = _choice(_require(sweep, "command", "sweep"), [c for c in COMMANDS if c != "sweep"], "sweep.command")
@@ -495,21 +489,17 @@ def _parse_sweep(raw: dict, seed: int | None) -> SweepRun:
         raise ConfigError("sweep.path must be a non-empty dotted key path")
     if path == "command" or path.split(".")[0] == "sweep":
         raise ConfigError(f"sweep.path must not name command or sweep, which the sweep sets itself, got {path!r}")
-    runs, held, peak = [], 0, 0
+    variants = []
     for value in map(_unspelled, _nonempty_list(_require(sweep, "values", "sweep"), "sweep.values")):
         variant = set_config_path(raw, path, value)
         variant["command"] = base
         del variant["sweep"]
         try:
-            runs.append((value, parse_config(variant)))
+            parse_config(variant)
         except ConfigError as exc:
             raise ConfigError(f"sweep value {value!r} at {path}: {exc}") from exc
-        model = getattr(runs[-1][1], "model", None)
-        if isinstance(model, TargetModel):
-            held += _MODEL_MATRICES * 16 * model.dim**2
-            peak = max(peak, (_SPIN_MODEL_PEAK_MATRICES - _MODEL_MATRICES) * 16 * model.dim**2)
-            check_memory(held + peak, f"the models of {len(runs)} sweep values")
-    return SweepRun(seed, base, path, runs)
+        variants.append((value, variant))
+    return SweepRun(seed, base, path, tuple(variants))
 
 
 # Each command's parser.

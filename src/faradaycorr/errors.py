@@ -43,7 +43,8 @@ def fits_memory(nbytes: float) -> bool:
 def check_memory(nbytes: float, what: str) -> None:
     """Raise ``ResourceGuardError`` if ``what`` would need more than the guard."""
     if not fits_memory(nbytes):
+        gib = nbytes / 1024**3 if nbytes < 2**1024 else float("inf")  # no float holds a larger int
         raise ResourceGuardError(
-            f"{what} would need ~{nbytes / 1024**3:.3g} GiB "
+            f"{what} would need ~{gib:.3g} GiB "
             f"(> {MEMORY_GUARD_BYTES / 1024**3:.3g} GiB guard)"
         )

@@ -114,6 +114,10 @@ LIHOF4 = dict(g=20.0, D=1.0, n_s=1.39e28, A=1e-8, N_ph=1e14, moment=8.0)
 
 def lihof4_scenario(K: int, L: float = 1.0, xi: float | None = None) -> SnrScenario:
     """LiHoF4 preset; the K-th moment is taken as |J_z|^K = 8^K."""
+    try:
+        moment_k = LIHOF4["moment"] ** K
+    except OverflowError:
+        raise ValueError("the LiHoF4 moment 8^K leaves the float range") from None
     return SnrScenario(
         g=LIHOF4["g"],
         D=LIHOF4["D"],
@@ -122,7 +126,7 @@ def lihof4_scenario(K: int, L: float = 1.0, xi: float | None = None) -> SnrScena
         N_ph=LIHOF4["N_ph"],
         L=L,
         K=K,
-        moment_k=LIHOF4["moment"] ** K,
+        moment_k=moment_k,
         xi=xi,
     )
 

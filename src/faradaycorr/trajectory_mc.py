@@ -62,7 +62,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import check_memory, fits_memory
+from .errors import NumericalGuardError, check_memory, fits_memory
 from .quantum_core import Array, TargetModel
 from .sensor_optics import ShotTable
 from .weak_measurement import ProtocolSpec
@@ -318,8 +318,12 @@ class _Record:
 
     def shot(self, rng: np.random.Generator, table: ShotTable, rows=slice(None)):
         """Draw the counts (n_c, n_d) from the Poisson means of ``table``'s
-        coupling values ``rows``, one per sequence, and record them."""
+        coupling values ``rows``, one per sequence, and record them. Means
+        that are not finite raise ``NumericalGuardError`` before any draw."""
         means_c, means_d = table.means()
+        if not np.isfinite(means_c).all():  # means_d = alpha^2 - means_c
+            raise NumericalGuardError(f"the Poisson means of an {table.basis.value} shot are not finite: "
+                                      "its rotation tau b / 2 leaves the float range")
         n_c = rng.poisson(means_c[rows]).astype(float)
         n_d = rng.poisson(means_d[rows]).astype(float)
         half = (n_d - n_c) / 2
@@ -471,11 +475,12 @@ def _run_semiclassical_chunk(
     n: int, rng: np.random.Generator, field: ClassicalFieldModel, proto: ProtocolSpec
 ) -> tuple:
     times = np.array([s.time for s in proto.shots])
-    paths = _sample_field_paths(field, times, n, rng)
     record = _Record(n)
-    for j, shot in enumerate(proto.shots):
-        table = ShotTable.of(paths[:, j], proto.sensor, shot.basis)
-        record.shot(rng, table)
+    # a field or rotation tau b / 2 beyond the float range overflows quietly, and _Record.shot refuses its means
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _sample_field_paths(field, times, n, rng)
+        for j, shot in enumerate(proto.shots):
+            record.shot(rng, ShotTable.of(paths[:, j], proto.sensor, shot.basis))
     return record.sums()
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -299,6 +300,16 @@ class TestCliExact:
         assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
         err = capsys.readouterr().err
         assert err.startswith("resource guard:") and "Traceback" not in err
+        assert not (out / "results.csv").exists()
+
+    def test_spin_beyond_the_float_range_is_a_resource_guard(self, tmp_path, capsys):
+        # two_j = 1e300: the model's bytes are an int that no float holds, refused as any other size
+        doc = _doc(EXACT_DOC, model__two_j=1.0e300)
+        out = tmp_path / "out"
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: spin-") and err.endswith("~inf GiB (> 2 GiB guard)\n")
+        assert err.count("\n") == 1
         assert not (out / "results.csv").exists()
 
     def test_fock_guard_precedes_the_pulse_weights(self, tmp_path, monkeypatch, capsys):
@@ -957,6 +968,17 @@ INVALID_CONFIGS = [
     # alpha^2 = 1e20 photons: numpy's Poisson draws refuse the means, after the gk_* grids ran
     ("kraus-pulse-beyond-poisson", lambda tmp: _doc(SIM_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
     ("semiclassical-pulse-beyond-poisson", lambda tmp: _doc(OU_DOC, protocol__alpha=1.0e10), "mc: alpha^2 = 1e+20"),
+    # the preset's moment 8^K leaves the float range, which raised OverflowError
+    (
+        "preset-order-1e300",
+        lambda tmp: _doc(SNR_DOC, snr__orders=[1, 1.0e300]),
+        "config error: snr.orders: the LiHoF4 moment 8^K leaves the float range\n",
+    ),
+    (
+        "preset-order-2-to-63",
+        lambda tmp: _doc(SNR_DOC, snr__orders=[2**63]),
+        "config error: snr.orders: the LiHoF4 moment 8^K leaves the float range\n",
+    ),
     # a run with no rows, which would leave results.csv without a header
     (
         "preset-file-empty",
@@ -1046,28 +1068,31 @@ def test_sweep_checks_every_value_before_computing(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_sweep_guard_charges_every_values_model_together(tmp_path, monkeypatch, capsys):
+def test_sweep_holds_one_values_model_at_a_time(tmp_path, monkeypatch):
     # a spin-63/2 model peaks at 11 * 16 * 64^2 bytes, 0.69 MiB, and fits a
-    # 1 MiB guard on its own; each value's model holds 3 * 16 * 64^2 bytes
-    # until it runs, so at the third value the sweep exits 4 before computing
+    # 1 MiB guard on its own; a sweep holds one value's model at a time, so
+    # three values fit it too, and give the rows of three single runs
     monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024**2)
-    calls = []
-    real = cli.protocol_grids
-    monkeypatch.setattr(cli, "protocol_grids", lambda *args: calls.append(args) or real(*args))
-    base = _doc(EXACT_DOC, model__two_j=63, model__initial_state="thermal", model__beta=0.1)
-    sweep = dict(base, command="sweep", sweep={"command": "exact", "path": "model.beta", "values": [0.1, 0.2, 0.3]})
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(write_config(tmp_path, sweep)), "--out", str(out)]) == EXIT_RESOURCE
-    assert "resource guard: the models of 3 sweep values would need" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
-    assert calls == []
-    assert main(["exact", "--config", str(write_config(tmp_path, base)), "--out", str(out)]) == EXIT_OK
+    betas = [0.1, 0.2, 0.3]
+    base = _doc(EXACT_DOC, model__two_j=63, model__initial_state="thermal", model__beta=betas[0])
+    sweep = dict(base, command="sweep", sweep={"command": "exact", "path": "model.beta", "values": betas})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(write_config(tmp_path, sweep, "sweep.yaml")), "--out", str(out)]) == EXIT_OK
+    singles = []
+    for beta in betas:
+        single = tmp_path / f"beta_{beta}"
+        doc = write_config(tmp_path, _doc(base, model__beta=beta))
+        assert main(["exact", "--config", str(doc), "--out", str(single)]) == EXIT_OK
+        singles.extend({"sweep_path": "model.beta", "sweep_value": repr(beta), **row} for row in read_rows(single))
+    assert read_rows(out) == singles
 
 
 def test_sweep_frees_each_values_model_once_its_rows_are_formed(tmp_path, monkeypatch):
-    # when each value's run starts, no earlier value's model (nor its spectral data) is still held
-    refs, alive = [], []
-    real = cli.protocol_grids
+    # when each value's run starts, no earlier value's model (nor its spectral
+    # data) is still held; and from the parse to the last row, no two values'
+    # models are alive at once: each model is built with every earlier one freed
+    refs, alive, built, held = [], [], [], []
+    real, real_model = cli.protocol_grids, config.TargetModel
 
     def watching(model, *args):
         gc.collect()
@@ -1075,10 +1100,19 @@ def test_sweep_frees_each_values_model_once_its_rows_are_formed(tmp_path, monkey
         refs.append(weakref.ref(model))
         return real(model, *args)
 
+    def building(*args, **kwargs):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in built))
+        model = real_model(*args, **kwargs)
+        built.append(weakref.ref(model))
+        return model
+
     monkeypatch.setattr(cli, "protocol_grids", watching)
+    monkeypatch.setattr(config, "TargetModel", building)
     doc = _doc(SWEEP_DOC, sweep__values=[1.0, 2.0, 3.0])
     assert main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert alive == [[], [False], [False, False]]
+    assert held == [0] * 6  # each value's model is built twice: to check the sweep, and to run it
 
 
 @pytest.mark.parametrize("command, engine", [("exact", "coherent"), ("exact", "fock"), ("simulate", None)])
@@ -1142,6 +1176,23 @@ def test_snr_out_of_float_range_is_a_numerical_guard(tmp_path, capsys, snr):
     err = capsys.readouterr().err
     assert code == EXIT_NUMERIC
     assert err.startswith("numerical guard:") and "Traceback" not in err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("path", ["mc__field__amplitude", "protocol__tau"])
+def test_semiclassical_rotation_beyond_the_float_range_is_a_numerical_guard(tmp_path, capsys, path):
+    # the field paths or the rotations tau b / 2 overflow, whose Poisson means
+    # numpy refused with "lam value too large" after RuntimeWarnings
+    with open(Path(__file__).parent / "golden" / "semiclassical_mc_s0" / "config.yaml") as fh:
+        doc = _doc(yaml.safe_load(fh), mc__sequences=300, **{path: 1.7e308})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the guard line
+        code = main(["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err == "numerical guard: the Poisson means of an S2 shot are not finite: " \
+                  "its rotation tau b / 2 leaves the float range\n"
     assert not (out / "results.csv").exists()
 
 
