@@ -332,9 +332,9 @@ def main(argv=None) -> int:
         _parser().error(f"--out {args['out']}: {blocker} exists and is not a directory")
     try:
         raw = load_config(args["config"])
-        run = parse_config(raw)
-        if raw["command"] != command:
+        if raw.get("command", command) != command:  # before the parse, whose guards are the other command's
             raise ConfigError(f"config command {raw['command']!r} does not match CLI command {command!r}")
+        run = parse_config(raw)
         text = config_json(raw)
         _write_outputs(out, _table(command, run, threads), text, command, run.seed)
     except ConfigError as exc:

@@ -133,16 +133,17 @@ def _loader(base: type) -> type:
 
 def load_config(path) -> dict:
     """The YAML document at ``path``, as ``yaml.safe_load`` reads it. A file
-    that cannot be read, is not UTF-8 or not YAML, or has a mapping that
-    gives a key twice is a config error. The loader is ``_ConfigLoading`` on
-    libyaml's safe loader when PyYAML was built with libyaml (chosen at each
-    call), else on PyYAML's own: libyaml scans a long final-time grid in a
-    fraction of the time, and ``_ConfigLoading`` tags and builds its floats
-    without PyYAML's per-scalar Python calls."""
+    that cannot be read, is not UTF-8 or not YAML, has a mapping that gives a
+    key twice, or holds an integer past Python's int-string digit limit is a
+    config error. The loader is ``_ConfigLoading`` on libyaml's safe loader
+    when PyYAML was built with libyaml (chosen at each call), else on
+    PyYAML's own: libyaml scans a long final-time grid in a fraction of the
+    time, and ``_ConfigLoading`` tags and builds its floats without PyYAML's
+    per-scalar Python calls."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, or past the digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a mapping")

@@ -87,7 +87,8 @@ def thermal_state(h: Array, beta: float) -> "DensityMatrix":
     if not 0 <= beta < np.inf:
         raise ValueError(f"beta must be >= 0 and finite, got {beta}")
     w, v = np.linalg.eigh(h)
-    p = np.exp(-beta * (w - w.min()))
+    with np.errstate(over="ignore"):  # the beta -> inf limit: exp(-inf) = 0 leaves the ground-state projector
+        p = np.exp(-beta * (w - w.min()))
     p /= p.sum()
     return DensityMatrix((v * p) @ v.conj().T)
 

@@ -327,13 +327,15 @@ class _Record:
         n_c = rng.poisson(means_c[rows]).astype(float)
         n_d = rng.poisson(means_d[rows]).astype(float)
         half = (n_d - n_c) / 2
-        self.prod = self.prod * (2.0 * table.basis.record_scale) * half
-        self.s_half += half.sum()
-        self.s_half2 += (half * half).sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # _estimate refuses a record past the float range
+            self.prod = self.prod * (2.0 * table.basis.record_scale) * half
+            self.s_half += half.sum()
+            self.s_half2 += (half * half).sum()
         return n_c, n_d
 
     def sums(self) -> tuple:
-        return self.prod.sum(), (self.prod * self.prod).sum(), self.s_half, self.s_half2
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.prod.sum(), (self.prod * self.prod).sum(), self.s_half, self.s_half2
 
 
 def _block_rows(d: int) -> int:
@@ -516,12 +518,14 @@ def _memory_bytes(cfg: TrajectoryConfig) -> int:
 def _estimate(results, cfg: TrajectoryConfig, smallest_norm2: float = math.inf) -> McEstimate:
     """Combine per-chunk sums, in chunk order, into the estimate; every one of
     the L sequences records K shots. ``smallest_norm2`` is the chunks'
-    smallest renormalization total, inf where none renormalized."""
+    smallest renormalization total, inf where none renormalized. A sum
+    that is not finite raises ``NumericalGuardError``."""
     L = cfg.sequences
-    s1 = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
-    sh = sum(r[2] for r in results)
-    sh2 = sum(r[3] for r in results)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2, sh, sh2 = (sum(r[i] for r in results) for i in range(4))
+    if not all(map(math.isfinite, (s1, s2, sh, sh2))):
+        raise NumericalGuardError("the Monte Carlo record leaves the float range: "
+                                  "its sums of records and their squares are not finite")
     n_rec = L * cfg.proto.order
 
     mean = s1 / L

@@ -142,6 +142,20 @@ class TestBuilders:
         model = build_model(cfg)
         assert np.trace(model.initial_state.matrix).real == pytest.approx(1.0)
 
+    def test_beta_past_the_float_range_is_the_ground_state(self, tmp_path, capsys):
+        # beta (E - E_0) overflows to inf and exp(-inf) = 0: the beta -> inf
+        # limit, the ground-state projector, which numpy warned about
+        with open(Path(__file__).parent / "golden" / "kraus_mc_s0" / "config.yaml") as fh:
+            doc = _doc(yaml.safe_load(fh), mc__sequences=300, model__beta=1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_model(doc["model"])
+            code = main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        _, v = np.linalg.eigh(model.hamiltonian)
+        ground = np.outer(v[:, 0], v[:, 0].conj())
+        np.testing.assert_allclose(model.initial_state.matrix, ground, rtol=0, atol=1e-15)
+
     def test_spin_model_guard_covers_the_build_peak(self, monkeypatch):
         # the spin operators alone need 6 (two_j+1)^2 complex numbers, the
         # whole build with the thermal state and the spectral eighs about 10
@@ -245,10 +259,25 @@ class TestCliExact:
         assert row["warning"] == closed_protocol_warning()
         assert float(row["gk_leading[counts^K]"]) == 0.0
 
-    def test_command_mismatch(self, tmp_path):
-        cfg = write_config(tmp_path, EXACT_DOC)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    def test_command_mismatch(self, tmp_path, monkeypatch, capsys):
+        # named before the parse, which ran first: a spin-99999/2 model given
+        # to snr exited 4, and a sweep given to exact parsed every value
+        parsed = []
+        real = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config", lambda raw: parsed.append(raw) or real(raw))
+        cases = (("simulate", EXACT_DOC), ("snr", _doc(EXACT_DOC, model__two_j=100000)), ("exact", SWEEP_DOC))
+        for command, doc in cases:
+            out = tmp_path / command
+            assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: config command {doc['command']!r} does not match CLI command {command!r}\n"
+            )
+            assert not out.exists()
+        assert parsed == []
+        # a config with no command is still refused by the parse, which names the key
+        doc = {key: value for key, value in EXACT_DOC.items() if key != "command"}
+        assert main(["exact", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: missing required key 'command' in top level\n"
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, dict(EXACT_DOC, bogus=1))
@@ -343,11 +372,13 @@ class TestCliExact:
 
     def test_engines_agree_at_a_tiny_tau(self, tmp_path):
         # at tau = 1e-14 the records are ~1e-14 of the alpha^2-sized Fock
-        # terms that cancel, so roundoff in them would swamp the column
-        fock = self._exact_column(tmp_path, "fock", protocol__tau=1e-14)
-        coherent = self._exact_column(tmp_path, "coherent", protocol__tau=1e-14)
-        top = max(map(abs, coherent))
-        assert top > 0 and max(abs(f - c) for f, c in zip(fock, coherent)) <= 1e-12 * top
+        # terms that cancel, so roundoff in them would swamp the column; the
+        # README's own tau = 0.02 is checked beside it
+        for tau in (1e-14, 0.02):
+            fock = self._exact_column(tmp_path, "fock", protocol__tau=tau)
+            coherent = self._exact_column(tmp_path, "coherent", protocol__tau=tau)
+            top = max(map(abs, coherent))
+            assert top > 0 and max(abs(f - c) for f, c in zip(fock, coherent)) <= 1e-12 * top
 
     def test_final_time_grid_guard_sees_one_block(self, tmp_path, monkeypatch, capsys):
         # d = 64 and 4096 final times: four 4 MiB complex arrays for the whole
@@ -513,11 +544,18 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"]) == EXIT_RESOURCE
 
     def test_threads_do_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path, SIM_DOC)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-        main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", "4"])
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        # the README simulate example runs seven chunks; with two R/L shots
+        # appended, it ends on shots before which no branch is drawn
+        with open(Path(__file__).parent / "golden" / "readme0_simulate" / "config.yaml") as fh:
+            readme = yaml.safe_load(fh)
+        rl = _doc(readme, protocol__shots=[*readme["protocol"]["shots"], {"time": 2.0, "basis": "S3"},
+                                           {"time": 2.5, "basis": "S3"}])
+        for name, doc, threads in (("doc", SIM_DOC, "4"), ("readme", readme, "2"), ("readme_rl", rl, "2")):
+            cfg = write_config(tmp_path, doc, f"{name}.yaml")
+            out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}{threads}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == EXIT_OK
+            assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--threads", threads]) == EXIT_OK
+            assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
     def test_mc_resource_guard_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(errors, "MEMORY_GUARD_BYTES", 1024)
@@ -1056,7 +1094,7 @@ def test_invalid_value_is_a_config_error(tmp_path, capsys, make_doc, names):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and names in err
-    assert "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1
     assert not (out / "results.csv").exists()
 
 
@@ -1198,6 +1236,7 @@ def test_semiclassical_rotation_beyond_the_float_range_is_a_numerical_guard(tmp_
 
 # (id, document, exit code, text the short message must contain): pulses
 # whose numbers leave the float range, each of which exited 1 with a traceback
+# or, where marked, 0 with a nan cell
 PULSES_OUT_OF_RANGE = [
     # the Fock cutoff alpha^2 + 10 alpha + 10 is beyond the float range, or its sector bytes are
     ("fock-cutoff-overflows", _doc(EXACT_DOC, protocol__alpha=1.0e200, exact__engine="fock"), EXIT_RESOURCE,
@@ -1212,6 +1251,18 @@ PULSES_OUT_OF_RANGE = [
     # the factor, 1.27e308, fits, but times C = 1.68 it does not
     ("exact-leading-overflows", _doc(EXACT_DOC, protocol__tau=1.0e154), EXIT_NUMERIC,
      "leading-order count correlation overflows"),
+    # exit 0: a Monte Carlo record whose square overflows (alpha^2 = 1e18
+    # photons, twelve shots), or whose product over forty shots does at a tau
+    # so short that the leading order, computed first, still fits
+    ("semiclassical-record-square-overflows",
+     _doc(OU_DOC, protocol__alpha=1.0e9, protocol__tau=1.0, mc__sequences=300,
+          mc__field={"kind": "constant", "amplitude": 1.5},
+          protocol__shots=[{"time": 0.1 * i, "basis": "S2"} for i in range(12)]),
+     EXIT_NUMERIC, "numerical guard: the Monte Carlo record leaves the float range"),
+    ("kraus-record-product-overflows",
+     _doc(SIM_DOC, protocol__alpha=1.0e9, protocol__tau=1.0e-20, mc__sequences=300,
+          protocol__shots=[{"time": 0.1 * i, "basis": "S2"} for i in range(40)]),
+     EXIT_NUMERIC, "numerical guard: the Monte Carlo record leaves the float range"),
 ]
 
 
@@ -1220,7 +1271,9 @@ PULSES_OUT_OF_RANGE = [
 )
 def test_pulse_out_of_float_range_exits_with_its_code(tmp_path, capsys, doc, code, text):
     out = tmp_path / "out"
-    assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning before the guard line
+        assert main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert text in err and "Traceback" not in err and len(err) < 200
     assert not (out / "results.csv").exists()

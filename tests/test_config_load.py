@@ -216,6 +216,21 @@ def test_duplicate_key_exits_2(tmp_path, capsys, monkeypatch, text, key, where, 
     assert f"found duplicate key {key}\n  in \"{path}\", {where}" in err
 
 
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, monkeypatch, libyaml):
+    # PyYAML's int constructor raised ValueError past Python's 4300-digit
+    # int-string limit: exit 1 with a traceback
+    if libyaml and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = write(tmp_path, "command: snr\nsnr: {preset: lihof4, orders: [1" + "0" * 5000 + "]}\n")
+    code = main(["snr", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_exponent_without_dot_is_not_a_number(tmp_path, capsys):
     # YAML 1.1 reads 1e5 as a string; tau must be a number, so the run exits 2
     grid = GRID.replace("tau: 0.01", "tau: 1e5")
