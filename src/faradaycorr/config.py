@@ -144,7 +144,8 @@ def load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
     except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8, or past the digit limit
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        message = str(exc).replace("\n  in ", " in ").replace("\n", "; ")  # PyYAML puts each mark on a line of its own
+        raise ConfigError(f"cannot read config {path}: {message}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a mapping")
     return raw
@@ -306,7 +307,10 @@ def build_model(model_cfg: dict) -> TargetModel:
             value = _number(coeff, f"model.{section}.{key}")
             if not math.isfinite(value):
                 raise ConfigError(f"model.{section}.{key} must be finite, got {value!r}")
-            out = out + value * ops[key]
+            with np.errstate(over="ignore"):
+                out = out + value * ops[key]
+            if not np.isfinite(out).all():
+                raise ConfigError(f"model.{section}.{key} = {value!r} takes the {section} past the float range")
         return out
 
     h, b = combine("hamiltonian"), combine("coupling")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, check_memory
+from .errors import DimensionMismatchError, NonHermitianError, NumericalGuardError, check_memory
 
 Array = np.ndarray
 
@@ -211,9 +211,16 @@ class SpectralData:
             coupling_norm=float(np.max(np.abs(w_b), initial=0.0)),
         )
 
-    def phases(self, t: float) -> Array:
-        """diag(exp(iEt)), the H-eigenbasis form of exp(+iHt)."""
-        return np.exp(1j * self.energies * t)
+    def phases(self, t) -> Array:
+        """diag(exp(iEt)), the H-eigenbasis form of exp(+iHt); for a column
+        of times, one row per time. An angle E t past the float range raises
+        ``NumericalGuardError`` naming its time."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            angle = self.energies * t
+        if not np.isfinite(angle).all():
+            time = np.broadcast_to(t, angle.shape)[~np.isfinite(angle)][0]
+            raise NumericalGuardError(f"the phase exp(iEt) leaves the float range at |t| = {abs(time):.4g}")
+        return np.exp(1j * angle)
 
     def walk(self, times) -> list[Array]:
         """Changes of coordinates from the H eigenbasis into the eigenbasis of
@@ -224,7 +231,8 @@ class SpectralData:
         v = self.coupling_eigvecs
         if len(times) == 0:
             return [np.eye(len(v), dtype=complex)]
-        gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+        with np.errstate(over="ignore"):  # an infinite gap is refused by ``phases``
+            gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
         into = [v.conj().T * self.phases(-gap) for gap in gaps]
         return [into[0], *(w @ v for w in into[1:]), self.phases(times[-1])[:, None] * v]
 
@@ -245,7 +253,7 @@ class SpectralData:
         weights = [x * rho.T for x, rho in closing]
         out = np.empty((len(weights), times.size), dtype=complex)
         for start in range(0, times.size, FINAL_TIME_BLOCK):
-            p = np.exp(1j * np.outer(times[start:start + FINAL_TIME_BLOCK], self.energies))
+            p = self.phases(times[start:start + FINAL_TIME_BLOCK, None])
             p_conj = p.conj()
             for row, w in zip(out, weights):
                 row[start:start + FINAL_TIME_BLOCK] = np.sum((p @ w) * p_conj, axis=1)

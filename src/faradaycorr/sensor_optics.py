@@ -24,10 +24,10 @@ Conventions fixed here, once, for the whole package:
   (A uniform half-count convention would make the R/L coefficient alpha^2/4
   and break that proportionality; see the README.)
 * One shot is one instrument, ``ShotTable``: alpha, the plane rotation theta
-  of each coupling value and the readout basis. From these alone it gives the
-  Poisson means that both Monte Carlo modes draw, the Kraus elements that the
-  quantum trajectories apply, and the record matrix (their first moment) that
-  the exact chain multiplies by.
+  of each coupling value and the readout basis. From these alone it draws the
+  Poisson counts of both Monte Carlo modes, and gives the Kraus elements that
+  the quantum trajectories apply and the record matrix (their first moment)
+  that the exact chain multiplies by.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import BranchSign
-from .errors import TruncationError, check_memory
+from .errors import NumericalGuardError, TruncationError, check_memory
 from .quantum_core import Array
 
 
@@ -308,6 +308,21 @@ class ShotTable:
         half = 0.5 * self.alpha * self.alpha
         shift = half * math.sin(self.basis.phase) * np.sin(2.0 * self.theta)
         return half - shift, half + shift
+
+    @property
+    def blind(self) -> bool:
+        """Whether every coupling value has the same Poisson means (R/L: alpha^2/2
+        at both detectors), so that the counts do not depend on the branch."""
+        return all(bool(np.all(means == means[0])) for means in self.means())
+
+    def draw(self, rng: np.random.Generator, rows=slice(None)) -> tuple[Array, Array]:
+        """Poisson counts (n_c, n_d), as floats, at the means of the coupling values
+        ``rows``. Means that are not finite raise ``NumericalGuardError`` before any draw."""
+        means_c, means_d = self.means()
+        if not np.isfinite(means_c).all():  # means_d = alpha^2 - means_c
+            raise NumericalGuardError(f"the Poisson means of an {self.basis.value} shot are not finite: "
+                                      "its rotation tau b / 2 leaves the float range")
+        return rng.poisson(means_c[rows]).astype(float), rng.poisson(means_d[rows]).astype(float)
 
     def record(self) -> Array:
         """m[i,k] = <chi_k| Lambda |chi_i>, the recorded observable

@@ -10,8 +10,8 @@ Two modes:
   spectral data, so no shot diagonalizes anything). Each shot's statistics
   come from the shot instrument, ``sensor_optics.ShotTable``, whose first
   moment is the record of the exact chain. Conditioned on an eigenvalue b,
-  drawn with probability |psi_b|^2, the detectors see independent Poisson
-  counts with the table's means for b. The state is then multiplied by the
+  drawn with probability |psi_b|^2, the table draws independent Poisson
+  counts at its means for b. The state is then multiplied by the
   full Kraus element, which is diagonal in that basis and keeps the
   interference between eigenvalue branches, and renormalized. The counts
   are Poisson around alpha^2/2, so a chunk sees far fewer distinct outcomes
@@ -37,9 +37,8 @@ Two modes:
   first shot's branches are drawn from the initial states the same way,
   block by block, with no Kraus product or rotation before them.
 * ``semiclassical_field``: the target is a classical stochastic field; each
-  shot draws Poisson counts from the same instrument, a ``ShotTable`` over
-  the sequences' field values, whose means it reads. Only the
-  all-anticommutator correlation survives in this mode.
+  shot's counts are drawn by a ``ShotTable`` over the sequences' field
+  values. Only the all-anticommutator correlation survives in this mode.
 
 Reproducibility: the master seed is split into fixed-size chunks of
 sequences via ``numpy.random.SeedSequence.spawn``; every run's chunks go
@@ -278,13 +277,6 @@ class _QuantumPlan:
     rotations: tuple[Array, ...]  # W_j^T, into the eigenbasis of shot j = 2..K
 
 
-def _branch_blind(table: ShotTable) -> bool:
-    """Whether every branch of ``table`` has the same Poisson means, so that a
-    shot's counts do not depend on the branch it is drawn on (R/L, whose
-    means are alpha^2/2 at both detectors whatever the rotation)."""
-    return all(bool(np.all(means == means[0])) for means in table.means())
-
-
 def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     """Unravelling of rho0 and per-shot tables, shared by all sequences.
 
@@ -298,7 +290,7 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     lam, u = np.linalg.eigh(spec.initial_state)
     steps = tuple(tables[shot.basis] for shot in proto.shots)
     kets = np.ascontiguousarray((into_first @ u).T)  # laid out as the chunk's rows
-    blind = tuple(_branch_blind(table) for table in steps)
+    blind = tuple(table.blind for table in steps)
     return _QuantumPlan(_branch_probabilities(lam), kets, steps, blind, tuple(w.T for w in rotations))
 
 
@@ -317,15 +309,8 @@ class _Record:
         self.s_half2 = 0.0
 
     def shot(self, rng: np.random.Generator, table: ShotTable, rows=slice(None)):
-        """Draw the counts (n_c, n_d) from the Poisson means of ``table``'s
-        coupling values ``rows``, one per sequence, and record them. Means
-        that are not finite raise ``NumericalGuardError`` before any draw."""
-        means_c, means_d = table.means()
-        if not np.isfinite(means_c).all():  # means_d = alpha^2 - means_c
-            raise NumericalGuardError(f"the Poisson means of an {table.basis.value} shot are not finite: "
-                                      "its rotation tau b / 2 leaves the float range")
-        n_c = rng.poisson(means_c[rows]).astype(float)
-        n_d = rng.poisson(means_d[rows]).astype(float)
+        """Draw the counts of ``table``'s coupling values ``rows`` (``ShotTable.draw``) and record them."""
+        n_c, n_d = table.draw(rng, rows)
         half = (n_d - n_c) / 2
         with np.errstate(over="ignore", invalid="ignore"):  # _estimate refuses a record past the float range
             self.prod = self.prod * (2.0 * table.basis.record_scale) * half
@@ -478,7 +463,7 @@ def _run_semiclassical_chunk(
 ) -> tuple:
     times = np.array([s.time for s in proto.shots])
     record = _Record(n)
-    # a field or rotation tau b / 2 beyond the float range overflows quietly, and _Record.shot refuses its means
+    # a field or rotation tau b / 2 beyond the float range overflows quietly, and ShotTable.draw refuses its means
     with np.errstate(over="ignore", invalid="ignore"):
         paths = _sample_field_paths(field, times, n, rng)
         for j, shot in enumerate(proto.shots):

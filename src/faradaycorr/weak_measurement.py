@@ -108,12 +108,15 @@ def prediction_factor(proto: ProtocolSpec) -> float:
     (tau alpha^2 / 2) per shot. Raises ``NumericalGuardError`` if it
     overflows the float range."""
     try:
-        return (0.5 * proto.sensor.tau * proto.sensor.alpha**2) ** proto.order
+        factor = (0.5 * proto.sensor.tau * proto.sensor.alpha**2) ** proto.order
     except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):  # the product 0.5 tau alpha^2 overflows quietly, its power raises
         raise NumericalGuardError(
             f"2^-K tau^K alpha^2K overflows the float range at K={proto.order}, "
             f"tau={proto.sensor.tau!r}, alpha={proto.sensor.alpha!r}"
-        ) from None
+        )
+    return factor
 
 
 def _exact_chain(model: TargetModel, proto: ProtocolSpec, engine: str) -> tuple[list[Array], float, str]:

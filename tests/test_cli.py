@@ -1059,6 +1059,10 @@ INVALID_CONFIGS = [
         lambda tmp: {"command": "snr", "snr": {"preset_file": MATERIALS, "L": 100.0}},
         "not to snr.preset_file.lihof4_k2, which sets snr.preset_file.lihof4_k2.L",
     ),
+    # a coefficient whose term leaves the float range: "coupling is not
+    # Hermitian" after numpy's overflow warnings
+    ("coupling-term-overflows", lambda tmp: _doc(EXACT_DOC, model__two_j=15, model__coupling={"jx": 1.7e308}),
+     "model.coupling.jx = 1.7e+308 takes the coupling past the float range"),
     # sections snr never reads, holding what manifest.json cannot store
     ("unread-section-date", lambda tmp: dict(SNR_DOC, mc=datetime.date(2024, 1, 1)), "manifest.json"),
     ("unread-section-mixed-keys", lambda tmp: dict(SNR_DOC, mc={1: "a", "b": "c"}), "manifest.json"),
@@ -1090,7 +1094,9 @@ def _holding_itself() -> list:
 def test_invalid_value_is_a_config_error(tmp_path, capsys, make_doc, names):
     doc = make_doc(tmp_path)
     out = tmp_path / "out"
-    code = main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning before the message
+        code = main([doc["command"], "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and names in err
@@ -1263,6 +1269,18 @@ PULSES_OUT_OF_RANGE = [
      _doc(SIM_DOC, protocol__alpha=1.0e9, protocol__tau=1.0e-20, mc__sequences=300,
           protocol__shots=[{"time": 0.1 * i, "basis": "S2"} for i in range(40)]),
      EXIT_NUMERIC, "numerical guard: the Monte Carlo record leaves the float range"),
+    # E t leaves the float range (E = +-2) at a shot's time step or at the final
+    # time: exit 3 on a nan trace after RuntimeWarnings
+    ("exact-shot-time-phase-overflows",
+     _doc(EXACT_DOC, model__hamiltonian={"jz": 4.0}, protocol__shots=[
+         {"time": 0.0, "basis": "S3"}, {"time": 1.7e308, "basis": "S3"}, {"time": 1.7e308, "basis": "S2"}]),
+     EXIT_NUMERIC, "numerical guard: the phase exp(iEt) leaves the float range at |t| = 1.7e+308"),
+    ("exact-final-time-phase-overflows",
+     _doc(EXACT_DOC, model__hamiltonian={"jz": 4.0}, protocol__final_time_grid=[1.0, 1.7e308]),
+     EXIT_NUMERIC, "numerical guard: the phase exp(iEt) leaves the float range at |t| = 1.7e+308"),
+    # 0.5 tau alpha^2 overflows without raising: the chains ran, and the run
+    # ended on the leading-order overflow
+    ("exact-tau-past-the-float-range", _doc(EXACT_DOC, protocol__tau=1.7e308), EXIT_NUMERIC, "2^-K tau^K alpha^2K"),
 ]
 
 

@@ -168,6 +168,7 @@ def cli_error(tmp_path, capsys, path):
 def test_malformed_yaml_exits_2(tmp_path, capsys, text):
     err = cli_error(tmp_path, capsys, write(tmp_path, text))
     assert err.startswith("config error: cannot read config") and "Traceback" not in err
+    assert err.endswith("\n") and err.count("\n") == 1  # PyYAML's marks joined into the one line
 
 
 @pytest.mark.parametrize("text", ["- 1\n- 2\n", "just text\n", "", "~\n"], ids=["list", "scalar", "empty", "null"])
@@ -212,8 +213,7 @@ def test_duplicate_key_exits_2(tmp_path, capsys, monkeypatch, text, key, where, 
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     path = write(tmp_path, text)
     err = cli_error(tmp_path, capsys, path)
-    assert err.startswith("config error: cannot read config") and "Traceback" not in err
-    assert f"found duplicate key {key}\n  in \"{path}\", {where}" in err
+    assert err == f"config error: cannot read config {path}: found duplicate key {key} in \"{path}\", {where}\n"
 
 
 @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])

@@ -76,3 +76,9 @@ def test_golden_results(tmp_path, name, threads):
                  if line.startswith(CONFIG_LINE))
     assert hashlib.sha256(config.encode()).hexdigest() == sha
     assert json.loads(config) == json.loads(manifest)["config"]
+
+
+def test_stored_configs_are_what_the_corpus_generates():
+    # the bench shapes and the README's examples, as corpus.py writes them
+    stored = {p.parent.name: p.read_text(encoding="utf-8") for p in corpus.HERE.glob("*/config.yaml")}
+    assert stored == corpus.configs()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from faradaycorr import errors
 from faradaycorr.correlations import BranchSign
-from faradaycorr.errors import ResourceGuardError, TruncationError
+from faradaycorr.errors import NumericalGuardError, ResourceGuardError, TruncationError
 from faradaycorr.sensor_optics import (
     MeasurementBasis,
     SectorRows,
@@ -357,6 +357,22 @@ class TestDetectorMeans:
             means_c, means_d = table.means()
             gap = np.diag(table.record()) - table.basis.record_scale * (means_d - means_c)
             assert np.max(np.abs(gap)) <= 1e-14 * alpha**2
+
+    def test_blind_is_read_from_the_means(self):
+        sensor = SensorConfig(alpha=5.0, tau=0.1)
+        values = np.array([-1.5, 0.0, 2.0])
+        assert ShotTable.of(values, sensor, MeasurementBasis.S3).blind
+        assert not ShotTable.of(values, sensor, MeasurementBasis.S2).blind
+        # no rotation anywhere: every D/A branch sees alpha^2/2 too
+        assert ShotTable.of(np.zeros(3), sensor, MeasurementBasis.S2).blind
+
+    def test_draw_refuses_means_that_are_not_finite(self):
+        rng = np.random.default_rng(0)
+        with np.errstate(invalid="ignore"):  # sin(inf)
+            table = shot(3.0, np.array([0.1, np.inf]), MeasurementBasis.S2)
+            with pytest.raises(NumericalGuardError, match="the Poisson means of an S2 shot are not finite"):
+                table.draw(rng, np.array([0, 0]))
+        assert rng.random() == np.random.default_rng(0).random()  # before any draw
 
 
 class TestConfigValidation:

@@ -30,7 +30,6 @@ from faradaycorr.trajectory_mc import (
     _Blocks,
     _Record,
     _block_rows,
-    _branch_blind,
     _draw_branches,
     _estimate,
     _chunk_bytes,
@@ -425,14 +424,6 @@ class TestBlockedChunk:
                 sums, smallest = _run_quantum_chunk(n, *_chunk_rngs(seed), plan)
             assert sums == vector_chunk(n, *_chunk_rngs(seed), plan), n
             assert 0 < smallest <= 1 + 1e-12
-
-    def test_branch_blind_is_read_from_the_means(self):
-        sensor = SensorConfig(alpha=5.0, tau=0.1)
-        values = np.array([-1.5, 0.0, 2.0])
-        assert _branch_blind(ShotTable.of(values, sensor, S3))
-        assert not _branch_blind(ShotTable.of(values, sensor, S2))
-        # no rotation anywhere: every D/A branch sees alpha^2/2 too
-        assert _branch_blind(ShotTable.of(np.zeros(3), sensor, S2))
 
     @pytest.mark.parametrize("d", [2, 16, 64, 16384])
     def test_blocks_are_even_and_never_one_row(self, d):
