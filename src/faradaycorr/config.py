@@ -211,14 +211,22 @@ def _number(value, where: str) -> float:
     value = _unspelled(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{where} must lie within the float range, got an integer of "
+                          f"{len(str(abs(value)))} digits") from None
 
 
 def _numbers(values: list, where: str) -> list[float]:
     """``_number`` of each of ``values``, their types checked at once; an
-    error names the first value that is not a number as ``where[i]``."""
+    error names the first value that is not a number, or that leaves the
+    float range, as ``where[i]``."""
     if set(map(type, values)) <= {int, float}:
-        return list(map(float, values))
+        try:
+            return list(map(float, values))
+        except OverflowError:
+            pass  # the loop below names the integer
     return [_number(value, f"{where}[{i}]") for i, value in enumerate(values)]
 
 
@@ -261,12 +269,10 @@ def _entry(x, where: str):
 
 def _complex_matrix(model_cfg: dict, key: str) -> np.ndarray:
     """The matrix at model.<key>; entries are finite numbers or [re, im]
-    pairs (``_entry``). A row of plain numbers is type-checked at once."""
+    pairs (``_entry``)."""
     rows = _require(model_cfg, key, "model")
     try:
-        entries = [row if isinstance(row, list) and set(map(type, row)) <= {int, float}
-                   else [_entry(x, f"model.{key}[{i}][{j}]") for j, x in enumerate(row)]
-                   for i, row in enumerate(rows)]
+        entries = [[_entry(x, f"model.{key}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)]
         matrix = np.array(entries, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model.{key} is not a valid matrix: {exc}") from exc

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -93,8 +94,12 @@ def branch_record(w: Array, sign: BranchSign) -> Array:
     that multiplies rho elementwise."""
     w = np.asarray(w, dtype=float)
     if sign is BranchSign.PLUS:
-        return (w[:, None] + w[None, :]) / 2
-    return (w[:, None] - w[None, :]) / 1j
+        return w[:, None] / 2 + w[None, :] / 2  # halved first, so that the sum stays in range
+    # |w_i - w_k| passes the float range only if ||B|| passes half of it,
+    # which ||B||^K refuses for K > 1; at K = 1 the chain reads only the
+    # diagonal, all zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (w[:, None] - w[None, :]) / 1j
 
 
 def heisenberg_coupling(model: TargetModel, t: float) -> Array:
@@ -138,7 +143,8 @@ def _record_chain(model: TargetModel, chains, times, finals) -> list[Array]:
     The last record closes the chain through its diagonal as
     X = V_B diag(m_ii) V_B†, traced at each of ``finals``, which must be
     finite and not before the last of ``times`` (else ``ValueError``). The
-    chains share one walk through the eigenbases and the phases of each final
+    chains share one walk through the eigenbases, all of them advanced at
+    each change of basis as the walk forms it, and the phases of each final
     time. Each grid is checked by ``real_trace`` against its size, in the
     order of ``chains``.
     """
@@ -146,15 +152,15 @@ def _record_chain(model: TargetModel, chains, times, finals) -> list[Array]:
     if not np.all(np.isfinite(finals)) or (len(times) and np.any(finals < times[-1])):
         raise ValueError("final times must be finite and not before the shot they follow")
     spec = model.spectral
-    *changes, back = spec.walk(times)  # rho0 and X are in the H eigenbasis
-    changes = [(w, w.conj().T) for w in changes]
+    walk = spec.walk(times)  # rho0 and X are in the H eigenbasis
+    rhos = [spec.initial_state] * len(chains)
+    for j, w in enumerate(islice(walk, len(times))):  # leaves the change back in ``walk``
+        w_h = w.conj().T
+        rhos = [records[j] * (w @ rho @ w_h) for rho, (records, _, _) in zip(rhos, chains)]
+    back = next(walk)
     v_b = spec.coupling_eigvecs
-    closing = []
-    for records, _, _ in chains:
-        rho = spec.initial_state
-        for (w, w_h), record in zip(changes, records):
-            rho = record * (w @ rho @ w_h)
-        closing.append(((v_b * np.diag(records[-1])) @ v_b.conj().T, back @ rho @ back.conj().T))
+    closing = [((v_b * np.diag(records[-1])) @ v_b.conj().T, back @ rho @ back.conj().T)
+               for rho, (records, _, _) in zip(rhos, chains)]
     traces = spec.final_traces(closing, finals)
     return [real_trace(row, size, name) for row, (_, size, name) in zip(traces, chains)]
 

@@ -9,6 +9,7 @@ All functions are pure; returned arrays are fresh and safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,9 +38,16 @@ STRUCTURAL_TOL = 1e-10
 
 def is_hermitian(a: Array) -> bool:
     """Whether max|a - a^dag| is at most ``STRUCTURAL_TOL`` times max|a|, so
-    that the guard scales with the entries it checks."""
+    that the guard scales with the entries it checks. A difference past the
+    float range is infinite, and so not Hermitian."""
     a = as_operator(a)
-    return float(np.max(np.abs(a - a.conj().T))) <= STRUCTURAL_TOL * float(np.max(np.abs(a)))
+    with np.errstate(over="ignore"):
+        size = float(np.max(np.abs(a)))
+        if size == np.inf:  # a modulus past the float range; halves keep the ratio below
+            a = a / 2
+            size = float(np.max(np.abs(a)))
+        asymmetry = float(np.max(np.abs(a - a.conj().T)))
+    return asymmetry <= STRUCTURAL_TOL * size
 
 
 def require_hermitian(a: Array, what: str = "operator") -> Array:
@@ -193,10 +201,18 @@ class SpectralData:
 
     @classmethod
     def of(cls, model: TargetModel) -> "SpectralData":
+        """The eigendata of ``model``; ``NumericalGuardError`` if the
+        eigenvalues of H or of B leave the float range."""
         energies, basis = np.linalg.eigh(model.hamiltonian)
+        if not np.isfinite(energies).all():
+            raise NumericalGuardError("the eigenvalues of the hamiltonian leave the float range")
         coupling = basis.conj().T @ model.coupling @ basis
-        coupling = (coupling + coupling.conj().T) / 2
+        coupling = coupling / 2 + coupling.conj().T / 2  # halved first, so that the sum stays in range
+        if not np.isfinite(coupling).all():  # eigh reads one triangle, and may not carry a NaN through
+            raise NumericalGuardError("the coupling leaves the float range in the eigenbasis of the hamiltonian")
         w_b, v_b = np.linalg.eigh(coupling)
+        if not np.isfinite(w_b).all():
+            raise NumericalGuardError("the eigenvalues of the coupling leave the float range")
         w_b = cluster_eigenvalues(w_b)
         rho = basis.conj().T @ model.initial_state.matrix @ basis
         for a in (energies, basis, coupling, rho, w_b, v_b):
@@ -222,19 +238,23 @@ class SpectralData:
             raise NumericalGuardError(f"the phase exp(iEt) leaves the float range at |t| = {abs(time):.4g}")
         return np.exp(1j * angle)
 
-    def walk(self, times) -> list[Array]:
+    def walk(self, times) -> Iterator[Array]:
         """Changes of coordinates from the H eigenbasis into the eigenbasis of
         B(t_j) at each of ``times`` in turn and back, from the time gaps alone:
         V_B† diag(exp(-iE t_1)), then V_B† diag(exp(-iE (t_j - t_{j-1}))) V_B
         per later shot, then diag(exp(iE t_K)) V_B. No times give the identity.
+        Each change is formed when it is read, so the walk holds one at a time.
         """
         v = self.coupling_eigvecs
         if len(times) == 0:
-            return [np.eye(len(v), dtype=complex)]
+            yield np.eye(len(v), dtype=complex)
+            return
         with np.errstate(over="ignore"):  # an infinite gap is refused by ``phases``
             gaps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
-        into = [v.conj().T * self.phases(-gap) for gap in gaps]
-        return [into[0], *(w @ v for w in into[1:]), self.phases(times[-1])[:, None] * v]
+        yield v.conj().T * self.phases(-gaps[0])
+        for gap in gaps[1:]:
+            yield (v.conj().T * self.phases(-gap)) @ v
+        yield self.phases(times[-1])[:, None] * v
 
     def final_traces(self, closing, times) -> Array:
         """Tr[X(t) rho] for each (x, rho) pair of ``closing`` and each t, with

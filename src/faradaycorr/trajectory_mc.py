@@ -273,7 +273,6 @@ class _QuantumPlan:
     weights: Array                # lambda_k, eigenvalues of rho0
     kets: Array                   # row k: eigenvector u_k of rho0 in the first shot's eigenbasis
     tables: tuple[ShotTable, ...]  # one per shot
-    blind: tuple[bool, ...]       # per shot: its Poisson means are the same on every branch
     rotations: tuple[Array, ...]  # W_j^T, into the eigenbasis of shot j = 2..K
 
 
@@ -290,8 +289,7 @@ def _quantum_plan(model: TargetModel, proto: ProtocolSpec) -> _QuantumPlan:
     lam, u = np.linalg.eigh(spec.initial_state)
     steps = tuple(tables[shot.basis] for shot in proto.shots)
     kets = np.ascontiguousarray((into_first @ u).T)  # laid out as the chunk's rows
-    blind = tuple(table.blind for table in steps)
-    return _QuantumPlan(_branch_probabilities(lam), kets, steps, blind, tuple(w.T for w in rotations))
+    return _QuantumPlan(_branch_probabilities(lam), kets, steps, tuple(w.T for w in rotations))
 
 
 class _Record:
@@ -419,7 +417,7 @@ def _run_quantum_chunk(
     idx = np.zeros(n, dtype=np.intp)  # a branch-blind shot reads its means at any branch
     smallest = math.inf
     u = rng.random(n)
-    if not plan.blind[0]:
+    if not plan.tables[0].blind:
         for rows, _, p, cum in blocks:
             idx[rows] = blocks.draw(states[rows], p, cum, u[rows])[1]
     for j, table in enumerate(plan.tables):
@@ -427,7 +425,7 @@ def _run_quantum_chunk(
         if j == len(plan.rotations):  # the state after the last shot is never read
             break
         u = rng.random(n)  # the next shot's draws, read unless it is branch-blind
-        draws = None if plan.blind[j + 1] else u
+        draws = None if plan.tables[j + 1].blind else u
         # the diagonals die with the call, before the next shot's are formed
         total = blocks.advance(states, *_outcome_kraus(table, n_c, n_d), plan.rotations[j], draws, idx)
         smallest = min(smallest, total)

@@ -860,6 +860,19 @@ INVALID_CONFIGS = [
      "config error: model.coupling_matrix[0][1] must be a number, got '1'\n"),
     ("bool-matrix-pair-half", lambda tmp: _custom(hamiltonian_matrix=[[[0.0, True], 0.0], [0.0, 0.0]]),
      "config error: model.hamiltonian_matrix[0][0][1] must be a number, got True\n"),
+    # an integer literal of 401 digits, well inside Python's 4300-digit limit,
+    # that no float holds: OverflowError from float(), a traceback and exit 1
+    ("huge-integer-alpha", lambda tmp: _doc(EXACT_DOC, protocol__alpha=10**400),
+     "config error: protocol.alpha must lie within the float range, got an integer of 401 digits\n"),
+    ("huge-integer-final-time", lambda tmp: _doc(EXACT_DOC, protocol__final_time_grid=[0.5, 10**400]),
+     "config error: protocol.final_time_grid[1] must lie within the float range, got an integer of 401 digits\n"),
+    ("huge-integer-snr-L", lambda tmp: _doc(SNR_DOC, snr__L=10**400),
+     "config error: snr.L must lie within the float range, got an integer of 401 digits\n"),
+    ("huge-integer-matrix-entry", lambda tmp: _custom(coupling_matrix=[[0.0, 10**400], [1.0, 0.0]]),
+     "config error: model.coupling_matrix[0][1] must lie within the float range, got an integer of 401 digits\n"),
+    # H - H^dag leaves the float range: not Hermitian, without numpy's overflow warning first
+    ("non-hermitian-past-the-float-range", lambda tmp: _custom(hamiltonian_matrix=[[1.0, 1.7e308], [-1.7e308, -1.0]]),
+     "config error: model: hamiltonian is not Hermitian within 1e-10 of its largest entry\n"),
     ("nan-shot-time", lambda tmp: _doc(EXACT_DOC, protocol__shots__0__time=math.nan), "protocol.shots"),
     ("infinite-tau", lambda tmp: _doc(EXACT_DOC, protocol__tau=math.inf), "tau must be positive"),
     # the Fock cutoff comes from alpha; a config that still sets one is refused

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ class TestApplyBranch:
         for sign in (PLUS, MINUS):
             expect = v.conj().T @ apply_branch(b, sign, rho) @ v
             assert np.max(np.abs(branch_record(w, sign) * (v.conj().T @ rho @ v) - expect)) < 1e-12
+
+    def test_branch_record_at_the_edge_of_the_float_range(self):
+        # the + record halves before it adds, so its diagonal is w even where
+        # w_i + w_k overflows; the - record's diagonal, which a K = 1 chain
+        # reads, is zero, and its off-diagonal past the float range raises no warning
+        w = np.array([-1.7e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plus, minus = branch_record(w, PLUS), branch_record(w, MINUS)
+        assert np.array_equal(np.diag(plus), w) and np.array_equal(np.diag(minus), [0, 0])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,17 @@ class TestIsHermitian:
 
     def test_zero_matrix_is_hermitian(self):
         assert is_hermitian(np.zeros((3, 3)))
+
+    def test_entries_at_the_edge_of_the_float_range(self):
+        # a - a^dag overflows to inf, which is not Hermitian, and numpy says nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_hermitian(np.array([[1.0, 1.7e308], [-1.7e308, -1.0]]))
+            # an entry whose modulus, 2.4e308, no float holds: an infinite
+            # tolerance would pass any matrix
+            big = 1.7e308 + 1.7e308j
+            assert not is_hermitian(np.array([[0.0, big], [0.0, 0.0]]))
+            assert is_hermitian(np.array([[0.0, big], [big.conjugate(), 0.0]]))
 
 
 class TestSpinOperators:

@@ -14,6 +14,7 @@ import yaml
 
 from faradaycorr import cli
 from faradaycorr.correlations import correlation, correlation_grid, heisenberg_coupling
+from faradaycorr.errors import NumericalGuardError
 from faradaycorr.quantum_core import TargetModel, pure_state, spin_operators
 from faradaycorr.sensor_optics import MeasurementBasis, SensorConfig, ShotTable
 from faradaycorr.trajectory_mc import _quantum_plan
@@ -80,7 +81,7 @@ class TestSpectralData:
             diag = v.conj().T @ expm_coupling(model, t) @ v
             assert np.allclose(diag, np.diag(spec.coupling_eigvals), atol=1e-12)
         assert np.allclose(back @ u, np.eye(model.dim), atol=1e-12)
-        assert np.array_equal(spec.walk([])[0], np.eye(model.dim))
+        assert np.array_equal(next(spec.walk([])), np.eye(model.dim))
 
     def test_degenerate_eigenvalues_are_one_shared_array(self, monkeypatch):
         """B = U diag(1, 1, -1) U†: the degenerate pair is one number, and the
@@ -102,6 +103,18 @@ class TestSpectralData:
         assert len(seen) == 4 and all(e is w for e in seen)
         record = plan.tables[0].record()
         assert record[1, 2] == 0 and record[2, 1] == 0
+
+    @pytest.mark.parametrize("operator", ["hamiltonian", "coupling"])
+    def test_eigenvalues_past_the_float_range_are_a_numerical_guard(self, operator):
+        # finite entries whose eigenvalues, +-2.4e308, are not; the coupling is
+        # also symmetrized without its sum overflowing
+        big = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        tame = {"hamiltonian": np.diag([1.0, -1.0]), "coupling": np.array([[0.0, 1.0], [1.0, 0.0]])}
+        model = TargetModel(initial_state=pure_state([1, 0]), **dict(tame, **{operator: big}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalGuardError, match=f"^the eigenvalues of the {operator} leave the float range$"):
+                model.spectral
 
     def test_computed_once_per_model(self):
         model = random_model(np.random.default_rng(8), 3)

@@ -416,7 +416,7 @@ class TestBlockedChunk:
     @DIMS
     def test_sums_match_the_whole_chunk_loop(self, d, make_model, alpha, tau, shots):
         plan = _quantum_plan(make_model(d), proto(shots, alpha=alpha, tau=tau))
-        assert plan.blind == tuple(b is S3 for _, b in shots)
+        assert tuple(table.blind for table in plan.tables) == tuple(b is S3 for _, b in shots)
         rows = BLOCK_AMPLITUDES // d
         for seed, n in enumerate((1, rows - 1, rows + 1, 3000, CHUNK_SIZE)):
             with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -317,6 +318,28 @@ def test_shared_walk_gives_each_chain_alone(engine):
         return
     (alone,) = _record_chain(model, [_exact_chain(model, p, engine)], [0.0, 0.4], finals)
     assert np.array_equal(exact, alone)
+
+
+@pytest.mark.parametrize("engine", [None, "coherent"])
+def test_chain_memory_does_not_grow_with_the_order(engine):
+    # every chain advances at each change of basis as the walk forms it, and
+    # no list of the K changes is kept: at d = 64 with 16 final times the peak
+    # at K = 128 is within 1.25x of the peak at K = 8, where a list of the
+    # changes would add about 2 d^2 complex numbers per shot, over 10x
+    jx, _, jz = spin_operators(63)
+    model = TargetModel(hamiltonian=jz + 0.3 * jx, coupling=jx, initial_state=thermal_state(jz, 0.5))
+    model.spectral  # the eigendata are the model's, formed once whatever K
+    peaks = []
+    for order in (8, 128):
+        p = proto([(0.05 * k, (S3, S2)[k % 2]) for k in range(order)], alpha=2.0, tau=0.01)  # ends on S2
+        finals = np.linspace(p.shots[-1].time, p.shots[-1].time + 2.0, 16)
+        tracemalloc.start()
+        try:
+            protocol_grids(model, p, finals, engine)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("engine", [None, "coherent", "fock"])
